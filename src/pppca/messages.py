@@ -189,9 +189,6 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack(">Q", self.take(8))[0]
 
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
-
     def bigint(self) -> int:
         return int.from_bytes(self.take(self.u32()), "big")
 
@@ -216,24 +213,19 @@ def decode_public_key(payload: bytes) -> PublicKey:
 def encode_real_matrix(x) -> bytes:
     a = np.atleast_2d(np.asarray(x, dtype=float))
     rows, cols = a.shape
-    parts = [struct.pack(">II", rows, cols)]
-    parts.extend(struct.pack(">d", float(v)) for v in a.ravel())
-    return b"".join(parts)
+    return struct.pack(">II", rows, cols) + a.astype(">f8").tobytes()
 
 
 def decode_real_matrix(payload: bytes) -> np.ndarray:
-    r = _Reader(payload)
-    rows, cols = r.u32(), r.u32()
+    if len(payload) < 8:
+        raise FrameFormatError("payload ended early")
+    rows, cols = struct.unpack_from(">II", payload)
     if rows * cols * 8 != len(payload) - 8:
         raise FrameFormatError(
             f"real matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
         )
-    out = np.empty((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = r.f64()
-    r.done()
-    return out
+    entries = np.frombuffer(payload, ">f8", count=rows * cols, offset=8)
+    return entries.reshape(rows, cols).astype(np.float64)
 
 
 def encode_encrypted_matrix(matrix: list[list[EncodedFloat]]) -> bytes:

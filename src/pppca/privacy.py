@@ -18,22 +18,13 @@ violations; an empty list is a pass.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .messages import MsgType, ProtocolMessage, Transcript
 from .protocol import (
     METHOD_HE,
-    PHASE_COV_AGGREGATE,
-    PHASE_ENC_COV,
-    PHASE_ENC_SUMS,
-    PHASE_LOCAL_COV,
-    PHASE_LOCAL_SUM,
-    PHASE_MEAN_HE,
-    PHASE_MEAN_SS,
-    PHASE_PUBLIC_KEY,
     PHASE_REDUCED,
     PHASE_SAMPLE_COUNT,
-    PHASE_SHARE_COV,
-    PHASE_SHARE_SUMS,
-    PHASE_SUM_AGGREGATE,
     PHASE_TRANSFER,
     SERVER,
     SessionConfig,
@@ -63,36 +54,27 @@ PROVIDER_TYPES = frozenset(
 
 
 def legal_routes(cfg: SessionConfig) -> set[tuple[MsgType, int, int, int]]:
-    """Every (type, phase, sender, receiver) the algorithm permits."""
-    routes: set[tuple[MsgType, int, int, int]] = set()
+    """Every (type, phase, sender, receiver) the algorithm permits, derived
+    from the route table of the session's secure-sum back end."""
+    backend = cfg.secure_sum
     providers = cfg.providers
-    consumer = cfg.consumer
+    broadcasts = [
+        *backend.setup,
+        (MsgType.PLAIN_MEAN, backend.mean_phase()),
+        (MsgType.TRANSFER_MATRIX, PHASE_TRANSFER),
+    ]
+    routes: set[tuple[MsgType, int, int, int]] = set()
     for i in providers:
-        routes.add((MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, i, SERVER))
-        for j in providers:
+        for j in [SERVER, *providers]:
             if i != j:
                 routes.add((MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, i, j))
-        routes.add((MsgType.REDUCED_ROWS, PHASE_REDUCED, i, consumer))
-        routes.add((MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, SERVER, i))
-    if cfg.method == METHOD_HE:
-        p = cfg.aggregator
-        for i in providers:
-            routes.add((MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY, SERVER, i))
-            routes.add((MsgType.PLAIN_MEAN, PHASE_MEAN_HE, SERVER, i))
-            if i != p:
-                routes.add((MsgType.ENCRYPTED_SUMS, PHASE_ENC_SUMS, i, p))
-                routes.add((MsgType.ENCRYPTED_COV, PHASE_ENC_COV, i, p))
-        routes.add((MsgType.ENCRYPTED_SUM_AGGREGATE, PHASE_SUM_AGGREGATE, p, SERVER))
-        routes.add((MsgType.ENCRYPTED_COV_AGGREGATE, PHASE_COV_AGGREGATE, p, SERVER))
-    else:
-        for i in providers:
-            routes.add((MsgType.PLAIN_MEAN, PHASE_MEAN_SS, SERVER, i))
-            routes.add((MsgType.LOCAL_SHARE_SUM, PHASE_LOCAL_SUM, i, SERVER))
-            routes.add((MsgType.LOCAL_SHARE_SUM, PHASE_LOCAL_COV, i, SERVER))
-            for j in providers:
-                if i != j:
-                    routes.add((MsgType.SHARE_BUNDLE, PHASE_SHARE_SUMS, i, j))
-                    routes.add((MsgType.SHARE_BUNDLE, PHASE_SHARE_COV, i, j))
+        routes.update((t, phase, SERVER, i) for t, phase in broadcasts)
+        routes.add((MsgType.REDUCED_ROWS, PHASE_REDUCED, i, cfg.consumer))
+    for r, (hop1, hop2) in enumerate(backend.rounds):
+        first, second = backend.phases(r)
+        for c in backend.combiners(cfg):
+            routes.update((hop1, first, i, c) for i in providers if i != c)
+            routes.add((hop2, second, c, SERVER))
     return routes
 
 
@@ -166,21 +148,7 @@ def message_counts_by_type(transcript: Transcript) -> dict[str, int]:
 
 def expected_message_counts(cfg: SessionConfig) -> dict[str, int]:
     """Exact per-type message counts implied by the algorithm (hardware
-    independent; used by the party-scaling bench)."""
-    m = cfg.parties
-    counts = {
-        MsgType.SAMPLE_COUNT.name: m * (m - 1) + m,
-        MsgType.TRANSFER_MATRIX.name: m,
-        MsgType.PLAIN_MEAN.name: m,
-        MsgType.REDUCED_ROWS.name: m,
-    }
-    if cfg.method == METHOD_HE:
-        counts[MsgType.PUBLIC_KEY.name] = m
-        counts[MsgType.ENCRYPTED_SUMS.name] = m - 1
-        counts[MsgType.ENCRYPTED_COV.name] = m - 1
-        counts[MsgType.ENCRYPTED_SUM_AGGREGATE.name] = 1
-        counts[MsgType.ENCRYPTED_COV_AGGREGATE.name] = 1
-    else:
-        counts[MsgType.SHARE_BUNDLE.name] = 2 * m * (m - 1)
-        counts[MsgType.LOCAL_SHARE_SUM.name] = 2 * m
-    return counts
+    independent; used by the party-scaling bench).  Each route carries
+    exactly one message."""
+    counts = Counter(route[0] for route in legal_routes(cfg))
+    return {t.name: c for t, c in sorted(counts.items())}

@@ -8,25 +8,33 @@ rows:
   the covariance, and broadcasts the transfer matrix,
 * the data consumer (party M+1) receives only the dimension-reduced rows.
 
-Secure addition is pluggable: the HE path encrypts local matrices under the
-server's Paillier key and lets one designated provider p fold ciphertexts;
-the SS path additively secret-shares local matrices among the providers and
-lets the server reconstruct only the sum of local share sums.
+Secure addition is pluggable (:class:`SecureSum`): the HE back end encrypts
+local matrices under the server's Paillier key and lets one designated
+provider p fold ciphertexts; the SS back end additively secret-shares local
+matrices among the providers and lets the server reconstruct only the sum of
+local share sums.  Either way a round has two hops: every provider masks its
+values and sends one piece to each *combiner* other than itself; each
+combiner adds the pieces it holds and sends the result to the server, which
+opens the total.
 
-Session flow (phases appear in transcripts and error messages):
+Session flow (phases appear in transcripts and error messages); s is the
+back end's first phase:
 
-    0  providers exchange sample counts with the server and each other
-    1  HE: server broadcasts its public key    SS: providers share sums
-    2  HE: providers send encrypted sums to p  SS: local share sums to server
-    3  HE: p sends the aggregate to the server SS: server broadcasts the mean
-    4  HE: server broadcasts the mean
-    5  providers center locally; SS: providers share local covariance terms
-    6  HE: encrypted covariance terms to p     SS: local share sums to server
-       (HE encrypts only the d(d+1)/2 upper-triangle entries of the
-       symmetric covariance; the server mirrors them after decryption)
-    7  HE: p sends the aggregate to the server
-    8  server broadcasts the transfer matrix
-    9  providers send reduced rows to the consumer
+    0    providers exchange sample counts with the server and each other
+    1    HE only: the server broadcasts its public key
+    s    providers send masked column sums to the combiners
+    s+1  combiners send their sums to the server, which opens the total
+    s+2  the server broadcasts the mean
+    s+4  providers center locally and send masked covariance terms, only
+         the d(d+1)/2 upper-triangle entries of the symmetric matrix
+    s+5  combiners send their sums to the server, which opens the total
+         and mirrors it into the covariance
+    8    the server broadcasts the transfer matrix
+    9    providers send reduced rows to the consumer
+
+    back end  s  masking               combiners
+    he        2  Paillier encryption   provider p
+    ss        1  n-of-n ring shares    every provider
 
 Sample counts travel in plaintext: both the mean (divide by n) and each
 local covariance term (scale by 1/(n-1)) need the global row count.  They
@@ -44,7 +52,9 @@ cannot see its peers, and a timed-out receive ends it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import random
 import threading
 import time
@@ -92,16 +102,7 @@ METHOD_SS = "ss"
 
 PHASE_SAMPLE_COUNT = 0
 PHASE_PUBLIC_KEY = 1
-PHASE_SHARE_SUMS = 1
-PHASE_ENC_SUMS = 2
-PHASE_LOCAL_SUM = 2
-PHASE_SUM_AGGREGATE = 3
-PHASE_MEAN_SS = 3
-PHASE_MEAN_HE = 4
-PHASE_SHARE_COV = 5
-PHASE_ENC_COV = 6
-PHASE_LOCAL_COV = 6
-PHASE_COV_AGGREGATE = 7
+PHASE_SHARE_COV = 5  # the SS covariance round's first hop
 PHASE_TRANSFER = 8
 PHASE_REDUCED = 9
 
@@ -135,17 +136,18 @@ class SessionConfig:
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
-        if self.method not in (METHOD_HE, METHOD_SS):
+        if self.method not in SECURE_SUMS:
             raise ConfigError(f"method must be '{METHOD_HE}' or '{METHOD_SS}'")
         if self.parties < 2:
             raise ConfigError(f"need at least 2 data providers, got {self.parties}")
         if self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
-        if self.method == METHOD_HE and not 1 <= self.aggregator <= self.parties - 1:
-            raise ConfigError(
-                f"aggregator must be a provider index in [1, {self.parties - 1}], "
-                f"got {self.aggregator}"
-            )
+        self.secure_sum.check_config(self)
+
+    @property
+    def secure_sum(self) -> type[SecureSum]:
+        """The secure-sum back end; the one place ``method`` is read."""
+        return SECURE_SUMS[self.method]
 
     @property
     def consumer(self) -> int:
@@ -171,6 +173,154 @@ def _prg_for(cfg: SessionConfig, label: str) -> CounterPRG:
     if cfg.seed is None:
         return CounterPRG(CounterPRG.random_seed())
     return CounterPRG(_derived_seed(cfg.seed, label))
+
+
+# --- secure-sum back ends ---------------------------------------------------
+
+
+class SecureSum:
+    """A secure sum of one matrix per provider, as a declared route table
+    plus three steps.
+
+    Table: ``first_phase`` s (round r uses phases s+4r and s+4r+1, the mean
+    goes out in s+2), ``setup`` (the server's broadcasts before round 0, as
+    (type, phase) pairs), ``rounds`` (the hop-1 and hop-2 message types of
+    the sums and the covariance round) and :meth:`combiners` (the hop-1
+    receivers and hop-2 senders).  Every provider sends hop 1 to every
+    combiner other than itself.
+
+    Steps: :meth:`mask` turns a provider's values into one piece per
+    combiner, :meth:`combine` adds the pieces a combiner holds, and
+    :meth:`open` turns the combined pieces into the plaintext sum.
+    """
+
+    first_phase: int
+    setup: tuple[tuple[MsgType, int], ...] = ()
+    rounds: tuple[tuple[MsgType, MsgType], ...]
+    bound = math.inf  # exclusive bound on the magnitude of one provider's values
+
+    @classmethod
+    def phases(cls, r: int) -> tuple[int, int]:
+        return cls.first_phase + 4 * r, cls.first_phase + 4 * r + 1
+
+    @classmethod
+    def mean_phase(cls) -> int:
+        return cls.first_phase + 2
+
+    @staticmethod
+    def combiners(cfg: SessionConfig) -> list[int]:
+        raise NotImplementedError
+
+    @staticmethod
+    def check_config(cfg: SessionConfig):
+        pass
+
+    def setup_server(self, role: ServerRole, ep):
+        pass
+
+    def setup_provider(self, role: ProviderRole, ep):
+        pass
+
+
+class PaillierSum(SecureSum):
+    """Paillier encryption under the server's key; provider p folds."""
+
+    first_phase = 2
+    setup = ((MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY),)
+    rounds = (
+        (MsgType.ENCRYPTED_SUMS, MsgType.ENCRYPTED_SUM_AGGREGATE),
+        (MsgType.ENCRYPTED_COV, MsgType.ENCRYPTED_COV_AGGREGATE),
+    )
+
+    def __init__(self, pk=None, sk=None, rng=None, encoding=None):
+        self.pk, self.sk, self.rng = pk, sk, rng
+        self.encoding = encoding if encoding is not None else FloatEncodingConfig()
+
+    @classmethod
+    def for_party(cls, cfg: SessionConfig, party: int) -> PaillierSum:
+        return cls(rng=_rng_for(cfg, f"encrypt/{party}"), encoding=cfg.float_encoding)
+
+    @staticmethod
+    def combiners(cfg: SessionConfig) -> list[int]:
+        return [cfg.aggregator]
+
+    @staticmethod
+    def check_config(cfg: SessionConfig):
+        if not 1 <= cfg.aggregator <= cfg.parties - 1:
+            raise ConfigError(
+                f"aggregator must be a provider index in [1, {cfg.parties - 1}], "
+                f"got {cfg.aggregator}"
+            )
+
+    def setup_server(self, role: ServerRole, ep):
+        cfg = role.cfg
+        role.phase = PHASE_PUBLIC_KEY
+        started = time.perf_counter()
+        self.pk, self.sk = paillier.keygen(
+            cfg.key_bits, _rng_for(cfg, "keygen"), allow_test_key=cfg.allow_test_key
+        )
+        role.timings["keygen"] = time.perf_counter() - started
+        role._broadcast(ep, MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY, encode_public_key(self.pk))
+
+    def setup_provider(self, role: ProviderRole, ep):
+        msg = role._recv(ep, SERVER, MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY)
+        self.pk = decode_public_key(msg.payload)
+
+    def mask(self, values, secret_id: str) -> list:
+        enc = self.encoding
+        return [paillier.enc_matrix(self.pk, values, self.rng, enc.base, enc.precision)]
+
+    def combine(self, pieces: list):
+        return functools.reduce(functools.partial(paillier.add_enc_matrix, self.pk), pieces)
+
+    def open(self, pieces: list) -> np.ndarray:
+        return paillier.dec_matrix(self.sk, pieces[0])
+
+    def encode(self, piece) -> bytes:
+        return encode_encrypted_matrix(piece)
+
+    def decode(self, payload: bytes):
+        return decode_encrypted_matrix(payload, self.pk)
+
+
+class SharedSum(SecureSum):
+    """n-of-n additive shares of fixed-point values; every provider combines."""
+
+    first_phase = 1
+    rounds = ((MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM),) * 2
+
+    def __init__(self, fixed_point: FixedPointConfig, parties: int, prg: CounterPRG):
+        self.fp, self.parties, self.prg = fixed_point, parties, prg
+        # The global sum of M in-range local terms must still fit the ring.
+        self.bound = fixed_point.max_magnitude / parties
+
+    @classmethod
+    def for_party(cls, cfg: SessionConfig, party: int) -> SharedSum:
+        return cls(cfg.fixed_point, cfg.parties, _prg_for(cfg, f"shares/{party}"))
+
+    @staticmethod
+    def combiners(cfg: SessionConfig) -> list[int]:
+        return cfg.providers
+
+    def mask(self, values, secret_id: str) -> list:
+        ring = matrix_encode_fixed(values, self.fp)
+        return share_matrix(ring, self.parties, self.fp.l, self.prg, secret_id=secret_id)
+
+    def combine(self, pieces: list):
+        return add_local_matrix(pieces)
+
+    def open(self, pieces: list) -> np.ndarray:
+        ring = reconstruct_matrix(pieces, party_count=self.parties)
+        return matrix_decode_fixed(ring, self.fp)
+
+    def encode(self, piece) -> bytes:
+        return encode_share_matrix(piece)
+
+    def decode(self, payload: bytes):
+        return decode_share_matrix(payload)
+
+
+SECURE_SUMS: dict[str, type[SecureSum]] = {METHOD_HE: PaillierSum, METHOD_SS: SharedSum}
 
 
 @dataclass
@@ -315,91 +465,13 @@ class ProviderRole(_Role):
     def __init__(self, index: int, data, cfg: SessionConfig):
         super().__init__(index, cfg)
         self.data = linalg.check_matrix(data, name=f"provider {index} data")
+        self.sum = cfg.secure_sum.for_party(cfg, index)
 
-    # -- HE path ----------------------------------------------------------
-
-    def _he_aggregate_round(
-        self, ep, pk, own_encrypted, msg_type: MsgType, agg_type: MsgType,
-        send_phase: int, agg_phase: int,
-    ):
-        """Send to p, or (as p) fold all ciphertext matrices for the server."""
-        cfg = self.cfg
-        p = cfg.aggregator
-        if self.party != p:
-            self._send(
-                ep, p, msg_type, send_phase, encode_encrypted_matrix(own_encrypted)
-            )
-            return
-        collected = {self.party: own_encrypted}
-        for j in cfg.providers:
-            if j == p:
-                continue
-            msg = self._recv(ep, j, msg_type, send_phase)
-            collected[j] = decode_encrypted_matrix(msg.payload, pk)
-        aggregate = collected[cfg.providers[0]]
-        for j in cfg.providers[1:]:
-            aggregate = paillier.add_enc_matrix(pk, aggregate, collected[j])
-        self._send(
-            ep, SERVER, agg_type, agg_phase, encode_encrypted_matrix(aggregate)
-        )
-
-    def run_he(self, ep):
-        cfg = self.cfg
-        enc = cfg.float_encoding
-        rng = _rng_for(cfg, f"encrypt/{self.party}")
-        n = self._exchange_sample_counts(ep, self.data.shape[0])
-
-        self.phase = PHASE_PUBLIC_KEY
-        msg = self._recv(ep, SERVER, MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY)
-        pk = decode_public_key(msg.payload)
-
-        self.phase = PHASE_ENC_SUMS
-        sums = linalg.column_sums(self.data).reshape(1, -1)
-        self._he_aggregate_round(
-            ep,
-            pk,
-            paillier.enc_matrix(pk, sums, rng, enc.base, enc.precision),
-            MsgType.ENCRYPTED_SUMS,
-            MsgType.ENCRYPTED_SUM_AGGREGATE,
-            PHASE_ENC_SUMS,
-            PHASE_SUM_AGGREGATE,
-        )
-
-        msg = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN_HE)
-        mean = decode_real_matrix(msg.payload).ravel()
-        centered = linalg.center_columns(self.data, mean)
-
-        self.phase = PHASE_ENC_COV
-        local_cov = linalg.gram(centered) / (n - 1)
-        triangle = linalg.upper_triangle(local_cov).reshape(1, -1)
-        self._he_aggregate_round(
-            ep,
-            pk,
-            paillier.enc_matrix(pk, triangle, rng, enc.base, enc.precision),
-            MsgType.ENCRYPTED_COV,
-            MsgType.ENCRYPTED_COV_AGGREGATE,
-            PHASE_ENC_COV,
-            PHASE_COV_AGGREGATE,
-        )
-
-        msg = self._recv(ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER)
-        transfer = decode_real_matrix(msg.payload)
-        self.phase = PHASE_REDUCED
-        reduced = linalg.project(centered, transfer)
-        self._send(
-            ep,
-            cfg.consumer,
-            MsgType.REDUCED_ROWS,
-            PHASE_REDUCED,
-            encode_real_matrix(reduced),
-        )
-
-    # -- SS path ----------------------------------------------------------
-
-    def _ss_check_range(self, values: np.ndarray, what: str):
-        """Eager overflow guard: the global sum of M in-range local terms
-        must still fit the signed fixed-point range."""
-        bound = self.cfg.fixed_point.max_magnitude / self.cfg.parties
+    def _check_range(self, values: np.ndarray, what: str):
+        """Eager overflow guard: the global sum of M local terms within the
+        back end's per-provider bound still fits its plaintext range (only
+        the fixed-point ring of SS has a finite bound)."""
+        bound = self.sum.bound
         worst = float(np.max(np.abs(values)))
         if worst >= bound:
             raise ProtocolAbort(
@@ -409,64 +481,44 @@ class ProviderRole(_Role):
                 f"f={self.cfg.fixed_point.f}, {self.cfg.parties} providers)",
             )
 
-    def _ss_aggregate_round(
-        self, ep, prg, values: np.ndarray, tag: str, share_phase: int, sum_phase: int
-    ):
-        """Share local values with every provider, sum received shares, and
-        hand this party's share of the global sum to the server."""
-        cfg = self.cfg
-        fp = cfg.fixed_point
-        ring = matrix_encode_fixed(values, fp)
-        bundles = share_matrix(
-            ring, cfg.parties, fp.l, prg, secret_id=f"{tag}/{self.party}"
-        )
-        for j in cfg.providers:
-            if j == self.party:
-                continue
-            self._send(
-                ep,
-                j,
-                MsgType.SHARE_BUNDLE,
-                share_phase,
-                encode_share_matrix(bundles[j - 1]),
-            )
-        held = {self.party: bundles[self.party - 1]}
-        for j in cfg.providers:
-            if j == self.party:
-                continue
-            msg = self._recv(ep, j, MsgType.SHARE_BUNDLE, share_phase)
-            held[j] = decode_share_matrix(msg.payload)
-        local_sum = add_local_matrix([held[j] for j in cfg.providers])
-        self._send(
-            ep,
-            SERVER,
-            MsgType.LOCAL_SHARE_SUM,
-            sum_phase,
-            encode_share_matrix(local_sum),
-        )
+    def _round(self, ep, r: int, values: np.ndarray, tag: str, what: str):
+        """Round ``r`` of the secure sum: mask local values, send one piece
+        to each other combiner, and, as a combiner, add the pieces held and
+        send the result to the server."""
+        cfg, backend = self.cfg, self.sum
+        hop1, hop2 = backend.rounds[r]
+        first, second = backend.phases(r)
+        self.phase = first
+        self._check_range(values, what)
+        combiners = backend.combiners(cfg)
+        pieces = dict(zip(combiners, backend.mask(values, f"{tag}/{self.party}")))
+        for c in combiners:
+            if c != self.party:
+                self._send(ep, c, hop1, first, backend.encode(pieces[c]))
+        if self.party not in pieces:
+            return
+        held = [
+            pieces[j] if j == self.party
+            else backend.decode(self._recv(ep, j, hop1, first).payload)
+            for j in cfg.providers
+        ]
+        self._send(ep, SERVER, hop2, second, backend.encode(backend.combine(held)))
 
-    def run_ss(self, ep):
+    def run(self, ep):
         cfg = self.cfg
-        prg = _prg_for(cfg, f"shares/{self.party}")
         n = self._exchange_sample_counts(ep, self.data.shape[0])
+        self.sum.setup_provider(self, ep)
 
-        self.phase = PHASE_SHARE_SUMS
         sums = linalg.column_sums(self.data).reshape(1, -1)
-        self._ss_check_range(sums, "column sums")
-        self._ss_aggregate_round(
-            ep, prg, sums, "sums", PHASE_SHARE_SUMS, PHASE_LOCAL_SUM
-        )
+        self._round(ep, 0, sums, "sums", "column sums")
 
-        msg = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN_SS)
+        msg = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, self.sum.mean_phase())
         mean = decode_real_matrix(msg.payload).ravel()
         centered = linalg.center_columns(self.data, mean)
 
-        self.phase = PHASE_SHARE_COV
         local_cov = linalg.gram(centered) / (n - 1)
-        self._ss_check_range(local_cov, "covariance terms")
-        self._ss_aggregate_round(
-            ep, prg, local_cov, "cov", PHASE_SHARE_COV, PHASE_LOCAL_COV
-        )
+        triangle = linalg.upper_triangle(local_cov).reshape(1, -1)
+        self._round(ep, 1, triangle, "cov", "covariance terms")
 
         msg = self._recv(ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER)
         transfer = decode_real_matrix(msg.payload)
@@ -479,12 +531,6 @@ class ProviderRole(_Role):
             PHASE_REDUCED,
             encode_real_matrix(reduced),
         )
-
-    def run(self, ep):
-        if self.cfg.method == METHOD_HE:
-            self.run_he(ep)
-        else:
-            self.run_ss(ep)
 
 
 class ServerRole(_Role):
@@ -501,6 +547,7 @@ class ServerRole(_Role):
         self.eigenvalues: np.ndarray | None = None
         self.sample_count: int | None = None
         self.timings: dict[str, float] = {}
+        self.sum = cfg.secure_sum.for_party(cfg, SERVER)
 
     def _collect_sample_counts(self, ep) -> int:
         total = 0
@@ -519,84 +566,44 @@ class ServerRole(_Role):
         for j in self.cfg.providers:
             self._send(ep, j, msg_type, phase, payload)
 
-    def _finish(self, ep, covariance: np.ndarray):
+    def _open(self, ep, r: int) -> np.ndarray:
+        """Collect round ``r``'s combined pieces and open their sum."""
+        backend = self.sum
+        _, phase = backend.phases(r)
+        self.phase = phase
+        msg_type = backend.rounds[r][1]
+        return backend.open([
+            backend.decode(self._recv(ep, c, msg_type, phase).payload)
+            for c in backend.combiners(self.cfg)
+        ])
+
+    def run(self, ep):
+        cfg = self.cfg
+        n = self._collect_sample_counts(ep)
+        self.sum.setup_server(self, ep)
+        self.mean = (self._open(ep, 0) / n).ravel()
+        self._broadcast(
+            ep,
+            MsgType.PLAIN_MEAN,
+            self.sum.mean_phase(),
+            encode_real_matrix(self.mean.reshape(1, -1)),
+        )
+        d = self.mean.size
+        self.covariance = linalg.symmetric_from_upper(self._open(ep, 1), d)
+
         started = time.perf_counter()
-        self.covariance = covariance
-        pairs = linalg.jacobi_eigh(covariance)
-        d = covariance.shape[0]
-        if not 1 <= self.cfg.k < d:
+        pairs = linalg.jacobi_eigh(self.covariance)
+        if not 1 <= cfg.k < d:
             raise ProtocolAbort(
                 PHASE_TRANSFER,
-                f"k={self.cfg.k} must satisfy 1 <= k < d={d}",
+                f"k={cfg.k} must satisfy 1 <= k < d={d}",
             )
-        self.transfer = linalg.top_k_transfer(pairs, self.cfg.k)
+        self.transfer = linalg.top_k_transfer(pairs, cfg.k)
         self.eigenvalues = pairs.values
         self.timings["eigendecomposition"] = time.perf_counter() - started
         self._broadcast(
             ep, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, encode_real_matrix(self.transfer)
         )
-
-    def run_he(self, ep):
-        cfg = self.cfg
-        p = cfg.aggregator
-        n = self._collect_sample_counts(ep)
-
-        self.phase = PHASE_PUBLIC_KEY
-        started = time.perf_counter()
-        pk, sk = paillier.keygen(
-            cfg.key_bits, _rng_for(cfg, "keygen"), allow_test_key=cfg.allow_test_key
-        )
-        self.timings["keygen"] = time.perf_counter() - started
-        self._broadcast(
-            ep, MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY, encode_public_key(pk)
-        )
-
-        msg = self._recv(ep, p, MsgType.ENCRYPTED_SUM_AGGREGATE, PHASE_SUM_AGGREGATE)
-        sums = paillier.dec_matrix(sk, decode_encrypted_matrix(msg.payload, pk))
-        self.mean = (sums / n).ravel()
-        self._broadcast(
-            ep, MsgType.PLAIN_MEAN, PHASE_MEAN_HE, encode_real_matrix(self.mean.reshape(1, -1))
-        )
-
-        msg = self._recv(ep, p, MsgType.ENCRYPTED_COV_AGGREGATE, PHASE_COV_AGGREGATE)
-        triangle = paillier.dec_matrix(sk, decode_encrypted_matrix(msg.payload, pk))
-        self._finish(ep, linalg.symmetric_from_upper(triangle, self.mean.size))
-
-    def run_ss(self, ep):
-        cfg = self.cfg
-        fp = cfg.fixed_point
-        n = self._collect_sample_counts(ep)
-
-        self.phase = PHASE_LOCAL_SUM
-        local_sums = [
-            decode_share_matrix(
-                self._recv(ep, j, MsgType.LOCAL_SHARE_SUM, PHASE_LOCAL_SUM).payload
-            )
-            for j in cfg.providers
-        ]
-        ring_sums = reconstruct_matrix(local_sums, party_count=cfg.parties)
-        sums = matrix_decode_fixed(ring_sums, fp)
-        self.mean = (sums / n).ravel()
-        self._broadcast(
-            ep, MsgType.PLAIN_MEAN, PHASE_MEAN_SS, encode_real_matrix(self.mean.reshape(1, -1))
-        )
-
-        self.phase = PHASE_LOCAL_COV
-        local_covs = [
-            decode_share_matrix(
-                self._recv(ep, j, MsgType.LOCAL_SHARE_SUM, PHASE_LOCAL_COV).payload
-            )
-            for j in cfg.providers
-        ]
-        ring_cov = reconstruct_matrix(local_covs, party_count=cfg.parties)
-        covariance = matrix_decode_fixed(ring_cov, fp)
-        self._finish(ep, covariance)
-
-    def run(self, ep):
-        if self.cfg.method == METHOD_HE:
-            self.run_he(ep)
-        else:
-            self.run_ss(ep)
 
 
 class ConsumerRole(_Role):
@@ -726,19 +733,30 @@ def run_session(
 
 def run_he(cfg: SessionConfig, data) -> SessionResult:
     """Run the homomorphic-encryption session on the simulation bus."""
-    if cfg.method != METHOD_HE:
-        cfg = replace(cfg, method=METHOD_HE)
-    return run_session(cfg, data, transport="sim")
+    return run_session(replace(cfg, method=METHOD_HE), data, transport="sim")
 
 
 def run_ss(cfg: SessionConfig, data) -> SessionResult:
     """Run the secret-sharing session on the simulation bus."""
-    if cfg.method != METHOD_SS:
-        cfg = replace(cfg, method=METHOD_SS)
-    return run_session(cfg, data, transport="sim")
+    return run_session(replace(cfg, method=METHOD_SS), data, transport="sim")
 
 
-# --- secure-sum building blocks (no transport, for direct verification) ----
+# --- secure sums without a transport, for direct verification ----------------
+
+
+def _terms(matrices) -> list[np.ndarray]:
+    arrays = [np.atleast_2d(np.asarray(m, dtype=float)) for m in matrices]
+    shapes = {a.shape for a in arrays}
+    if len(shapes) != 1:
+        raise DimensionError(f"mismatched shapes {sorted(shapes)}")
+    return arrays
+
+
+def _sum_without_transport(backend: SecureSum, arrays: list[np.ndarray]) -> np.ndarray:
+    """Mask every term, let each combiner add the pieces meant for it, and
+    open the combined pieces: a session's round with the hops as calls."""
+    masked = [backend.mask(a, f"term/{i}") for i, a in enumerate(arrays)]
+    return backend.open([backend.combine(list(held)) for held in zip(*masked)])
 
 
 def secure_sum_he(
@@ -750,18 +768,7 @@ def secure_sum_he(
 ) -> np.ndarray:
     """The HE aggregation dataflow: encrypt each matrix, fold ciphertexts,
     decrypt the single aggregate."""
-    enc = encoding if encoding is not None else FloatEncodingConfig()
-    arrays = [np.atleast_2d(np.asarray(m, dtype=float)) for m in matrices]
-    shapes = {a.shape for a in arrays}
-    if len(shapes) != 1:
-        raise DimensionError(f"mismatched shapes {sorted(shapes)}")
-    encrypted = [
-        paillier.enc_matrix(pk, a, rng, enc.base, enc.precision) for a in arrays
-    ]
-    aggregate = encrypted[0]
-    for other in encrypted[1:]:
-        aggregate = paillier.add_enc_matrix(pk, aggregate, other)
-    return paillier.dec_matrix(sk, aggregate)
+    return _sum_without_transport(PaillierSum(pk, sk, rng, encoding), _terms(matrices))
 
 
 def secure_sum_ss(
@@ -773,24 +780,8 @@ def secure_sum_ss(
     sum shares locally per party, reconstruct only the total."""
     fp = fixed_point if fixed_point is not None else FixedPointConfig()
     generator = prg if prg is not None else CounterPRG(CounterPRG.random_seed())
-    arrays = [np.atleast_2d(np.asarray(m, dtype=float)) for m in matrices]
-    shapes = {a.shape for a in arrays}
-    if len(shapes) != 1:
-        raise DimensionError(f"mismatched shapes {sorted(shapes)}")
-    parties = len(arrays)
-    if parties == 0:
-        raise ConfigError("secure sum needs at least one matrix")
-    if parties == 1:
+    arrays = _terms(matrices)
+    if len(arrays) == 1:
         # Degenerate single holder: nothing to share, just the encoding trip.
         return matrix_decode_fixed(matrix_encode_fixed(arrays[0], fp), fp)
-    all_bundles = [
-        share_matrix(matrix_encode_fixed(a, fp), parties, fp.l, generator, f"term/{i}")
-        for i, a in enumerate(arrays)
-    ]
-    local_sums = [
-        add_local_matrix([all_bundles[term][owner] for term in range(parties)])
-        for owner in range(parties)
-    ]
-    return matrix_decode_fixed(
-        reconstruct_matrix(local_sums, party_count=parties), fp
-    )
+    return _sum_without_transport(SharedSum(fp, len(arrays), generator), arrays)

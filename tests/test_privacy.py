@@ -132,6 +132,31 @@ def test_ss_share_traffic_scales_quadratically():
         assert counts["SHARE_BUNDLE"] == 2 * parties * (parties - 1)
 
 
+@pytest.mark.parametrize("parties", [2, 3, 4, 5])
+@pytest.mark.parametrize("method", ["he", "ss"])
+def test_message_counts_match_closed_form(method, parties):
+    # Independent of the route table the counts are derived from.
+    m = parties
+    want = {
+        "SAMPLE_COUNT": m * (m - 1) + m,
+        "TRANSFER_MATRIX": m,
+        "PLAIN_MEAN": m,
+        "REDUCED_ROWS": m,
+    }
+    if method == "he":
+        want.update(
+            PUBLIC_KEY=m,
+            ENCRYPTED_SUMS=m - 1,
+            ENCRYPTED_COV=m - 1,
+            ENCRYPTED_SUM_AGGREGATE=1,
+            ENCRYPTED_COV_AGGREGATE=1,
+        )
+    else:
+        want.update(SHARE_BUNDLE=2 * m * (m - 1), LOCAL_SHARE_SUM=2 * m)
+    cfg = SessionConfig(method=method, parties=m, k=1, seed=0)
+    assert expected_message_counts(cfg) == want
+
+
 def test_step_order_detects_shuffled_transcript(ss_session):
     cfg, result = ss_session
     shuffled = Transcript()

@@ -7,6 +7,12 @@ import pytest
 from pppca import linalg
 from pppca.encoding import FixedPointConfig
 from pppca.errors import ConfigError, DimensionError, ProtocolAbort
+from pppca.messages import (
+    MsgType,
+    decode_encrypted_matrix,
+    decode_public_key,
+    decode_share_matrix,
+)
 from pppca.protocol import (
     PHASE_REDUCED,
     PHASE_SHARE_COV,
@@ -178,6 +184,38 @@ def test_transport_equivalence_sim_vs_tcp():
     assert np.array_equal(sim.reduced, tcp.reduced)
 
 
+def test_covariance_round_carries_the_upper_triangle():
+    rng = np.random.default_rng(13)
+    d = 4
+    data = [rng.normal(size=(6, d)) for _ in range(3)]
+    triangle = (1, d * (d + 1) // 2)
+
+    ss = run_ss(ss_cfg(parties=3, k=2), data)
+    cov_phases = (PHASE_SHARE_COV, PHASE_SHARE_COV + 1)
+    shared = [
+        m for m in ss.transcript.entries()
+        if m.msg_type in (MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM)
+        and m.phase in cov_phases
+    ]
+    assert {m.msg_type for m in shared} == {MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM}
+    assert all(decode_share_matrix(m.payload).shape == triangle for m in shared)
+    assert np.array_equal(ss.covariance, ss.covariance.T)
+
+    he = run_he(he_cfg(parties=3, k=2), data)
+    entries = he.transcript.entries()
+    pk = decode_public_key(
+        next(m for m in entries if m.msg_type == MsgType.PUBLIC_KEY).payload
+    )
+    encrypted = [
+        m for m in entries
+        if m.msg_type in (MsgType.ENCRYPTED_COV, MsgType.ENCRYPTED_COV_AGGREGATE)
+    ]
+    assert len(encrypted) == 3
+    for m in encrypted:
+        rows = decode_encrypted_matrix(m.payload, pk)
+        assert (len(rows), len(rows[0])) == triangle
+
+
 # --- aborts ---------------------------------------------------------------------
 
 
@@ -212,14 +250,14 @@ def test_abort_on_empty_provider():
 def test_live_session_outlasts_receive_timeout(monkeypatch, transport):
     data = split(HAND_DATA, 2)
     expected = run_session(ss_cfg(), data, transport=transport)
-    real_check = ProviderRole._ss_check_range
+    real_check = ProviderRole._check_range
 
     def slow_check(self, values, what):
         if self.party == 2 and self.phase == PHASE_SHARE_COV:
             time.sleep(1.0)  # five receive timeouts with nobody sending
         real_check(self, values, what)
 
-    monkeypatch.setattr(ProviderRole, "_ss_check_range", slow_check)
+    monkeypatch.setattr(ProviderRole, "_check_range", slow_check)
     started = time.perf_counter()
     result = run_session(ss_cfg(timeout=0.2), data, transport=transport)
     assert time.perf_counter() - started >= 1.0

@@ -1,4 +1,5 @@
 import random
+import struct
 import threading
 
 import numpy as np
@@ -45,6 +46,30 @@ def test_plain_mean_round_trip_stable_bytes():
     assert again == msg
     assert serialize(again) == data
     assert np.array_equal(decode_real_matrix(again.payload), [[0.0, 1.5]])
+
+
+def test_real_matrix_golden_bytes():
+    # Header rows, cols as >II, then big-endian binary64 in row-major order.
+    x = np.array([[-0.0, np.inf], [5e-324, 1.5]])
+    payload = encode_real_matrix(x)
+    assert payload == bytes.fromhex(
+        "00000002" "00000002"
+        "8000000000000000" "7ff0000000000000"
+        "0000000000000001" "3ff8000000000000"
+    )
+    back = decode_real_matrix(payload)
+    assert back.dtype == np.float64 and back.dtype.isnative
+    assert back.flags.writeable
+    assert np.array_equal(back, x) and np.signbit(back[0, 0])
+    back[0, 0] = 2.0  # a copy, not a view of the payload
+    # Same bytes as packing each entry on its own.
+    y = np.random.default_rng(4).normal(size=(3, 5))
+    assert encode_real_matrix(y) == struct.pack(">II", 3, 5) + b"".join(
+        struct.pack(">d", v) for v in y.ravel()
+    )
+    for bad in (payload[:7], payload[:-1], payload + b"\x00"):
+        with pytest.raises(FrameFormatError):
+            decode_real_matrix(bad)
 
 
 def test_truncated_frame_rejected():
