@@ -3,6 +3,9 @@
 Two encodings live here:
 
 * fixed point over the ring Z_{2^l} (two's complement) for secret sharing,
+  computed on whole arrays: ring elements are Python ints in 2-D object
+  arrays, so one code path serves every width up to 128 bits, and the
+  rounding is exact binary64 arithmetic;
 * base-B significand/exponent pairs for homomorphic encryption, where the
   significand may be a plaintext integer or a ciphertext object supporting
   multiplication by a non-negative int.
@@ -60,39 +63,52 @@ class FixedPointConfig:
         return float(2 ** (self.l - self.f - 1))
 
 
-def _round_half_away(value: float | Fraction) -> int:
-    """Round to nearest integer, halves away from zero."""
-    if value >= 0:
-        return int(math.floor(value + Fraction(1, 2)))
-    return -int(math.floor(-value + Fraction(1, 2)))
+def matrix_encode_fixed(x, cfg: FixedPointConfig) -> np.ndarray:
+    """Map a real matrix to Z_{2^l}: round(x * 2^f) in two's complement.
+
+    Returns a 2-D object array of Python ints.  Scaling by 2^f is exact in
+    binary64, and so is y - trunc(y), so rounding halves away from zero is
+    exact too.  Overflow is detected eagerly: a non-finite value, or one at
+    or past the representable bound, raises ``EncodingRangeError`` naming
+    the first bad (r, c) rather than wrapping silently.
+    """
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = a * float(cfg.scale)
+        t = np.trunc(y)
+        rounded = t + np.copysign(np.abs(y - t) >= 0.5, y)
+        bad = ~(np.abs(rounded) < 2.0 ** (cfg.l - 1))  # NaN is bad too
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise EncodingRangeError(
+            f"fixed-point encode failed at ({r}, {c}): {float(a[r, c])!r} is not finite, "
+            f"or not below 2^{cfg.l - cfg.f - 1} once rounded to the signed {cfg.l}-bit range"
+        )
+    return np.frompyfunc(int, 1, 1)(rounded) % cfg.modulus  # exact Python ints
+
+
+def matrix_decode_fixed(z, cfg: FixedPointConfig) -> np.ndarray:
+    """Inverse of :func:`matrix_encode_fixed`; z >= 2^(l-1) is negative."""
+    z = np.atleast_2d(np.asarray(z, dtype=object))
+    if np.count_nonzero(z >> cfg.l):  # 0 exactly for ints in [0, 2^l)
+        r, c = np.argwhere(z >> cfg.l)[0]
+        raise ValueError(
+            f"fixed-point decode failed at ({r}, {c}): ring element {z[r, c]} "
+            f"outside [0, 2^{cfg.l})"
+        )
+    signed = np.where(z >= 1 << (cfg.l - 1), z - cfg.modulus, z)
+    # Python's int / int rounds once, correctly.
+    return (signed / cfg.scale).astype(float)
 
 
 def encode_fixed(x: float, cfg: FixedPointConfig) -> int:
-    """Map a real to Z_{2^l}: round(x * 2^f) in two's complement.
-
-    Overflow is detected eagerly; values at or past the representable bound
-    raise ``EncodingRangeError`` rather than wrapping silently.
-    """
-    if not math.isfinite(x):
-        raise EncodingRangeError(f"cannot encode non-finite value {x!r}")
-    if abs(x) >= cfg.max_magnitude:
-        raise EncodingRangeError(
-            f"|{x!r}| exceeds fixed-point bound 2^{cfg.l - cfg.f - 1}"
-        )
-    scaled = _round_half_away(Fraction(x) * cfg.scale)
-    if abs(scaled) >= 1 << (cfg.l - 1):
-        raise EncodingRangeError(
-            f"{x!r} rounds outside the signed {cfg.l}-bit range"
-        )
-    return scaled % cfg.modulus
+    """One real through :func:`matrix_encode_fixed`."""
+    return int(matrix_encode_fixed([[x]], cfg)[0, 0])
 
 
 def decode_fixed(z: int, cfg: FixedPointConfig) -> float:
-    """Inverse of :func:`encode_fixed`; z >= 2^(l-1) is negative."""
-    if not 0 <= z < cfg.modulus:
-        raise ValueError(f"ring element {z} outside [0, 2^{cfg.l})")
-    signed = z - cfg.modulus if z >= 1 << (cfg.l - 1) else z
-    return signed / cfg.scale
+    """One ring element through :func:`matrix_decode_fixed`."""
+    return float(matrix_decode_fixed([[z]], cfg)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -151,8 +167,9 @@ def encode_float(
     while Fraction(base) ** (e + 1) <= mag:
         e += 1
     exponent = e - (precision - 1)
-    significand = _round_half_away(Fraction(x) / Fraction(base) ** exponent)
-    return EncodedFloat(significand, exponent, base)
+    # Round to nearest, halves away from zero.
+    magnitude = math.floor(mag / Fraction(base) ** exponent + Fraction(1, 2))
+    return EncodedFloat(magnitude if x > 0 else -magnitude, exponent, base)
 
 
 def align_exponents(
@@ -187,45 +204,6 @@ def _shift_to(
                 f"overflows the plaintext bound"
             )
     return EncodedFloat(scaled, exponent, enc.base)
-
-
-def _elementwise(fn, matrix, what: str):
-    out = []
-    for r, row in enumerate(matrix):
-        out_row = []
-        for c, value in enumerate(row):
-            try:
-                out_row.append(fn(value))
-            except (EncodingRangeError, ValueError, TypeError) as exc:
-                raise EncodingRangeError(
-                    f"{what} failed at ({r}, {c}): {exc}"
-                ) from exc
-        out.append(out_row)
-    return out
-
-
-def matrix_encode_fixed(x, cfg: FixedPointConfig) -> list[list[int]]:
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    return _elementwise(lambda v: encode_fixed(float(v), cfg), a, "fixed-point encode")
-
-
-def matrix_decode_fixed(z: list[list[int]], cfg: FixedPointConfig) -> np.ndarray:
-    rows = _elementwise(lambda v: decode_fixed(v, cfg), z, "fixed-point decode")
-    return np.asarray(rows, dtype=float)
-
-
-def matrix_encode_float(
-    x, base: int = DEFAULT_FLOAT_BASE, precision: int = DEFAULT_FLOAT_PRECISION
-) -> list[list[EncodedFloat]]:
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    return _elementwise(
-        lambda v: encode_float(float(v), base, precision), a, "float encode"
-    )
-
-
-def matrix_decode_float(encoded: list[list[EncodedFloat]]) -> np.ndarray:
-    rows = _elementwise(lambda e: e.decode(), encoded, "float decode")
-    return np.asarray(rows, dtype=float)
 
 
 def matrix_shape(matrix) -> tuple[int, int]:

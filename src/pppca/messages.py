@@ -40,6 +40,7 @@ VERSION = 1
 MAX_PAYLOAD = 256 * 1024 * 1024
 _HEADER = struct.Struct(">4sBBHHII")
 RING_ELEMENT_BYTES = 16
+_LOW_LIMB = (1 << 64) - 1
 
 
 class MsgType(enum.IntEnum):
@@ -207,6 +208,8 @@ def decode_public_key(payload: bytes) -> PublicKey:
     r = _Reader(payload)
     n = r.bigint()
     r.done()
+    if n < 3 or n % 2 == 0:
+        raise FrameFormatError("public key modulus is not an odd integer above 1")
     return PublicKey.from_modulus(n)
 
 
@@ -247,6 +250,10 @@ def decode_encrypted_matrix(
 ) -> list[list[EncodedFloat]]:
     r = _Reader(payload)
     rows, cols, base = r.u32(), r.u32(), r.u32()
+    if base < 2:
+        raise FrameFormatError(f"encrypted matrix base {base} is below 2")
+    if rows == 0 or cols == 0:
+        raise FrameFormatError(f"encrypted matrix {rows}x{cols} has no entries")
     # 8 bytes minimum per entry (exponent + ciphertext length prefix).
     if rows * cols * 8 > len(payload) - r.pos:
         raise FrameFormatError(
@@ -258,8 +265,11 @@ def decode_encrypted_matrix(
         row = []
         for _ in range(cols):
             exponent = r.i32()
-            value = r.bigint()
-            row.append(EncodedFloat(Ciphertext(value, pk), exponent, base))
+            try:
+                cipher = Ciphertext(r.bigint(), pk)
+            except ValueError as exc:  # outside [0, n^2) or not a unit
+                raise FrameFormatError(f"malformed ciphertext: {exc}") from exc
+            row.append(EncodedFloat(cipher, exponent, base))
         out.append(row)
     r.done()
     return out
@@ -268,35 +278,37 @@ def decode_encrypted_matrix(
 def encode_share_matrix(m: ShareMatrix) -> bytes:
     sid = m.secret_id.encode()
     rows, cols = m.shape
+    # Each 16-byte element as two big-endian 64-bit limbs, high limb first.
+    limbs = np.stack([m.values >> 64, m.values & _LOW_LIMB], axis=-1)
     parts = [
         struct.pack(">HH", m.owner, m.l),
         struct.pack(">H", len(sid)),
         sid,
         struct.pack(">II", rows, cols),
+        limbs.astype(">u8").tobytes(),
     ]
-    for row in m.values:
-        for v in row:
-            parts.append(v.to_bytes(RING_ELEMENT_BYTES, "big"))
     return b"".join(parts)
 
 
 def decode_share_matrix(payload: bytes) -> ShareMatrix:
     r = _Reader(payload)
     owner, l = r.u16(), r.u16()
-    sid = r.take(r.u16()).decode()
+    raw_sid = r.take(r.u16())
     rows, cols = r.u32(), r.u32()
+    if not 1 <= l <= 8 * RING_ELEMENT_BYTES:
+        raise FrameFormatError(f"share matrix ring width {l} outside [1, 128]")
+    if rows == 0 or cols == 0:
+        raise FrameFormatError(f"share matrix {rows}x{cols} has no entries")
     if rows * cols * RING_ELEMENT_BYTES != len(payload) - r.pos:
         raise FrameFormatError(
             f"share matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
         )
-    values = tuple(
-        tuple(
-            int.from_bytes(r.take(RING_ELEMENT_BYTES), "big") for _ in range(cols)
-        )
-        for _ in range(rows)
-    )
-    r.done()
-    return ShareMatrix(values=values, owner=owner, secret_id=sid, l=l)
+    limbs = np.frombuffer(payload, ">u8", offset=r.pos).astype(object)
+    values = ((limbs[0::2] << 64) | limbs[1::2]).reshape(rows, cols)
+    try:
+        return ShareMatrix(values, owner, raw_sid.decode(), l)
+    except ValueError as exc:  # a value outside [0, 2^l), or a bad secret id
+        raise FrameFormatError(f"malformed share matrix: {exc}") from exc
 
 
 def encode_sample_count(n: int) -> bytes:

@@ -5,6 +5,11 @@ pseudo-random generator and the last is s minus their sum mod 2^l.  Every
 share is required for reconstruction; any proper subset is uniformly
 distributed and carries no information about the secret.
 
+Matrix secrets are shared entry-wise with whole-array arithmetic: a party's
+share is a :class:`ShareMatrix` whose values are one read-only 2-D object
+array of Python ints, so ``% 2^l`` wraps every width up to 128 bits alike.
+The scalar functions are the 1x1 case of the matrix ones.
+
 Shares are tagged with a ``secret_id`` so that shares of unrelated secrets
 cannot be mixed in one reconstruction by accident, and with the owning
 party's index so local sums cannot silently combine values held by
@@ -16,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import secrets as _secrets
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DimensionError,
@@ -48,22 +55,36 @@ class CounterPRG:
     def random_seed() -> bytes:
         return _secrets.token_bytes(32)
 
-    def _refill(self):
-        block = hashlib.sha256(
-            self._seed + self._counter.to_bytes(16, "big")
-        ).digest()
-        self._counter += 1
-        self._buffer += block
+    def randbits_array(self, bits: int, count: int) -> np.ndarray:
+        """``count`` successive uniform integers in [0, 2^bits), in order.
 
-    def randbits(self, bits: int) -> int:
-        """A uniform integer in [0, 2^bits)."""
+        Each draw takes the next ceil(bits/8) bytes of the stream, big-endian,
+        and keeps the top ``bits``; the result is a 1-D object array of ints.
+        """
         if bits <= 0:
             raise ValueError("bits must be positive")
         nbytes = (bits + 7) // 8
-        while len(self._buffer) < nbytes:
-            self._refill()
-        chunk, self._buffer = self._buffer[:nbytes], self._buffer[nbytes:]
-        return int.from_bytes(chunk, "big") >> (nbytes * 8 - bits)
+        need = count * nbytes
+        blocks = -(-(need - len(self._buffer)) // 32)
+        self._buffer += b"".join(
+            hashlib.sha256(self._seed + (self._counter + i).to_bytes(16, "big")).digest()
+            for i in range(blocks)
+        )
+        self._counter += max(blocks, 0)
+        chunk, self._buffer = self._buffer[:need], self._buffer[need:]
+        # Left-pad each draw to whole 64-bit words, then join the words.
+        width = -(-nbytes // 8) * 8
+        raw = np.zeros((count, width), np.uint8)
+        raw[:, width - nbytes :] = np.frombuffer(chunk, np.uint8).reshape(count, nbytes)
+        words = raw.view(">u8").astype(object)
+        values = words[:, 0]
+        for k in range(1, width // 8):
+            values = (values << 64) | words[:, k]
+        return values >> (nbytes * 8 - bits)
+
+    def randbits(self, bits: int) -> int:
+        """A uniform integer in [0, 2^bits)."""
+        return int(self.randbits_array(bits, 1)[0])
 
     def derive(self, label: str | int) -> "CounterPRG":
         """An independent stream bound to this seed and ``label``."""
@@ -73,18 +94,134 @@ class CounterPRG:
         return CounterPRG(material)
 
 
-@dataclass(frozen=True)
-class Share:
-    """One party's additive share of an l-bit secret."""
+@dataclass(frozen=True, eq=False)
+class ShareMatrix:
+    """One party's share of every entry of a matrix-valued secret.
 
-    value: int
+    ``values`` is stored as a read-only 2-D object array of ints in
+    [0, 2^l); any 2-D array-like of ints is accepted.
+    """
+
+    values: np.ndarray
     owner: int
     secret_id: str
     l: int
 
     def __post_init__(self):
-        if not 0 <= self.value < (1 << self.l):
-            raise ValueError(f"share value outside [0, 2^{self.l})")
+        values = np.array(self.values, dtype=object)
+        if values.ndim != 2 or 0 in values.shape:
+            raise DimensionError(f"share matrix must be 2-D and at least 1x1, got {values.shape}")
+        if np.count_nonzero(values >> self.l):  # 0 exactly for ints in [0, 2^l)
+            r, c = np.argwhere(values >> self.l)[0]
+            raise ValueError(f"share value at ({r}, {c}) outside [0, 2^{self.l})")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+    def __eq__(self, other):
+        if not isinstance(other, ShareMatrix):
+            return NotImplemented
+        same = (self.owner, self.secret_id, self.l) == (other.owner, other.secret_id, other.l)
+        return same and np.array_equal(self.values, other.values)
+
+
+def share_matrix(
+    ring_matrix,
+    parties: int,
+    l: int,
+    prg: CounterPRG,
+    secret_id: str | None = None,
+) -> list[ShareMatrix]:
+    """Entry-wise sharing of a matrix of ring elements.
+
+    The PRG stream is consumed in row-major entry order, parties - 1 draws
+    per entry; the last party's share is the balancing term.
+    """
+    if parties < 2:
+        raise ValueError(f"need at least 2 parties, got {parties}")
+    if secret_id is None:
+        secret_id = _secrets.token_hex(8)
+    ring = np.atleast_2d(np.asarray(ring_matrix, dtype=object))
+    if np.count_nonzero(ring >> l):
+        r, c = np.argwhere(ring >> l)[0]
+        raise ValueError(f"entry at ({r}, {c}) outside [0, 2^{l})")
+    drawn = prg.randbits_array(l, ring.size * (parties - 1)).reshape(*ring.shape, parties - 1)
+    values = [drawn[..., i] for i in range(parties - 1)]
+    values.append((ring - drawn.sum(axis=-1)) % (1 << l))
+    return [ShareMatrix(v, i, secret_id, l) for i, v in enumerate(values)]
+
+
+def _check(mats: list[ShareMatrix], local: bool, party_count: int | None = None):
+    """One ring width and shape throughout; a local sum needs one owner, a
+    reconstruction one secret and one share from each of its parties."""
+    if not mats:
+        raise IncompleteSharesError("no shares given")
+    first = mats[0]
+    for m in mats:
+        if local and m.owner != first.owner:
+            raise ShareOwnershipError(f"local sum mixes owners {first.owner} and {m.owner}")
+        if not local and m.secret_id != first.secret_id:
+            raise ShareBindingError(f"mixed secrets: {first.secret_id!r} vs {m.secret_id!r}")
+        if m.l != first.l:
+            raise ShareBindingError(f"mixed ring widths: {first.l} vs {m.l}")
+        if m.shape != first.shape:
+            raise DimensionError(f"shape mismatch: {first.shape} vs {m.shape}")
+    if local:
+        return
+    owners = sorted(m.owner for m in mats)
+    expected = party_count if party_count is not None else max(owners) + 1
+    if owners != list(range(expected)):
+        raise IncompleteSharesError(
+            f"need one share from each of {expected} parties, got owners {owners}"
+        )
+
+
+def reconstruct_matrix(
+    mats: list[ShareMatrix], party_count: int | None = None
+) -> np.ndarray:
+    """Entry-wise modular sum of one share matrix per party.
+
+    Owners must form the contiguous set {0, ..., K-1}; pass ``party_count``
+    to also pin K (a missing trailing share is otherwise indistinguishable
+    from a smaller sharing).
+    """
+    _check(mats, local=False, party_count=party_count)
+    return sum(m.values for m in mats) % (1 << mats[0].l)
+
+
+def add_local_matrix(mats: list[ShareMatrix]) -> ShareMatrix:
+    """Entry-wise sum of share matrices of different secrets held by one party.
+
+    The result is that party's share of the sum of the underlying secrets,
+    tagged with a secret_id derived from the operand ids.
+    """
+    _check(mats, local=True)
+    first = mats[0]
+    values = sum(m.values for m in mats) % (1 << first.l)
+    derived = "sum(" + "+".join(m.secret_id for m in mats) + ")"
+    return ShareMatrix(values, first.owner, derived, first.l)
+
+
+# --- scalars: the 1x1 case ----------------------------------------------------
+
+
+class Share(ShareMatrix):
+    """One party's additive share of an l-bit secret: a 1x1 share matrix."""
+
+    def __init__(self, value: int, owner: int, secret_id: str, l: int):
+        super().__init__([[value]], owner, secret_id, l)
+
+    @property
+    def value(self) -> int:
+        return self.values[0, 0]
+
+
+def _check_width(width: int, l: int | None):
+    if l is not None and width != l:
+        raise ShareBindingError(f"shares carry l={width}, expected {l}")
 
 
 def share(
@@ -99,197 +236,22 @@ def share(
     Shares are owned by parties 0 .. parties-1; the first parties-1 values
     come from ``prg`` and the last is the balancing term.
     """
-    if parties < 2:
-        raise ValueError(f"need at least 2 parties, got {parties}")
-    modulus = 1 << l
-    if not 0 <= s < modulus:
-        raise ValueError(f"secret must lie in [0, 2^{l})")
-    if secret_id is None:
-        secret_id = _secrets.token_hex(8)
-    values = [prg.randbits(l) for _ in range(parties - 1)]
-    values.append((s - sum(values)) % modulus)
-    return [
-        Share(value=v, owner=i, secret_id=secret_id, l=l)
-        for i, v in enumerate(values)
-    ]
-
-
-def _check_binding(shares: list[Share]):
-    if not shares:
-        raise IncompleteSharesError("no shares given")
-    sid = shares[0].secret_id
-    l = shares[0].l
-    for sh in shares:
-        if sh.secret_id != sid:
-            raise ShareBindingError(
-                f"mixed secrets in reconstruction: {sid!r} vs {sh.secret_id!r}"
-            )
-        if sh.l != l:
-            raise ShareBindingError(f"mixed ring widths: {l} vs {sh.l}")
+    mats = share_matrix([[s]], parties, l, prg, secret_id)
+    return [Share(m.values[0, 0], m.owner, m.secret_id, l) for m in mats]
 
 
 def reconstruct(
     shares: list[Share], l: int | None = None, party_count: int | None = None
 ) -> int:
-    """Sum all shares mod 2^l.  Requires one share per party.
-
-    Owners must form the contiguous set {0, ..., K-1}; pass ``party_count``
-    to also pin K (a missing trailing share is otherwise indistinguishable
-    from a smaller sharing).
-    """
-    _check_binding(shares)
-    if l is not None and shares[0].l != l:
-        raise ShareBindingError(f"shares carry l={shares[0].l}, expected {l}")
-    owners = sorted(sh.owner for sh in shares)
-    expected = party_count if party_count is not None else max(owners) + 1
-    if owners != list(range(expected)):
-        raise IncompleteSharesError(
-            f"need one share from each of {expected} parties, got owners {owners}"
-        )
-    return sum(sh.value for sh in shares) % (1 << shares[0].l)
+    """Sum all shares mod 2^l; see :func:`reconstruct_matrix`."""
+    if shares:
+        _check_width(shares[0].l, l)
+    return reconstruct_matrix(shares, party_count)[0, 0]
 
 
 def add_local(shares: list[Share], l: int | None = None) -> Share:
-    """Sum shares of different secrets held by one party.
-
-    The result is that party's share of the sum of the underlying secrets,
-    tagged with a secret_id derived from the operand ids.
-    """
-    if not shares:
-        raise ValueError("no shares given")
-    owner = shares[0].owner
-    width = shares[0].l
-    for sh in shares:
-        if sh.owner != owner:
-            raise ShareOwnershipError(
-                f"local sum mixes owners {owner} and {sh.owner}"
-            )
-        if sh.l != width:
-            raise ShareBindingError(f"mixed ring widths: {width} vs {sh.l}")
-    if l is not None and width != l:
-        raise ShareBindingError(f"shares carry l={width}, expected {l}")
-    derived = "sum(" + "+".join(sh.secret_id for sh in shares) + ")"
-    value = sum(sh.value for sh in shares) % (1 << width)
-    return Share(value=value, owner=owner, secret_id=derived, l=width)
-
-
-@dataclass(frozen=True)
-class ShareMatrix:
-    """One party's share of every entry of a matrix-valued secret."""
-
-    values: tuple[tuple[int, ...], ...]
-    owner: int
-    secret_id: str
-    l: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.values), len(self.values[0])
-
-    def __post_init__(self):
-        if not self.values or not self.values[0]:
-            raise DimensionError("share matrix must be at least 1x1")
-        cols = len(self.values[0])
-        bound = 1 << self.l
-        for r, row in enumerate(self.values):
-            if len(row) != cols:
-                raise DimensionError(f"ragged share matrix at row {r}")
-            for c, v in enumerate(row):
-                if not 0 <= v < bound:
-                    raise ValueError(
-                        f"share value at ({r}, {c}) outside [0, 2^{self.l})"
-                    )
-
-
-def share_matrix(
-    ring_matrix: list[list[int]],
-    parties: int,
-    l: int,
-    prg: CounterPRG,
-    secret_id: str | None = None,
-) -> list[ShareMatrix]:
-    """Element-wise sharing of a matrix of ring elements."""
-    if parties < 2:
-        raise ValueError(f"need at least 2 parties, got {parties}")
-    if secret_id is None:
-        secret_id = _secrets.token_hex(8)
-    modulus = 1 << l
-    per_party: list[list[list[int]]] = [[] for _ in range(parties)]
-    for r, row in enumerate(ring_matrix):
-        for party_rows in per_party:
-            party_rows.append([])
-        for c, s in enumerate(row):
-            if not 0 <= s < modulus:
-                raise ValueError(f"entry at ({r}, {c}) outside [0, 2^{l})")
-            drawn = [prg.randbits(l) for _ in range(parties - 1)]
-            drawn.append((s - sum(drawn)) % modulus)
-            for i, v in enumerate(drawn):
-                per_party[i][r].append(v)
-    return [
-        ShareMatrix(
-            values=tuple(tuple(row) for row in rows),
-            owner=i,
-            secret_id=secret_id,
-            l=l,
-        )
-        for i, rows in enumerate(per_party)
-    ]
-
-
-def _check_matrix_binding(mats: list[ShareMatrix]):
-    if not mats:
-        raise IncompleteSharesError("no share matrices given")
-    first = mats[0]
-    for m in mats:
-        if m.secret_id != first.secret_id:
-            raise ShareBindingError(
-                f"mixed secrets: {first.secret_id!r} vs {m.secret_id!r}"
-            )
-        if m.l != first.l:
-            raise ShareBindingError(f"mixed ring widths: {first.l} vs {m.l}")
-        if m.shape != first.shape:
-            raise DimensionError(f"shape mismatch: {first.shape} vs {m.shape}")
-
-
-def reconstruct_matrix(
-    mats: list[ShareMatrix], party_count: int | None = None
-) -> list[list[int]]:
-    """Entry-wise modular sum of one share matrix per party."""
-    _check_matrix_binding(mats)
-    owners = sorted(m.owner for m in mats)
-    expected = party_count if party_count is not None else max(owners) + 1
-    if owners != list(range(expected)):
-        raise IncompleteSharesError(
-            f"need one share matrix from each of {expected} parties, "
-            f"got owners {owners}"
-        )
-    rows, cols = mats[0].shape
-    modulus = 1 << mats[0].l
-    return [
-        [sum(m.values[r][c] for m in mats) % modulus for c in range(cols)]
-        for r in range(rows)
-    ]
-
-
-def add_local_matrix(mats: list[ShareMatrix]) -> ShareMatrix:
-    """Entry-wise local sum of share matrices held by one party."""
-    if not mats:
-        raise ValueError("no share matrices given")
-    owner = mats[0].owner
-    width = mats[0].l
-    shape = mats[0].shape
-    for m in mats:
-        if m.owner != owner:
-            raise ShareOwnershipError(f"local sum mixes owners {owner} and {m.owner}")
-        if m.l != width:
-            raise ShareBindingError(f"mixed ring widths: {width} vs {m.l}")
-        if m.shape != shape:
-            raise DimensionError(f"shape mismatch: {shape} vs {m.shape}")
-    rows, cols = shape
-    modulus = 1 << width
-    values = tuple(
-        tuple(sum(m.values[r][c] for m in mats) % modulus for c in range(cols))
-        for r in range(rows)
-    )
-    derived = "sum(" + "+".join(m.secret_id for m in mats) + ")"
-    return ShareMatrix(values=values, owner=owner, secret_id=derived, l=width)
+    """Sum shares of different secrets held by one party; see
+    :func:`add_local_matrix`."""
+    total = add_local_matrix(shares)
+    _check_width(total.l, l)
+    return Share(total.values[0, 0], total.owner, total.secret_id, total.l)

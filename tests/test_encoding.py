@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,11 +210,56 @@ def test_matrix_fixed_round_trip_bound():
     assert np.max(np.abs(back - x)) <= 2**-24
 
 
-def test_matrix_float_round_trip():
-    rng = np.random.default_rng(14)
-    x = rng.normal(size=(5, 7)) * 1e4
-    back = encoding.matrix_decode_float(encoding.matrix_encode_float(x))
-    assert np.array_equal(back, x)
+def _reference_encode_fixed(x: float, cfg: FixedPointConfig) -> int:
+    """The scalar encoder the vectorized one replaced, with exact Fractions."""
+    if not math.isfinite(x):
+        raise EncodingRangeError(f"cannot encode non-finite value {x!r}")
+    if abs(x) >= cfg.max_magnitude:
+        raise EncodingRangeError(f"|{x!r}| exceeds fixed-point bound")
+    value = Fraction(x) * cfg.scale
+    if value >= 0:
+        scaled = int(math.floor(value + Fraction(1, 2)))
+    else:
+        scaled = -int(math.floor(-value + Fraction(1, 2)))
+    if abs(scaled) >= 1 << (cfg.l - 1):
+        raise EncodingRangeError(f"{x!r} rounds outside the signed {cfg.l}-bit range")
+    return scaled % cfg.modulus
+
+
+@pytest.mark.parametrize("l, f", [(16, 4), (64, 24), (128, 60)])
+def test_matrix_encode_matches_fraction_reference(l, f):
+    cfg = FixedPointConfig(l=l, f=f)
+    ulp, bound = 1.0 / cfg.scale, cfg.max_magnitude
+    rng = np.random.default_rng(l)
+    # Exact half-ulp ties, small and as large as binary64 holds them.
+    k = np.concatenate(
+        [np.arange(6), rng.integers(0, min(2**50, 2 ** (l - 1) - 1), 20)]
+    ).astype(float)
+    ties = (k + 0.5) * ulp
+    near_bound = [np.nextafter(bound, 0), bound * (1 - 2**-40), bound - ulp, bound - ulp / 2]
+    xs = np.concatenate(
+        [
+            [0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 7, -2.2e-308 / 7],
+            ties,
+            -ties,
+            near_bound,
+            np.negative(near_bound),
+            rng.normal(size=60) * bound / 8,
+            rng.normal(size=60),
+        ]
+    )
+    encodable = []
+    for x in xs:
+        try:
+            encodable.append((x, _reference_encode_fixed(float(x), cfg)))
+        except EncodingRangeError:
+            with pytest.raises(EncodingRangeError):
+                encoding.matrix_encode_fixed([[x]], cfg)
+    assert len(encodable) > 150
+    got = encoding.matrix_encode_fixed(np.array([x for x, _ in encodable]).reshape(1, -1), cfg)
+    assert got.shape == (1, len(encodable))
+    assert got.ravel().tolist() == [z for _, z in encodable]
+    assert all(type(z) is int for z in got.ravel())
 
 
 def test_matrix_errors_carry_location():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -11,8 +12,10 @@ from pppca.errors import (
     ShareBindingError,
     ShareOwnershipError,
 )
+from pppca.messages import decode_share_matrix, encode_share_matrix
 from pppca.sharing import (
     CounterPRG,
+    ShareMatrix,
     add_local,
     add_local_matrix,
     reconstruct,
@@ -162,13 +165,13 @@ def test_prg_determinism_and_derivation():
 def test_share_matrix_round_trip_small():
     ring = [[1, 2], [3, 4]]
     mats = share_matrix(ring, 3, 16, CounterPRG(14))
-    assert reconstruct_matrix(mats, party_count=3) == ring
+    assert np.array_equal(reconstruct_matrix(mats, party_count=3), ring)
 
 
 def test_share_matrix_zero():
     ring = [[0, 0], [0, 0]]
     mats = share_matrix(ring, 2, 8, CounterPRG(15))
-    assert reconstruct_matrix(mats) == ring
+    assert np.array_equal(reconstruct_matrix(mats), ring)
 
 
 def test_share_matrix_aggregation_matches_plaintext_through_encoding():
@@ -198,3 +201,63 @@ def test_share_matrix_shape_mismatch_detected():
 def test_share_matrix_range_error_location():
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         share_matrix([[1, 300]], 2, 8, CounterPRG(19))
+
+
+def _reference_draws(seed: int, bits: int, count: int) -> list[int]:
+    """Successive draws from the SHA-256 counter stream, one at a time."""
+    nbytes = (bits + 7) // 8
+    blocks = (count * nbytes + 31) // 32
+    stream = b"".join(
+        hashlib.sha256(seed.to_bytes(32, "big") + i.to_bytes(16, "big")).digest()
+        for i in range(blocks)
+    )
+    return [
+        int.from_bytes(stream[i * nbytes : (i + 1) * nbytes], "big") >> (nbytes * 8 - bits)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("l", [13, 64, 128])
+def test_share_matrix_consumes_the_stream_in_row_major_entry_order(l):
+    ring = [[1, 2, 3], [4, 5, (1 << l) - 1]]
+    parties = 3
+    assert CounterPRG(21).randbits_array(l, 40).tolist() == _reference_draws(21, l, 40)
+    mats = share_matrix(ring, parties, l, CounterPRG(21), "s")
+    prg = CounterPRG(21)
+    for r in range(2):
+        for c in range(3):
+            drawn = [prg.randbits(l) for _ in range(parties - 1)]
+            assert [m.values[r, c] for m in mats[:-1]] == drawn
+            assert mats[-1].values[r, c] == (ring[r][c] - sum(drawn)) % (1 << l)
+
+
+def test_l128_share_codec_local_sum_reconstruct_round_trip():
+    l, parties = 128, 3
+    rng = random.Random(22)
+    terms = [
+        [[rng.randrange(1 << l) for _ in range(4)] for _ in range(2)] for _ in range(2)
+    ]
+    terms[0][0][0] = (1 << l) - 1
+    prg = CounterPRG(22)
+    bundles = [share_matrix(t, parties, l, prg, f"t{i}") for i, t in enumerate(terms)]
+    received = [[decode_share_matrix(encode_share_matrix(m)) for m in b] for b in bundles]
+    assert received == bundles
+    sums = [add_local_matrix([b[owner] for b in received]) for owner in range(parties)]
+    opened = [decode_share_matrix(encode_share_matrix(m)) for m in sums]
+    got = reconstruct_matrix(opened, party_count=parties)
+    want = (np.array(terms[0], dtype=object) + np.array(terms[1], dtype=object)) % (1 << l)
+    assert got.tolist() == want.tolist()
+
+
+def test_share_matrix_values_are_one_read_only_array():
+    m = share_matrix([[1, 2], [3, 4]], 2, 16, CounterPRG(23))[0]
+    assert isinstance(m.values, np.ndarray) and m.values.shape == (2, 2)
+    assert m.values.dtype == object and not m.values.flags.writeable
+    with pytest.raises(ValueError):
+        m.values[0, 0] = 0
+    source = np.array([[1, 2]], dtype=object)
+    held = ShareMatrix(source, 0, "x", 8)
+    source[0, 0] = 7  # the share keeps its own copy
+    assert held.values[0, 0] == 1
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        ShareMatrix([[1, 256]], 0, "x", 8)

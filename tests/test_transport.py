@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pppca import messages, paillier
 from pppca.errors import FrameFormatError, TransportClosed, TransportTimeout
@@ -184,6 +186,98 @@ def test_payload_cap_enforced():
     msg = _msg(MsgType.SAMPLE_COUNT, 0, 1, 0, b"x" * (messages.MAX_PAYLOAD + 1))
     with pytest.raises(FrameFormatError, match="cap"):
         serialize(msg)
+
+
+def _share_payload(owner, l, sid: bytes, rows, cols, values) -> bytes:
+    """The share-matrix wire format, one entry at a time."""
+    return (
+        struct.pack(">HHH", owner, l, len(sid))
+        + sid
+        + struct.pack(">II", rows, cols)
+        + b"".join(v.to_bytes(16, "big") for v in values)
+    )
+
+
+def test_share_matrix_golden_bytes():
+    bundle = share_matrix([[0, 1], [2**127 + 5, 2**128 - 1]], 2, 128, CounterPRG(3), "g")[1]
+    payload = encode_share_matrix(bundle)
+    assert payload == _share_payload(1, 128, b"g", 2, 2, bundle.values.ravel().tolist())
+    assert decode_share_matrix(payload) == bundle
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _share_payload(0, 8, b"\xff\xfe", 1, 1, [3]),  # secret id not UTF-8
+        _share_payload(0, 8, b"s", 1, 2, [3, 256]),  # element >= 2^l
+        _share_payload(0, 8, b"s", 0, 2, []),  # no rows
+        _share_payload(0, 0, b"s", 1, 1, [0]),  # l = 0
+        _share_payload(0, 200, b"s", 1, 1, [1]),  # l past the 128-bit element
+    ],
+    ids=["sid-not-utf8", "element-past-ring", "zero-rows", "l-0", "l-200"],
+)
+def test_malformed_share_matrix_raises_frame_format_error(payload):
+    with pytest.raises(FrameFormatError):
+        decode_share_matrix(payload)
+
+
+def test_malformed_key_and_ciphertext_raise_frame_format_error():
+    pk = paillier.PublicKey.from_modulus(15)
+
+    def cipher_payload(base, value):
+        return struct.pack(">IIIi", 1, 1, base, 0) + messages._pack_bigint(value)
+
+    assert decode_encrypted_matrix(cipher_payload(16, 2), pk)[0][0].base == 16
+    empty = struct.pack(">III", 0, 1, 16)
+    for payload in (cipher_payload(16, 3), cipher_payload(0, 2), cipher_payload(16, 225), empty):
+        with pytest.raises(FrameFormatError):
+            decode_encrypted_matrix(payload, pk)
+    for n in (0, 1, 4):
+        with pytest.raises(FrameFormatError):
+            decode_public_key(messages._pack_bigint(n))
+
+
+# A small odd modulus keeps the coprimality checks cheap.
+_FUZZ_PK = paillier.PublicKey.from_modulus(2**61 - 1)
+_DECODERS = {
+    "public_key": (decode_public_key, encode_public_key(_FUZZ_PK)),
+    "real_matrix": (decode_real_matrix, encode_real_matrix([[1.0, -2.0]])),
+    "encrypted_matrix": (
+        lambda p: decode_encrypted_matrix(p, _FUZZ_PK),
+        struct.pack(">IIIi", 1, 2, 16, -3)
+        + messages._pack_bigint(5)
+        + struct.pack(">i", 0)
+        + messages._pack_bigint(7),
+    ),
+    "share_matrix": (
+        decode_share_matrix,
+        encode_share_matrix(share_matrix([[1, 2]], 2, 64, CounterPRG(1), "f")[0]),
+    ),
+    "sample_count": (decode_sample_count, encode_sample_count(9)),
+    "frame": (
+        deserialize,
+        serialize(_msg(MsgType.SAMPLE_COUNT, 1, 0, 0, encode_sample_count(9))),
+    ),
+}
+
+
+def _spliced(valid: bytes):
+    """``valid`` with a slice replaced by arbitrary bytes."""
+    return st.tuples(
+        st.integers(0, len(valid)), st.integers(0, 8), st.binary(max_size=8)
+    ).map(lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1] :])
+
+
+@pytest.mark.parametrize("name", sorted(_DECODERS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_decoders_raise_only_frame_format_error(name, data):
+    decode, valid = _DECODERS[name]
+    payload = data.draw(st.one_of(st.binary(max_size=64), _spliced(valid)))
+    try:
+        decode(payload)
+    except FrameFormatError:
+        pass
 
 
 # --- simulation bus ---------------------------------------------------------
