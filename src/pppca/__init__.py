@@ -7,14 +7,7 @@ the server eigendecomposes and broadcasts the projection.  The result is
 numerically interchangeable with PCA on pooled plaintext data.
 """
 
-from .encoding import (
-    EncodedFloat,
-    FixedPointConfig,
-    FloatEncodingConfig,
-    decode_fixed,
-    encode_fixed,
-    encode_float,
-)
+from .encoding import FixedPointConfig, decode_fixed, encode_fixed
 from .errors import PPCAError, ProtocolAbort
 from .linalg import (
     EigenPairs,
@@ -47,9 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CounterPRG",
     "EigenPairs",
-    "EncodedFloat",
     "FixedPointConfig",
-    "FloatEncodingConfig",
     "PPCAError",
     "ProtocolAbort",
     "SessionConfig",
@@ -64,7 +55,6 @@ __all__ = [
     "column_sums",
     "decode_fixed",
     "encode_fixed",
-    "encode_float",
     "expected_message_counts",
     "gram",
     "jacobi_eigh",

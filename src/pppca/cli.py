@@ -20,8 +20,9 @@ import sys
 
 import numpy as np
 
+from . import paillier
 from .datasets import Dataset, load_csv, partition_horizontal, standardize_features
-from .encoding import FixedPointConfig, FloatEncodingConfig
+from .encoding import FixedPointConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -48,7 +49,7 @@ from .protocol import (
     consumer_index,
     run_session,
 )
-from .transport import TcpEndpoint
+from .transport import DEFAULT_TIMEOUT, TcpEndpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,14 +172,12 @@ def _setting(args, config: dict, name: str, default=None):
 
 def _session_kwargs(args, config: dict) -> dict:
     fp = config.get("fixed_point", {})
-    fe = config.get("float_encoding", {})
     return {
         "fixed_point": FixedPointConfig(**fp) if fp else FixedPointConfig(),
-        "float_encoding": FloatEncodingConfig(**fe) if fe else FloatEncodingConfig(),
-        "key_bits": int(_setting(args, config, "key_bits", 2048)),
+        "key_bits": int(_setting(args, config, "key_bits", paillier.DEFAULT_KEY_BITS)),
         "allow_test_key": bool(_setting(args, config, "allow_test_key", False)),
         "seed": _setting(args, config, "seed"),
-        "timeout": float(_setting(args, config, "timeout", 30.0)),
+        "timeout": float(_setting(args, config, "timeout", DEFAULT_TIMEOUT)),
     }
 
 
@@ -353,7 +352,6 @@ def _cmd_compare(args) -> int:
         key_bits=session["key_bits"],
         allow_test_key=session["allow_test_key"],
         fixed_point=session["fixed_point"],
-        float_encoding=session["float_encoding"],
         timeout=session["timeout"],
     )
     sys.stdout.write(render_report(reports))

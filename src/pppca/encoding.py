@@ -1,17 +1,17 @@
 """Reversible numeric encodings bridging real matrices to crypto domains.
 
-Two encodings live here:
+Both secure-sum back ends carry reals as fixed point over the ring
+Z_{2^l} (two's complement), computed on whole arrays: ring elements are
+Python ints in 2-D object arrays, so one code path serves every width up to
+128 bits, and the rounding is exact binary64 arithmetic.  Secret sharing
+shares the ring elements; homomorphic encryption encrypts their signed
+reading round(x * 2^f) and reduces the decrypted sum back into the ring.
 
-* fixed point over the ring Z_{2^l} (two's complement) for secret sharing,
-  computed on whole arrays: ring elements are Python ints in 2-D object
-  arrays, so one code path serves every width up to 128 bits, and the
-  rounding is exact binary64 arithmetic;
-* base-B significand/exponent pairs for homomorphic encryption, where the
-  significand may be a plaintext integer or a ciphertext object supporting
-  multiplication by a non-negative int.
-
-Both protocols only ever ADD encoded values, so neither encoding needs a
+Both protocols only ever ADD encoded values, so the encoding needs no
 truncation step; every multiplication in the pipeline is local plaintext.
+
+Neither back end calls the base-16 significand/exponent encoding below
+(:func:`encode_float`); it stays while perfbench/spans.py wraps it by name.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, EncodingRangeError
+from .errors import EncodingRangeError
 
-DEFAULT_RING_BITS = 64
-DEFAULT_FRACTIONAL_BITS = 24
+# |x| < 2^63, and every binary64 value of magnitude at least 2^-12 encodes
+# exactly.
+DEFAULT_RING_BITS = 128
+DEFAULT_FRACTIONAL_BITS = 64
 DEFAULT_FLOAT_BASE = 16
 # 14 base-16 digits carry 56 bits of significand, more than a binary64
 # mantissa, so round-trips through the default float encoding are exact.
@@ -96,9 +98,13 @@ def matrix_decode_fixed(z, cfg: FixedPointConfig) -> np.ndarray:
             f"fixed-point decode failed at ({r}, {c}): ring element {z[r, c]} "
             f"outside [0, 2^{cfg.l})"
         )
-    signed = np.where(z >= 1 << (cfg.l - 1), z - cfg.modulus, z)
     # Python's int / int rounds once, correctly.
-    return (signed / cfg.scale).astype(float)
+    return (matrix_signed(z, cfg) / cfg.scale).astype(float)
+
+
+def matrix_signed(z, cfg: FixedPointConfig) -> np.ndarray:
+    """Two's-complement reading of ring elements: z >= 2^(l-1) is negative."""
+    return np.where(z >= 1 << (cfg.l - 1), z - cfg.modulus, z)
 
 
 def encode_fixed(x: float, cfg: FixedPointConfig) -> int:
@@ -109,18 +115,6 @@ def encode_fixed(x: float, cfg: FixedPointConfig) -> int:
 def decode_fixed(z: int, cfg: FixedPointConfig) -> float:
     """One ring element through :func:`matrix_decode_fixed`."""
     return float(matrix_decode_fixed([[z]], cfg)[0, 0])
-
-
-@dataclass(frozen=True)
-class FloatEncodingConfig:
-    base: int = DEFAULT_FLOAT_BASE
-    precision: int = DEFAULT_FLOAT_PRECISION
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
 
 
 @dataclass(frozen=True)
@@ -170,47 +164,3 @@ def encode_float(
     # Round to nearest, halves away from zero.
     magnitude = math.floor(mag / Fraction(base) ** exponent + Fraction(1, 2))
     return EncodedFloat(magnitude if x > 0 else -magnitude, exponent, base)
-
-
-def align_exponents(
-    a: EncodedFloat, b: EncodedFloat, max_significand: int | None = None
-) -> tuple[EncodedFloat, EncodedFloat]:
-    """Rescale the larger-exponent operand so both share one exponent.
-
-    Multiplying a significand by base^delta and lowering the exponent keeps
-    the decoded value unchanged, and works on ciphertext significands because
-    scalar multiplication is homomorphic.  ``max_significand``, when given,
-    bounds the scaled plaintext significand (ciphertext magnitudes cannot be
-    inspected, so their overflow guard lives in the scalar-multiply itself).
-    """
-    if a.base != b.base:
-        raise ValueError(f"mixed encoding bases {a.base} and {b.base}")
-    if a.exponent == b.exponent:
-        return a, b
-    if a.exponent > b.exponent:
-        return _shift_to(a, b.exponent, max_significand), b
-    return a, _shift_to(b, a.exponent, max_significand)
-
-
-def _shift_to(
-    enc: EncodedFloat, exponent: int, max_significand: int | None
-) -> EncodedFloat:
-    factor = enc.base ** (enc.exponent - exponent)
-    scaled = enc.significand * factor
-    if max_significand is not None and isinstance(scaled, int):
-        if abs(scaled) >= max_significand:
-            raise EncodingRangeError(
-                f"exponent alignment by base^{enc.exponent - exponent} "
-                f"overflows the plaintext bound"
-            )
-    return EncodedFloat(scaled, exponent, enc.base)
-
-
-def matrix_shape(matrix) -> tuple[int, int]:
-    rows = len(matrix)
-    if rows == 0:
-        raise DimensionError("matrix has no rows")
-    cols = len(matrix[0])
-    if any(len(row) != cols for row in matrix):
-        raise DimensionError("ragged matrix")
-    return rows, cols

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .datasets import Dataset, assign_providers
-from .encoding import FixedPointConfig, FloatEncodingConfig
+from .encoding import FixedPointConfig
 from .errors import ConfigError, DataError
 from .messages import Transcript
 from .models import auc, rmse, train_linreg, train_logreg
@@ -98,7 +98,6 @@ def compare(
     key_bits: int = 2048,
     allow_test_key: bool = False,
     fixed_point: FixedPointConfig | None = None,
-    float_encoding: FloatEncodingConfig | None = None,
     keep_transcripts: bool = False,
     timeout: float = 120.0,
 ) -> list[RunReport]:
@@ -158,7 +157,6 @@ def compare(
                     key_bits=key_bits,
                     allow_test_key=allow_test_key,
                     fixed_point=fixed_point or FixedPointConfig(),
-                    float_encoding=float_encoding or FloatEncodingConfig(),
                     seed=None if seed is None else seed + 1000 * (fold + 1),
                     timeout=timeout,
                 )

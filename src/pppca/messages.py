@@ -14,7 +14,8 @@ Wire format (all integers big-endian):
 Matrix payloads carry rows (4 bytes) and cols (4 bytes) followed by entries
 in row-major order: real entries as IEEE-754 binary64, ring entries as
 16-byte unsigned values (covering ring widths up to 128 bits), ciphertexts
-as 4-byte-length-prefixed magnitude bytes.
+as fixed-width unsigned values of ceil(bitlen(n^2) / 8) bytes for the
+session key's modulus n.
 
 The step field packs the protocol phase in its upper 16 bits; the receiver
 index in the lower 16 bits makes steps unique and strictly increasing per
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodedFloat
 from .errors import FrameFormatError
 from .paillier import Ciphertext, PublicKey
 from .sharing import ShareMatrix
@@ -184,9 +184,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
 
-    def i32(self) -> int:
-        return struct.unpack(">i", self.take(4))[0]
-
     def u64(self) -> int:
         return struct.unpack(">Q", self.take(8))[0]
 
@@ -231,48 +228,36 @@ def decode_real_matrix(payload: bytes) -> np.ndarray:
     return entries.reshape(rows, cols).astype(np.float64)
 
 
-def encode_encrypted_matrix(matrix: list[list[EncodedFloat]]) -> bytes:
-    rows = len(matrix)
-    cols = len(matrix[0])
-    base = matrix[0][0].base
-    parts = [struct.pack(">III", rows, cols, base)]
-    for row in matrix:
-        for e in row:
-            if e.is_plain:
-                raise ValueError("encrypted-matrix payload requires ciphertexts")
-            parts.append(struct.pack(">i", e.exponent))
-            parts.append(_pack_bigint(e.significand.value))
-    return b"".join(parts)
+def _cipher_bytes(pk: PublicKey) -> int:
+    return (pk.n_squared.bit_length() + 7) // 8
 
 
-def decode_encrypted_matrix(
-    payload: bytes, pk: PublicKey
-) -> list[list[EncodedFloat]]:
-    r = _Reader(payload)
-    rows, cols, base = r.u32(), r.u32(), r.u32()
-    if base < 2:
-        raise FrameFormatError(f"encrypted matrix base {base} is below 2")
+def encode_encrypted_matrix(matrix: np.ndarray) -> bytes:
+    rows, cols = matrix.shape
+    width = _cipher_bytes(matrix[0, 0].public_key)
+    cells = (c.value.to_bytes(width, "big") for c in matrix.flat)
+    return struct.pack(">II", rows, cols) + b"".join(cells)
+
+
+def decode_encrypted_matrix(payload: bytes, pk: PublicKey) -> np.ndarray:
+    if len(payload) < 8:
+        raise FrameFormatError("payload ended early")
+    rows, cols = struct.unpack_from(">II", payload)
+    width = _cipher_bytes(pk)
     if rows == 0 or cols == 0:
         raise FrameFormatError(f"encrypted matrix {rows}x{cols} has no entries")
-    # 8 bytes minimum per entry (exponent + ciphertext length prefix).
-    if rows * cols * 8 > len(payload) - r.pos:
+    if rows * cols * width != len(payload) - 8:
         raise FrameFormatError(
-            f"encrypted matrix {rows}x{cols} does not fit a "
-            f"{len(payload)}-byte payload"
+            f"encrypted matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
         )
-    out = []
-    for _ in range(rows):
-        row = []
-        for _ in range(cols):
-            exponent = r.i32()
-            try:
-                cipher = Ciphertext(r.bigint(), pk)
-            except ValueError as exc:  # outside [0, n^2) or not a unit
-                raise FrameFormatError(f"malformed ciphertext: {exc}") from exc
-            row.append(EncodedFloat(cipher, exponent, base))
-        out.append(row)
-    r.done()
-    return out
+    try:  # each value outside [0, n^2) or not a unit raises
+        cells = [
+            Ciphertext(int.from_bytes(payload[at : at + width], "big"), pk)
+            for at in range(8, len(payload), width)
+        ]
+    except ValueError as exc:
+        raise FrameFormatError(f"malformed ciphertext: {exc}") from exc
+    return np.array(cells, dtype=object).reshape(rows, cols)
 
 
 def encode_share_matrix(m: ShareMatrix) -> bytes:

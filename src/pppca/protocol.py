@@ -32,9 +32,15 @@ back end's first phase:
     8    the server broadcasts the transfer matrix
     9    providers send reduced rows to the consumer
 
-    back end  s  masking               combiners
-    he        2  Paillier encryption   provider p
-    ss        1  n-of-n ring shares    every provider
+    back end  s  masking                                  combiners
+    he        2  Paillier encryption of signed ring ints  provider p
+    ss        1  n-of-n shares of ring elements           every provider
+
+Both back ends encode into one fixed-point ring Z_{2^l}
+(``SessionConfig.fixed_point``): ``ss`` shares the ring elements, ``he``
+encrypts their signed reading round(x * 2^f) and reduces the decrypted sum
+mod 2^l.  Each provider's values must stay below 2^(l-f-1)/M, and both back
+ends open bit-identical sums.
 
 Sample counts travel in plaintext: both the mean (divide by n) and each
 local covariance term (scale by 1/(n-1)) need the global row count.  They
@@ -54,7 +60,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import random
 import threading
 import time
@@ -65,9 +70,9 @@ import numpy as np
 from . import linalg, paillier
 from .encoding import (
     FixedPointConfig,
-    FloatEncodingConfig,
     matrix_decode_fixed,
     matrix_encode_fixed,
+    matrix_signed,
 )
 from .errors import (
     ConfigError,
@@ -129,7 +134,6 @@ class SessionConfig:
     k: int
     aggregator: int = 1
     fixed_point: FixedPointConfig = field(default_factory=FixedPointConfig)
-    float_encoding: FloatEncodingConfig = field(default_factory=FloatEncodingConfig)
     key_bits: int = paillier.DEFAULT_KEY_BITS
     allow_test_key: bool = False
     seed: int | None = None
@@ -197,7 +201,6 @@ class SecureSum:
     first_phase: int
     setup: tuple[tuple[MsgType, int], ...] = ()
     rounds: tuple[tuple[MsgType, MsgType], ...]
-    bound = math.inf  # exclusive bound on the magnitude of one provider's values
 
     @classmethod
     def phases(cls, r: int) -> tuple[int, int]:
@@ -232,13 +235,12 @@ class PaillierSum(SecureSum):
         (MsgType.ENCRYPTED_COV, MsgType.ENCRYPTED_COV_AGGREGATE),
     )
 
-    def __init__(self, pk=None, sk=None, rng=None, encoding=None):
-        self.pk, self.sk, self.rng = pk, sk, rng
-        self.encoding = encoding if encoding is not None else FloatEncodingConfig()
+    def __init__(self, fixed_point: FixedPointConfig, pk=None, sk=None, rng=None):
+        self.fp, self.pk, self.sk, self.rng = fixed_point, pk, sk, rng
 
     @classmethod
     def for_party(cls, cfg: SessionConfig, party: int) -> PaillierSum:
-        return cls(rng=_rng_for(cfg, f"encrypt/{party}"), encoding=cfg.float_encoding)
+        return cls(cfg.fixed_point, rng=_rng_for(cfg, f"encrypt/{party}"))
 
     @staticmethod
     def combiners(cfg: SessionConfig) -> list[int]:
@@ -267,14 +269,17 @@ class PaillierSum(SecureSum):
         self.pk = decode_public_key(msg.payload)
 
     def mask(self, values, secret_id: str) -> list:
-        enc = self.encoding
-        return [paillier.enc_matrix(self.pk, values, self.rng, enc.base, enc.precision)]
+        # The signed integers, not the ring elements: a sum of two's-complement
+        # values would carry one 2^l per negative term into the plaintext.
+        signed = matrix_signed(matrix_encode_fixed(values, self.fp), self.fp)
+        return [paillier.enc_matrix(self.pk, signed, self.rng)]
 
     def combine(self, pieces: list):
         return functools.reduce(functools.partial(paillier.add_enc_matrix, self.pk), pieces)
 
     def open(self, pieces: list) -> np.ndarray:
-        return paillier.dec_matrix(self.sk, pieces[0])
+        ring = paillier.dec_matrix(self.sk, pieces[0]) % self.fp.modulus
+        return matrix_decode_fixed(ring, self.fp)
 
     def encode(self, piece) -> bytes:
         return encode_encrypted_matrix(piece)
@@ -291,8 +296,6 @@ class SharedSum(SecureSum):
 
     def __init__(self, fixed_point: FixedPointConfig, parties: int, prg: CounterPRG):
         self.fp, self.parties, self.prg = fixed_point, parties, prg
-        # The global sum of M in-range local terms must still fit the ring.
-        self.bound = fixed_point.max_magnitude / parties
 
     @classmethod
     def for_party(cls, cfg: SessionConfig, party: int) -> SharedSum:
@@ -468,10 +471,9 @@ class ProviderRole(_Role):
         self.sum = cfg.secure_sum.for_party(cfg, index)
 
     def _check_range(self, values: np.ndarray, what: str):
-        """Eager overflow guard: the global sum of M local terms within the
-        back end's per-provider bound still fits its plaintext range (only
-        the fixed-point ring of SS has a finite bound)."""
-        bound = self.sum.bound
+        """Eager overflow guard: the global sum of M local terms, each below
+        2^(l-f-1)/M, still fits the fixed-point ring."""
+        bound = self.cfg.fixed_point.max_magnitude / self.cfg.parties
         worst = float(np.max(np.abs(values)))
         if worst >= bound:
             raise ProtocolAbort(
@@ -764,11 +766,12 @@ def secure_sum_he(
     pk: paillier.PublicKey,
     sk: paillier.PrivateKey,
     rng: random.Random | None = None,
-    encoding: FloatEncodingConfig | None = None,
+    fixed_point: FixedPointConfig | None = None,
 ) -> np.ndarray:
     """The HE aggregation dataflow: encrypt each matrix, fold ciphertexts,
     decrypt the single aggregate."""
-    return _sum_without_transport(PaillierSum(pk, sk, rng, encoding), _terms(matrices))
+    fp = fixed_point if fixed_point is not None else FixedPointConfig()
+    return _sum_without_transport(PaillierSum(fp, pk, sk, rng), _terms(matrices))
 
 
 def secure_sum_ss(

@@ -7,16 +7,14 @@ import pytest
 
 from pppca import encoding
 from pppca.encoding import (
-    EncodedFloat,
     FixedPointConfig,
-    align_exponents,
     decode_fixed,
     encode_fixed,
     encode_float,
 )
 from pppca.errors import EncodingRangeError
 
-CFG = FixedPointConfig()  # l=64, f=24
+CFG = FixedPointConfig(l=64, f=24)
 
 
 # --- fixed point -------------------------------------------------------------
@@ -99,6 +97,15 @@ def test_fixed_config_validation():
         FixedPointConfig(l=32, f=0)
 
 
+def test_default_ring_and_signed_reading():
+    cfg = FixedPointConfig()
+    assert (cfg.l, cfg.f, cfg.max_magnitude) == (128, 64, 2.0**63)
+    ring = encoding.matrix_encode_fixed([[-1.0, 0.5, -(2.0**-64), 0.0]], cfg)
+    signed = encoding.matrix_signed(ring, cfg)
+    assert signed.tolist() == [[-(2**64), 2**63, -1, 0]]
+    assert np.array_equal(signed % cfg.modulus, ring)
+
+
 def test_decode_fixed_rejects_out_of_ring():
     with pytest.raises(ValueError):
         decode_fixed(CFG.modulus, CFG)
@@ -147,44 +154,6 @@ def test_float_rejects_non_finite():
         encode_float(math.inf)
     with pytest.raises(EncodingRangeError):
         encode_float(math.nan)
-
-
-# --- exponent alignment ----------------------------------------------------------
-
-
-def test_align_already_aligned():
-    a, b = EncodedFloat(3, 0), EncodedFloat(5, 0)
-    assert align_exponents(a, b) == (a, b)
-
-
-def test_align_hand_shift():
-    a, b = align_exponents(EncodedFloat(1, 1), EncodedFloat(5, 0))
-    assert (a.significand, a.exponent) == (16, 0)
-    assert (b.significand, b.exponent) == (5, 0)
-
-
-def test_align_preserves_decoded_values_exactly():
-    rng = random.Random(12)
-    for _ in range(500):
-        a = encode_float(rng.uniform(-1e8, 1e8), precision=rng.randint(3, 14))
-        b = encode_float(rng.uniform(-1e-8, 1e-8), precision=rng.randint(3, 14))
-        va, vb = a.decode(), b.decode()
-        a2, b2 = align_exponents(a, b)
-        assert a2.exponent == b2.exponent
-        assert a2.decode() == va
-        assert b2.decode() == vb
-
-
-def test_align_mixed_bases_rejected():
-    with pytest.raises(ValueError):
-        align_exponents(EncodedFloat(1, 0, 16), EncodedFloat(1, 0, 10))
-
-
-def test_align_overflow_guard():
-    with pytest.raises(EncodingRangeError):
-        align_exponents(
-            EncodedFloat(1, 100), EncodedFloat(1, 0), max_significand=10**6
-        )
 
 
 # --- matrix lifts ------------------------------------------------------------------

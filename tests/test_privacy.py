@@ -1,6 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
+from pppca import paillier
+from pppca.encoding import FixedPointConfig
 from pppca.messages import (
     MsgType,
     ProtocolMessage,
@@ -14,7 +18,7 @@ from pppca.privacy import (
     expected_message_counts,
     message_counts_by_type,
 )
-from pppca.protocol import SERVER, SessionConfig, run_he, run_ss
+from pppca.protocol import SERVER, PaillierSum, SessionConfig, run_he, run_ss
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +178,24 @@ def test_step_order_detects_shuffled_transcript(ss_session):
         shuffled.append(msg)
     shuffled.append(early)
     assert check_step_order(shuffled, cfg) != []
+
+
+def test_he_plaintexts_do_not_reveal_sign_patterns(test_keypair):
+    # The same totals from different signs, e.g. (-1, 2) and (1, 0).  Had the
+    # providers encrypted two's-complement ring elements, each negative term
+    # would add 2^l to what the server decrypts, counting the negative terms.
+    pk, sk = test_keypair
+    fp = FixedPointConfig()
+    patterns = (
+        ([[-1.0, 2.0, -3.5]], [[2.0, -1.0, -0.5]]),
+        ([[1.0, 0.0, -2.0]], [[0.0, 1.0, -2.0]]),
+        ([[3.0, -4.0, 1.0]], [[-2.0, 5.0, -5.0]]),
+    )
+    decrypted = []
+    for terms in patterns:
+        backend = PaillierSum(fp, pk, sk, random.Random(3))
+        folded = backend.combine([backend.mask(t, f"t/{i}")[0] for i, t in enumerate(terms)])
+        decrypted.append([paillier.decrypt(sk, c) for c in folded.flat])
+        assert backend.open([folded]).tolist() == [[1.0, 1.0, -4.0]]
+    signed_sum = [fp.scale, fp.scale, pk.n - 4 * fp.scale]  # -4 * 2^f mod n
+    assert decrypted == [signed_sum] * len(patterns)

@@ -98,7 +98,9 @@ def test_he_aggregator_choice():
 
 
 def test_ss_two_providers_match_centralized_oracle():
-    cfg = ss_cfg()
+    # The tolerance below is the fixed-point error, which must dominate the
+    # binary64 rounding: at the default f = 64 it would sit below one ulp.
+    cfg = ss_cfg(fixed_point=FixedPointConfig(l=64, f=24))
     result = run_ss(cfg, split(HAND_DATA, 2))
     transfer, reduced = linalg.centralized_pca(HAND_DATA, 2)
     tol = 2.0 ** (-cfg.fixed_point.f + 4)
@@ -124,13 +126,32 @@ def test_ss_split_invariance_two_vs_four():
     assert np.max(np.abs(r2.transfer - r4.transfer)) <= 1e-5
 
 
+SESSION_OUTPUTS = ("mean", "covariance", "eigenvalues", "transfer", "reduced")
+
+
 def test_method_equivalence_he_vs_ss():
+    # Both back ends open the same sums in the same fixed-point ring, so
+    # everything downstream is bit-identical.
     rng = np.random.default_rng(8)
-    data = [rng.normal(size=(9, 4)) * 3, rng.normal(size=(11, 4)) * 3]
-    he = run_he(he_cfg(k=2), data)
-    ss = run_ss(ss_cfg(k=2), data)
-    assert np.max(np.abs(he.reduced - ss.reduced)) <= 1e-4
-    assert np.max(np.abs(he.covariance - ss.covariance)) <= 1e-4
+    for parties in (2, 3, 4):
+        data = [rng.normal(size=(9 + 2 * i, 4)) * 3 for i in range(parties)]
+        he = run_he(he_cfg(parties=parties, k=2), data)
+        ss = run_ss(ss_cfg(parties=parties, k=2), data)
+        for name in SESSION_OUTPUTS:
+            assert np.array_equal(getattr(he, name), getattr(ss, name)), (parties, name)
+
+
+def test_method_equivalence_he_vs_ss_over_sim_and_tcp():
+    rng = np.random.default_rng(11)
+    data = [rng.normal(size=(7, 5)) * 4 for _ in range(3)]
+    first, *others = [
+        run_session(cfg, data, transport=transport)
+        for cfg in (he_cfg(parties=3, k=3), ss_cfg(parties=3, k=3))
+        for transport in ("sim", "tcp")
+    ]
+    for other in others:
+        for name in SESSION_OUTPUTS:
+            assert np.array_equal(getattr(first, name), getattr(other, name)), name
 
 
 def test_party_count_invariance_of_covariance():
@@ -232,11 +253,15 @@ def test_abort_on_bad_k():
         ss_cfg(k=0)
 
 
-def test_abort_on_fixed_point_overflow_names_step():
-    huge = np.full((4, 3), 1e12)  # column sums blow the 2^39 fixed-point bound
+@pytest.mark.parametrize("make_cfg, phase", [(ss_cfg, 1), (he_cfg, 2)], ids=["ss", "he"])
+def test_abort_on_fixed_point_overflow_names_step(make_cfg, phase):
+    # Entries above 2^63 / M: the column sums blow the fixed-point budget of
+    # the default (l, f) = (128, 64) at M = 2, for either back end.
+    huge = np.full((4, 3), 1.5 * 2.0**62)
     with pytest.raises(ProtocolAbort) as err:
-        run_ss(ss_cfg(), split(huge, 2))
-    assert err.value.step == 1  # the sharing phase for column sums
+        run_session(make_cfg(), split(huge, 2))
+    assert err.value.step == phase  # the masking phase for column sums
+    assert "fixed-point budget" in str(err.value)
 
 
 def test_abort_on_empty_provider():
@@ -306,6 +331,18 @@ def test_secure_sum_he_random_matches_plaintext(test_keypair):
     mats = [nprng.normal(size=(5, 5)) * 10 for _ in range(4)]
     got = secure_sum_he(mats, pk, sk, rng)
     assert np.max(np.abs(got - sum(mats))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "fp", [FixedPointConfig(), FixedPointConfig(l=64, f=24)], ids=["128-64", "64-24"]
+)
+def test_secure_sum_he_equals_secure_sum_ss_bit_for_bit(test_keypair, fp):
+    pk, sk = test_keypair
+    nprng = np.random.default_rng(4)
+    mats = [nprng.normal(size=(3, 4)) * 10.0 ** nprng.integers(-3, 4) for _ in range(3)]
+    he = secure_sum_he(mats, pk, sk, random.Random(4), fixed_point=fp)
+    ss = secure_sum_ss(mats, fixed_point=fp, prg=CounterPRG(4))
+    assert np.array_equal(he, ss)
 
 
 def test_secure_sum_ss_identities():

@@ -175,7 +175,9 @@ def test_share_matrix_zero():
 
 
 def test_share_matrix_aggregation_matches_plaintext_through_encoding():
-    cfg = FixedPointConfig()
+    # The bound below is the fixed-point error, which must dominate the
+    # binary64 rounding of the reference sum: f = 64 would put it below an ulp.
+    cfg = FixedPointConfig(l=64, f=24)
     rng = np.random.default_rng(16)
     mats = [rng.normal(size=(11, 11)) * 20 for _ in range(3)]
     prg = CounterPRG(16)

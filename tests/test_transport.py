@@ -96,15 +96,12 @@ def test_bad_magic_and_version():
 def test_ciphertext_matrix_round_trip(test_keypair):
     pk, _ = test_keypair
     rng = random.Random(1)
-    nprng = np.random.default_rng(1)
-    mat = paillier.enc_matrix(pk, nprng.normal(size=(3, 3)), rng)
+    mat = paillier.enc_matrix(pk, [[1, -2, 3], [0, 2**127 - 1, -(2**127)]], rng)
     payload = encode_encrypted_matrix(mat)
+    assert len(payload) == 8 + 6 * ((pk.n_squared.bit_length() + 7) // 8)
     back = decode_encrypted_matrix(payload, pk)
-    for row_a, row_b in zip(mat, back):
-        for a, b in zip(row_a, row_b):
-            assert a.significand.value == b.significand.value
-            assert a.exponent == b.exponent
-            assert a.base == b.base
+    assert back.shape == (2, 3)
+    assert [c.value for c in back.flat] == [c.value for c in mat.flat]
 
 
 def test_ciphertext_matrix_round_trip_2048_bit_values():
@@ -112,27 +109,39 @@ def test_ciphertext_matrix_round_trip_2048_bit_values():
     # from a real keypair for a serialization check.
     import math
 
-    from pppca.encoding import EncodedFloat
-
     rng = random.Random(2048)
     n = rng.getrandbits(2048) | (1 << 2047) | 1
     pk = paillier.PublicKey.from_modulus(n)
-    mat = []
-    for _ in range(3):
-        row = []
-        for _ in range(3):
+    values = []
+    for value in [1, 2, 3] + [rng.randrange(1, pk.n_squared) for _ in range(6)]:
+        while math.gcd(value, pk.n_squared) != 1:
             value = rng.randrange(1, pk.n_squared)
-            while math.gcd(value, pk.n_squared) != 1:
-                value = rng.randrange(1, pk.n_squared)
-            row.append(
-                EncodedFloat(paillier.Ciphertext(value, pk), rng.randint(-20, 20))
-            )
-        mat.append(row)
-    back = decode_encrypted_matrix(encode_encrypted_matrix(mat), pk)
-    for row_a, row_b in zip(mat, back):
-        for a, b in zip(row_a, row_b):
-            assert a.significand.value == b.significand.value
-            assert a.exponent == b.exponent
+        values.append(value)
+    mat = np.array([paillier.Ciphertext(v, pk) for v in values], dtype=object).reshape(3, 3)
+    payload = encode_encrypted_matrix(mat)
+    assert len(payload) == 8 + 9 * 512  # n^2 has 4095 or 4096 bits
+    back = decode_encrypted_matrix(payload, pk)
+    assert [c.value for c in back.flat] == values
+
+
+def _cipher_payload(rows, cols, values, width) -> bytes:
+    """The encrypted-matrix wire format, one entry at a time."""
+    return struct.pack(">II", rows, cols) + b"".join(v.to_bytes(width, "big") for v in values)
+
+
+def test_ciphertext_matrix_golden_bytes():
+    pk = paillier.PublicKey.from_modulus(15)  # n^2 = 225 fits one byte
+    mat = np.array(
+        [[paillier.Ciphertext(v, pk) for v in row] for row in [[1, 2], [4, 224]]],
+        dtype=object,
+    )
+    payload = encode_encrypted_matrix(mat)
+    assert payload == bytes.fromhex("00000002" "00000002" "01" "02" "04" "e0")
+    assert payload == _cipher_payload(2, 2, [1, 2, 4, 224], 1)
+    assert [c.value for c in decode_encrypted_matrix(payload, pk).flat] == [1, 2, 4, 224]
+    wide = paillier.PublicKey.from_modulus(257)  # n^2 = 66049 takes 3 bytes
+    one = np.array([[paillier.Ciphertext(2, wide)]], dtype=object)
+    assert encode_encrypted_matrix(one) == bytes.fromhex("00000001" "00000001" "000002")
 
 
 def test_public_key_and_share_matrix_round_trip(test_keypair):
@@ -222,14 +231,19 @@ def test_malformed_share_matrix_raises_frame_format_error(payload):
 
 
 def test_malformed_key_and_ciphertext_raise_frame_format_error():
-    pk = paillier.PublicKey.from_modulus(15)
+    pk = paillier.PublicKey.from_modulus(15)  # one byte per ciphertext
 
-    def cipher_payload(base, value):
-        return struct.pack(">IIIi", 1, 1, base, 0) + messages._pack_bigint(value)
-
-    assert decode_encrypted_matrix(cipher_payload(16, 2), pk)[0][0].base == 16
-    empty = struct.pack(">III", 0, 1, 16)
-    for payload in (cipher_payload(16, 3), cipher_payload(0, 2), cipher_payload(16, 225), empty):
+    assert decode_encrypted_matrix(_cipher_payload(1, 1, [2], 1), pk)[0, 0].value == 2
+    for payload in (
+        _cipher_payload(1, 1, [3], 1),  # not coprime to n^2
+        _cipher_payload(1, 1, [226], 2),  # past n^2, and the wrong width
+        _cipher_payload(1, 1, [225], 1),  # n^2 itself is outside [0, n^2)
+        _cipher_payload(1, 2, [2], 1),  # one entry short
+        _cipher_payload(1, 1, [2, 4], 1),  # one entry too many
+        _cipher_payload(0, 1, [], 1),  # no rows
+        _cipher_payload(1, 0, [], 1),  # no columns
+        b"\x00\x00\x00\x01",  # truncated header
+    ):
         with pytest.raises(FrameFormatError):
             decode_encrypted_matrix(payload, pk)
     for n in (0, 1, 4):
@@ -244,10 +258,7 @@ _DECODERS = {
     "real_matrix": (decode_real_matrix, encode_real_matrix([[1.0, -2.0]])),
     "encrypted_matrix": (
         lambda p: decode_encrypted_matrix(p, _FUZZ_PK),
-        struct.pack(">IIIi", 1, 2, 16, -3)
-        + messages._pack_bigint(5)
-        + struct.pack(">i", 0)
-        + messages._pack_bigint(7),
+        _cipher_payload(1, 2, [5, 7], 16),  # n^2 has 122 bits
     ),
     "share_matrix": (
         decode_share_matrix,
