@@ -2,8 +2,9 @@
 
 Both secure sums work on integers, so reals become fixed-point elements of
 the ring Z_{2^l}: round(x * 2^f) in two's complement.  Secret sharing splits
-the ring elements into shares; homomorphic encryption encrypts their signed
-reading and reduces the decrypted sum back into the ring.  Either way the
+the ring elements into shares; homomorphic encryption packs their signed
+reading, offset by 2^(l-1), into plaintext slots and reduces each decrypted
+slot sum back into the ring (demo 02).  Either way the
 sum of encodings decodes to the sum of the reals, which is the only
 operation the protocol ever performs remotely.
 """
@@ -40,9 +41,10 @@ for c in (narrow, cfg):
     err = abs(decode_fixed(encode_fixed(x, c), c) - x)
     print(f"  l={c.l:>3}, f={c.f:>2}: {x} round-trips with error {err:.1e}")
 
-# Whole matrices encode in one call; the signed reading is what Paillier
-# encrypts.  Encrypting the ring elements themselves would add 2^l to the
-# decrypted sum for every negative term, so the server could count them.
+# Whole matrices encode in one call; the signed reading, offset by 2^(l-1),
+# is what Paillier encrypts.  Encrypting the ring elements themselves would
+# add 2^l to a decrypted slot for every negative term, so the server could
+# count them.
 m = np.array([[-1.0, 2.0], [0.5, -0.25]])
 ring = matrix_encode_fixed(m, cfg)
 signed = matrix_signed(ring, cfg)

@@ -13,9 +13,11 @@ Wire format (all integers big-endian):
 
 Matrix payloads carry rows (4 bytes) and cols (4 bytes) followed by entries
 in row-major order: real entries as IEEE-754 binary64, ring entries as
-16-byte unsigned values (covering ring widths up to 128 bits), ciphertexts
-as fixed-width unsigned values of ceil(bitlen(n^2) / 8) bytes for the
-session key's modulus n.
+16-byte unsigned values (covering ring widths up to 128 bits).  Encrypted
+matrices carry the same header, the matrix's shape, followed by the
+ceil(rows * cols / s) ciphertexts its entries pack into, s to a plaintext
+(see :mod:`pppca.paillier`), each as a fixed-width unsigned value of
+ceil(bitlen(n^2) / 8) bytes for the session key's modulus n.
 
 The step field packs the protocol phase in its upper 16 bits; the receiver
 index in the lower 16 bits makes steps unique and strictly increasing per
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameFormatError
-from .paillier import Ciphertext, PublicKey
+from .paillier import Ciphertext, EncryptedMatrix, PublicKey, slot_count
 from .sharing import ShareMatrix
 
 MAGIC = b"PPCA"
@@ -232,32 +234,36 @@ def _cipher_bytes(pk: PublicKey) -> int:
     return (pk.n_squared.bit_length() + 7) // 8
 
 
-def encode_encrypted_matrix(matrix: np.ndarray) -> bytes:
+def encode_encrypted_matrix(matrix: EncryptedMatrix) -> bytes:
     rows, cols = matrix.shape
-    width = _cipher_bytes(matrix[0, 0].public_key)
-    cells = (c.value.to_bytes(width, "big") for c in matrix.flat)
+    width = _cipher_bytes(matrix.ciphers[0].public_key)
+    cells = (c.value.to_bytes(width, "big") for c in matrix.ciphers)
     return struct.pack(">II", rows, cols) + b"".join(cells)
 
 
-def decode_encrypted_matrix(payload: bytes, pk: PublicKey) -> np.ndarray:
+def decode_encrypted_matrix(payload: bytes, pk: PublicKey, slot_bits: int) -> EncryptedMatrix:
+    """The header gives the matrix shape; the ciphertext count must be the
+    one that shape packs into at ``slot_bits`` bits per slot."""
     if len(payload) < 8:
         raise FrameFormatError("payload ended early")
     rows, cols = struct.unpack_from(">II", payload)
     width = _cipher_bytes(pk)
     if rows == 0 or cols == 0:
         raise FrameFormatError(f"encrypted matrix {rows}x{cols} has no entries")
-    if rows * cols * width != len(payload) - 8:
+    count = -(-rows * cols // slot_count(pk, slot_bits))
+    if count * width != len(payload) - 8:
         raise FrameFormatError(
-            f"encrypted matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
+            f"encrypted matrix {rows}x{cols} packs into {count} ciphertexts of "
+            f"{width} bytes, which do not fit a {len(payload)}-byte payload"
         )
     try:  # each value outside [0, n^2) or not a unit raises
-        cells = [
+        cells = tuple(
             Ciphertext(int.from_bytes(payload[at : at + width], "big"), pk)
             for at in range(8, len(payload), width)
-        ]
+        )
     except ValueError as exc:
         raise FrameFormatError(f"malformed ciphertext: {exc}") from exc
-    return np.array(cells, dtype=object).reshape(rows, cols)
+    return EncryptedMatrix((rows, cols), slot_bits, cells)
 
 
 def encode_share_matrix(m: ShareMatrix) -> bytes:

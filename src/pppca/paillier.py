@@ -5,9 +5,15 @@ raising a ciphertext to a plaintext power multiplies the underlying value.
 That is everything the aggregation protocol needs; there is deliberately no
 ciphertext-times-ciphertext operation.
 
-Signed values are mapped into [0, n) by reducing mod n; decoded values above
-n/2 are interpreted as negative.  Big-integer arithmetic uses gmpy2 when
-available and falls back to the builtins otherwise.
+Matrices travel slot-packed (Bianchi, Piva and Barni, "Composite signal
+representation for fast and storage-efficient processing of encrypted
+signals", IEEE TIFS 2010): entries are non-negative integers of at most w
+bits, and s = floor((bitlen(n) - 1) / w) of them share one plaintext as
+sum_i v_i * 2^(i*w), so one encryption, fold and decryption serves s
+entries.  Adding two packed plaintexts adds slot by slot, as long as no
+slot sum reaches 2^w; choosing w so that it cannot is the caller's part.
+Big-integer arithmetic uses gmpy2 when available and falls back to the
+builtins otherwise.
 
 Two standard speed-ups keep the builtin fallback usable at 2048 bits:
 
@@ -18,6 +24,10 @@ Two standard speed-ups keep the builtin fallback usable at 2048 bits:
   (Damgard-Jurik-Nielsen, IJIS 2010), evaluated with a fixed-base
   windowing table cached per key.  Its hiding property rests on the DJN
   assumption that such h_s^x cannot be told apart from a uniform r^n.
+
+Key generation draws each prime with its top two bits set, so that n = pq
+always has exactly the requested length, and confirms it with the
+Miller-Rabin round count FIPS 186-4 gives for its size.
 
 Not hardened against side channels (big-integer operations are not constant
 time) and no zero-knowledge proofs are provided; the threat model is
@@ -31,7 +41,7 @@ import hashlib
 import math
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,14 +68,29 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 DEFAULT_KEY_BITS = 2048
 ALLOWED_KEY_BITS = (512, 1024, 2048, 3072)
-MILLER_RABIN_ROUNDS = 40
+# Miller-Rabin rounds per prime size in bits.  512-, 1024- and 1536-bit
+# primes take FIPS 186-4 Appendix C.3, Table C.3 (M-R tests only), which
+# bounds the chance that a random candidate accepted as prime is composite
+# by 2^-100.  FIPS has no row for the 256-bit primes of test-only 512-bit
+# keys; they take the 12 rounds of Menezes et al., HAC Table 4.4 (2^-80).
+MILLER_RABIN_ROUNDS = {256: 12, 512: 7, 1024: 4, 1536: 3}
 RANDOMIZER_WINDOW = 6
 RANDOMIZER_CACHE_SIZE = 8
 
-_SMALL_PRIMES = [p for p in range(3, 2000) if all(p % q for q in range(2, p))]
+
+def _odd_primes_below(limit: int) -> list[int]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[p]:
+            sieve[p * p :: 2 * p] = bytes(len(range(p * p, limit, 2 * p)))
+    return [p for p in range(3, limit, 2) if sieve[p]]
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+_SMALL_PRIMES = _odd_primes_below(2000)
+
+
+def _is_probable_prime(n: int, rng: random.Random, rounds: int) -> bool:
     """Trial division by small primes, then Miller-Rabin with random bases."""
     if n < 2 or n % 2 == 0:
         return False
@@ -94,9 +119,12 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_RO
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
+    """A random odd probable prime of ``bits`` bits whose top two bits are
+    set, so that the product of two of them has exactly 2 * ``bits`` bits."""
+    rounds = MILLER_RABIN_ROUNDS[bits]
     while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(candidate, rng):
+        candidate = rng.getrandbits(bits) | (0b11 << (bits - 2)) | 1
+        if _is_probable_prime(candidate, rng, rounds):
             return candidate
 
 
@@ -111,11 +139,6 @@ class PublicKey:
     @property
     def g(self) -> int:
         return self.n + 1
-
-    @property
-    def max_plaintext(self) -> int:
-        """Largest magnitude of a signed plaintext (n/2 threshold mapping)."""
-        return self.n // 2
 
     @classmethod
     def from_modulus(cls, n: int) -> "PublicKey":
@@ -275,15 +298,11 @@ def keygen(
         raise ValueError("512-bit keys are test-only; pass allow_test_key=True")
     if rng is None:
         rng = random.SystemRandom()
-    while True:
-        p = _random_prime(bits // 2, rng)
+    p = _random_prime(bits // 2, rng)
+    q = _random_prime(bits // 2, rng)
+    while q == p:
         q = _random_prime(bits // 2, rng)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() == bits:
-            break
-    pk = PublicKey.from_modulus(n)
+    pk = PublicKey.from_modulus(p * q)  # >= (1.5 * 2^(bits/2 - 1))^2 > 2^(bits - 1)
     g = pk.g
     return pk, PrivateKey(
         public_key=pk,
@@ -349,37 +368,65 @@ def mul_plain(pk: PublicKey, c: Ciphertext, s: int) -> Ciphertext:
     return Ciphertext(_powmod(c.value, s, pk.n_squared), pk)
 
 
-def encode_signed(pk: PublicKey, m: int) -> int:
-    """Map a signed integer into [0, n); magnitudes must stay below n/2."""
-    if abs(m) > pk.max_plaintext:
+def slot_count(pk: PublicKey, slot_bits: int) -> int:
+    """How many ``slot_bits``-bit slots fit below 2^(bitlen(n) - 1) < n."""
+    slots = (pk.n.bit_length() - 1) // slot_bits
+    if slots < 1:
         raise EncodingRangeError(
-            f"|{m}| exceeds the signed plaintext bound n/2 (~2^{pk.n.bit_length() - 1})"
+            f"a {pk.n.bit_length()}-bit modulus has no room for a {slot_bits}-bit slot"
         )
-    return m % pk.n
+    return slots
 
 
-def decode_signed(pk: PublicKey, v: int) -> int:
-    """Inverse of :func:`encode_signed`: values above n/2 are negative."""
-    if not 0 <= v < pk.n:
-        raise ValueError("value outside [0, n)")
-    return v - pk.n if v > pk.max_plaintext else v
+@dataclass(frozen=True)
+class EncryptedMatrix:
+    """A matrix of ``slot_bits``-bit entries under one key, packed in
+    row-major order: ciphertext j holds entries j*s .. j*s + s - 1, entry
+    j*s + i in bits [i*w, (i+1)*w) of its plaintext, for w = ``slot_bits``
+    and s = :func:`slot_count`.  Unused slots of the last plaintext are 0.
+    """
+
+    shape: tuple[int, int]
+    slot_bits: int
+    ciphers: tuple[Ciphertext, ...]
 
 
-def enc_matrix(pk: PublicKey, m, rng: random.Random | None = None) -> np.ndarray:
-    """Encrypt a matrix of signed integers element-wise, in row-major order,
-    into a 2-D object array of :class:`Ciphertext`."""
+def enc_matrix(
+    pk: PublicKey, m, slot_bits: int, rng: random.Random | None = None
+) -> EncryptedMatrix:
+    """Encrypt a matrix of integers in [0, 2^slot_bits), s entries to a
+    ciphertext."""
     m = np.atleast_2d(np.asarray(m, dtype=object))
-    cells = [encrypt(pk, encode_signed(pk, int(v)), rng) for v in m.flat]
-    return np.array(cells, dtype=object).reshape(m.shape)
+    if m.size == 0:
+        raise ValueError("cannot encrypt a matrix without entries")
+    if np.count_nonzero(m >> slot_bits):  # 0 exactly for ints in [0, 2^slot_bits)
+        raise EncodingRangeError(f"matrix entries must lie in [0, 2^{slot_bits})")
+    slots = slot_count(pk, slot_bits)
+    flat = [int(v) for v in m.flat]
+    plaintexts = (
+        sum(v << (i * slot_bits) for i, v in enumerate(flat[at : at + slots]))
+        for at in range(0, len(flat), slots)
+    )
+    return EncryptedMatrix(m.shape, slot_bits, tuple(encrypt(pk, v, rng) for v in plaintexts))
 
 
-def add_enc_matrix(pk: PublicKey, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise homomorphic sum of two encrypted matrices."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return np.frompyfunc(functools.partial(add_cipher, pk), 2, 1)(a, b)
+def add_enc_matrix(pk: PublicKey, a: EncryptedMatrix, b: EncryptedMatrix) -> EncryptedMatrix:
+    """Slot-wise homomorphic sum of two encrypted matrices."""
+    if (a.shape, a.slot_bits) != (b.shape, b.slot_bits):
+        raise ValueError(
+            f"layout mismatch: {a.shape} in {a.slot_bits}-bit slots vs "
+            f"{b.shape} in {b.slot_bits}-bit slots"
+        )
+    return replace(a, ciphers=tuple(map(functools.partial(add_cipher, pk), a.ciphers, b.ciphers)))
 
 
-def dec_matrix(sk: PrivateKey, c: np.ndarray) -> np.ndarray:
-    """Decrypt an encrypted matrix back to a 2-D object array of signed ints."""
-    return np.frompyfunc(lambda v: decode_signed(sk.public_key, decrypt(sk, v)), 1, 1)(c)
+def dec_matrix(sk: PrivateKey, c: EncryptedMatrix) -> np.ndarray:
+    """Decrypt and unpack an encrypted matrix into a 2-D object array of
+    slot values."""
+    w = c.slot_bits
+    mask = (1 << w) - 1
+    slots = range(slot_count(sk.public_key, w))
+    plaintexts = [decrypt(sk, cipher) for cipher in c.ciphers]
+    flat = [v >> (i * w) & mask for v in plaintexts for i in slots]
+    rows, cols = c.shape
+    return np.array(flat[: rows * cols], dtype=object).reshape(rows, cols)

@@ -32,15 +32,20 @@ back end's first phase:
     8    the server broadcasts the transfer matrix
     9    providers send reduced rows to the consumer
 
-    back end  s  masking                                  combiners
-    he        2  Paillier encryption of signed ring ints  provider p
-    ss        1  n-of-n shares of ring elements           every provider
+    back end  s  masking                                   combiners
+    he        2  Paillier encryption of offset ring ints,  provider p
+                 floor((bitlen(n) - 1) / w) of them in
+                 w-bit slots of each plaintext
+    ss        1  n-of-n shares of ring elements            every provider
 
 Both back ends encode into one fixed-point ring Z_{2^l}
-(``SessionConfig.fixed_point``): ``ss`` shares the ring elements, ``he``
-encrypts their signed reading round(x * 2^f) and reduces the decrypted sum
-mod 2^l.  Each provider's values must stay below 2^(l-f-1)/M, and both back
-ends open bit-identical sums.
+(``SessionConfig.fixed_point``): ``ss`` shares the ring elements.  ``he``
+packs their signed reading z = round(x * 2^f), offset by 2^(l-1), into
+slots of w = l + ceil(log2 M) + 1 bits, so that a slot of the folded sum
+holds sum(z) + M * 2^(l-1) < 2^w and no carry crosses into the next; the
+server subtracts M * 2^(l-1) from each slot and reduces mod 2^l.  Each
+provider's values must stay below 2^(l-f-1)/M, and both back ends open
+bit-identical sums.
 
 Sample counts travel in plaintext: both the mean (divide by n) and each
 local covariance term (scale by 1/(n-1)) need the global row count.  They
@@ -235,12 +240,18 @@ class PaillierSum(SecureSum):
         (MsgType.ENCRYPTED_COV, MsgType.ENCRYPTED_COV_AGGREGATE),
     )
 
-    def __init__(self, fixed_point: FixedPointConfig, pk=None, sk=None, rng=None):
-        self.fp, self.pk, self.sk, self.rng = fixed_point, pk, sk, rng
+    def __init__(
+        self, fixed_point: FixedPointConfig, parties: int, pk=None, sk=None, rng=None
+    ):
+        self.fp, self.parties, self.pk, self.sk, self.rng = fixed_point, parties, pk, sk, rng
+        self.offset = 1 << (fixed_point.l - 1)
+        # A slot carries the sum of M offset entries, each in [0, 2^l), so it
+        # stays below M * 2^l <= 2^(l + ceil(log2 M)); one more bit to spare.
+        self.slot_bits = fixed_point.l + (parties - 1).bit_length() + 1
 
     @classmethod
     def for_party(cls, cfg: SessionConfig, party: int) -> PaillierSum:
-        return cls(cfg.fixed_point, rng=_rng_for(cfg, f"encrypt/{party}"))
+        return cls(cfg.fixed_point, cfg.parties, rng=_rng_for(cfg, f"encrypt/{party}"))
 
     @staticmethod
     def combiners(cfg: SessionConfig) -> list[int]:
@@ -269,23 +280,25 @@ class PaillierSum(SecureSum):
         self.pk = decode_public_key(msg.payload)
 
     def mask(self, values, secret_id: str) -> list:
-        # The signed integers, not the ring elements: a sum of two's-complement
-        # values would carry one 2^l per negative term into the plaintext.
+        # The signed integers z offset by 2^(l-1), not the ring elements: a
+        # slot summing two's-complement values would carry one 2^l per
+        # negative term, and so count them.
         signed = matrix_signed(matrix_encode_fixed(values, self.fp), self.fp)
-        return [paillier.enc_matrix(self.pk, signed, self.rng)]
+        return [paillier.enc_matrix(self.pk, signed + self.offset, self.slot_bits, self.rng)]
 
     def combine(self, pieces: list):
         return functools.reduce(functools.partial(paillier.add_enc_matrix, self.pk), pieces)
 
     def open(self, pieces: list) -> np.ndarray:
-        ring = paillier.dec_matrix(self.sk, pieces[0]) % self.fp.modulus
+        slots = paillier.dec_matrix(self.sk, pieces[0])
+        ring = (slots - self.parties * self.offset) % self.fp.modulus
         return matrix_decode_fixed(ring, self.fp)
 
     def encode(self, piece) -> bytes:
         return encode_encrypted_matrix(piece)
 
     def decode(self, payload: bytes):
-        return decode_encrypted_matrix(payload, self.pk)
+        return decode_encrypted_matrix(payload, self.pk, self.slot_bits)
 
 
 class SharedSum(SecureSum):
@@ -771,7 +784,8 @@ def secure_sum_he(
     """The HE aggregation dataflow: encrypt each matrix, fold ciphertexts,
     decrypt the single aggregate."""
     fp = fixed_point if fixed_point is not None else FixedPointConfig()
-    return _sum_without_transport(PaillierSum(fp, pk, sk, rng), _terms(matrices))
+    arrays = _terms(matrices)
+    return _sum_without_transport(PaillierSum(fp, len(arrays), pk, sk, rng), arrays)
 
 
 def secure_sum_ss(

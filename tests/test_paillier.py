@@ -36,6 +36,36 @@ def test_keygen_key_length(test_keypair):
     assert pk.n_squared == pk.n * pk.n
 
 
+def test_small_primes_match_trial_division():
+    reference = [p for p in range(3, 2000) if all(p % q for q in range(2, p))]
+    assert paillier._SMALL_PRIMES == reference
+    assert len(paillier._SMALL_PRIMES) == 302 and paillier._SMALL_PRIMES[-1] == 1999
+
+
+def test_miller_rabin_rounds_cover_every_key_size():
+    # FIPS 186-4 Table C.3 (M-R tests only, 2^-100) for 512-, 1024- and
+    # 1536-bit primes; HAC Table 4.4 (2^-80) for the test-only 256-bit ones.
+    assert paillier.MILLER_RABIN_ROUNDS == {256: 12, 512: 7, 1024: 4, 1536: 3}
+    assert {bits // 2 for bits in paillier.ALLOWED_KEY_BITS} == paillier.MILLER_RABIN_ROUNDS.keys()
+
+
+@pytest.mark.parametrize("bits", [512, 1024, 2048])
+def test_keygen_sets_top_two_bits_and_keeps_the_first_pair(bits, monkeypatch):
+    drawn = []
+    draw = paillier._random_prime
+
+    def counted(prime_bits, rng):
+        drawn.append(draw(prime_bits, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(paillier, "_random_prime", counted)
+    pk, sk = paillier.keygen(bits, random.Random(bits), allow_test_key=True)
+    assert drawn == [sk.p, sk.q]
+    for prime in drawn:
+        assert prime.bit_length() == bits // 2 and prime >> (bits // 2 - 2) == 0b11
+    assert pk.n == sk.p * sk.q and pk.n.bit_length() == bits
+
+
 def test_keygen_deterministic_from_seed():
     a = paillier.keygen(512, random.Random(5), allow_test_key=True)
     b = paillier.keygen(512, random.Random(5), allow_test_key=True)
@@ -155,25 +185,29 @@ def test_mul_plain_equals_repeated_addition(test_keypair):
         )
 
 
-def test_signed_mapping(test_keypair):
-    pk, sk = test_keypair
-    rng = random.Random(12)
-    for m in (-1, 1, -(10**12), 10**12, 0):
-        c = paillier.encrypt(pk, paillier.encode_signed(pk, m), rng)
-        assert paillier.decode_signed(pk, paillier.decrypt(sk, c)) == m
-    with pytest.raises(EncodingRangeError):
-        paillier.encode_signed(pk, pk.n // 2 + 1)
-
-
 # --- encrypted matrices -----------------------------------------------------
+
+# The slot width of the default 128-bit ring at M = 2; a 512-bit key holds
+# three such slots per plaintext.
+W = 130
+
+
+def test_slot_count(test_keypair, test_keypair_1024):
+    assert paillier.slot_count(test_keypair[0], W) == 3
+    assert paillier.slot_count(test_keypair_1024[0], W) == 7
+    assert paillier.slot_count(test_keypair[0], 511) == 1
+    assert paillier.slot_count(paillier.PublicKey.from_modulus(15), 1) == 3
+    with pytest.raises(EncodingRangeError):
+        paillier.slot_count(test_keypair[0], 512)
 
 
 def test_enc_matrix_add_zero_round_trip(test_keypair):
     pk, sk = test_keypair
     rng = random.Random(13)
-    a = np.array([[5, -2**100], [3, 2**127 - 1]], dtype=object)
-    enc_a = paillier.enc_matrix(pk, a, rng)
-    enc_zero = paillier.enc_matrix(pk, np.zeros((2, 2), dtype=int), rng)
+    a = np.array([[5, 2**100], [3, 2**W - 1]], dtype=object)
+    enc_a = paillier.enc_matrix(pk, a, W, rng)
+    assert enc_a.shape == (2, 2) and len(enc_a.ciphers) == 2
+    enc_zero = paillier.enc_matrix(pk, np.zeros((2, 2), dtype=int), W, rng)
     back = paillier.dec_matrix(sk, paillier.add_enc_matrix(pk, enc_a, enc_zero))
     assert back.shape == (2, 2) and np.array_equal(back, a)
     assert all(type(v) is int for v in back.flat)
@@ -183,34 +217,48 @@ def test_enc_matrix_hand_sum(test_keypair):
     pk, sk = test_keypair
     rng = random.Random(14)
     a = [[1, 2], [3, 4]]
-    b = [[5, -6], [-7, 8]]
+    b = [[5, 6], [7, 8]]
     total = paillier.add_enc_matrix(
-        pk, paillier.enc_matrix(pk, a, rng), paillier.enc_matrix(pk, b, rng)
+        pk, paillier.enc_matrix(pk, a, W, rng), paillier.enc_matrix(pk, b, W, rng)
     )
-    assert all(isinstance(c, paillier.Ciphertext) for c in total.flat)
-    assert paillier.dec_matrix(sk, total).tolist() == [[6, -4], [-4, 12]]
+    assert all(isinstance(c, paillier.Ciphertext) for c in total.ciphers)
+    assert [paillier.decrypt(sk, c) for c in total.ciphers] == [
+        6 + (8 << W) + (10 << 2 * W),
+        12,  # the unused slots of the last plaintext stay 0
+    ]
+    assert paillier.dec_matrix(sk, total).tolist() == [[6, 8], [10, 12]]
 
 
 def test_enc_matrix_sum_of_four_matches_plaintext(test_keypair):
     pk, sk = test_keypair
     rng = random.Random(15)
     mats = [
-        np.array([[rng.randrange(-2**126, 2**126) for _ in range(11)] for _ in range(11)])
+        np.array([[rng.randrange(2**128) for _ in range(11)] for _ in range(11)], dtype=object)
         for _ in range(4)
     ]
-    agg = paillier.enc_matrix(pk, mats[0], rng)
+    agg = paillier.enc_matrix(pk, mats[0], W, rng)
     for m in mats[1:]:
-        agg = paillier.add_enc_matrix(pk, agg, paillier.enc_matrix(pk, m, rng))
+        agg = paillier.add_enc_matrix(pk, agg, paillier.enc_matrix(pk, m, W, rng))
+    assert len(agg.ciphers) == 41  # ceil(121 / 3)
     assert np.array_equal(paillier.dec_matrix(sk, agg), sum(mats))
 
 
 def test_enc_matrix_shape_mismatch(test_keypair):
     pk, _ = test_keypair
     rng = random.Random(16)
-    for other in ((2, 3), (1, 2)):  # including a shape numpy would broadcast
+    ones = paillier.enc_matrix(pk, np.ones((2, 2), dtype=int), W, rng)
+    for other, width in (((2, 3), W), ((1, 2), W), ((2, 2), W + 1)):
         with pytest.raises(ValueError):
             paillier.add_enc_matrix(
-                pk,
-                paillier.enc_matrix(pk, np.ones((2, 2), dtype=int), rng),
-                paillier.enc_matrix(pk, np.ones(other, dtype=int), rng),
+                pk, ones, paillier.enc_matrix(pk, np.ones(other, dtype=int), width, rng)
             )
+
+
+def test_enc_matrix_rejects_entries_outside_the_slot(test_keypair):
+    pk, _ = test_keypair
+    rng = random.Random(17)
+    for bad in (-1, 2**W):
+        with pytest.raises(EncodingRangeError):
+            paillier.enc_matrix(pk, [[0, bad]], W, rng)
+    with pytest.raises(ValueError):
+        paillier.enc_matrix(pk, np.zeros((1, 0), dtype=object), W, rng)

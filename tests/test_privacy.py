@@ -182,10 +182,12 @@ def test_step_order_detects_shuffled_transcript(ss_session):
 
 def test_he_plaintexts_do_not_reveal_sign_patterns(test_keypair):
     # The same totals from different signs, e.g. (-1, 2) and (1, 0).  Had the
-    # providers encrypted two's-complement ring elements, each negative term
-    # would add 2^l to what the server decrypts, counting the negative terms.
+    # providers packed two's-complement ring elements, each negative term
+    # would add 2^l to its slot of what the server decrypts, counting the
+    # negative terms.
     pk, sk = test_keypair
     fp = FixedPointConfig()
+    parties, w = 2, fp.l + 1 + 1  # w = l + ceil(log2 M) + 1
     patterns = (
         ([[-1.0, 2.0, -3.5]], [[2.0, -1.0, -0.5]]),
         ([[1.0, 0.0, -2.0]], [[0.0, 1.0, -2.0]]),
@@ -193,9 +195,11 @@ def test_he_plaintexts_do_not_reveal_sign_patterns(test_keypair):
     )
     decrypted = []
     for terms in patterns:
-        backend = PaillierSum(fp, pk, sk, random.Random(3))
+        backend = PaillierSum(fp, parties, pk, sk, random.Random(3))
         folded = backend.combine([backend.mask(t, f"t/{i}")[0] for i, t in enumerate(terms)])
-        decrypted.append([paillier.decrypt(sk, c) for c in folded.flat])
+        decrypted.append([paillier.decrypt(sk, c) for c in folded.ciphers])
         assert backend.open([folded]).tolist() == [[1.0, 1.0, -4.0]]
-    signed_sum = [fp.scale, fp.scale, pk.n - 4 * fp.scale]  # -4 * 2^f mod n
-    assert decrypted == [signed_sum] * len(patterns)
+    totals = [fp.scale, fp.scale, -4 * fp.scale]
+    offset = parties << (fp.l - 1)
+    packed = sum((total + offset) << (i * w) for i, total in enumerate(totals))
+    assert decrypted == [[packed]] * len(patterns)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -232,9 +233,12 @@ def test_covariance_round_carries_the_upper_triangle():
         if m.msg_type in (MsgType.ENCRYPTED_COV, MsgType.ENCRYPTED_COV_AGGREGATE)
     ]
     assert len(encrypted) == 3
+    w = FixedPointConfig().l + math.ceil(math.log2(3)) + 1
+    slots = (pk.n.bit_length() - 1) // w
     for m in encrypted:
-        rows = decode_encrypted_matrix(m.payload, pk)
-        assert (len(rows), len(rows[0])) == triangle
+        packed = decode_encrypted_matrix(m.payload, pk, w)
+        assert packed.shape == triangle
+        assert len(packed.ciphers) == math.ceil(triangle[1] / slots)
 
 
 # --- aborts ---------------------------------------------------------------------
@@ -343,6 +347,29 @@ def test_secure_sum_he_equals_secure_sum_ss_bit_for_bit(test_keypair, fp):
     he = secure_sum_he(mats, pk, sk, random.Random(4), fixed_point=fp)
     ss = secure_sum_ss(mats, fixed_point=fp, prg=CounterPRG(4))
     assert np.array_equal(he, ss)
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5, 9, 16])  # where ceil(log2 M) grows
+@pytest.mark.parametrize("shape", [(2, 2), (1, 11), (1, 66)], ids=["4", "11", "66"])
+def test_he_slots_at_the_range_edges_equal_ss_bit_for_bit(test_keypair, parties, shape):
+    # s = 3 slots per 512-bit plaintext, so no count fills its last one.
+    # Every entry just inside the session bound max_magnitude / M, and just
+    # inside the ring itself, where an offset slot sum nears M * 2^l: the
+    # largest a slot can carry.  Both back ends open the ring sum mod 2^l.
+    # A carry out of a slot adds 2^-f to the next entry, which only a zero
+    # there shows after rounding to binary64.
+    pk, sk = test_keypair
+    fp = FixedPointConfig()
+    size = shape[0] * shape[1]
+    alternating = np.resize([1.0, -1.0], size).reshape(shape)
+    gapped = np.resize([1.0, 0.0], size).reshape(shape)
+    for bound in (fp.max_magnitude / parties, fp.max_magnitude):
+        edge = math.nextafter(bound, 0.0)
+        for signs in (np.ones(shape), -np.ones(shape), alternating, gapped):
+            mats = [signs * edge] * parties
+            he = secure_sum_he(mats, pk, sk, random.Random(parties))
+            ss = secure_sum_ss(mats, prg=CounterPRG(parties))
+            assert np.array_equal(he, ss)
 
 
 def test_secure_sum_ss_identities():

@@ -96,12 +96,13 @@ def test_bad_magic_and_version():
 def test_ciphertext_matrix_round_trip(test_keypair):
     pk, _ = test_keypair
     rng = random.Random(1)
-    mat = paillier.enc_matrix(pk, [[1, -2, 3], [0, 2**127 - 1, -(2**127)]], rng)
+    w = 130  # three slots per 512-bit plaintext
+    mat = paillier.enc_matrix(pk, [[1, 2, 3], [0, 2**129, 2**w - 1]], w, rng)
     payload = encode_encrypted_matrix(mat)
-    assert len(payload) == 8 + 6 * ((pk.n_squared.bit_length() + 7) // 8)
-    back = decode_encrypted_matrix(payload, pk)
-    assert back.shape == (2, 3)
-    assert [c.value for c in back.flat] == [c.value for c in mat.flat]
+    assert len(payload) == 8 + 2 * ((pk.n_squared.bit_length() + 7) // 8)
+    back = decode_encrypted_matrix(payload, pk, w)
+    assert back.shape == (2, 3) and back.slot_bits == w
+    assert [c.value for c in back.ciphers] == [c.value for c in mat.ciphers]
 
 
 def test_ciphertext_matrix_round_trip_2048_bit_values():
@@ -117,30 +118,36 @@ def test_ciphertext_matrix_round_trip_2048_bit_values():
         while math.gcd(value, pk.n_squared) != 1:
             value = rng.randrange(1, pk.n_squared)
         values.append(value)
-    mat = np.array([paillier.Ciphertext(v, pk) for v in values], dtype=object).reshape(3, 3)
+    # 15 slots of 130 bits per plaintext: 9 x 15 entries fill 9 ciphertexts.
+    mat = paillier.EncryptedMatrix(
+        (9, 15), 130, tuple(paillier.Ciphertext(v, pk) for v in values)
+    )
     payload = encode_encrypted_matrix(mat)
     assert len(payload) == 8 + 9 * 512  # n^2 has 4095 or 4096 bits
-    back = decode_encrypted_matrix(payload, pk)
-    assert [c.value for c in back.flat] == values
+    back = decode_encrypted_matrix(payload, pk, 130)
+    assert back.shape == (9, 15)
+    assert [c.value for c in back.ciphers] == values
 
 
 def _cipher_payload(rows, cols, values, width) -> bytes:
-    """The encrypted-matrix wire format, one entry at a time."""
+    """The encrypted-matrix wire format, one ciphertext at a time."""
     return struct.pack(">II", rows, cols) + b"".join(v.to_bytes(width, "big") for v in values)
 
 
 def test_ciphertext_matrix_golden_bytes():
     pk = paillier.PublicKey.from_modulus(15)  # n^2 = 225 fits one byte
-    mat = np.array(
-        [[paillier.Ciphertext(v, pk) for v in row] for row in [[1, 2], [4, 224]]],
-        dtype=object,
+    # 1-bit slots: bitlen(15) - 1 = 3 of them per plaintext, so a 2x2
+    # matrix travels in two ciphertexts.
+    mat = paillier.EncryptedMatrix(
+        (2, 2), 1, (paillier.Ciphertext(1, pk), paillier.Ciphertext(224, pk))
     )
     payload = encode_encrypted_matrix(mat)
-    assert payload == bytes.fromhex("00000002" "00000002" "01" "02" "04" "e0")
-    assert payload == _cipher_payload(2, 2, [1, 2, 4, 224], 1)
-    assert [c.value for c in decode_encrypted_matrix(payload, pk).flat] == [1, 2, 4, 224]
+    assert payload == bytes.fromhex("00000002" "00000002" "01" "e0")
+    assert payload == _cipher_payload(2, 2, [1, 224], 1)
+    back = decode_encrypted_matrix(payload, pk, 1)
+    assert back.shape == (2, 2) and [c.value for c in back.ciphers] == [1, 224]
     wide = paillier.PublicKey.from_modulus(257)  # n^2 = 66049 takes 3 bytes
-    one = np.array([[paillier.Ciphertext(2, wide)]], dtype=object)
+    one = paillier.EncryptedMatrix((1, 1), 8, (paillier.Ciphertext(2, wide),))
     assert encode_encrypted_matrix(one) == bytes.fromhex("00000001" "00000001" "000002")
 
 
@@ -232,20 +239,24 @@ def test_malformed_share_matrix_raises_frame_format_error(payload):
 
 def test_malformed_key_and_ciphertext_raise_frame_format_error():
     pk = paillier.PublicKey.from_modulus(15)  # one byte per ciphertext
+    w = 1  # three slots per plaintext
 
-    assert decode_encrypted_matrix(_cipher_payload(1, 1, [2], 1), pk)[0, 0].value == 2
+    assert decode_encrypted_matrix(_cipher_payload(1, 1, [2], 1), pk, w).ciphers[0].value == 2
     for payload in (
         _cipher_payload(1, 1, [3], 1),  # not coprime to n^2
         _cipher_payload(1, 1, [226], 2),  # past n^2, and the wrong width
         _cipher_payload(1, 1, [225], 1),  # n^2 itself is outside [0, n^2)
-        _cipher_payload(1, 2, [2], 1),  # one entry short
-        _cipher_payload(1, 1, [2, 4], 1),  # one entry too many
+        _cipher_payload(1, 4, [2], 1),  # four entries need two ciphertexts
+        _cipher_payload(1, 3, [2, 4], 1),  # three entries need only one
+        _cipher_payload(2, 3, [2], 1),  # six entries need two
+        _cipher_payload(1, 2, [], 1),  # entries but no ciphertext
         _cipher_payload(0, 1, [], 1),  # no rows
         _cipher_payload(1, 0, [], 1),  # no columns
+        _cipher_payload(0, 3, [2], 1),  # no entries, one ciphertext
         b"\x00\x00\x00\x01",  # truncated header
     ):
         with pytest.raises(FrameFormatError):
-            decode_encrypted_matrix(payload, pk)
+            decode_encrypted_matrix(payload, pk, w)
     for n in (0, 1, 4):
         with pytest.raises(FrameFormatError):
             decode_public_key(messages._pack_bigint(n))
@@ -256,9 +267,9 @@ _FUZZ_PK = paillier.PublicKey.from_modulus(2**61 - 1)
 _DECODERS = {
     "public_key": (decode_public_key, encode_public_key(_FUZZ_PK)),
     "real_matrix": (decode_real_matrix, encode_real_matrix([[1.0, -2.0]])),
-    "encrypted_matrix": (
-        lambda p: decode_encrypted_matrix(p, _FUZZ_PK),
-        _cipher_payload(1, 2, [5, 7], 16),  # n^2 has 122 bits
+    "encrypted_matrix": (  # 20-bit slots, three per plaintext
+        lambda p: decode_encrypted_matrix(p, _FUZZ_PK, 20),
+        _cipher_payload(2, 2, [5, 7], 16),  # n^2 has 122 bits
     ),
     "share_matrix": (
         decode_share_matrix,
