@@ -1,7 +1,7 @@
 """Plain PCA with the library's own linear algebra.
 
 Builds a correlated 3-D cloud, eigendecomposes its covariance with the
-cyclic Jacobi solver, and checks the classic identity: the variance of each
+library's eigensolver (LAPACK ``eigh`` with a cyclic Jacobi polish), and checks the classic identity: the variance of each
 projected coordinate equals the matching eigenvalue.
 """
 

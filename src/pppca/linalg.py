@@ -1,13 +1,18 @@
 """Plaintext linear algebra underlying the private PCA pipeline.
 
-Column statistics, centering, Gram matrices, a deterministic cyclic-Jacobi
-eigensolver for symmetric matrices, projection, and the centralized PCA
-reference used to verify losslessness.
+Column statistics, centering, Gram matrices, a symmetric eigensolver,
+projection, and the centralized PCA reference used to verify losslessness.
 
-Column sums and Gram entries are accumulated with ``math.fsum`` so that the
-result is the correctly rounded true sum.  This makes ``centralized_pca``
-bit-for-bit invariant under row permutations of its input, which the rest of
-the package relies on when comparing differently partitioned runs.
+Column sums and Gram entries are the correctly rounded exact sums (``gram``
+names the one exception, at the edges of float64's range).  Each
+column is cut into integer-valued slices (Ozaki, Ogita, Oishi and Rump,
+"Error-free transformations of matrix multiplication by using fast routines
+of matrix multiplication", Numer. Algorithms 2012), so that every slice
+product is exact in float64 under any BLAS blocking or thread count, and the
+exact terms of each entry are combined with one ``math.fsum``.  This makes
+``centralized_pca`` bit-for-bit invariant under row permutations of its
+input, which the rest of the package relies on when comparing differently
+partitioned runs.
 """
 
 from __future__ import annotations
@@ -67,9 +72,30 @@ class EigenPairs:
 
 
 def column_sums(x) -> np.ndarray:
-    """Exact per-column sums (order independent)."""
+    """Exact per-column sums, correctly rounded (order independent).
+
+    Each column is cut into slices of 53 - ceil(log2 n) bits, whose integer
+    sums are exact; the slice sums of a column are combined with one
+    ``math.fsum``.  A column that needs more than ``_MAX_SLICES`` slices, or
+    whose sum might overflow, is summed with ``math.fsum`` directly, which is
+    also exact.
+    """
     a = check_matrix(x)
-    return np.array([math.fsum(a[:, t]) for t in range(a.shape[1])])
+    n, d = a.shape
+    log_n = (n - 1).bit_length()
+    width = 53 - log_n
+    hi, _, sliceable, count = _slice_plan(a, width)
+    fallback = ~sliceable | (hi + log_n > _MAX_EXP)
+    cols = np.flatnonzero(~fallback)
+    sums = np.zeros((count, cols.size))
+    for block in _row_blocks(a):
+        sums += _slices(block[:, cols], hi[cols], width, count).sum(axis=2)
+    units = hi[cols, None] - width * np.arange(1, count + 1, dtype=np.int32)
+    out = np.empty(d)
+    out[cols] = [math.fsum(t) for t in np.ldexp(sums.T, units).tolist()]
+    for t in np.flatnonzero(fallback):
+        out[t] = math.fsum(a[:, t])
+    return out
 
 
 def column_means(x) -> np.ndarray:
@@ -85,19 +111,114 @@ def center_columns(x, mean) -> np.ndarray:
 
 
 def gram(x) -> np.ndarray:
-    """The scatter matrix X^T X, exactly symmetric by construction.
+    """The scatter matrix X^T X, correctly rounded and exactly symmetric.
 
-    The upper triangle is accumulated with ``math.fsum`` and mirrored.
+    Each column is cut into integer-valued slices of
+    b = floor((53 - ceil(log2 n)) / 2) bits, aligned to the column's largest
+    exponent, with as many slices as it takes to reach the lowest set bit of
+    every entry.  Every partial sum of a slice product S_k^T S_q is then an
+    integer below 2^53, so BLAS computes it exactly, and the terms of each
+    entry are combined with one ``math.fsum``.  The slice count depends only
+    on the set of entries in a column, so the result is invariant under row
+    permutations.
+
+    A pair of columns where one needs more than ``_MAX_SLICES`` slices, or
+    whose terms could fall below float64's subnormal grid or overflow, is
+    accumulated as ``math.fsum`` of the rounded products instead: still
+    order independent, and exact whenever those products are floats.
     """
     a = check_matrix(x)
-    d = a.shape[1]
+    n, d = a.shape
+    log_n = (n - 1).bit_length()
+    width = (53 - log_n) // 2
+    hi, lowest, sliceable, count = _slice_plan(a, width)
+    cols = np.flatnonzero(sliceable)
+    pairs = [(k, q) for k in range(count) for q in range(k, count)]
+    acc = np.zeros((len(pairs), cols.size, cols.size))
+    for block in _row_blocks(a):
+        sliced = _slices(block[:, cols], hi[cols], width, count)
+        for p, (k, q) in enumerate(pairs):
+            acc[p] += sliced[k] @ sliced[q].T
+    # Entry (i, j) sums (S_k^T S_q)[i, j] * 2^(unit_ik + unit_jq) over all
+    # slice pairs; acc holds k <= q, and (S_q^T S_k)[i, j] = (S_k^T S_q)[j, i].
+    where = np.empty((count, count), dtype=np.intp)
+    for p, (k, q) in enumerate(pairs):
+        where[k, q], where[q, k] = p, len(pairs) + p
+    units = hi[cols, None] - width * np.arange(1, count + 1, dtype=np.int32)
     g = np.empty((d, d))
-    for s in range(d):
-        for t in range(s, d):
-            v = math.fsum(a[:, s] * a[:, t])
-            g[s, t] = v
-            g[t, s] = v
+    for i, col in enumerate(cols):
+        # Row by row, so that only one row's terms are ever Python floats.
+        products = np.concatenate([acc[:, i, i:], acc[:, i:, i]])[where]
+        with np.errstate(over="ignore", under="ignore"):
+            terms = np.ldexp(products, units[i, :, None, None] + units[i:].T)
+        g[col, cols[i:]] = g[cols[i:], col] = [
+            math.fsum(t)
+            for t in terms.reshape(count * count, cols.size - i).T.tolist()
+        ]
+    fallback = (
+        ~(sliceable[:, None] & sliceable)
+        | (lowest[:, None] + lowest < _MIN_EXP)
+        | (hi[:, None] + hi + log_n > _MAX_EXP)
+    )
+    for s, t in zip(*np.nonzero(np.triu(fallback))):
+        g[s, t] = g[t, s] = math.fsum(a[:, s] * a[:, t])
     return g
+
+
+# Exponents of the smallest subnormal float64 and of the largest power of two
+# below the largest finite one.
+_MIN_EXP = -1074
+_MAX_EXP = 1023
+# A column cut into more slices than this takes the fsum path instead.
+_MAX_SLICES = 8
+# Row blocks bound every temporary of the sliced products to about this many
+# entries per slice, whatever the input's shape.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _row_blocks(a: np.ndarray):
+    step = max(1, _BLOCK_ENTRIES // a.shape[1])
+    return (a[start : start + step] for start in range(0, a.shape[0], step))
+
+
+def _slice_plan(a: np.ndarray, width: int):
+    """How to cut the columns of ``a`` into ``width``-bit slices.
+
+    Returns ``(hi, lowest, sliceable, count)``: every entry of column t is
+    below 2^hi[t] in magnitude, its last slice has unit 2^lowest[t],
+    ``sliceable`` marks the columns that need at most ``_MAX_SLICES``
+    slices, and ``count`` is the most slices any of them needs.  An all-zero
+    column needs none.
+    """
+    d = a.shape[1]
+    hi = np.full(d, _MIN_EXP, dtype=np.int32)  # below every frexp exponent
+    lo = np.full(d, _MAX_EXP + 1, dtype=np.int32)  # above every set bit
+    for block in _row_blocks(a):
+        mantissas, exponents = np.frexp(block)
+        significands = np.abs(mantissas * 2.0**53).astype(np.int64)
+        nonzero = significands != 0
+        lowest_bit = np.frexp((significands & -significands).astype(float))[1] - 1
+        hi = np.maximum(hi, np.where(nonzero, exponents, hi).max(axis=0))
+        lo = np.minimum(lo, np.where(nonzero, exponents - 53 + lowest_bit, lo).min(axis=0))
+    zero = lo > hi
+    hi[zero] = lo[zero] = 0
+    counts = -((lo - hi) // width)
+    sliceable = counts <= _MAX_SLICES
+    return hi, hi - counts * width, sliceable, int(counts[sliceable].max(initial=0))
+
+
+def _slices(block: np.ndarray, hi: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The columns of ``block`` cut into ``count`` integer-valued slices each,
+    as rows: ``block[:, t] == sum_k out[k, t] * 2**(hi[t] - (k + 1) * width)``
+    exactly, with every |out| below 2^width."""
+    # Exact: a sliceable column spans at most _MAX_SLICES * width bits.
+    rest = np.ldexp(block.T, -hi[:, None], order="C")
+    out = np.empty((count,) + rest.shape)
+    for k in range(count):
+        rest *= 2.0**width
+        np.trunc(rest, out=out[k])
+        rest -= out[k]
+    return out
 
 
 def upper_triangle(a) -> np.ndarray:
@@ -134,11 +255,16 @@ def jacobi_eigh(
     tol: float = DEFAULT_EIGH_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> EigenPairs:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix: LAPACK ``eigh``, polished
+    by cyclic Jacobi rotations.
 
-    Sweeps run until the Frobenius norm of the off-diagonal part drops below
+    ``eigh`` gives an orthogonal V; cyclic sweeps then rotate V^T C V until
+    the Frobenius norm of its off-diagonal part drops below
     ``tol * ||C||_F``, which bounds the per-pair residual ||Cv - lambda v||
-    by the same amount.  Deterministic: no pivot search, fixed sweep order.
+    by the same amount.  ``eigh`` usually meets that bound alone, so the
+    polish runs no sweep.  Deterministic for a given machine: LAPACK and BLAS
+    kernels may differ between CPU models, and the sweeps use no pivot
+    search and a fixed order.
 
     Raises ``MatrixValidationError`` for non-symmetric input (relative
     asymmetry above 1e-9) and ``ConvergenceError`` if ``max_sweeps`` cyclic
@@ -157,9 +283,11 @@ def jacobi_eigh(
             f"C is not symmetric: max |C - C^T| = {asym:g} exceeds 1e-9 relative"
         )
     a = (a + a.T) / 2.0
-    v = np.eye(d)
     if d == 1:
-        return EigenPairs(values=a.diagonal().copy(), vectors=v)
+        return EigenPairs(values=a.diagonal().copy(), vectors=np.eye(1))
+    v = np.linalg.eigh(a)[1]
+    a = v.T @ a @ v
+    a = (a + a.T) / 2.0
 
     threshold = tol * norm
     for _ in range(max_sweeps):

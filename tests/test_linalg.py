@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pppca import linalg
 from pppca.errors import ConvergenceError, DimensionError, MatrixValidationError
@@ -29,6 +32,20 @@ def naive_gram(x):
             for j in range(rows):
                 g[s, t] += x[j, s] * x[j, t]
     return g
+
+
+def fraction_gram(x):
+    """X^T X summed exactly in rationals, then rounded once."""
+    exact = [[Fraction(v) for v in row] for row in np.asarray(x, dtype=float).tolist()]
+    d = len(exact[0])
+    return np.array(
+        [[float(sum(row[s] * row[t] for row in exact)) for t in range(d)] for s in range(d)]
+    )
+
+
+def fraction_column_sums(x):
+    exact = [[Fraction(v) for v in row] for row in np.asarray(x, dtype=float).tolist()]
+    return np.array([float(sum(col)) for col in zip(*exact)])
 
 
 def naive_matmul(a, b):
@@ -138,6 +155,87 @@ def test_gram_partition_decomposition():
     assert np.allclose(pooled, split, atol=1e-12 * max(1.0, np.abs(pooled).max()))
 
 
+def mixed_scale_columns(rng, rows):
+    scales = np.array([1e-3, 1.0, 7.5, 3e4, 1e8])
+    x = rng.normal(size=(rows, scales.size)) * scales
+    return x - x.mean(axis=0)
+
+
+def assert_exact(x):
+    assert np.array_equal(linalg.gram(x), fraction_gram(x))
+    assert np.array_equal(linalg.column_sums(x), fraction_column_sums(x))
+
+
+def test_gram_and_column_sums_are_exact_on_mixed_scales():
+    rng = np.random.default_rng(17)
+    x = mixed_scale_columns(rng, 300)
+    assert_exact(x)
+    x[:, 2] = 0.0
+    assert_exact(x)
+    assert_exact(x[:1])
+    assert_exact(-np.abs(x[:40]))
+
+
+def test_gram_and_column_sums_are_row_permutation_invariant_bitwise():
+    rng = np.random.default_rng(18)
+    x = mixed_scale_columns(rng, 300)
+    perm = rng.permutation(300)
+    assert np.array_equal(linalg.gram(x[perm]), linalg.gram(x))
+    assert np.array_equal(linalg.column_sums(x[perm]), linalg.column_sums(x))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    log_scales=st.lists(st.floats(-12.0, 12.0), min_size=5, max_size=5),
+)
+def test_gram_and_column_sums_are_exact_property(rows, cols, seed, log_scales):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, cols)) * 10.0 ** np.array(log_scales[:cols])
+    assert_exact(x)
+    perm = rng.permutation(rows)
+    assert np.array_equal(linalg.gram(x[perm]), linalg.gram(x))
+
+
+def test_gram_fallback_columns_are_exact():
+    # Column 0 spans about 1000 bits, far beyond the slice budget; column 1
+    # lies near the subnormal range, so its products with itself and with
+    # column 2 leave float64's normal range.  Both take the fsum path.  The
+    # entries have short significands, so every product is a float and the
+    # fsum path is exact too; rows 0-2 of columns 0 and 2 cancel, which a
+    # plain sum in row order would get wrong.  Column 3 pairs with column 2
+    # through slices.
+    x = np.array(
+        [
+            [3 * 2.0**500, 3 * 2.0**-1040, 1.25, 0.5],
+            [1.5, -(2.0**-1060), -3.5, 6.0],
+            [-3 * 2.0**500, 5 * 2.0**-1030, 1.25, -0.75],
+            [-5 * 2.0**-500, 0.0, 6.0, 2.0],
+            [7 * 2.0**-400, 2.0**-1050, 0.375, 1.0],
+            [0.25, -3 * 2.0**-1045, 2.0, -1.5],
+        ]
+    )
+    width = (53 - (x.shape[0] - 1).bit_length()) // 2
+    _, lowest, sliceable, _ = linalg._slice_plan(x, width)
+    assert list(sliceable) == [False, True, True, True]
+    assert lowest[1] + lowest[2] < -1074
+    assert_exact(x)
+    assert_exact(x[::-1])
+
+
+def test_gram_fallback_rounds_each_product_below_the_normal_range():
+    # Products of full significands near 2^-1040 lose bits to the subnormal
+    # grid; such a pair keeps the fsum of the rounded products.
+    rng = np.random.default_rng(1)
+    x = np.column_stack([rng.normal(size=50) * 2.0**-1040, rng.normal(size=50)])
+    g = linalg.gram(x)
+    assert g[0, 1] == g[1, 0] == math.fsum(x[:, 0] * x[:, 1])
+    assert g[0, 0] == math.fsum(x[:, 0] * x[:, 0])
+    assert g[1, 1] == fraction_gram(x)[1, 1]
+
+
 def test_upper_triangle_round_trip():
     g = linalg.gram(np.random.default_rng(5).normal(size=(9, 4)))
     triangle = linalg.upper_triangle(g)
@@ -206,11 +304,40 @@ def test_jacobi_rejects_non_square():
 
 
 def test_jacobi_non_convergence_reports_off_diagonal():
+    # The eigh start leaves an off-diagonal residue near 1e-16 ||C||_F, so a
+    # tolerance below it with no sweep allowed cannot be met.
     c = random_symmetric(np.random.default_rng(8), 6)
     with pytest.raises(ConvergenceError) as err:
-        linalg.jacobi_eigh(c, tol=1e-15, max_sweeps=1)
+        linalg.jacobi_eigh(c, tol=1e-17, max_sweeps=0)
     assert err.value.off_diagonal_norm is not None
     assert err.value.off_diagonal_norm > 0
+
+
+def identity_plus_low_rank(rng, d, rank):
+    u = rng.normal(size=(d, rank))
+    return np.eye(d) + u @ np.diag(np.arange(rank, 0, -1.0) * 5.0) @ u.T
+
+
+@pytest.mark.parametrize("d", [48, 128, 160])
+@pytest.mark.parametrize("kind", ["covariance", "identity_plus_low_rank"])
+def test_jacobi_at_protocol_sizes(d, kind):
+    rng = np.random.default_rng(300 + d)
+    if kind == "covariance":
+        x = rng.normal(size=(2 * d, d)) * np.geomspace(1.0, 1e-3, d)
+        c = linalg.covariance(x - x.mean(axis=0))
+    else:
+        c = identity_plus_low_rank(rng, d, 6)
+    pairs = linalg.jacobi_eigh(c)
+    fro = np.linalg.norm(c)
+    residuals = c @ pairs.vectors - pairs.vectors * pairs.values
+    assert np.max(np.linalg.norm(residuals, axis=0)) <= 1e-10 * fro
+    assert np.max(np.abs(pairs.vectors.T @ pairs.vectors - np.eye(d))) <= 1e-10
+    assert np.all(np.diff(pairs.values) <= 0)
+    if kind == "identity_plus_low_rank":
+        assert np.allclose(pairs.values[6:], 1.0, atol=1e-10 * fro)
+    transfer = linalg.top_k_transfer(pairs, 5)
+    pivots = np.argmax(np.abs(transfer), axis=0)
+    assert np.all(transfer[pivots, np.arange(5)] > 0)
 
 
 def test_jacobi_zero_matrix():
