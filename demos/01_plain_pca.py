@@ -1,8 +1,9 @@
 """Plain PCA with the library's own linear algebra.
 
 Builds a correlated 3-D cloud, eigendecomposes its covariance with the
-library's eigensolver (LAPACK ``eigh`` with a cyclic Jacobi polish), and checks the classic identity: the variance of each
-projected coordinate equals the matching eigenvalue.
+library's eigensolver (LAPACK ``eigh`` with a residual check), and checks
+the classic identity: the variance of each projected coordinate equals the
+matching eigenvalue.
 """
 
 import numpy as np

@@ -18,7 +18,7 @@ class MatrixValidationError(PPCAError, ValueError):
 
 
 class ConvergenceError(PPCAError, RuntimeError):
-    """An iterative solver did not reach its tolerance within the sweep budget."""
+    """An eigensolver did not reach its tolerance."""
 
     def __init__(self, message, off_diagonal_norm=None):
         super().__init__(message)

@@ -255,20 +255,19 @@ def jacobi_eigh(
     tol: float = DEFAULT_EIGH_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> EigenPairs:
-    """Eigendecomposition of a symmetric matrix: LAPACK ``eigh``, polished
-    by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``, checked.
 
-    ``eigh`` gives an orthogonal V; cyclic sweeps then rotate V^T C V until
-    the Frobenius norm of its off-diagonal part drops below
-    ``tol * ||C||_F``, which bounds the per-pair residual ||Cv - lambda v||
-    by the same amount.  ``eigh`` usually meets that bound alone, so the
-    polish runs no sweep.  Deterministic for a given machine: LAPACK and BLAS
-    kernels may differ between CPU models, and the sweeps use no pivot
-    search and a fixed order.
+    For the orthogonal V from ``eigh``, the eigenvalues are the diagonal of
+    V^T C V, and the Frobenius norm of its off-diagonal part must be at most
+    ``tol * ||C||_F``, which bounds the per-pair residual ||Cv - lambda v|| by
+    the same amount.  ``eigh`` leaves about 1e-16 ||C||_F there.
+    ``max_sweeps`` is kept for callers of the earlier cyclic Jacobi solver
+    and has no effect.  Deterministic for a given machine: LAPACK and BLAS
+    kernels may differ between CPU models.
 
     Raises ``MatrixValidationError`` for non-symmetric input (relative
-    asymmetry above 1e-9) and ``ConvergenceError`` if ``max_sweeps`` cyclic
-    sweeps do not reach the tolerance.
+    asymmetry above 1e-9) and ``ConvergenceError`` if the off-diagonal norm
+    is above the tolerance.
     """
     a = check_matrix(c, name="C")
     d = a.shape[0]
@@ -287,44 +286,13 @@ def jacobi_eigh(
         return EigenPairs(values=a.diagonal().copy(), vectors=np.eye(1))
     v = np.linalg.eigh(a)[1]
     a = v.T @ a @ v
-    a = (a + a.T) / 2.0
-
+    off = _off_diagonal_norm(a)
     threshold = tol * norm
-    for _ in range(max_sweeps):
-        if _off_diagonal_norm(a) <= threshold or norm == 0.0:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                cos = 1.0 / math.sqrt(t * t + 1.0)
-                sin = t * cos
-                rot_p = cos * a[:, p] - sin * a[:, q]
-                rot_q = sin * a[:, p] + cos * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = cos * a[p, :] - sin * a[q, :]
-                rot_q = sin * a[p, :] + cos * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                # Rotations leave tiny residue off the (p, q) entry; pin the
-                # symmetric pair to zero so the matrix stays exactly symmetric.
-                a[p, q] = a[q, p] = 0.0
-                rot_p = cos * v[:, p] - sin * v[:, q]
-                rot_q = sin * v[:, p] + cos * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        off = _off_diagonal_norm(a)
-        if off > threshold:
-            raise ConvergenceError(
-                f"Jacobi sweep budget of {max_sweeps} exhausted; "
-                f"off-diagonal norm {off:g} above threshold {threshold:g}",
-                off_diagonal_norm=off,
-            )
-
+    if off > threshold:
+        raise ConvergenceError(
+            f"eigh left off-diagonal norm {off:g} above threshold {threshold:g}",
+            off_diagonal_norm=off,
+        )
     values = a.diagonal().copy()
     order = np.argsort(-values, kind="stable")
     return EigenPairs(values=values[order], vectors=v[:, order])

@@ -304,11 +304,11 @@ def test_jacobi_rejects_non_square():
 
 
 def test_jacobi_non_convergence_reports_off_diagonal():
-    # The eigh start leaves an off-diagonal residue near 1e-16 ||C||_F, so a
-    # tolerance below it with no sweep allowed cannot be met.
+    # eigh leaves an off-diagonal residue near 1e-16 ||C||_F, so a tolerance
+    # below it cannot be met.
     c = random_symmetric(np.random.default_rng(8), 6)
     with pytest.raises(ConvergenceError) as err:
-        linalg.jacobi_eigh(c, tol=1e-17, max_sweeps=0)
+        linalg.jacobi_eigh(c, tol=1e-17)
     assert err.value.off_diagonal_norm is not None
     assert err.value.off_diagonal_norm > 0
 
