@@ -225,6 +225,12 @@ def _cmd_simulate(args) -> int:
     print(f"k           : {cfg.k}")
     print(f"eigenvalues : {np.array2string(result.eigenvalues, precision=4)}")
     print(f"total time  : {result.timings['total']:.2f}s")
+    server_times = ", ".join(
+        f"{name.removeprefix('server.')} {seconds:.2f}s"
+        for name, seconds in result.timings.items()
+        if name.startswith("server.")
+    )
+    print(f"server time : {server_times}")
     print("messages    : " + json.dumps(message_counts_by_type(result.transcript)))
     print(f"privacy     : {'ok' if not violations else violations}")
     if args.show_transcript:

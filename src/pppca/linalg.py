@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, MatrixValidationError
 
 DEFAULT_EIGH_TOL = 1e-12
-DEFAULT_MAX_SWEEPS = 100
 
 
 def check_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -250,20 +249,15 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a[mask] ** 2)))
 
 
-def jacobi_eigh(
-    c,
-    tol: float = DEFAULT_EIGH_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> EigenPairs:
+def jacobi_eigh(c, tol: float = DEFAULT_EIGH_TOL) -> EigenPairs:
     """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``, checked.
 
     For the orthogonal V from ``eigh``, the eigenvalues are the diagonal of
     V^T C V, and the Frobenius norm of its off-diagonal part must be at most
     ``tol * ||C||_F``, which bounds the per-pair residual ||Cv - lambda v|| by
     the same amount.  ``eigh`` leaves about 1e-16 ||C||_F there.
-    ``max_sweeps`` is kept for callers of the earlier cyclic Jacobi solver
-    and has no effect.  Deterministic for a given machine: LAPACK and BLAS
-    kernels may differ between CPU models.
+    Deterministic for a given machine: LAPACK and BLAS kernels may differ
+    between CPU models.
 
     Raises ``MatrixValidationError`` for non-symmetric input (relative
     asymmetry above 1e-9) and ``ConvergenceError`` if the off-diagonal norm

@@ -27,7 +27,12 @@ Two standard speed-ups keep the builtin fallback usable at 2048 bits:
 
 Key generation draws each prime with its top two bits set, so that n = pq
 always has exactly the requested length, and confirms it with the
-Miller-Rabin round count FIPS 186-4 gives for its size.
+Miller-Rabin round count FIPS 186-4 gives for its size.  Before those
+rounds, two filters that no prime can fail discard most composites cheaply:
+a gcd with the product of the primes below 2^16 and a base-2 Fermat test.
+A rejected candidate still draws the random witness its first Miller-Rabin
+round would have drawn, so a seeded generator yields the same keys as with
+Miller-Rabin alone.  hp and hq take their closed forms for g = n + 1.
 
 Not hardened against side channels (big-integer operations are not constant
 time) and no zero-knowledge proofs are provided; the threat model is
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import random
 import threading
@@ -74,24 +80,44 @@ ALLOWED_KEY_BITS = (512, 1024, 2048, 3072)
 # by 2^-100.  FIPS has no row for the 256-bit primes of test-only 512-bit
 # keys; they take the 12 rounds of Menezes et al., HAC Table 4.4 (2^-80).
 MILLER_RABIN_ROUNDS = {256: 12, 512: 7, 1024: 4, 1536: 3}
+# Candidates are trial-divided by the odd primes below the first bound, then
+# tested by one gcd against the product of the odd primes up to the second.
+TRIAL_DIVISION_BOUND = 2000
+GCD_FILTER_BOUND = 1 << 16
 RANDOMIZER_WINDOW = 6
 RANDOMIZER_CACHE_SIZE = 8
 
 
-def _odd_primes_below(limit: int) -> list[int]:
-    """Sieve of Eratosthenes."""
-    sieve = bytearray([1]) * limit
-    for p in range(3, math.isqrt(limit) + 1, 2):
+def _odd_primes(start: int, stop: int):
+    """The odd primes in [start, stop), start >= 3, lazily, by a sieve of
+    Eratosthenes."""
+    sieve = bytearray([1]) * stop
+    for p in range(3, math.isqrt(stop) + 1, 2):
         if sieve[p]:
-            sieve[p * p :: 2 * p] = bytes(len(range(p * p, limit, 2 * p)))
-    return [p for p in range(3, limit, 2) if sieve[p]]
+            sieve[p * p :: 2 * p] = bytes(len(range(p * p, stop, 2 * p)))
+    return (p for p in range(start | 1, stop, 2) if sieve[p])
 
 
-_SMALL_PRIMES = _odd_primes_below(2000)
+_SMALL_PRIMES = list(_odd_primes(3, TRIAL_DIVISION_BOUND))
+
+
+@functools.cache
+def _gcd_filter_product() -> int:
+    """The product of the odd primes in (TRIAL_DIVISION_BOUND,
+    GCD_FILTER_BOUND), by a balanced product tree; built on first use."""
+    primes = _odd_primes(TRIAL_DIVISION_BOUND, GCD_FILTER_BOUND)
+    # Leaves of 64 primes: a list of every prime would hold some 6500 ints
+    # at once, and raise the session's peak memory by as much.
+    factors = list(iter(lambda: math.prod(itertools.islice(primes, 64)), 1))
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 def _is_probable_prime(n: int, rng: random.Random, rounds: int) -> bool:
-    """Trial division by small primes, then Miller-Rabin with random bases."""
+    """Trial division by small primes, a gcd with the product of the primes
+    below GCD_FILTER_BOUND, a base-2 Fermat test, then Miller-Rabin with
+    random bases."""
     if n < 2 or n % 2 == 0:
         return False
     for p in _SMALL_PRIMES:
@@ -99,6 +125,18 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int) -> bool:
             return True
         if n % p == 0:
             return False
+    # Neither filter can reject a prime: above the bound, a common factor
+    # with the product is a proper factor of n, and every odd prime passes
+    # Fermat's test.  A candidate they reject still draws the witness that
+    # the first Miller-Rabin round would have drawn.  That round would have
+    # returned False on it, unless the witness were a strong liar, which a
+    # random composite of key size effectively never has.  So the draws, and
+    # with them the keys of a seeded generator, match Miller-Rabin alone.
+    if (
+        n > GCD_FILTER_BOUND and math.gcd(_gcd_filter_product() % n, n) != 1
+    ) or _powmod(2, n - 1, n) != 1:
+        rng.randrange(2, n - 1)
+        return False
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -150,7 +188,9 @@ class PrivateKey:
     """Holds the factors of n and the constants for CRT decryption.
 
     ``hp`` and ``hq`` are the inverses of L_p(g^(p-1) mod p^2) mod p and
-    L_q(g^(q-1) mod q^2) mod q; ``q_inv`` is q^-1 mod p.
+    L_q(g^(q-1) mod q^2) mod q; ``q_inv`` is q^-1 mod p.  For g = n + 1,
+    g^(p-1) = 1 + (p-1)n mod p^2, so L_p(...) = -q mod p and hp = -q^-1 mod p;
+    likewise hq = -p^-1 mod q.
     """
 
     public_key: PublicKey
@@ -303,14 +343,9 @@ def keygen(
     while q == p:
         q = _random_prime(bits // 2, rng)
     pk = PublicKey.from_modulus(p * q)  # >= (1.5 * 2^(bits/2 - 1))^2 > 2^(bits - 1)
-    g = pk.g
+    q_inv = pow(q, -1, p)
     return pk, PrivateKey(
-        public_key=pk,
-        p=p,
-        q=q,
-        hp=pow(_l_function(_powmod(g, p - 1, p * p), p), -1, p),
-        hq=pow(_l_function(_powmod(g, q - 1, q * q), q), -1, q),
-        q_inv=pow(q, -1, p),
+        public_key=pk, p=p, q=q, hp=-q_inv % p, hq=-pow(p, -1, q) % q, q_inv=q_inv
     )
 
 

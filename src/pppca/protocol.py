@@ -264,6 +264,12 @@ class PaillierSum(SecureSum):
                 f"aggregator must be a provider index in [1, {cfg.parties - 1}], "
                 f"got {cfg.aggregator}"
             )
+        if cfg.key_bits not in paillier.ALLOWED_KEY_BITS:
+            raise ConfigError(
+                f"key_bits must be one of {paillier.ALLOWED_KEY_BITS}, got {cfg.key_bits}"
+            )
+        if cfg.key_bits == 512 and not cfg.allow_test_key:
+            raise ConfigError("512-bit keys are test-only; set allow_test_key")
 
     def setup_server(self, role: ServerRole, ep):
         cfg = role.cfg
@@ -278,6 +284,13 @@ class PaillierSum(SecureSum):
     def setup_provider(self, role: ProviderRole, ep):
         msg = role._recv(ep, SERVER, MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY)
         self.pk = decode_public_key(msg.payload)
+        bits = self.pk.n.bit_length()
+        if bits != role.cfg.key_bits:
+            raise ProtocolAbort(
+                PHASE_PUBLIC_KEY,
+                f"party {role.party}: server sent a {bits}-bit modulus, "
+                f"configured for {role.cfg.key_bits}-bit keys",
+            )
 
     def mask(self, values, secret_id: str) -> list:
         # The signed integers z offset by 2^(l-1), not the ring elements: a

@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import threading
 
@@ -44,6 +45,19 @@ def test_simulate_smoke(wine_csv, tmp_path, capsys):
     assert "privacy     : ok" in stdout
     reduced = load_csv(out)
     assert reduced.features.shape == (120, 4)
+
+
+def test_simulate_he_prints_server_times(wine_csv, capsys):
+    argv = [
+        "simulate", "--method", "he", "--k", "3", "--input", wine_csv,
+        "--label", "quality", "--delimiter", ";", "--seed", "4", "--key-bits", "512",
+    ]
+    assert main(argv) == EXIT_USAGE  # 512-bit keys need --allow-test-key
+    assert "512-bit keys are test-only" in capsys.readouterr().err
+    assert main(argv + ["--allow-test-key"]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert re.search(r"^server time : keygen \d+\.\d\ds, eigendecomposition \d+\.\d\ds$", stdout, re.M)
+    assert "privacy     : ok" in stdout
 
 
 def test_simulate_transcript_listing(wine_csv, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -70,6 +71,84 @@ def test_keygen_deterministic_from_seed():
     a = paillier.keygen(512, random.Random(5), allow_test_key=True)
     b = paillier.keygen(512, random.Random(5), allow_test_key=True)
     assert a[0].n == b[0].n
+
+
+def test_is_probable_prime_matches_a_sieve_below_2_17():
+    # Covers the primes in (TRIAL_DIVISION_BOUND, GCD_FILTER_BOUND], which
+    # divide the gcd filter's product and must not be called composite.
+    limit = 1 << 17
+    assert paillier.GCD_FILTER_BOUND < limit
+    is_prime = np.ones(limit, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    rng = random.Random(17)
+    wrong = [
+        n for n in range(1, limit, 2)
+        if paillier._is_probable_prime(n, rng, rounds=4) != is_prime[n]
+    ]
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        341, 561, 1105, 2047, 1373653, 3215031751,  # base-2 pseudoprimes, Carmichael numbers
+        65851 * 131701 * 197551,  # Carmichael, every factor above GCD_FILTER_BOUND
+    ],
+)
+def test_is_probable_prime_rejects_pseudoprimes(n):
+    assert pow(2, n - 1, n) == 1
+    assert not paillier._is_probable_prime(n, random.Random(n), rounds=12)
+
+
+def test_gcd_filter_product_holds_the_primes_between_the_bounds():
+    product = paillier._gcd_filter_product()
+    between = range(paillier.TRIAL_DIVISION_BOUND + 1, paillier.GCD_FILTER_BOUND, 2)
+    primes = [p for p in between if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+    assert product == math.prod(primes)
+    assert product.bit_length() == 91228
+
+
+def test_seeded_keys_are_pinned(test_keypair, test_keypair_1024):
+    # The composite filters must not change which candidates are drawn, so
+    # seeded keys, and the transcripts built on them, stay as they were.  A
+    # skipped witness draw shifts the stream by one candidate-sized word,
+    # which changes the key only if that word, read as a candidate, is
+    # prime: of the seeds below, only session seed 1 and Random(5) catch it.
+    from pppca.protocol import _derived_seed
+
+    for session_seed, fingerprint in ((0, "dacc5c77ac2e3951"), (1, "1b0ed6fec52a624c")):
+        pk, _ = paillier.keygen(2048, random.Random(_derived_seed(session_seed, "keygen")))
+        assert pk.fingerprint == fingerprint
+    pk, _ = paillier.keygen(512, random.Random(5), allow_test_key=True)
+    assert pk.fingerprint == "396acbe6ead0d279"
+    assert test_keypair[0].fingerprint == "6ee8f670b3a7358a"
+    assert test_keypair_1024[0].fingerprint == "b757cd7628e54044"
+
+
+def test_keygen_spends_random_bases_only_on_primes(monkeypatch):
+    calls = []
+    powmod = paillier._powmod
+
+    def counted(base, exp, mod):
+        calls.append((base, exp))
+        return powmod(base, exp, mod)
+
+    monkeypatch.setattr(paillier, "_powmod", counted)
+    paillier.keygen(1024, random.Random(0xBEEF))
+    # Exponent 2 is a Miller-Rabin squaring step, base 2 the Fermat filter.
+    random_bases = [call for call in calls if 2 not in call]
+    assert len(random_bases) == 2 * paillier.MILLER_RABIN_ROUNDS[512]
+
+
+def test_closed_form_hp_hq_match_the_l_function(test_keypair, test_keypair_1024):
+    for _, sk in (test_keypair, test_keypair_1024):
+        p, q, g = sk.p, sk.q, sk.public_key.g
+        assert sk.hp == pow(paillier._l_function(pow(g, p - 1, p * p), p), -1, p)
+        assert sk.hq == pow(paillier._l_function(pow(g, q - 1, q * q), q), -1, q)
+        assert sk.q_inv == pow(q, -1, p)
 
 
 def test_encrypt_is_probabilistic(test_keypair):

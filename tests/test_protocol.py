@@ -1,6 +1,8 @@
 import math
 import random
+import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +17,12 @@ from pppca.messages import (
     decode_share_matrix,
 )
 from pppca.protocol import (
+    PHASE_PUBLIC_KEY,
     PHASE_REDUCED,
     PHASE_SHARE_COV,
+    ConsumerRole,
     ProviderRole,
+    ServerRole,
     SessionConfig,
     run_he,
     run_session,
@@ -26,6 +31,7 @@ from pppca.protocol import (
     secure_sum_ss,
 )
 from pppca.sharing import CounterPRG
+from pppca.transport import SimulatedNetwork
 
 HAND_DATA = np.array(
     [
@@ -93,6 +99,53 @@ def test_he_aggregator_choice():
         he_cfg(parties=3, aggregator=3)  # p must be at most M - 1
     with pytest.raises(ConfigError):
         he_cfg(parties=3, aggregator=0)
+
+
+def test_he_config_checks_the_key_size():
+    with pytest.raises(ConfigError):
+        replace(he_cfg(), key_bits=768)
+    with pytest.raises(ConfigError):
+        SessionConfig(method="he", parties=2, k=1, key_bits=512)  # test-only size
+
+
+@pytest.mark.parametrize("server_bits, provider_bits", [(512, 1024), (1024, 512)])
+def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
+    # Role mode gives each process its own config; here two of them meet on
+    # the simulated network.
+    server_cfg = replace(he_cfg(timeout=1.0), key_bits=server_bits)
+    provider_cfg = replace(server_cfg, key_bits=provider_bits)
+    network = SimulatedNetwork(timeout=server_cfg.timeout)
+    blocks = split(HAND_DATA, 2)
+    roles = [
+        ServerRole(server_cfg),
+        *(ProviderRole(i, x, provider_cfg) for i, x in zip(provider_cfg.providers, blocks)),
+        ConsumerRole(provider_cfg),
+    ]
+    endpoints = {role.party: network.endpoint(role.party) for role in roles}
+    errors = {}
+
+    def drive(role):
+        try:
+            role.run(endpoints[role.party])
+        except Exception as exc:  # noqa: BLE001 - collected for the assertions
+            errors[role.party] = exc
+            network.abort(f"party {role.party} failed")
+
+    threads = [threading.Thread(target=drive, args=(role,)) for role in roles]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    # The first provider to see the key aborts; the rest may see the closed bus.
+    aborts = {j: e for j, e in errors.items() if isinstance(e, ProtocolAbort)}
+    assert set(aborts) & set(provider_cfg.providers)
+    for j, e in aborts.items():
+        assert e.step == PHASE_PUBLIC_KEY
+        assert (
+            f"party {j}: server sent a {server_bits}-bit modulus, "
+            f"configured for {provider_bits}-bit keys" in str(e)
+        )
 
 
 # --- run_ss ---------------------------------------------------------------------
