@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from pppca import paillier
+from pppca import paillier, ring
 from pppca.encoding import (
     FixedPointConfig,
     matrix_decode_fixed,
@@ -46,7 +46,9 @@ print(f"3 * encrypt({u}) decrypts to {paillier.decrypt(sk, tripled)}")
 # z = round(x * 2^f), offset by 2^(l-1) into [0, 2^l), and packed into slots
 # of w = l + ceil(log2 M) + 1 bits, so that the sum of M offset entries never
 # carries into the next slot.  The server subtracts M * 2^(l-1) from each
-# decrypted slot, reduces into the ring Z_2^l and decodes.
+# decrypted slot, reduces into the ring Z_2^l and decodes.  The ring
+# elements are [hi, lo] uint64 limbs; Paillier needs Python ints, so the
+# conversion happens at each end (matrix_signed, ring.from_ints).
 cfg = FixedPointConfig()
 parties = 2
 offset = 1 << (cfg.l - 1)
@@ -63,7 +65,7 @@ def encrypt_reals(x):
 
 enc_sum = paillier.add_enc_matrix(pk, encrypt_reals(a), encrypt_reals(b))
 slots = paillier.dec_matrix(sk, enc_sum)
-decrypted = matrix_decode_fixed((slots - parties * offset) % cfg.modulus, cfg)
+decrypted = matrix_decode_fixed(ring.from_ints((slots - parties * offset) % cfg.modulus), cfg)
 print(
     f"\na 3x3 matrix in {w}-bit slots, {paillier.slot_count(pk, w)} to a plaintext: "
     f"{len(enc_sum.ciphers)} ciphertext for its {a.size} entries"

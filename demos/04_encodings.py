@@ -11,6 +11,7 @@ operation the protocol ever performs remotely.
 
 import numpy as np
 
+from pppca import ring
 from pppca.encoding import (
     FixedPointConfig,
     decode_fixed,
@@ -41,15 +42,23 @@ for c in (narrow, cfg):
     err = abs(decode_fixed(encode_fixed(x, c), c) - x)
     print(f"  l={c.l:>3}, f={c.f:>2}: {x} round-trips with error {err:.1e}")
 
-# Whole matrices encode in one call; the signed reading, offset by 2^(l-1),
-# is what Paillier encrypts.  Encrypting the ring elements themselves would
-# add 2^l to a decrypted slot for every negative term, so the server could
-# count them.
+# Whole matrices encode in one call, into a ring matrix: a uint64 array of
+# shape (rows, cols, 2) holding each element as its limbs [hi, lo], so that
+# ring arithmetic is wrapping machine arithmetic with a carry between limbs.
 m = np.array([[-1.0, 2.0], [0.5, -0.25]])
-ring = matrix_encode_fixed(m, cfg)
-signed = matrix_signed(ring, cfg)
+z = matrix_encode_fixed(m, cfg)
 print(f"\nmatrix {m.tolist()}")
-print(f"  ring elements:  {ring.tolist()}")
+print(f"  limbs {z.shape} {z.dtype}: {z.tolist()}")
+print(f"  as ring elements: {ring.to_ints(z).tolist()}")
+n = np.array([[0.25, -2.0], [1.0, 1.0]])
+total = ring.add(z, matrix_encode_fixed(n, cfg), l=cfg.l)
+assert np.array_equal(matrix_decode_fixed(total, cfg), m + n)
+print(f"  plus the encoding of {n.tolist()} decodes to {matrix_decode_fixed(total, cfg).tolist()}")
+
+# The signed reading, offset by 2^(l-1), is what Paillier encrypts.
+# Encrypting the ring elements themselves would add 2^l to a decrypted slot
+# for every negative term, so the server could count them.
+signed = matrix_signed(z, cfg)
 print(f"  signed reading: {signed.tolist()}")
-assert np.array_equal(matrix_decode_fixed(signed % cfg.modulus, cfg), m)
+assert np.array_equal(matrix_decode_fixed(ring.from_ints(signed % cfg.modulus), cfg), m)
 print("  signed reading mod 2^l decodes back to the matrix")

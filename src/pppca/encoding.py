@@ -2,10 +2,12 @@
 
 Both secure-sum back ends carry reals as fixed point over the ring
 Z_{2^l} (two's complement), computed on whole arrays: ring elements are
-Python ints in 2-D object arrays, so one code path serves every width up to
-128 bits, and the rounding is exact binary64 arithmetic.  Secret sharing
-shares the ring elements; homomorphic encryption encrypts their signed
-reading round(x * 2^f) and reduces the decrypted sum back into the ring.
+ring matrices of two uint64 limbs each (:mod:`pppca.ring`), so one code
+path serves every width up to 128 bits, and both the rounding into the
+ring and the rounding back out are exact binary64 arithmetic.  Secret
+sharing shares the ring elements; homomorphic encryption encrypts their
+signed reading round(x * 2^f), as Python ints, and converts the reduced
+decrypted sum back into limbs.
 
 Both protocols only ever ADD encoded values, so the encoding needs no
 truncation step; every multiplication in the pipeline is local plaintext.
@@ -22,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ring
 from .errors import EncodingRangeError
 
 # |x| < 2^63, and every binary64 value of magnitude at least 2^-12 encodes
@@ -68,11 +71,13 @@ class FixedPointConfig:
 def matrix_encode_fixed(x, cfg: FixedPointConfig) -> np.ndarray:
     """Map a real matrix to Z_{2^l}: round(x * 2^f) in two's complement.
 
-    Returns a 2-D object array of Python ints.  Scaling by 2^f is exact in
-    binary64, and so is y - trunc(y), so rounding halves away from zero is
-    exact too.  Overflow is detected eagerly: a non-finite value, or one at
-    or past the representable bound, raises ``EncodingRangeError`` naming
-    the first bad (r, c) rather than wrapping silently.
+    Returns a ring matrix of [hi, lo] limbs (see :mod:`pppca.ring`).
+    Scaling by 2^f is exact in binary64, and so is y - trunc(y), so rounding
+    halves away from zero is exact too; so is the split of |round(x * 2^f)|
+    into limbs, since its low 64 bits are a multiple of its ulp.  Overflow is
+    detected eagerly: a non-finite value, or one at or past the
+    representable bound, raises ``EncodingRangeError`` naming the first bad
+    (r, c) rather than wrapping silently.
     """
     a = np.atleast_2d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -86,35 +91,51 @@ def matrix_encode_fixed(x, cfg: FixedPointConfig) -> np.ndarray:
             f"fixed-point encode failed at ({r}, {c}): {float(a[r, c])!r} is not finite, "
             f"or not below 2^{cfg.l - cfg.f - 1} once rounded to the signed {cfg.l}-bit range"
         )
-    return np.frompyfunc(int, 1, 1)(rounded) % cfg.modulus  # exact Python ints
+    magnitude = np.abs(rounded)
+    hi = np.floor(magnitude * 2.0**-64)
+    z = np.stack([hi, magnitude - hi * 2.0**64], axis=-1).astype(np.uint64)
+    negative = rounded < 0
+    if negative.any():
+        z = np.where(negative[..., None], ring.sub(np.zeros_like(z), z, l=cfg.l), z)
+    return z
 
 
 def matrix_decode_fixed(z, cfg: FixedPointConfig) -> np.ndarray:
-    """Inverse of :func:`matrix_encode_fixed`; z >= 2^(l-1) is negative."""
-    z = np.atleast_2d(np.asarray(z, dtype=object))
-    if np.count_nonzero(z >> cfg.l):  # 0 exactly for ints in [0, 2^l)
-        r, c = np.argwhere(z >> cfg.l)[0]
-        raise ValueError(
-            f"fixed-point decode failed at ({r}, {c}): ring element {z[r, c]} "
-            f"outside [0, 2^{cfg.l})"
-        )
-    # Python's int / int rounds once, correctly.
-    return (matrix_signed(z, cfg) / cfg.scale).astype(float)
+    """Inverse of :func:`matrix_encode_fixed`; z >= 2^(l-1) is negative.
+
+    Each value is z / 2^f correctly rounded, as Python's ``int / int``
+    gives it.  The magnitude m is shifted right by s bits, so that it fits
+    one 64-bit word with at least 63 significant bits, and a sticky bit
+    records whether anything fell off: rounding that word to binary64 then
+    rounds m / 2^s, and scaling by 2^(s - f) is exact.  (numpy shifts a
+    uint64 by 64 to 0, which the cases s = 0 and s = 64 rely on.)
+    """
+    z = ring.checked(z, cfg.l, "fixed-point decode failed: ring element")
+    negative = (z[..., 0] if cfg.l > 64 else z[..., 1]) >> np.uint64((cfg.l - 1) % 64) == 1
+    m = np.where(negative[..., None], ring.sub(np.zeros_like(z), z, l=cfg.l), z)
+    hi, lo = m[..., 0], m[..., 1]
+    # s is bitlen(hi) or one more: float(hi) may round up to a power of two.
+    s = np.minimum(np.frexp(hi.astype(np.float64))[1], 64).astype(np.uint64)
+    top = (hi << (64 - s)) | (lo >> s) | ((lo << (64 - s)) != 0)
+    value = np.ldexp(top.astype(np.float64), s.astype(np.int64) - cfg.f)
+    return np.where(negative, -value, value)
 
 
 def matrix_signed(z, cfg: FixedPointConfig) -> np.ndarray:
-    """Two's-complement reading of ring elements: z >= 2^(l-1) is negative."""
+    """Two's-complement reading of a ring matrix as Python ints: z >= 2^(l-1)
+    is negative."""
+    z = ring.to_ints(ring.checked(z, cfg.l, "ring element"))
     return np.where(z >= 1 << (cfg.l - 1), z - cfg.modulus, z)
 
 
 def encode_fixed(x: float, cfg: FixedPointConfig) -> int:
     """One real through :func:`matrix_encode_fixed`."""
-    return int(matrix_encode_fixed([[x]], cfg)[0, 0])
+    return int(ring.to_ints(matrix_encode_fixed([[x]], cfg))[0, 0])
 
 
 def decode_fixed(z: int, cfg: FixedPointConfig) -> float:
     """One ring element through :func:`matrix_decode_fixed`."""
-    return float(matrix_decode_fixed([[z]], cfg)[0, 0])
+    return float(matrix_decode_fixed(ring.from_ints([[z]]), cfg)[0, 0])
 
 
 @dataclass(frozen=True)

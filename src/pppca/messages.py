@@ -13,7 +13,9 @@ Wire format (all integers big-endian):
 
 Matrix payloads carry rows (4 bytes) and cols (4 bytes) followed by entries
 in row-major order: real entries as IEEE-754 binary64, ring entries as
-16-byte unsigned values (covering ring widths up to 128 bits).  Encrypted
+16-byte unsigned values (covering ring widths up to 128 bits), which are
+the [hi, lo] limbs of a ring matrix (:mod:`pppca.ring`) in big-endian
+order, so each codec is one numpy conversion.  Encrypted
 matrices carry the same header, the matrix's shape, followed by the
 ceil(rows * cols / s) ciphertexts its entries pack into, s to a plaintext
 (see :mod:`pppca.paillier`), each as a fixed-width unsigned value of
@@ -42,7 +44,6 @@ VERSION = 1
 MAX_PAYLOAD = 256 * 1024 * 1024
 _HEADER = struct.Struct(">4sBBHHII")
 RING_ELEMENT_BYTES = 16
-_LOW_LIMB = (1 << 64) - 1
 
 
 class MsgType(enum.IntEnum):
@@ -269,14 +270,12 @@ def decode_encrypted_matrix(payload: bytes, pk: PublicKey, slot_bits: int) -> En
 def encode_share_matrix(m: ShareMatrix) -> bytes:
     sid = m.secret_id.encode()
     rows, cols = m.shape
-    # Each 16-byte element as two big-endian 64-bit limbs, high limb first.
-    limbs = np.stack([m.values >> 64, m.values & _LOW_LIMB], axis=-1)
     parts = [
         struct.pack(">HH", m.owner, m.l),
         struct.pack(">H", len(sid)),
         sid,
         struct.pack(">II", rows, cols),
-        limbs.astype(">u8").tobytes(),
+        m.values.astype(">u8").tobytes(),  # [hi, lo] per element
     ]
     return b"".join(parts)
 
@@ -294,8 +293,7 @@ def decode_share_matrix(payload: bytes) -> ShareMatrix:
         raise FrameFormatError(
             f"share matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
         )
-    limbs = np.frombuffer(payload, ">u8", offset=r.pos).astype(object)
-    values = ((limbs[0::2] << 64) | limbs[1::2]).reshape(rows, cols)
+    values = np.frombuffer(payload, ">u8", offset=r.pos).reshape(rows, cols, 2)
     try:
         return ShareMatrix(values, owner, raw_sid.decode(), l)
     except ValueError as exc:  # a value outside [0, 2^l), or a bad secret id

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg, paillier
+from . import linalg, paillier, ring
 from .encoding import (
     FixedPointConfig,
     matrix_decode_fixed,
@@ -304,8 +304,8 @@ class PaillierSum(SecureSum):
 
     def open(self, pieces: list) -> np.ndarray:
         slots = paillier.dec_matrix(self.sk, pieces[0])
-        ring = (slots - self.parties * self.offset) % self.fp.modulus
-        return matrix_decode_fixed(ring, self.fp)
+        sums = (slots - self.parties * self.offset) % self.fp.modulus
+        return matrix_decode_fixed(ring.from_ints(sums), self.fp)
 
     def encode(self, piece) -> bytes:
         return encode_encrypted_matrix(piece)
@@ -332,15 +332,14 @@ class SharedSum(SecureSum):
         return cfg.providers
 
     def mask(self, values, secret_id: str) -> list:
-        ring = matrix_encode_fixed(values, self.fp)
-        return share_matrix(ring, self.parties, self.fp.l, self.prg, secret_id=secret_id)
+        encoded = matrix_encode_fixed(values, self.fp)
+        return share_matrix(encoded, self.parties, self.fp.l, self.prg, secret_id=secret_id)
 
     def combine(self, pieces: list):
         return add_local_matrix(pieces)
 
     def open(self, pieces: list) -> np.ndarray:
-        ring = reconstruct_matrix(pieces, party_count=self.parties)
-        return matrix_decode_fixed(ring, self.fp)
+        return matrix_decode_fixed(reconstruct_matrix(pieces, party_count=self.parties), self.fp)
 
     def encode(self, piece) -> bytes:
         return encode_share_matrix(piece)

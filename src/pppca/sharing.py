@@ -6,9 +6,10 @@ share is required for reconstruction; any proper subset is uniformly
 distributed and carries no information about the secret.
 
 Matrix secrets are shared entry-wise with whole-array arithmetic: a party's
-share is a :class:`ShareMatrix` whose values are one read-only 2-D object
-array of Python ints, so ``% 2^l`` wraps every width up to 128 bits alike.
-The scalar functions are the 1x1 case of the matrix ones.
+share is a :class:`ShareMatrix` whose values are one read-only ring matrix
+of [hi, lo] uint64 limbs (see :mod:`pppca.ring`), so every width up to 128
+bits takes the same wrapping limb arithmetic.  The scalar functions are the
+1x1 case of the matrix ones and take and return Python ints.
 
 Shares are tagged with a ``secret_id`` so that shares of unrelated secrets
 cannot be mixed in one reconstruction by accident, and with the owning
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ring
 from .errors import (
     DimensionError,
     IncompleteSharesError,
@@ -56,35 +58,41 @@ class CounterPRG:
         return _secrets.token_bytes(32)
 
     def randbits_array(self, bits: int, count: int) -> np.ndarray:
-        """``count`` successive uniform integers in [0, 2^bits), in order.
+        """``count`` successive uniform integers in [0, 2^bits), bits <= 128,
+        as a (count, 2) array of [hi, lo] limbs.
 
         Each draw takes the next ceil(bits/8) bytes of the stream, big-endian,
-        and keeps the top ``bits``; the result is a 1-D object array of ints.
+        and keeps the top ``bits``.
         """
-        if bits <= 0:
-            raise ValueError("bits must be positive")
+        if not 0 < bits <= 128:
+            raise ValueError("bits must lie in [1, 128]")
         nbytes = (bits + 7) // 8
         need = count * nbytes
         blocks = -(-(need - len(self._buffer)) // 32)
-        self._buffer += b"".join(
-            hashlib.sha256(self._seed + (self._counter + i).to_bytes(16, "big")).digest()
-            for i in range(blocks)
-        )
-        self._counter += max(blocks, 0)
+        if blocks > 0:
+            keyed = hashlib.sha256(self._seed)
+            digests = []
+            for i in range(self._counter, self._counter + blocks):
+                block = keyed.copy()
+                block.update(i.to_bytes(16, "big"))
+                digests.append(block.digest())
+            self._buffer += b"".join(digests)
+            self._counter += blocks
         chunk, self._buffer = self._buffer[:need], self._buffer[need:]
-        # Left-pad each draw to whole 64-bit words, then join the words.
-        width = -(-nbytes // 8) * 8
-        raw = np.zeros((count, width), np.uint8)
-        raw[:, width - nbytes :] = np.frombuffer(chunk, np.uint8).reshape(count, nbytes)
-        words = raw.view(">u8").astype(object)
-        values = words[:, 0]
-        for k in range(1, width // 8):
-            values = (values << 64) | words[:, k]
-        return values >> (nbytes * 8 - bits)
+        # Left-pad each draw to 16 bytes: two big-endian limbs.
+        raw = np.zeros((count, 16), np.uint8)
+        raw[:, 16 - nbytes :] = np.frombuffer(chunk, np.uint8).reshape(count, nbytes)
+        values = raw.view(">u8").astype(np.uint64)
+        shift = nbytes * 8 - bits
+        if shift:
+            values[:, 1] >>= np.uint64(shift)
+            values[:, 1] |= values[:, 0] << np.uint64(64 - shift)
+            values[:, 0] >>= np.uint64(shift)
+        return values
 
     def randbits(self, bits: int) -> int:
         """A uniform integer in [0, 2^bits)."""
-        return int(self.randbits_array(bits, 1)[0])
+        return int(ring.to_ints(self.randbits_array(bits, 1))[0])
 
     def derive(self, label: str | int) -> "CounterPRG":
         """An independent stream bound to this seed and ``label``."""
@@ -98,8 +106,8 @@ class CounterPRG:
 class ShareMatrix:
     """One party's share of every entry of a matrix-valued secret.
 
-    ``values`` is stored as a read-only 2-D object array of ints in
-    [0, 2^l); any 2-D array-like of ints is accepted.
+    ``values`` is a ring matrix of elements in [0, 2^l); the share stores
+    its own read-only copy.
     """
 
     values: np.ndarray
@@ -108,18 +116,22 @@ class ShareMatrix:
     l: int
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=object)
-        if values.ndim != 2 or 0 in values.shape:
-            raise DimensionError(f"share matrix must be 2-D and at least 1x1, got {values.shape}")
-        if np.count_nonzero(values >> self.l):  # 0 exactly for ints in [0, 2^l)
-            r, c = np.argwhere(values >> self.l)[0]
-            raise ValueError(f"share value at ({r}, {c}) outside [0, 2^{self.l})")
+        values = np.array(ring.checked(self.values, self.l, "share value"), np.uint64)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _wrap(cls, values: np.ndarray, owner: int, secret_id: str, l: int):
+        """A share holding ``values``, a ring matrix already reduced mod 2^l
+        that nothing else writes to: made read-only, not copied and checked."""
+        values.flags.writeable = False
+        m = object.__new__(cls)
+        m.__dict__.update(values=values, owner=owner, secret_id=secret_id, l=l)
+        return m
+
     @property
     def shape(self) -> tuple[int, int]:
-        return self.values.shape
+        return self.values.shape[:2]
 
     def __eq__(self, other):
         if not isinstance(other, ShareMatrix):
@@ -135,7 +147,7 @@ def share_matrix(
     prg: CounterPRG,
     secret_id: str | None = None,
 ) -> list[ShareMatrix]:
-    """Entry-wise sharing of a matrix of ring elements.
+    """Entry-wise sharing of a ring matrix.
 
     The PRG stream is consumed in row-major entry order, parties - 1 draws
     per entry; the last party's share is the balancing term.
@@ -144,14 +156,12 @@ def share_matrix(
         raise ValueError(f"need at least 2 parties, got {parties}")
     if secret_id is None:
         secret_id = _secrets.token_hex(8)
-    ring = np.atleast_2d(np.asarray(ring_matrix, dtype=object))
-    if np.count_nonzero(ring >> l):
-        r, c = np.argwhere(ring >> l)[0]
-        raise ValueError(f"entry at ({r}, {c}) outside [0, 2^{l})")
-    drawn = prg.randbits_array(l, ring.size * (parties - 1)).reshape(*ring.shape, parties - 1)
-    values = [drawn[..., i] for i in range(parties - 1)]
-    values.append((ring - drawn.sum(axis=-1)) % (1 << l))
-    return [ShareMatrix(v, i, secret_id, l) for i, v in enumerate(values)]
+    secret = ring.checked(ring_matrix, l, "entry")
+    rows, cols, _ = secret.shape
+    drawn = prg.randbits_array(l, rows * cols * (parties - 1)).reshape(rows, cols, parties - 1, 2)
+    values = [drawn[:, :, i] for i in range(parties - 1)]
+    values.append(ring.sub(secret, *values, l=l))
+    return [ShareMatrix._wrap(v, i, secret_id, l) for i, v in enumerate(values)]
 
 
 def _check(mats: list[ShareMatrix], local: bool, party_count: int | None = None):
@@ -189,7 +199,7 @@ def reconstruct_matrix(
     from a smaller sharing).
     """
     _check(mats, local=False, party_count=party_count)
-    return sum(m.values for m in mats) % (1 << mats[0].l)
+    return ring.add(*(m.values for m in mats), l=mats[0].l)
 
 
 def add_local_matrix(mats: list[ShareMatrix]) -> ShareMatrix:
@@ -200,9 +210,9 @@ def add_local_matrix(mats: list[ShareMatrix]) -> ShareMatrix:
     """
     _check(mats, local=True)
     first = mats[0]
-    values = sum(m.values for m in mats) % (1 << first.l)
+    values = ring.add(*(m.values for m in mats), l=first.l)
     derived = "sum(" + "+".join(m.secret_id for m in mats) + ")"
-    return ShareMatrix(values, first.owner, derived, first.l)
+    return ShareMatrix._wrap(values, first.owner, derived, first.l)
 
 
 # --- scalars: the 1x1 case ----------------------------------------------------
@@ -212,11 +222,16 @@ class Share(ShareMatrix):
     """One party's additive share of an l-bit secret: a 1x1 share matrix."""
 
     def __init__(self, value: int, owner: int, secret_id: str, l: int):
-        super().__init__([[value]], owner, secret_id, l)
+        super().__init__(ring.from_ints([[value]]), owner, secret_id, l)
 
     @property
     def value(self) -> int:
-        return self.values[0, 0]
+        return _element(self.values)
+
+
+def _element(values: np.ndarray) -> int:
+    hi, lo = values[0, 0].tolist()
+    return hi << 64 | lo
 
 
 def _check_width(width: int, l: int | None):
@@ -236,8 +251,8 @@ def share(
     Shares are owned by parties 0 .. parties-1; the first parties-1 values
     come from ``prg`` and the last is the balancing term.
     """
-    mats = share_matrix([[s]], parties, l, prg, secret_id)
-    return [Share(m.values[0, 0], m.owner, m.secret_id, l) for m in mats]
+    mats = share_matrix(ring.from_ints([[s]]), parties, l, prg, secret_id)
+    return [Share._wrap(m.values, m.owner, m.secret_id, l) for m in mats]
 
 
 def reconstruct(
@@ -246,7 +261,7 @@ def reconstruct(
     """Sum all shares mod 2^l; see :func:`reconstruct_matrix`."""
     if shares:
         _check_width(shares[0].l, l)
-    return reconstruct_matrix(shares, party_count)[0, 0]
+    return _element(reconstruct_matrix(shares, party_count))
 
 
 def add_local(shares: list[Share], l: int | None = None) -> Share:
@@ -254,4 +269,4 @@ def add_local(shares: list[Share], l: int | None = None) -> Share:
     :func:`add_local_matrix`."""
     total = add_local_matrix(shares)
     _check_width(total.l, l)
-    return Share(total.values[0, 0], total.owner, total.secret_id, total.l)
+    return Share._wrap(total.values, total.owner, total.secret_id, total.l)

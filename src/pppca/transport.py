@@ -36,11 +36,22 @@ class _Closed:
         self.reason = reason
 
 
+class _SenderClosed:
+    """Queued after the last frame of a sender whose channel has ended."""
+
+    def __init__(self, sender: int, reason: str):
+        self.sender = sender
+        self.reason = reason
+
+
 class _BufferedReceiver:
     """Per-sender buffering over a single inbox queue.
 
     ``recv(sender)`` returns the next message from that sender in arrival
     order, parking messages from other senders until they are asked for.
+    A sender whose channel has ended raises ``TransportClosed`` from
+    ``recv(sender)`` once its buffered messages are used up; other senders
+    are unaffected.
     """
 
     def __init__(self, party: int, transcript: Transcript, timeout: float):
@@ -77,26 +88,19 @@ class _BufferedReceiver:
         if self._closed is not None:
             raise TransportClosed(self._closed.reason)
         deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
-        if sender is None:
-            for buffered in self._buffers.values():
-                if buffered:
-                    msg = buffered.pop(0)
-                    self.transcript.append(msg)
-                    return msg
-            msg = self._next_from_inbox(deadline)
-            self.transcript.append(msg)
-            return msg
         while True:
-            buffered = self._buffers.get(sender)
-            if buffered:
+            for source, buffered in self._buffers.items():
+                if not buffered or sender not in (None, source):
+                    continue
+                if isinstance(buffered[0], _SenderClosed):
+                    if sender is None:
+                        continue
+                    raise TransportClosed(buffered[0].reason)
                 msg = buffered.pop(0)
                 self.transcript.append(msg)
                 return msg
-            msg = self._next_from_inbox(deadline)
-            if msg.sender == sender:
-                self.transcript.append(msg)
-                return msg
-            self._buffers.setdefault(msg.sender, []).append(msg)
+            item = self._next_from_inbox(deadline)
+            self._buffers.setdefault(item.sender, []).append(item)
 
 
 class SimEndpoint(_BufferedReceiver):
@@ -212,11 +216,12 @@ class TcpEndpoint(_BufferedReceiver):
         return b"".join(chunks)
 
     def _read_loop(self, conn: socket.socket):
+        sender = None  # each connection carries one sender's frames
         with conn:
             while not self._shutdown:
                 header = self._read_exact(conn, header_size())
                 if header is None:
-                    return
+                    break
                 try:
                     _, _, _, _, length = parse_header(header)
                     payload = self._read_exact(conn, length)
@@ -226,7 +231,12 @@ class TcpEndpoint(_BufferedReceiver):
                 except FrameFormatError as exc:
                     self._push(_Closed(f"malformed frame: {exc}"))
                     return
+                sender = msg.sender
                 self._push(msg)
+        if sender is not None and not self._shutdown:
+            self._push(
+                _SenderClosed(sender, f"party {sender} closed its channel to party {self.party}")
+            )
 
     def _channel(self, receiver: int) -> socket.socket:
         with self._out_lock:

@@ -13,6 +13,7 @@ from pppca.encoding import (
     encode_float,
 )
 from pppca.errors import EncodingRangeError
+from pppca.ring import to_ints
 
 CFG = FixedPointConfig(l=64, f=24)
 
@@ -100,10 +101,10 @@ def test_fixed_config_validation():
 def test_default_ring_and_signed_reading():
     cfg = FixedPointConfig()
     assert (cfg.l, cfg.f, cfg.max_magnitude) == (128, 64, 2.0**63)
-    ring = encoding.matrix_encode_fixed([[-1.0, 0.5, -(2.0**-64), 0.0]], cfg)
-    signed = encoding.matrix_signed(ring, cfg)
+    z = encoding.matrix_encode_fixed([[-1.0, 0.5, -(2.0**-64), 0.0]], cfg)
+    signed = encoding.matrix_signed(z, cfg)
     assert signed.tolist() == [[-(2**64), 2**63, -1, 0]]
-    assert np.array_equal(signed % cfg.modulus, ring)
+    assert np.array_equal(signed % cfg.modulus, to_ints(z))
 
 
 def test_decode_fixed_rejects_out_of_ring():
@@ -226,9 +227,8 @@ def test_matrix_encode_matches_fraction_reference(l, f):
                 encoding.matrix_encode_fixed([[x]], cfg)
     assert len(encodable) > 150
     got = encoding.matrix_encode_fixed(np.array([x for x, _ in encodable]).reshape(1, -1), cfg)
-    assert got.shape == (1, len(encodable))
-    assert got.ravel().tolist() == [z for _, z in encodable]
-    assert all(type(z) is int for z in got.ravel())
+    assert got.shape == (1, len(encodable), 2) and got.dtype == np.uint64
+    assert to_ints(got).ravel().tolist() == [z for _, z in encodable]
 
 
 def test_matrix_errors_carry_location():

@@ -13,6 +13,7 @@ from pppca.errors import (
     ShareOwnershipError,
 )
 from pppca.messages import decode_share_matrix, encode_share_matrix
+from pppca.ring import from_ints, to_ints
 from pppca.sharing import (
     CounterPRG,
     ShareMatrix,
@@ -164,14 +165,14 @@ def test_prg_determinism_and_derivation():
 
 def test_share_matrix_round_trip_small():
     ring = [[1, 2], [3, 4]]
-    mats = share_matrix(ring, 3, 16, CounterPRG(14))
-    assert np.array_equal(reconstruct_matrix(mats, party_count=3), ring)
+    mats = share_matrix(from_ints(ring), 3, 16, CounterPRG(14))
+    assert np.array_equal(to_ints(reconstruct_matrix(mats, party_count=3)), ring)
 
 
 def test_share_matrix_zero():
     ring = [[0, 0], [0, 0]]
-    mats = share_matrix(ring, 2, 8, CounterPRG(15))
-    assert np.array_equal(reconstruct_matrix(mats), ring)
+    mats = share_matrix(from_ints(ring), 2, 8, CounterPRG(15))
+    assert np.array_equal(to_ints(reconstruct_matrix(mats)), ring)
 
 
 def test_share_matrix_aggregation_matches_plaintext_through_encoding():
@@ -194,15 +195,15 @@ def test_share_matrix_aggregation_matches_plaintext_through_encoding():
 
 
 def test_share_matrix_shape_mismatch_detected():
-    a = share_matrix([[1, 2]], 2, 8, CounterPRG(17), "a")
-    b = share_matrix([[1], [2]], 2, 8, CounterPRG(18), "a")
+    a = share_matrix(from_ints([[1, 2]]), 2, 8, CounterPRG(17), "a")
+    b = share_matrix(from_ints([[1], [2]]), 2, 8, CounterPRG(18), "a")
     with pytest.raises(Exception, match="shape"):
         reconstruct_matrix([a[0], b[1]])
 
 
 def test_share_matrix_range_error_location():
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        share_matrix([[1, 300]], 2, 8, CounterPRG(19))
+        share_matrix(from_ints([[1, 300]]), 2, 8, CounterPRG(19))
 
 
 def _reference_draws(seed: int, bits: int, count: int) -> list[int]:
@@ -223,14 +224,15 @@ def _reference_draws(seed: int, bits: int, count: int) -> list[int]:
 def test_share_matrix_consumes_the_stream_in_row_major_entry_order(l):
     ring = [[1, 2, 3], [4, 5, (1 << l) - 1]]
     parties = 3
-    assert CounterPRG(21).randbits_array(l, 40).tolist() == _reference_draws(21, l, 40)
-    mats = share_matrix(ring, parties, l, CounterPRG(21), "s")
+    assert to_ints(CounterPRG(21).randbits_array(l, 40)).tolist() == _reference_draws(21, l, 40)
+    mats = share_matrix(from_ints(ring), parties, l, CounterPRG(21), "s")
+    values = [to_ints(m.values) for m in mats]
     prg = CounterPRG(21)
     for r in range(2):
         for c in range(3):
             drawn = [prg.randbits(l) for _ in range(parties - 1)]
-            assert [m.values[r, c] for m in mats[:-1]] == drawn
-            assert mats[-1].values[r, c] == (ring[r][c] - sum(drawn)) % (1 << l)
+            assert [v[r, c] for v in values[:-1]] == drawn
+            assert values[-1][r, c] == (ring[r][c] - sum(drawn)) % (1 << l)
 
 
 def test_l128_share_codec_local_sum_reconstruct_round_trip():
@@ -241,25 +243,26 @@ def test_l128_share_codec_local_sum_reconstruct_round_trip():
     ]
     terms[0][0][0] = (1 << l) - 1
     prg = CounterPRG(22)
-    bundles = [share_matrix(t, parties, l, prg, f"t{i}") for i, t in enumerate(terms)]
+    bundles = [share_matrix(from_ints(t), parties, l, prg, f"t{i}") for i, t in enumerate(terms)]
     received = [[decode_share_matrix(encode_share_matrix(m)) for m in b] for b in bundles]
     assert received == bundles
     sums = [add_local_matrix([b[owner] for b in received]) for owner in range(parties)]
     opened = [decode_share_matrix(encode_share_matrix(m)) for m in sums]
-    got = reconstruct_matrix(opened, party_count=parties)
+    got = to_ints(reconstruct_matrix(opened, party_count=parties))
     want = (np.array(terms[0], dtype=object) + np.array(terms[1], dtype=object)) % (1 << l)
     assert got.tolist() == want.tolist()
 
 
 def test_share_matrix_values_are_one_read_only_array():
-    m = share_matrix([[1, 2], [3, 4]], 2, 16, CounterPRG(23))[0]
-    assert isinstance(m.values, np.ndarray) and m.values.shape == (2, 2)
-    assert m.values.dtype == object and not m.values.flags.writeable
+    m = share_matrix(from_ints([[1, 2], [3, 4]]), 2, 16, CounterPRG(23))[0]
+    assert isinstance(m.values, np.ndarray) and m.values.shape == (2, 2, 2)
+    assert m.values.dtype == np.uint64 and not m.values.flags.writeable
+    assert m.shape == (2, 2)
     with pytest.raises(ValueError):
         m.values[0, 0] = 0
-    source = np.array([[1, 2]], dtype=object)
+    source = from_ints([[1, 2]])
     held = ShareMatrix(source, 0, "x", 8)
     source[0, 0] = 7  # the share keeps its own copy
-    assert held.values[0, 0] == 1
+    assert to_ints(held.values)[0, 0] == 1
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        ShareMatrix([[1, 256]], 0, "x", 8)
+        ShareMatrix(from_ints([[1, 256]]), 0, "x", 8)

@@ -1,6 +1,7 @@
 import random
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pppca.messages import (
     make_step,
     serialize,
 )
+from pppca.ring import from_ints, to_ints
 from pppca.sharing import CounterPRG, share_matrix
 from pppca.transport import SimulatedNetwork, TcpNetwork
 
@@ -155,7 +157,7 @@ def test_public_key_and_share_matrix_round_trip(test_keypair):
     pk, _ = test_keypair
     assert decode_public_key(encode_public_key(pk)).n == pk.n
 
-    bundle = share_matrix([[5, 6], [7, 8]], 2, 64, CounterPRG(2), "sums/1")[1]
+    bundle = share_matrix(from_ints([[5, 6], [7, 8]]), 2, 64, CounterPRG(2), "sums/1")[1]
     back = decode_share_matrix(encode_share_matrix(bundle))
     assert back == bundle
 
@@ -181,7 +183,7 @@ def test_serialization_injective_over_random_messages(test_keypair):
             mt = MsgType.SAMPLE_COUNT
         elif choice == 2:
             bundle = share_matrix(
-                [[rng.randrange(1 << 16)]], 2, 16, CounterPRG(i), f"s{i}"
+                from_ints([[rng.randrange(1 << 16)]]), 2, 16, CounterPRG(i), f"s{i}"
             )[0]
             payload = encode_share_matrix(bundle)
             mt = MsgType.SHARE_BUNDLE
@@ -215,9 +217,10 @@ def _share_payload(owner, l, sid: bytes, rows, cols, values) -> bytes:
 
 
 def test_share_matrix_golden_bytes():
-    bundle = share_matrix([[0, 1], [2**127 + 5, 2**128 - 1]], 2, 128, CounterPRG(3), "g")[1]
+    secret = from_ints([[0, 1], [2**127 + 5, 2**128 - 1]])
+    bundle = share_matrix(secret, 2, 128, CounterPRG(3), "g")[1]
     payload = encode_share_matrix(bundle)
-    assert payload == _share_payload(1, 128, b"g", 2, 2, bundle.values.ravel().tolist())
+    assert payload == _share_payload(1, 128, b"g", 2, 2, to_ints(bundle.values).ravel().tolist())
     assert decode_share_matrix(payload) == bundle
 
 
@@ -273,7 +276,7 @@ _DECODERS = {
     ),
     "share_matrix": (
         decode_share_matrix,
-        encode_share_matrix(share_matrix([[1, 2]], 2, 64, CounterPRG(1), "f")[0]),
+        encode_share_matrix(share_matrix(from_ints([[1, 2]]), 2, 64, CounterPRG(1), "f")[0]),
     ),
     "sample_count": (decode_sample_count, encode_sample_count(9)),
     "frame": (
@@ -380,6 +383,27 @@ def test_tcp_recv_timeout():
     try:
         with pytest.raises(TransportTimeout):
             tcp.endpoint(1).recv(sender=2)
+    finally:
+        tcp.close()
+
+
+def test_tcp_eof_between_frames_ends_only_that_senders_channel():
+    tcp = TcpNetwork([1, 2, 3], timeout=5.0)
+    try:
+        receiver, closing, other = tcp.endpoint(1), tcp.endpoint(2), tcp.endpoint(3)
+        closing.send(_msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(20)))
+        other.send(_msg(MsgType.SAMPLE_COUNT, 3, 1, 0, encode_sample_count(30)))
+        closing.close()
+        # Party 2's frame sent before the close is still delivered.
+        assert decode_sample_count(receiver.recv(sender=2).payload) == 20
+        for _ in range(2):  # and every later receive from it fails at once
+            started = time.monotonic()
+            with pytest.raises(TransportClosed, match="party 2"):
+                receiver.recv(sender=2)
+            assert time.monotonic() - started < 1.0
+        other.send(_msg(MsgType.SAMPLE_COUNT, 3, 1, 1, encode_sample_count(31)))
+        got = [decode_sample_count(receiver.recv(sender=3).payload) for _ in range(2)]
+        assert got == [30, 31]
     finally:
         tcp.close()
 
