@@ -1,10 +1,12 @@
-"""The bytes of the secret-sharing rounds, pinned.
+"""The bytes of the secure-sum rounds, pinned.
 
 The share-bundle and local-sum frames (phases 1-6) of seeded ``ss``
-sessions depend only on the data, the seed and the fixed-point ring: the
-Gram matrix and column sums are exact, so no BLAS or LAPACK rounding reaches
-them.  Their SHA-256 digests are therefore the same on every machine, and a
-change to the ring arithmetic, the share codec or the PRG stream shows here.
+sessions, and the ciphertext frames (phases 2-7) of seeded ``he`` sessions,
+depend only on the data, the seed and the fixed-point ring: the Gram matrix
+and column sums are exact, so no BLAS or LAPACK rounding reaches them, and
+``he`` keys and DJN randomizers are drawn from the seed.  Their SHA-256
+digests are therefore the same on every machine, and a change to the ring
+arithmetic, the codecs, the PRG stream or the Paillier packing shows here.
 """
 
 import hashlib
@@ -13,41 +15,63 @@ import numpy as np
 import pytest
 
 from pppca.encoding import FixedPointConfig
-from pppca.messages import SHARE_TYPES
-from pppca.protocol import SessionConfig, run_ss
+from pppca.messages import ENCRYPTED_TYPES, SHARE_TYPES
+from pppca.protocol import SessionConfig, run_session
 
 DIGESTS = {
-    (2, 128, 64): "938de798984433c9a88c6a250ef0fe96ff5165971ad02f2fd4dd1cb6640ebd3d",
-    (3, 128, 64): "e6986f72d878647fadc7d4cf37364696ebd0f4fee6f1cad5e28e755e8d2ec215",
-    (4, 128, 64): "598207232e162fdadfb767e6316512dbc95b940875e3769cfb3dad88011d2db9",
-    (2, 64, 24): "f0d42a6018897da43c66d61df54ee373d48a5071353c03fcde6a6876a71e212b",
-    (3, 64, 24): "3a06f1a126af1c37061dc50c28521257831bc3e53a7e79ddd58837035348d663",
-    (4, 64, 24): "922026925fa5b0e03893fae8829f1681cbc53f34544c9f095e6da9c2fe4716bb",
+    ("ss", 2, 128, 64): "938de798984433c9a88c6a250ef0fe96ff5165971ad02f2fd4dd1cb6640ebd3d",
+    ("ss", 3, 128, 64): "e6986f72d878647fadc7d4cf37364696ebd0f4fee6f1cad5e28e755e8d2ec215",
+    ("ss", 4, 128, 64): "598207232e162fdadfb767e6316512dbc95b940875e3769cfb3dad88011d2db9",
+    ("ss", 2, 64, 24): "f0d42a6018897da43c66d61df54ee373d48a5071353c03fcde6a6876a71e212b",
+    ("ss", 3, 64, 24): "3a06f1a126af1c37061dc50c28521257831bc3e53a7e79ddd58837035348d663",
+    ("ss", 4, 64, 24): "922026925fa5b0e03893fae8829f1681cbc53f34544c9f095e6da9c2fe4716bb",
+    ("he", 2, 128, 64): "1c22da282d8303d0ba215a9ea53605c134d025d82db5518fc290ee377d4cfaf1",
+    ("he", 3, 128, 64): "a2d28221ad877ec38666fd4a3219829088b2e4f47186c6c9a0421054bc89154d",
+    ("he", 4, 128, 64): "2a135ccdb3b45848ef629c0b234822055ff353fb0a8c8a9574f2bdaf5a001c21",
+    ("he", 2, 64, 24): "524098e3d47569bab670b19fae5963c8531bc0988d5ed5076ebaa6a095819897",
+    ("he", 3, 64, 24): "1d7a16b0dcace1d03025ce651f6b221a151475f9c028ba7a1449924a57384575",
+    ("he", 4, 64, 24): "0ef144cd76893a49eb0238c0dec46e1b1745f89cf3b53729062bf6b924576dd6",
+    # l = 65 puts the offset's bit, l - 1, in the high limb's lowest bit.
+    ("he", 3, 65, 20): "f4d26baa1b81470fd7a215072f999ccd0b6e60edc5add314e6867c0fa5abe8fd",
 }
 
+# (frame types, first and last phase) of each method's secure-sum rounds.
+ROUNDS = {"ss": (SHARE_TYPES, 1, 6), "he": (ENCRYPTED_TYPES, 2, 7)}
 
-def share_round_digest(result) -> tuple[int, str]:
-    """The share frames' count, and the digest of their payloads in
+
+def round_digest(result, method: str) -> tuple[int, str]:
+    """The round frames' count, and the digest of their payloads in
     canonical transcript order."""
+    types, first, last = ROUNDS[method]
     frames = [
         m.payload
         for m in result.transcript.entries()
-        if m.msg_type in SHARE_TYPES and 1 <= m.phase <= 6
+        if m.msg_type in types and first <= m.phase <= last
     ]
     return len(frames), hashlib.sha256(b"".join(frames)).hexdigest()
 
 
-@pytest.mark.parametrize("parties, l, f", sorted(DIGESTS))
-def test_share_round_bytes_are_pinned(parties, l, f):
+@pytest.mark.parametrize(
+    "method, parties, l, f",
+    [
+        pytest.param(*key, id="-".join(map(str, key[1:] if key[0] == "ss" else key)))
+        for key in sorted(DIGESTS)
+    ],
+)
+def test_share_round_bytes_are_pinned(method, parties, l, f):
     rng = np.random.default_rng(1000 + parties)
     data = rng.normal(size=(9 * parties, 5)) * [1.0, 3.0, 0.5, 20.0, 1e-3]
     cfg = SessionConfig(
-        method="ss",
+        method=method,
         parties=parties,
         k=2,
         seed=77 + parties,
         fixed_point=FixedPointConfig(l=l, f=f),
+        key_bits=512,
+        allow_test_key=True,
     )
-    result = run_ss(cfg, np.array_split(data, parties))
-    # Per round, M(M - 1) bundles and M local sums; two rounds.
-    assert share_round_digest(result) == (2 * parties * parties, DIGESTS[parties, l, f])
+    result = run_session(cfg, np.array_split(data, parties))
+    # Per round, ss sends M(M - 1) bundles and M local sums, and he sends
+    # M - 1 ciphertexts to the aggregator and one fold to the server.
+    per_round = parties * parties if method == "ss" else parties
+    assert round_digest(result, method) == (2 * per_round, DIGESTS[method, parties, l, f])
