@@ -11,13 +11,8 @@ import random
 
 import numpy as np
 
-from pppca import paillier, ring
-from pppca.encoding import (
-    FixedPointConfig,
-    matrix_decode_fixed,
-    matrix_encode_fixed,
-    matrix_signed,
-)
+from pppca import paillier, secure_sum_he
+from pppca.encoding import FixedPointConfig
 
 rng = random.Random(42)
 pk, sk = paillier.keygen(2048, rng)  # the session default
@@ -37,39 +32,27 @@ print(f"decrypt(sum)   =  {paillier.decrypt(sk, total)}   (expected {u + v})")
 again = paillier.encrypt(pk, u, rng)
 print(f"\nsame plaintext, fresh randomness: ciphertexts differ -> {cu.value != again.value}")
 
-# Scalar multiplication: c^s decrypts to s * u.
-tripled = paillier.mul_plain(pk, cu, 3)
-print(f"3 * encrypt({u}) decrypts to {paillier.decrypt(sk, tripled)}")
-
 # The same machinery lifted to real-valued matrices, the way the protocol
-# does it for M = 2 providers: reals become signed fixed-point integers
-# z = round(x * 2^f), offset by 2^(l-1) into [0, 2^l), and packed into slots
-# of w = l + ceil(log2 M) + 1 bits, so that the sum of M offset entries never
-# carries into the next slot.  The server subtracts M * 2^(l-1) from each
-# decrypted slot, reduces into the ring Z_2^l and decodes.  The ring
-# elements are [hi, lo] uint64 limbs; Paillier needs Python ints, so the
-# conversion happens at each end (matrix_signed, ring.from_ints).
+# does it for M = 2 providers (secure_sum_he runs a session's round as plain
+# calls).  Reals become fixed-point elements of the ring Z_2^l; flipping
+# the top bit of each turns the signed z = round(x * 2^f) into z + 2^(l-1)
+# in [0, 2^l), and those are packed into slots of w = l + ceil(log2 M) + 1
+# bits, so that the sum of M entries never carries into the next slot.  The
+# server subtracts M * 2^(l-1) from each decrypted slot, reduces into the
+# ring and decodes.
 cfg = FixedPointConfig()
 parties = 2
-offset = 1 << (cfg.l - 1)
 w = cfg.l + (parties - 1).bit_length() + 1
 nprng = np.random.default_rng(7)
 a = nprng.normal(size=(3, 3)).round(3)
 b = nprng.normal(size=(3, 3)).round(3)
 
-
-def encrypt_reals(x):
-    z = matrix_signed(matrix_encode_fixed(x, cfg), cfg)
-    return paillier.enc_matrix(pk, z + offset, w, rng)
-
-
-enc_sum = paillier.add_enc_matrix(pk, encrypt_reals(a), encrypt_reals(b))
-slots = paillier.dec_matrix(sk, enc_sum)
-decrypted = matrix_decode_fixed(ring.from_ints((slots - parties * offset) % cfg.modulus), cfg)
+summed = secure_sum_he([a, b], pk, sk, rng, cfg)
+slots = paillier.slot_count(pk, w)
 print(
-    f"\na 3x3 matrix in {w}-bit slots, {paillier.slot_count(pk, w)} to a plaintext: "
-    f"{len(enc_sum.ciphers)} ciphertext for its {a.size} entries"
+    f"\na 3x3 matrix in {w}-bit slots, {slots} to a plaintext: "
+    f"{-(-a.size // slots)} ciphertext per provider for its {a.size} entries"
 )
 print(f"matrix A + matrix B through the ciphertext domain (l={cfg.l}, f={cfg.f}):")
-print(np.array_str(decrypted, precision=3))
-print("max deviation from plaintext sum:", np.max(np.abs(decrypted - (a + b))))
+print(np.array_str(summed, precision=3))
+print("max deviation from plaintext sum:", np.max(np.abs(summed - (a + b))))

@@ -13,8 +13,7 @@ from pppca import (
     assert_privacy,
     centralized_pca,
     largest_principal_angle,
-    run_he,
-    run_ss,
+    run_session,
 )
 from pppca.datasets import make_wine_like, partition_horizontal
 
@@ -29,7 +28,7 @@ oracle_transfer, oracle_reduced = centralized_pca(pooled, k=4)
 
 print("\n--- secret-sharing session ---")
 cfg = SessionConfig(method="ss", parties=3, k=4, seed=99)
-ss = run_ss(cfg, data)
+ss = run_session(cfg, data)
 print(f"messages exchanged : {len(ss.transcript)}")
 print(f"reduced matrix     : {ss.reduced.shape[0]} x {ss.reduced.shape[1]} at the consumer")
 angle = largest_principal_angle(ss.transfer, oracle_transfer)
@@ -41,7 +40,7 @@ print("\n--- homomorphic-encryption session (test-size key) ---")
 cfg_he = SessionConfig(
     method="he", parties=3, k=4, seed=99, key_bits=512, allow_test_key=True
 )
-he = run_he(cfg_he, data)
+he = run_session(cfg_he, data)
 angle = largest_principal_angle(he.transfer, oracle_transfer)
 print(f"subspace angle vs plaintext oracle: {angle:.2e} rad")
 print(f"privacy audit      : {'clean' if not assert_privacy(he.transcript, cfg_he) else 'VIOLATIONS'}")

@@ -7,7 +7,7 @@ the server eigendecomposes and broadcasts the projection.  The result is
 numerically interchangeable with PCA on pooled plaintext data.
 """
 
-from .encoding import FixedPointConfig, decode_fixed, encode_fixed
+from .encoding import FixedPointConfig
 from .errors import PPCAError, ProtocolAbort
 from .linalg import (
     EigenPairs,
@@ -27,9 +27,7 @@ from .privacy import assert_privacy, expected_message_counts
 from .protocol import (
     SessionConfig,
     SessionResult,
-    run_he,
     run_session,
-    run_ss,
     secure_sum_he,
     secure_sum_ss,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "centralized_pca",
     "column_means",
     "column_sums",
-    "decode_fixed",
-    "encode_fixed",
     "expected_message_counts",
     "gram",
     "jacobi_eigh",
@@ -63,9 +59,7 @@ __all__ = [
     "principal_angles",
     "project",
     "reconstruct",
-    "run_he",
     "run_session",
-    "run_ss",
     "secure_sum_he",
     "secure_sum_ss",
     "share",

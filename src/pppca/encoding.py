@@ -5,9 +5,9 @@ Z_{2^l} (two's complement), computed on whole arrays: ring elements are
 ring matrices of two uint64 limbs each (:mod:`pppca.ring`), so one code
 path serves every width up to 128 bits, and both the rounding into the
 ring and the rounding back out are exact binary64 arithmetic.  Secret
-sharing shares the ring elements; homomorphic encryption encrypts their
-signed reading round(x * 2^f), as Python ints, and converts the reduced
-decrypted sum back into limbs.
+sharing shares the ring elements.  Homomorphic encryption flips bit l-1 of
+each, which gives round(x * 2^f) + 2^(l-1) in [0, 2^l), encrypts those as
+Python ints, and converts the reduced decrypted sum back into limbs.
 
 Both protocols only ever ADD encoded values, so the encoding needs no
 truncation step; every multiplication in the pipeline is local plaintext.
@@ -121,29 +121,12 @@ def matrix_decode_fixed(z, cfg: FixedPointConfig) -> np.ndarray:
     return np.where(negative, -value, value)
 
 
-def matrix_signed(z, cfg: FixedPointConfig) -> np.ndarray:
-    """Two's-complement reading of a ring matrix as Python ints: z >= 2^(l-1)
-    is negative."""
-    z = ring.to_ints(ring.checked(z, cfg.l, "ring element"))
-    return np.where(z >= 1 << (cfg.l - 1), z - cfg.modulus, z)
-
-
-def encode_fixed(x: float, cfg: FixedPointConfig) -> int:
-    """One real through :func:`matrix_encode_fixed`."""
-    return int(ring.to_ints(matrix_encode_fixed([[x]], cfg))[0, 0])
-
-
-def decode_fixed(z: int, cfg: FixedPointConfig) -> float:
-    """One ring element through :func:`matrix_decode_fixed`."""
-    return float(matrix_decode_fixed(ring.from_ints([[z]]), cfg)[0, 0])
-
-
 @dataclass(frozen=True)
 class EncodedFloat:
     """A number as significand * base^exponent.
 
-    The significand is either a plaintext int or a ciphertext object that
-    supports ``cipher * int``; the exponent is always plaintext.
+    The significand is a plaintext int, or an encrypted one, which
+    :meth:`decode` refuses; the exponent is always plaintext.
     """
 
     significand: object

@@ -263,8 +263,6 @@ def bench(
 ) -> list[BenchResult]:
     """Time full-dataset protocol runs for each party count and verify the
     message accounting against the algorithm's exact counts."""
-    if method not in (METHOD_HE, METHOD_SS):
-        raise ConfigError(f"method must be '{METHOD_HE}' or '{METHOD_SS}'")
     results = []
     for parties in parties_list:
         cfg = SessionConfig(

@@ -68,9 +68,6 @@ ENCRYPTED_TYPES = frozenset(
         MsgType.ENCRYPTED_COV_AGGREGATE,
     }
 )
-REAL_MATRIX_TYPES = frozenset(
-    {MsgType.PLAIN_MEAN, MsgType.TRANSFER_MATRIX, MsgType.REDUCED_ROWS}
-)
 SHARE_TYPES = frozenset({MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM})
 
 
@@ -350,9 +347,6 @@ class Transcript:
     def canonical_bytes(self) -> bytes:
         """Byte-exact rendering used for transcript equality checks."""
         return b"".join(serialize(m) for m in self.entries())
-
-    def received_by(self, party: int) -> list[ProtocolMessage]:
-        return [m for m in self.entries() if m.receiver == party]
 
     def type_counts(self) -> dict[MsgType, int]:
         counts: dict[MsgType, int] = {}

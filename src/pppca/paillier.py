@@ -1,9 +1,8 @@
 """Additive homomorphic encryption (Paillier, g = n + 1 variant).
 
-The product of two ciphertexts decrypts to the sum of their plaintexts, and
-raising a ciphertext to a plaintext power multiplies the underlying value.
-That is everything the aggregation protocol needs; there is deliberately no
-ciphertext-times-ciphertext operation.
+The product of two ciphertexts decrypts to the sum of their plaintexts.
+That is everything the aggregation protocol needs, so addition is the only
+homomorphic operation offered.
 
 Matrices travel slot-packed (Bianchi, Piva and Barni, "Composite signal
 representation for fast and storage-efficient processing of encrypted
@@ -174,10 +173,6 @@ class PublicKey:
     n_squared: int = field(repr=False)
     fingerprint: str
 
-    @property
-    def g(self) -> int:
-        return self.n + 1
-
     @classmethod
     def from_modulus(cls, n: int) -> "PublicKey":
         return cls(n=n, n_squared=n * n, fingerprint=key_fingerprint(n))
@@ -203,11 +198,7 @@ class PrivateKey:
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """An integer in [0, n^2) tagged with the key it was produced under.
-
-    ``cipher * s`` for a non-negative int s yields an encryption of s times
-    the plaintext; ``a + b`` multiplies the raw values, encrypting the sum.
-    """
+    """An integer in [0, n^2) tagged with the key it was produced under."""
 
     value: int
     public_key: PublicKey
@@ -221,14 +212,6 @@ class Ciphertext:
     @property
     def fingerprint(self) -> str:
         return self.public_key.fingerprint
-
-    def __add__(self, other: "Ciphertext") -> "Ciphertext":
-        return add_cipher(self.public_key, self, other)
-
-    def __mul__(self, scalar: int) -> "Ciphertext":
-        return mul_plain(self.public_key, self, scalar)
-
-    __rmul__ = __mul__
 
 
 def key_fingerprint(n: int) -> str:
@@ -389,18 +372,6 @@ def add_cipher(pk: PublicKey, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     """Homomorphic addition: the product decrypts to (u + v) mod n."""
     _check_same_key(pk, c1, c2)
     return Ciphertext(c1.value * c2.value % pk.n_squared, pk)
-
-
-def mul_plain(pk: PublicKey, c: Ciphertext, s: int) -> Ciphertext:
-    """Homomorphic scalar multiplication: c^s decrypts to s * u mod n."""
-    _check_same_key(pk, c)
-    if not isinstance(s, int):
-        raise TypeError(f"scalar must be int, got {type(s).__name__}")
-    if s < 0:
-        raise ValueError(f"scalar must be non-negative, got {s}")
-    if s >= pk.n:
-        raise EncodingRangeError("scalar exceeds the plaintext space")
-    return Ciphertext(_powmod(c.value, s, pk.n_squared), pk)
 
 
 def slot_count(pk: PublicKey, slot_bits: int) -> int:

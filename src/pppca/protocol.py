@@ -33,14 +33,15 @@ back end's first phase:
     9    providers send reduced rows to the consumer
 
     back end  s  masking                                   combiners
-    he        2  Paillier encryption of offset ring ints,  provider p
-                 floor((bitlen(n) - 1) / w) of them in
-                 w-bit slots of each plaintext
+    he        2  Paillier encryption of offset ring         provider p
+                 elements, floor((bitlen(n) - 1) / w) of
+                 them in w-bit slots of each plaintext
     ss        1  n-of-n shares of ring elements            every provider
 
 Both back ends encode into one fixed-point ring Z_{2^l}
 (``SessionConfig.fixed_point``): ``ss`` shares the ring elements.  ``he``
-packs their signed reading z = round(x * 2^f), offset by 2^(l-1), into
+flips bit l-1 of each, which turns the two's-complement element of
+z = round(x * 2^f) into z + 2^(l-1) in [0, 2^l), and packs these into
 slots of w = l + ceil(log2 M) + 1 bits, so that a slot of the folded sum
 holds sum(z) + M * 2^(l-1) < 2^w and no carry crosses into the next; the
 server subtracts M * 2^(l-1) from each slot and reduces mod 2^l.  Each
@@ -65,20 +66,16 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, paillier, ring
-from .encoding import (
-    FixedPointConfig,
-    matrix_decode_fixed,
-    matrix_encode_fixed,
-    matrix_signed,
-)
+from .encoding import FixedPointConfig, matrix_decode_fixed, matrix_encode_fixed
 from .errors import (
     ConfigError,
     DimensionError,
@@ -151,6 +148,8 @@ class SessionConfig:
             raise ConfigError(f"need at least 2 data providers, got {self.parties}")
         if self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
+        if not 0 < self.timeout < math.inf:  # False for NaN too
+            raise ConfigError(f"timeout must be finite and positive, got {self.timeout}")
         self.secure_sum.check_config(self)
 
     @property
@@ -245,6 +244,7 @@ class PaillierSum(SecureSum):
     ):
         self.fp, self.parties, self.pk, self.sk, self.rng = fixed_point, parties, pk, sk, rng
         self.offset = 1 << (fixed_point.l - 1)
+        self._offset_bit = ring.from_ints(self.offset)  # [hi, lo] of 2^(l-1)
         # A slot carries the sum of M offset entries, each in [0, 2^l), so it
         # stays below M * 2^l <= 2^(l + ceil(log2 M)); one more bit to spare.
         self.slot_bits = fixed_point.l + (parties - 1).bit_length() + 1
@@ -295,9 +295,10 @@ class PaillierSum(SecureSum):
     def mask(self, values, secret_id: str) -> list:
         # The signed integers z offset by 2^(l-1), not the ring elements: a
         # slot summing two's-complement values would carry one 2^l per
-        # negative term, and so count them.
-        signed = matrix_signed(matrix_encode_fixed(values, self.fp), self.fp)
-        return [paillier.enc_matrix(self.pk, signed + self.offset, self.slot_bits, self.rng)]
+        # negative term, and so count them.  For a ring element of z, that
+        # offset is a flip of its top bit, l - 1.
+        shifted = matrix_encode_fixed(values, self.fp) ^ self._offset_bit
+        return [paillier.enc_matrix(self.pk, ring.to_ints(shifted), self.slot_bits, self.rng)]
 
     def combine(self, pieces: list):
         return functools.reduce(functools.partial(paillier.add_enc_matrix, self.pk), pieces)
@@ -756,16 +757,6 @@ def run_session(
         transcript=transcript,
         timings=timings,
     )
-
-
-def run_he(cfg: SessionConfig, data) -> SessionResult:
-    """Run the homomorphic-encryption session on the simulation bus."""
-    return run_session(replace(cfg, method=METHOD_HE), data, transport="sim")
-
-
-def run_ss(cfg: SessionConfig, data) -> SessionResult:
-    """Run the secret-sharing session on the simulation bus."""
-    return run_session(replace(cfg, method=METHOD_SS), data, transport="sim")
 
 
 # --- secure sums without a transport, for direct verification ----------------

@@ -44,8 +44,8 @@ class CounterPRG:
 
     def __init__(self, seed: int | bytes):
         if isinstance(seed, int):
-            if seed < 0:
-                raise ValueError("integer seed must be non-negative")
+            if not 0 <= seed < 1 << 256:
+                raise ValueError("integer seed must lie in [0, 2^256)")
             seed = seed.to_bytes(32, "big")
         if len(seed) == 0:
             raise ValueError("seed must be non-empty")
@@ -89,17 +89,6 @@ class CounterPRG:
             values[:, 1] |= values[:, 0] << np.uint64(64 - shift)
             values[:, 0] >>= np.uint64(shift)
         return values
-
-    def randbits(self, bits: int) -> int:
-        """A uniform integer in [0, 2^bits)."""
-        return int(ring.to_ints(self.randbits_array(bits, 1))[0])
-
-    def derive(self, label: str | int) -> "CounterPRG":
-        """An independent stream bound to this seed and ``label``."""
-        material = hashlib.sha256(
-            self._seed + b"/derive/" + str(label).encode()
-        ).digest()
-        return CounterPRG(material)
 
 
 @dataclass(frozen=True, eq=False)

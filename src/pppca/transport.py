@@ -32,75 +32,64 @@ DEFAULT_TIMEOUT = 30.0
 
 
 class _Closed:
+    """Queued for a receiver when no more frames can come from a sender."""
+
     def __init__(self, reason: str):
         self.reason = reason
 
 
-class _SenderClosed:
-    """Queued after the last frame of a sender whose channel has ended."""
-
-    def __init__(self, sender: int, reason: str):
-        self.sender = sender
-        self.reason = reason
-
-
 class _BufferedReceiver:
-    """Per-sender buffering over a single inbox queue.
+    """One receive queue per sender.
 
-    ``recv(sender)`` returns the next message from that sender in arrival
-    order, parking messages from other senders until they are asked for.
-    A sender whose channel has ended raises ``TransportClosed`` from
-    ``recv(sender)`` once its buffered messages are used up; other senders
-    are unaffected.
+    Each frame goes into its sender's queue, and ``recv(sender)`` takes the
+    next one from that queue only, so frames from other senders wait in
+    theirs.  A sender whose channel has ended gets a closed marker behind
+    its last frame, and ``recv`` raises ``TransportClosed`` once it reaches
+    the marker, every time after; other senders are unaffected.  Closing
+    the whole receiver (an abort, a malformed frame or a frame cut short)
+    puts the marker in every queue, present and future.
     """
 
     def __init__(self, party: int, transcript: Transcript, timeout: float):
         self.party = party
         self.transcript = transcript
         self.timeout = timeout
-        self._inbox: queue.Queue = queue.Queue()
-        self._buffers: dict[int, list[ProtocolMessage]] = {}
+        self._queues: dict[int, queue.Queue] = {}
         self._closed: _Closed | None = None
+        self._lock = threading.Lock()
 
-    def _push(self, item):
-        self._inbox.put(item)
+    def _queue(self, sender: int) -> queue.Queue:
+        with self._lock:
+            q = self._queues.get(sender)
+            if q is None:
+                q = self._queues[sender] = queue.Queue()
+                if self._closed is not None:
+                    q.put(self._closed)
+            return q
 
-    def _next_from_inbox(self, deadline: float):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TransportTimeout(
-                f"party {self.party}: no message within {self.timeout:g}s"
-            )
+    def _push(self, msg: ProtocolMessage):
+        self._queue(msg.sender).put(msg)
+
+    def _close(self, reason: str):
+        with self._lock:
+            self._closed = closed = _Closed(reason)
+            queues = list(self._queues.values())
+        for q in queues:
+            q.put(closed)
+
+    def recv(self, sender: int) -> ProtocolMessage:
+        q = self._queue(sender)
         try:
-            item = self._inbox.get(timeout=remaining)
+            item = q.get(timeout=self.timeout)
         except queue.Empty:
             raise TransportTimeout(
-                f"party {self.party}: no message within {self.timeout:g}s"
+                f"party {self.party}: no message from party {sender} within {self.timeout:g}s"
             ) from None
         if isinstance(item, _Closed):
-            self._closed = item
+            q.put(item)  # so that every later receive from this sender fails too
             raise TransportClosed(item.reason)
+        self.transcript.append(item)
         return item
-
-    def recv(
-        self, sender: int | None = None, timeout: float | None = None
-    ) -> ProtocolMessage:
-        if self._closed is not None:
-            raise TransportClosed(self._closed.reason)
-        deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
-        while True:
-            for source, buffered in self._buffers.items():
-                if not buffered or sender not in (None, source):
-                    continue
-                if isinstance(buffered[0], _SenderClosed):
-                    if sender is None:
-                        continue
-                    raise TransportClosed(buffered[0].reason)
-                msg = buffered.pop(0)
-                self.transcript.append(msg)
-                return msg
-            item = self._next_from_inbox(deadline)
-            self._buffers.setdefault(item.sender, []).append(item)
 
 
 class SimEndpoint(_BufferedReceiver):
@@ -147,7 +136,7 @@ class SimulatedNetwork:
         with self._lock:
             endpoints = list(self._endpoints.values())
         for ep in endpoints:
-            ep._push(_Closed(reason))
+            ep._close(reason)
 
 
 class TcpEndpoint(_BufferedReceiver):
@@ -165,17 +154,14 @@ class TcpEndpoint(_BufferedReceiver):
         self._peers: dict[int, tuple[str, int]] = {}
         self._out: dict[int, socket.socket] = {}
         self._out_lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
         self._connect_retry = connect_retry
         self._shutdown = False
         self._listener = socket.create_server(listen)
         self._listener.settimeout(0.2)
         self.address = self._listener.getsockname()
-        acceptor = threading.Thread(
+        threading.Thread(
             target=self._accept_loop, name=f"pppca-accept-{party}", daemon=True
-        )
-        acceptor.start()
-        self._threads.append(acceptor)
+        ).start()
 
     def set_peers(self, peers: dict[int, tuple[str, int]]):
         self._peers.update(peers)
@@ -188,29 +174,30 @@ class TcpEndpoint(_BufferedReceiver):
                 continue
             except OSError:
                 return
-            reader = threading.Thread(
+            threading.Thread(
                 target=self._read_loop,
                 args=(conn,),
                 name=f"pppca-read-{self.party}",
                 daemon=True,
-            )
-            reader.start()
-            self._threads.append(reader)
+            ).start()
 
-    def _read_exact(self, conn: socket.socket, count: int) -> bytes | None:
+    @staticmethod
+    def _read_exact(conn: socket.socket, count: int, in_frame: bool) -> bytes:
+        """Exactly ``count`` bytes, or b"" if the stream ends between frames:
+        before the first of them, with no part of a frame read yet.  Ending
+        anywhere inside a frame (``in_frame`` says part of it was read
+        already) raises ``TransportClosed``."""
         chunks = []
         got = 0
         while got < count:
             try:
                 chunk = conn.recv(count - got)
             except OSError:
-                return None
+                chunk = b""
             if not chunk:
-                if got:
-                    self._push(
-                        _Closed(f"connection lost mid-frame ({got}/{count} bytes)")
-                    )
-                return None
+                if got or in_frame:
+                    raise TransportClosed(f"connection lost mid-frame ({got}/{count} bytes)")
+                return b""
             chunks.append(chunk)
             got += len(chunk)
         return b"".join(chunks)
@@ -218,25 +205,24 @@ class TcpEndpoint(_BufferedReceiver):
     def _read_loop(self, conn: socket.socket):
         sender = None  # each connection carries one sender's frames
         with conn:
-            while not self._shutdown:
-                header = self._read_exact(conn, header_size())
-                if header is None:
-                    break
-                try:
+            try:
+                while not self._shutdown:
+                    header = self._read_exact(conn, header_size(), in_frame=False)
+                    if not header:
+                        break  # the stream ended between frames
                     _, _, _, _, length = parse_header(header)
-                    payload = self._read_exact(conn, length)
-                    if payload is None:
-                        return
-                    msg = deserialize(header + payload)
-                except FrameFormatError as exc:
-                    self._push(_Closed(f"malformed frame: {exc}"))
-                    return
-                sender = msg.sender
-                self._push(msg)
+                    msg = deserialize(header + self._read_exact(conn, length, in_frame=True))
+                    sender = msg.sender
+                    self._push(msg)
+            except FrameFormatError as exc:
+                self._close(f"malformed frame: {exc}")
+                return
+            except TransportClosed as exc:
+                self._close(str(exc))
+                return
         if sender is not None and not self._shutdown:
-            self._push(
-                _SenderClosed(sender, f"party {sender} closed its channel to party {self.party}")
-            )
+            reason = f"party {sender} closed its channel to party {self.party}"
+            self._queue(sender).put(_Closed(reason))
 
     def _channel(self, receiver: int) -> socket.socket:
         with self._out_lock:
@@ -304,7 +290,7 @@ class TcpNetwork:
 
     def abort(self, reason: str):
         for ep in self.endpoints.values():
-            ep._push(_Closed(reason))
+            ep._close(reason)
 
     def close(self):
         for ep in self.endpoints.values():

@@ -190,6 +190,10 @@ def test_exit_codes(wine_csv, tmp_path):
         )
         == EXIT_USAGE
     )
+    # A receive that may not wait would abort a live session.
+    for timeout in ("0", "-1", "nan"):
+        argv = ["simulate", "--method", "ss", "--k", "2", "--input", wine_csv, "--timeout", timeout]
+        assert main(argv + ["--label", "quality", "--delimiter", ";"]) == EXIT_USAGE
 
 
 def _free_port():

@@ -5,87 +5,89 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pppca import encoding
+from pppca import ring
 from pppca.encoding import (
     FixedPointConfig,
-    decode_fixed,
-    encode_fixed,
     encode_float,
+    matrix_decode_fixed,
+    matrix_encode_fixed,
 )
 from pppca.errors import EncodingRangeError
-from pppca.ring import to_ints
+from pppca.ring import from_ints, to_ints
 
 CFG = FixedPointConfig(l=64, f=24)
+
+
+def encode_row(xs, cfg=CFG) -> list[int]:
+    """A row of reals encoded, read as Python ints."""
+    return to_ints(matrix_encode_fixed([xs], cfg))[0].tolist()
+
+
+def decode_row(zs, cfg=CFG) -> list[float]:
+    """A row of ring elements, given as Python ints, decoded."""
+    return matrix_decode_fixed(from_ints([zs]), cfg)[0].tolist()
 
 
 # --- fixed point -------------------------------------------------------------
 
 
 def test_fixed_zero():
-    assert encode_fixed(0.0, CFG) == 0
-    assert decode_fixed(0, CFG) == 0.0
+    assert encode_row([0.0, -0.0]) == [0, 0]
+    assert decode_row([0]) == [0.0]
 
 
 def test_fixed_exact_dyadic():
-    assert encode_fixed(1.5, CFG) == 3 * 2**23
+    assert encode_row([1.5]) == [3 * 2**23]
 
 
 def test_fixed_negative_one():
-    assert decode_fixed(2**64 - 2**24, CFG) == -1.0
-    assert encode_fixed(-1.0, CFG) == 2**64 - 2**24
+    assert decode_row([2**64 - 2**24]) == [-1.0]
+    assert encode_row([-1.0]) == [2**64 - 2**24]
 
 
 def test_fixed_round_trip_error_bound():
     rng = random.Random(42)
-    for _ in range(1000):
-        x = rng.uniform(-1000.0, 1000.0)
-        z = encode_fixed(x, CFG)
-        assert abs(decode_fixed(z, CFG) - x) <= 2**-24
+    xs = np.array([rng.uniform(-1000.0, 1000.0) for _ in range(1000)])
+    back = np.array(decode_row(encode_row(xs)))
+    assert np.max(np.abs(back - xs)) <= 2**-24
 
 
 def test_fixed_rounding_half_away_from_zero():
     tiny = FixedPointConfig(l=16, f=4)
     # 0.5 / 16 lands exactly on a half ulp: rounds away from zero.
-    assert encode_fixed(3.0 / 32, tiny) == 2  # 1.5 ulps -> 2
-    assert encode_fixed(-3.0 / 32, tiny) == (1 << 16) - 2
+    assert encode_row([3.0 / 32, -3.0 / 32], tiny) == [2, (1 << 16) - 2]  # 1.5 ulps -> 2
 
 
 def test_fixed_overflow_detected_eagerly():
     with pytest.raises(EncodingRangeError):
-        encode_fixed(float(2 ** (64 - 24 - 1)), CFG)
+        encode_row([float(2 ** (64 - 24 - 1))])
     with pytest.raises(EncodingRangeError):
-        encode_fixed(-float(2 ** (64 - 24 - 1)) - 1.0, CFG)
+        encode_row([-float(2 ** (64 - 24 - 1)) - 1.0])
     # Just below the bound encodes fine.
-    encode_fixed(float(2 ** (64 - 24 - 1)) * (1 - 1e-12), CFG)
+    encode_row([float(2 ** (64 - 24 - 1)) * (1 - 1e-12)])
 
 
 def test_fixed_additive_homomorphism():
     rng = random.Random(7)
-    modulus = CFG.modulus
-    for _ in range(500):
-        a = rng.uniform(-1e6, 1e6)
-        b = rng.uniform(-1e6, 1e6)
-        za, zb = encode_fixed(a, CFG), encode_fixed(b, CFG)
-        got = decode_fixed((za + zb) % modulus, CFG)
-        assert abs(got - (a + b)) <= 2**-23
+    pairs = [(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)) for _ in range(500)]
+    a, b = (matrix_encode_fixed([list(xs)], CFG) for xs in zip(*pairs))
+    got = matrix_decode_fixed(ring.add(a, b, l=CFG.l), CFG)[0]
+    assert np.max(np.abs(got - [x + y for x, y in pairs])) <= 2**-23
 
 
 def test_fixed_sum_of_many_operands():
     rng = random.Random(8)
     for count in (2, 5, 16):
         xs = [rng.uniform(-100, 100) for _ in range(count)]
-        zs = [encode_fixed(x, CFG) for x in xs]
-        got = decode_fixed(sum(zs) % CFG.modulus, CFG)
+        zs = encode_row(xs)
+        [got] = decode_row([sum(zs) % CFG.modulus])
         assert abs(got - sum(xs)) <= count * 2**-24
 
 
 def test_fixed_monotone():
     rng = random.Random(9)
     xs = sorted(rng.uniform(-500, 500) for _ in range(200))
-    signed = [
-        z - CFG.modulus if z >= 1 << (CFG.l - 1) else z
-        for z in (encode_fixed(x, CFG) for x in xs)
-    ]
+    signed = [z - CFG.modulus if z >= 1 << (CFG.l - 1) else z for z in encode_row(xs)]
     assert all(a <= b for a, b in zip(signed, signed[1:]))
 
 
@@ -101,15 +103,24 @@ def test_fixed_config_validation():
 def test_default_ring_and_signed_reading():
     cfg = FixedPointConfig()
     assert (cfg.l, cfg.f, cfg.max_magnitude) == (128, 64, 2.0**63)
-    z = encoding.matrix_encode_fixed([[-1.0, 0.5, -(2.0**-64), 0.0]], cfg)
-    signed = encoding.matrix_signed(z, cfg)
-    assert signed.tolist() == [[-(2**64), 2**63, -1, 0]]
-    assert np.array_equal(signed % cfg.modulus, to_ints(z))
+    signed = [-(2**64), 2**63, -1, 0]
+    z = matrix_encode_fixed([[-1.0, 0.5, -(2.0**-64), 0.0]], cfg)
+    assert to_ints(z).tolist() == [[v % cfg.modulus for v in signed]]
+    # The he back end's offset: flipping bit l - 1 adds 2^(l-1) to the
+    # signed reading, for every width.
+    for l, f in ((128, 64), (64, 24), (65, 20), (16, 4)):
+        fp = FixedPointConfig(l=l, f=f)
+        top = fp.max_magnitude * 0.999
+        xs = [-top, -1.0, -(2.0**-f), 0.0, 2.0**-f, 1.0, top]
+        z = matrix_encode_fixed([xs], fp)
+        signed = [v - fp.modulus if v >> (l - 1) else v for v in to_ints(z)[0]]
+        flipped = to_ints(z ^ from_ints(1 << (l - 1)))[0]
+        assert flipped.tolist() == [v + (1 << (l - 1)) for v in signed]
 
 
 def test_decode_fixed_rejects_out_of_ring():
     with pytest.raises(ValueError):
-        decode_fixed(CFG.modulus, CFG)
+        decode_row([CFG.modulus])
 
 
 # --- float encoding ------------------------------------------------------------
@@ -163,12 +174,12 @@ def test_float_rejects_non_finite():
 def test_matrix_fixed_zero_and_dyadic_round_trip():
     zeros = np.zeros((3, 2))
     assert np.array_equal(
-        encoding.matrix_decode_fixed(encoding.matrix_encode_fixed(zeros, CFG), CFG),
+        matrix_decode_fixed(matrix_encode_fixed(zeros, CFG), CFG),
         zeros,
     )
     dyadic = np.array([[0.5, -0.25], [3.75, -8.0]])
     assert np.array_equal(
-        encoding.matrix_decode_fixed(encoding.matrix_encode_fixed(dyadic, CFG), CFG),
+        matrix_decode_fixed(matrix_encode_fixed(dyadic, CFG), CFG),
         dyadic,
     )
 
@@ -176,7 +187,7 @@ def test_matrix_fixed_zero_and_dyadic_round_trip():
 def test_matrix_fixed_round_trip_bound():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(11, 11)) * 50
-    back = encoding.matrix_decode_fixed(encoding.matrix_encode_fixed(x, CFG), CFG)
+    back = matrix_decode_fixed(matrix_encode_fixed(x, CFG), CFG)
     assert np.max(np.abs(back - x)) <= 2**-24
 
 
@@ -224,9 +235,9 @@ def test_matrix_encode_matches_fraction_reference(l, f):
             encodable.append((x, _reference_encode_fixed(float(x), cfg)))
         except EncodingRangeError:
             with pytest.raises(EncodingRangeError):
-                encoding.matrix_encode_fixed([[x]], cfg)
+                matrix_encode_fixed([[x]], cfg)
     assert len(encodable) > 150
-    got = encoding.matrix_encode_fixed(np.array([x for x, _ in encodable]).reshape(1, -1), cfg)
+    got = matrix_encode_fixed(np.array([x for x, _ in encodable]).reshape(1, -1), cfg)
     assert got.shape == (1, len(encodable), 2) and got.dtype == np.uint64
     assert to_ints(got).ravel().tolist() == [z for _, z in encodable]
 
@@ -234,4 +245,4 @@ def test_matrix_encode_matches_fraction_reference(l, f):
 def test_matrix_errors_carry_location():
     bad = np.array([[1.0, 2.0], [3.0, float(2**45)]])
     with pytest.raises(EncodingRangeError, match=r"\(1, 1\)"):
-        encoding.matrix_encode_fixed(bad, CFG)
+        matrix_encode_fixed(bad, CFG)

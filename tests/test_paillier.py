@@ -33,7 +33,6 @@ def test_keygen_rejects_sizes():
 def test_keygen_key_length(test_keypair):
     pk, _ = test_keypair
     assert pk.n.bit_length() == 512
-    assert pk.g == pk.n + 1
     assert pk.n_squared == pk.n * pk.n
 
 
@@ -145,7 +144,7 @@ def test_keygen_spends_random_bases_only_on_primes(monkeypatch):
 
 def test_closed_form_hp_hq_match_the_l_function(test_keypair, test_keypair_1024):
     for _, sk in (test_keypair, test_keypair_1024):
-        p, q, g = sk.p, sk.q, sk.public_key.g
+        p, q, g = sk.p, sk.q, sk.public_key.n + 1
         assert sk.hp == pow(paillier._l_function(pow(g, p - 1, p * p), p), -1, p)
         assert sk.hq == pow(paillier._l_function(pow(g, q - 1, q * q), q), -1, q)
         assert sk.q_inv == pow(q, -1, p)
@@ -234,34 +233,6 @@ def test_add_commutative_associative(test_keypair):
     ab = paillier.add_cipher(pk, a, b)
     assert paillier.decrypt(sk, ab_c) == paillier.decrypt(sk, a_bc)
     assert paillier.decrypt(sk, ab) == paillier.decrypt(sk, ba)
-
-
-def test_mul_plain_cases(test_keypair):
-    pk, sk = test_keypair
-    rng = random.Random(10)
-    c = paillier.encrypt(pk, 321, rng)
-    assert paillier.decrypt(sk, paillier.mul_plain(pk, c, 1)) == 321
-    assert paillier.decrypt(sk, paillier.mul_plain(pk, c, 0)) == 0
-    for _ in range(25):
-        u, s = rng.randrange(pk.n), rng.randrange(1 << 64)
-        cu = paillier.encrypt(pk, u, rng)
-        assert paillier.decrypt(sk, paillier.mul_plain(pk, cu, s)) == (u * s) % pk.n
-    with pytest.raises(ValueError):
-        paillier.mul_plain(pk, c, -2)
-
-
-def test_mul_plain_equals_repeated_addition(test_keypair):
-    pk, sk = test_keypair
-    rng = random.Random(11)
-    u = rng.randrange(10**9)
-    c = paillier.encrypt(pk, u, rng)
-    for s in range(1, 17):
-        repeated = c
-        for _ in range(s - 1):
-            repeated = paillier.add_cipher(pk, repeated, c)
-        assert paillier.decrypt(sk, paillier.mul_plain(pk, c, s)) == paillier.decrypt(
-            sk, repeated
-        )
 
 
 # --- encrypted matrices -----------------------------------------------------

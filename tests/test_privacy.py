@@ -18,7 +18,7 @@ from pppca.privacy import (
     expected_message_counts,
     message_counts_by_type,
 )
-from pppca.protocol import SERVER, PaillierSum, SessionConfig, run_he, run_ss
+from pppca.protocol import SERVER, PaillierSum, SessionConfig, run_session
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def he_session():
         method="he", parties=3, k=2, seed=9, key_bits=512, allow_test_key=True
     )
     data = [rng.normal(size=(6, 4)) for _ in range(3)]
-    return cfg, run_he(cfg, data)
+    return cfg, run_session(cfg, data)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def ss_session():
     rng = np.random.default_rng(2)
     cfg = SessionConfig(method="ss", parties=4, k=2, seed=9)
     data = [rng.normal(size=(5, 4)) for _ in range(4)]
-    return cfg, run_ss(cfg, data)
+    return cfg, run_session(cfg, data)
 
 
 def _clone(transcript: Transcript) -> Transcript:

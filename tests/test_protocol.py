@@ -24,9 +24,7 @@ from pppca.protocol import (
     ProviderRole,
     ServerRole,
     SessionConfig,
-    run_he,
     run_session,
-    run_ss,
     secure_sum_he,
     secure_sum_ss,
 )
@@ -65,11 +63,11 @@ def split(data, parts):
     return np.array_split(data, parts)
 
 
-# --- run_he -------------------------------------------------------------------
+# --- he sessions --------------------------------------------------------
 
 
 def test_he_two_providers_match_centralized_oracle():
-    result = run_he(he_cfg(), split(HAND_DATA, 2))
+    result = run_session(he_cfg(), split(HAND_DATA, 2))
     transfer, reduced = linalg.centralized_pca(HAND_DATA, 2)
     assert np.max(np.abs(result.reduced - reduced)) <= 1e-6
     assert np.max(np.abs(result.transfer - transfer)) <= 1e-6
@@ -83,7 +81,7 @@ def test_single_provider_rejected():
 def test_he_replicated_data_covariance_oracle():
     rng = np.random.default_rng(5)
     block = rng.normal(size=(7, 4))
-    result = run_he(he_cfg(k=2), [block, block])
+    result = run_session(he_cfg(k=2), [block, block])
     n = 14
     centered = linalg.center_columns(block, linalg.column_means(block))
     expected = 2 * linalg.gram(centered) / (n - 1)
@@ -92,8 +90,8 @@ def test_he_replicated_data_covariance_oracle():
 
 def test_he_aggregator_choice():
     data = split(HAND_DATA, 3)
-    base = run_he(he_cfg(parties=3, k=2), data)
-    moved = run_he(he_cfg(parties=3, k=2, aggregator=2), data)
+    base = run_session(he_cfg(parties=3, k=2), data)
+    moved = run_session(he_cfg(parties=3, k=2, aggregator=2), data)
     assert np.allclose(base.covariance, moved.covariance, atol=1e-9)
     with pytest.raises(ConfigError):
         he_cfg(parties=3, aggregator=3)  # p must be at most M - 1
@@ -148,14 +146,14 @@ def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
         )
 
 
-# --- run_ss ---------------------------------------------------------------------
+# --- ss sessions ----------------------------------------------------------
 
 
 def test_ss_two_providers_match_centralized_oracle():
     # The tolerance below is the fixed-point error, which must dominate the
     # binary64 rounding: at the default f = 64 it would sit below one ulp.
     cfg = ss_cfg(fixed_point=FixedPointConfig(l=64, f=24))
-    result = run_ss(cfg, split(HAND_DATA, 2))
+    result = run_session(cfg, split(HAND_DATA, 2))
     transfer, reduced = linalg.centralized_pca(HAND_DATA, 2)
     tol = 2.0 ** (-cfg.fixed_point.f + 4)
     assert np.max(np.abs(result.reduced - reduced)) <= tol
@@ -166,7 +164,7 @@ def test_ss_zero_variance_column_completes():
     rng = np.random.default_rng(6)
     data = rng.normal(size=(12, 4))
     data[:, 2] = 3.25  # constant in every partition
-    result = run_ss(ss_cfg(k=3), split(data, 2))
+    result = run_session(ss_cfg(k=3), split(data, 2))
     assert result.reduced.shape == (12, 3)
     assert abs(result.eigenvalues[-1]) < 1e-6
 
@@ -174,8 +172,8 @@ def test_ss_zero_variance_column_completes():
 def test_ss_split_invariance_two_vs_four():
     rng = np.random.default_rng(7)
     data = rng.normal(size=(40, 5)) * [1, 2, 3, 4, 5]
-    r2 = run_ss(ss_cfg(parties=2, k=3), split(data, 2))
-    r4 = run_ss(ss_cfg(parties=4, k=3), split(data, 4))
+    r2 = run_session(ss_cfg(parties=2, k=3), split(data, 2))
+    r4 = run_session(ss_cfg(parties=4, k=3), split(data, 4))
     assert np.max(np.abs(r2.covariance - r4.covariance)) <= 4 * 2**-22
     assert np.max(np.abs(r2.transfer - r4.transfer)) <= 1e-5
 
@@ -189,8 +187,8 @@ def test_method_equivalence_he_vs_ss():
     rng = np.random.default_rng(8)
     for parties in (2, 3, 4):
         data = [rng.normal(size=(9 + 2 * i, 4)) * 3 for i in range(parties)]
-        he = run_he(he_cfg(parties=parties, k=2), data)
-        ss = run_ss(ss_cfg(parties=parties, k=2), data)
+        he = run_session(he_cfg(parties=parties, k=2), data)
+        ss = run_session(ss_cfg(parties=parties, k=2), data)
         for name in SESSION_OUTPUTS:
             assert np.array_equal(getattr(he, name), getattr(ss, name)), (parties, name)
 
@@ -212,10 +210,10 @@ def test_party_count_invariance_of_covariance():
     rng = np.random.default_rng(9)
     data = rng.normal(size=(24, 4)) * 2
     covs = [
-        run_ss(ss_cfg(parties=m, k=2), split(data, m)).covariance for m in (2, 3, 4)
+        run_session(ss_cfg(parties=m, k=2), split(data, m)).covariance for m in (2, 3, 4)
     ]
     transfers = [
-        run_ss(ss_cfg(parties=m, k=2), split(data, m)).transfer for m in (2, 3, 4)
+        run_session(ss_cfg(parties=m, k=2), split(data, m)).transfer for m in (2, 3, 4)
     ]
     for cov in covs[1:]:
         assert np.max(np.abs(cov - covs[0])) <= 4 * 2**-22
@@ -225,7 +223,7 @@ def test_party_count_invariance_of_covariance():
 
 def test_reduced_rows_stack_in_provider_order():
     parts = split(HAND_DATA, 3)
-    result = run_ss(ss_cfg(parties=3, k=1), parts)
+    result = run_session(ss_cfg(parties=3, k=1), parts)
     offset = 0
     transfer = result.transfer
     for part in parts:
@@ -238,14 +236,14 @@ def test_reduced_rows_stack_in_provider_order():
 
 def test_protocol_determinism_byte_identical_transcripts():
     data = split(HAND_DATA, 2)
-    a = run_ss(ss_cfg(seed=123), data)
-    b = run_ss(ss_cfg(seed=123), data)
+    a = run_session(ss_cfg(seed=123), data)
+    b = run_session(ss_cfg(seed=123), data)
     assert a.transcript.canonical_bytes() == b.transcript.canonical_bytes()
-    c = run_ss(ss_cfg(seed=124), data)
+    c = run_session(ss_cfg(seed=124), data)
     assert a.transcript.canonical_bytes() != c.transcript.canonical_bytes()
 
-    ha = run_he(he_cfg(seed=5), data)
-    hb = run_he(he_cfg(seed=5), data)
+    ha = run_session(he_cfg(seed=5), data)
+    hb = run_session(he_cfg(seed=5), data)
     assert ha.transcript.canonical_bytes() == hb.transcript.canonical_bytes()
 
 
@@ -265,7 +263,7 @@ def test_covariance_round_carries_the_upper_triangle():
     data = [rng.normal(size=(6, d)) for _ in range(3)]
     triangle = (1, d * (d + 1) // 2)
 
-    ss = run_ss(ss_cfg(parties=3, k=2), data)
+    ss = run_session(ss_cfg(parties=3, k=2), data)
     cov_phases = (PHASE_SHARE_COV, PHASE_SHARE_COV + 1)
     shared = [
         m for m in ss.transcript.entries()
@@ -276,7 +274,7 @@ def test_covariance_round_carries_the_upper_triangle():
     assert all(decode_share_matrix(m.payload).shape == triangle for m in shared)
     assert np.array_equal(ss.covariance, ss.covariance.T)
 
-    he = run_he(he_cfg(parties=3, k=2), data)
+    he = run_session(he_cfg(parties=3, k=2), data)
     entries = he.transcript.entries()
     pk = decode_public_key(
         next(m for m in entries if m.msg_type == MsgType.PUBLIC_KEY).payload
@@ -300,12 +298,12 @@ def test_covariance_round_carries_the_upper_triangle():
 def test_abort_on_mismatched_columns():
     rng = np.random.default_rng(11)
     with pytest.raises(DimensionError):
-        run_ss(ss_cfg(), [rng.normal(size=(4, 3)), rng.normal(size=(4, 4))])
+        run_session(ss_cfg(), [rng.normal(size=(4, 3)), rng.normal(size=(4, 4))])
 
 
 def test_abort_on_bad_k():
     with pytest.raises(ConfigError):
-        run_ss(ss_cfg(k=3), split(HAND_DATA, 2))  # k == d
+        run_session(ss_cfg(k=3), split(HAND_DATA, 2))  # k == d
     with pytest.raises(ConfigError):
         ss_cfg(k=0)
 
@@ -325,7 +323,13 @@ def test_abort_on_empty_provider():
     from pppca.errors import MatrixValidationError
 
     with pytest.raises(MatrixValidationError):
-        run_ss(ss_cfg(), [np.ones((1, 3)) * 2, np.zeros((0, 3))])
+        run_session(ss_cfg(), [np.ones((1, 3)) * 2, np.zeros((0, 3))])
+
+
+def test_config_rejects_a_timeout_that_is_not_finite_and_positive():
+    for timeout in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="timeout"):
+            ss_cfg(timeout=timeout)
 
 
 @pytest.mark.parametrize("transport", ["sim", "tcp"])
@@ -461,5 +465,5 @@ def test_randomized_instances_match_direct_covariance():
         centered = linalg.center_columns(pooled, linalg.column_means(pooled))
         direct = linalg.gram(centered) / (pooled.shape[0] - 1)
 
-        result = run_ss(ss_cfg(parties=parties, k=k, seed=trial), data)
+        result = run_session(ss_cfg(parties=parties, k=k, seed=trial), data)
         assert np.max(np.abs(result.covariance - direct)) <= parties * 2**-22

@@ -149,15 +149,13 @@ def test_share_uniformity_chi_squared():
         assert chi2 < critical
 
 
-def test_prg_determinism_and_derivation():
+def test_prg_determinism_and_seeds():
     a, b = CounterPRG(7), CounterPRG(7)
-    assert [a.randbits(64) for _ in range(10)] == [b.randbits(64) for _ in range(10)]
-    derived = CounterPRG(7).derive("x")
-    assert derived.randbits(64) != CounterPRG(7).randbits(64)
-    with pytest.raises(ValueError):
-        CounterPRG(-1)
-    with pytest.raises(ValueError):
-        CounterPRG(b"")
+    assert np.array_equal(a.randbits_array(64, 10), b.randbits_array(64, 10))
+    CounterPRG(2**256 - 1)  # the largest int seed that fits the 32 seed bytes
+    for bad in (-1, 2**256, b""):
+        with pytest.raises(ValueError):
+            CounterPRG(bad)
 
 
 # --- matrix lifts -------------------------------------------------------------
@@ -230,7 +228,7 @@ def test_share_matrix_consumes_the_stream_in_row_major_entry_order(l):
     prg = CounterPRG(21)
     for r in range(2):
         for c in range(3):
-            drawn = [prg.randbits(l) for _ in range(parties - 1)]
+            drawn = to_ints(prg.randbits_array(l, parties - 1)).tolist()
             assert [v[r, c] for v in values[:-1]] == drawn
             assert values[-1][r, c] == (ring[r][c] - sum(drawn)) % (1 << l)
 

@@ -1,4 +1,5 @@
 import random
+import socket
 import struct
 import threading
 import time
@@ -30,7 +31,7 @@ from pppca.messages import (
 )
 from pppca.ring import from_ints, to_ints
 from pppca.sharing import CounterPRG, share_matrix
-from pppca.transport import SimulatedNetwork, TcpNetwork
+from pppca.transport import SimulatedNetwork, TcpEndpoint, TcpNetwork
 
 
 def _msg(msg_type, sender, receiver, phase, payload):
@@ -408,6 +409,22 @@ def test_tcp_eof_between_frames_ends_only_that_senders_channel():
         tcp.close()
 
 
+def test_tcp_frame_cut_short_closes_the_receiver_at_once():
+    frame = serialize(_msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(20)))
+    # Inside the header, right after it, and inside the payload.
+    for cut in (1, messages.header_size(), messages.header_size() + 3):
+        receiver = TcpEndpoint(1, ("127.0.0.1", 0), timeout=5.0)
+        try:
+            with socket.create_connection(receiver.address) as peer:
+                peer.sendall(frame[:cut])
+            started = time.monotonic()
+            with pytest.raises(TransportClosed, match="mid-frame"):
+                receiver.recv(sender=2)
+            assert time.monotonic() - started < 1.0
+        finally:
+            receiver.close()
+
+
 # --- transcript --------------------------------------------------------------
 
 
@@ -424,11 +441,11 @@ def test_transcript_canonical_order_and_counts():
 
 
 def test_step_indices_strictly_increase_per_sender():
-    from pppca import SessionConfig, run_ss
+    from pppca import SessionConfig, run_session
 
     rng = np.random.default_rng(4)
     cfg = SessionConfig(method="ss", parties=3, k=2, seed=1)
-    result = run_ss(cfg, [rng.normal(size=(5, 4)) for _ in range(3)])
+    result = run_session(cfg, [rng.normal(size=(5, 4)) for _ in range(3)])
     last_step = {}
     for msg in result.transcript.entries():
         if msg.sender in last_step:
