@@ -7,8 +7,12 @@ Subcommands:
 * ``compare``  - the cross-validated method comparison table,
 * ``bench``    - protocol timing and message accounting per party count.
 
-A JSON config file (``--config``) may carry any session field; explicit
-command-line flags override config values.  Exit codes: 0 success, 1 usage
+Every subcommand reads every :class:`SessionConfig` field from a flag or a
+JSON config file (``--config``); ``aggregator`` and ``fixed_point`` (an
+object of ``l`` and ``f``) are config-only.  A config may also carry the
+other flags by their long names, and a role's ``endpoints``; a key that no
+subcommand reads is a data error.  Flags override config values, and
+``SessionConfig`` supplies every default.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 protocol error.
 """
 
@@ -20,7 +24,6 @@ import sys
 
 import numpy as np
 
-from . import paillier
 from .datasets import Dataset, load_csv, partition_horizontal, standardize_features
 from .encoding import FixedPointConfig
 from .errors import (
@@ -41,20 +44,28 @@ from .evaluation import (
 from .messages import Transcript
 from .privacy import assert_privacy, message_counts_by_type
 from .protocol import (
+    METHOD_SS,
     SERVER,
     ConsumerRole,
     ProviderRole,
     ServerRole,
     SessionConfig,
-    consumer_index,
     run_session,
 )
-from .transport import DEFAULT_TIMEOUT, TcpEndpoint
+from .transport import TcpEndpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PROTOCOL = 3
+
+# SessionConfig fields read from a flag or the config, besides method, parties and k.
+SESSION_SETTINGS = ("aggregator", "fixed_point", "key_bits", "allow_test_key", "seed", "timeout")
+# Every key some subcommand reads from a config file.
+CONFIG_KEYS = frozenset({
+    "method", "parties", "k", *SESSION_SETTINGS, "endpoints", "input", "label",
+    "delimiter", "no_header", "standardize", "methods", "folds", "task",
+})
 
 
 class _UsageError(Exception):
@@ -131,8 +142,8 @@ def _build_parser() -> _Parser:
     cmp_p.add_argument("--parties", type=int, default=None)
     cmp_p.add_argument(
         "--methods",
-        default="all",
-        help="comma list from {centralized,separate,pppca-he,pppca-ss} or 'all'",
+        default=None,
+        help="comma list from {centralized,separate,pppca-he,pppca-ss} or 'all' (default)",
     )
     cmp_p.add_argument("--folds", type=int, default=None)
     cmp_p.add_argument("--task", choices=["regression", "classification"])
@@ -159,6 +170,9 @@ def _load_config(path: str | None) -> dict:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DataError(f"config {path} must hold a JSON object")
+    unknown = sorted(cfg.keys() - CONFIG_KEYS)
+    if unknown:
+        raise DataError(f"config {path}: no subcommand reads the key(s) {', '.join(unknown)}")
     return cfg
 
 
@@ -170,15 +184,24 @@ def _setting(args, config: dict, name: str, default=None):
     return value
 
 
-def _session_kwargs(args, config: dict) -> dict:
-    fp = config.get("fixed_point", {})
-    return {
-        "fixed_point": FixedPointConfig(**fp) if fp else FixedPointConfig(),
-        "key_bits": int(_setting(args, config, "key_bits", paillier.DEFAULT_KEY_BITS)),
-        "allow_test_key": bool(_setting(args, config, "allow_test_key", False)),
-        "seed": _setting(args, config, "seed"),
-        "timeout": float(_setting(args, config, "timeout", DEFAULT_TIMEOUT)),
-    }
+def _session_settings(args, config: dict, parties=2) -> dict:
+    """The :class:`SessionConfig` fields a flag or the config sets; the one
+    place every subcommand's session comes from.  Beyond ``SessionConfig``'s
+    defaults, the CLI defaults ``method`` to ss and ``parties`` to the given
+    value."""
+    settings = {"method": METHOD_SS, "parties": parties}
+    for name in ("method", "parties", "k", *SESSION_SETTINGS):
+        value = _setting(args, config, name)
+        if value is not None:
+            settings[name] = value
+    if "k" not in settings:
+        raise _UsageError("--k is required (flag or config)")
+    if "fixed_point" in settings:
+        try:
+            settings["fixed_point"] = FixedPointConfig(**settings["fixed_point"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"config fixed_point needs l and f: {exc}") from exc
+    return settings
 
 
 def _load_dataset(args, config: dict, need_input=True) -> Dataset | None:
@@ -207,16 +230,9 @@ def _write_matrix_csv(path: str, matrix: np.ndarray, prefix: str):
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    parties = int(_setting(args, config, "parties", 2))
-    method = _setting(args, config, "method", "ss")
-    k = _setting(args, config, "k")
-    if k is None:
-        raise _UsageError("--k is required")
-    cfg = SessionConfig(
-        method=method, parties=parties, k=int(k), **_session_kwargs(args, config)
-    )
+    cfg = SessionConfig(**_session_settings(args, config))
     ds = _load_dataset(args, config)
-    parts = partition_horizontal(ds, parties, cfg.seed)
+    parts = partition_horizontal(ds, cfg.parties, cfg.seed)
     result = run_session(cfg, [p.features for p in parts])
     violations = assert_privacy(result.transcript, cfg)
     print(f"method      : {cfg.method}")
@@ -252,7 +268,7 @@ def _parse_endpoint(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _endpoint_map(config: dict, parties: int) -> dict[int, tuple[str, int]]:
+def _endpoint_map(config: dict, cfg: SessionConfig) -> dict[int, tuple[str, int]]:
     raw = config.get("endpoints")
     if not isinstance(raw, dict):
         raise DataError("config must map 'endpoints' to {name: host:port}")
@@ -261,15 +277,15 @@ def _endpoint_map(config: dict, parties: int) -> dict[int, tuple[str, int]]:
         if name == "server":
             party = SERVER
         elif name == "consumer":
-            party = consumer_index(parties)
+            party = cfg.consumer
         elif name.startswith("provider-"):
             party = int(name.split("-", 1)[1])
-            if not 1 <= party <= parties:
-                raise DataError(f"endpoint {name!r} out of range for {parties} parties")
+            if party not in cfg.providers:
+                raise DataError(f"endpoint {name!r} out of range for {cfg.parties} parties")
         else:
             raise DataError(f"unknown endpoint name {name!r}")
         mapping[party] = _parse_endpoint(address)
-    expected = {SERVER, consumer_index(parties), *range(1, parties + 1)}
+    expected = {SERVER, cfg.consumer, *cfg.providers}
     missing = expected - mapping.keys()
     if missing:
         raise DataError(f"config endpoints missing parties {sorted(missing)}")
@@ -280,34 +296,27 @@ def _cmd_role(args) -> int:
     config = _load_config(args.config)
     if not config:
         raise _UsageError("role mode needs --config with an 'endpoints' map")
-    parties = int(_setting(args, config, "parties", 2))
-    method = _setting(args, config, "method", "ss")
-    k = _setting(args, config, "k")
-    if k is None:
-        raise _UsageError("--k is required (flag or config)")
-    cfg = SessionConfig(
-        method=method, parties=parties, k=int(k), **_session_kwargs(args, config)
-    )
+    cfg = SessionConfig(**_session_settings(args, config))
     for override in args.connect:
         name, _, address = override.partition("=")
         if not name or not address:
             raise _UsageError(f"--connect expects NAME=HOST:PORT, got {override!r}")
         config.setdefault("endpoints", {})[name] = address
-    endpoints = _endpoint_map(config, parties)
+    endpoints = _endpoint_map(config, cfg)
 
     if args.role == "provider":
         if args.party_index is None:
             raise _UsageError("--party-index is required for providers")
         party = args.party_index
-        if not 1 <= party <= parties:
-            raise _UsageError(f"--party-index must lie in [1, {parties}]")
+        if party not in cfg.providers:
+            raise _UsageError(f"--party-index must lie in [1, {cfg.parties}]")
         ds = _load_dataset(args, config)
         role = ProviderRole(party, ds.features, cfg)
     elif args.role == "server":
         party = SERVER
         role = ServerRole(cfg)
     else:
-        party = consumer_index(parties)
+        party = cfg.consumer
         role = ConsumerRole(cfg)
 
     listen = (
@@ -340,25 +349,16 @@ def _cmd_compare(args) -> int:
     ds = _load_dataset(args, config)
     if ds.labels is None:
         raise _UsageError("compare needs --label naming the target column")
-    parties = int(_setting(args, config, "parties", 2))
-    k = _setting(args, config, "k")
-    if k is None:
-        raise _UsageError("--k is required")
+    settings = _session_settings(args, config)
+    del settings["method"]  # compare runs every method it lists
     raw = _setting(args, config, "methods", "all")
     methods = list(METHODS) if raw == "all" else [m.strip() for m in raw.split(",")]
-    session = _session_kwargs(args, config)
     reports = compare(
         ds,
-        parties=parties,
-        k=int(k),
         methods=methods,
-        seed=session["seed"] if session["seed"] is not None else 0,
         folds=int(_setting(args, config, "folds", 5)),
         task=_setting(args, config, "task"),
-        key_bits=session["key_bits"],
-        allow_test_key=session["allow_test_key"],
-        fixed_point=session["fixed_point"],
-        timeout=session["timeout"],
+        **settings,
     )
     sys.stdout.write(render_report(reports))
     if args.out:
@@ -371,26 +371,13 @@ def _cmd_compare(args) -> int:
 def _cmd_bench(args) -> int:
     config = _load_config(args.config)
     ds = _load_dataset(args, config)
-    raw = _setting(args, config, "parties", "2,3,4")
+    settings = _session_settings(args, config, parties="2,3,4")
+    raw = settings.pop("parties")
     try:
-        parties_list = [int(p) for p in str(raw).split(",")]
-    except ValueError:
-        raise _UsageError(f"--parties must be a comma list of ints, got {raw!r}")
-    method = _setting(args, config, "method", "ss")
-    k = _setting(args, config, "k")
-    if k is None:
-        raise _UsageError("--k is required")
-    session = _session_kwargs(args, config)
-    results = bench(
-        ds,
-        parties_list,
-        method=method,
-        k=int(k),
-        seed=session["seed"],
-        key_bits=session["key_bits"],
-        allow_test_key=session["allow_test_key"],
-        timeout=session["timeout"],
-    )
+        parties_list = [int(p) for p in (raw if isinstance(raw, list) else str(raw).split(","))]
+    except (TypeError, ValueError):
+        raise _UsageError(f"--parties must be a list of ints, got {raw!r}")
+    results = bench(ds, parties_list, **settings)
     sys.stdout.write(render_bench(results))
     if any(not r.counts_match for r in results):
         print("message accounting MISMATCH against the algorithm", file=sys.stderr)

@@ -17,18 +17,17 @@ Methods:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import linalg
 from .datasets import Dataset, assign_providers
-from .encoding import FixedPointConfig
 from .errors import ConfigError, DataError
 from .messages import Transcript
 from .models import auc, rmse, train_linreg, train_logreg
 from .privacy import expected_message_counts, message_counts_by_type
-from .protocol import METHOD_HE, METHOD_SS, SessionConfig, run_session
+from .protocol import SessionConfig, run_session
 
 METHODS = ("centralized", "separate", "pppca-he", "pppca-ss")
 
@@ -45,7 +44,6 @@ class RunReport:
     metric_name: str
     fold_metrics: list[float]
     mean_metric: float
-    timings: dict[str, float] = field(default_factory=dict)
     protocol_sample_counts: list[int] = field(default_factory=list)
     transcripts: list[Transcript] = field(default_factory=list)
 
@@ -95,13 +93,17 @@ def compare(
     seed: int | None = 0,
     folds: int = 5,
     task: str | None = None,
-    key_bits: int = 2048,
-    allow_test_key: bool = False,
-    fixed_point: FixedPointConfig | None = None,
     keep_transcripts: bool = False,
-    timeout: float = 120.0,
+    **session,
 ) -> list[RunReport]:
-    """Run the three-way comparison and return one report per method."""
+    """Run the three-way comparison and return one report per method.
+
+    ``seed`` fixes the provider assignment, the folds and each fold's
+    session seed.  ``session`` holds any other :class:`SessionConfig` field
+    (``key_bits``, ``allow_test_key``, ``fixed_point``, ``aggregator``,
+    ``timeout``), with ``SessionConfig``'s defaults for the rest; every
+    protocol method's config is built, and so checked, before the first fold.
+    """
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
@@ -111,19 +113,25 @@ def compare(
     if task not in (TASK_REGRESSION, TASK_CLASSIFICATION):
         raise ConfigError(f"unknown task {task!r}")
     metric_name = "auc" if task == TASK_CLASSIFICATION else "rmse"
+    unknown = session.keys() - {f.name for f in fields(SessionConfig)}
+    if unknown:
+        raise TypeError(f"compare() got unknown session settings {sorted(unknown)}")
+    configs = {
+        m: SessionConfig(method=m.removeprefix("pppca-"), parties=parties, k=k, **session)
+        for m in methods
+        if m.startswith("pppca-")
+    }
 
     assignment = assign_providers(ds.rows, parties, seed)
     folds_idx = kfold_indices(ds.rows, folds, None if seed is None else seed + 1)
     reports = []
     for method in methods:
         fold_metrics: list[float] = []
-        timings: dict[str, float] = {}
         sample_counts: list[int] = []
         transcripts: list[Transcript] = []
         for fold, (train_idx, test_idx) in enumerate(folds_idx):
             train = ds.take(train_idx)
             test = ds.take(test_idx)
-            started = time.perf_counter()
             if method == "centralized":
                 mean = linalg.column_means(train.features)
                 transfer, train_proj = linalg.centralized_pca(train.features, k)
@@ -149,16 +157,9 @@ def compare(
                     )
                 train_y = train.labels
             else:
-                protocol_method = METHOD_HE if method == "pppca-he" else METHOD_SS
-                cfg = SessionConfig(
-                    method=protocol_method,
-                    parties=parties,
-                    k=k,
-                    key_bits=key_bits,
-                    allow_test_key=allow_test_key,
-                    fixed_point=fixed_point or FixedPointConfig(),
+                cfg = replace(
+                    configs[method],
                     seed=None if seed is None else seed + 1000 * (fold + 1),
-                    timeout=timeout,
                 )
                 provider_rows = [
                     train_idx[assignment[train_idx] == q] for q in range(parties)
@@ -173,13 +174,8 @@ def compare(
                 sample_counts.append(result.sample_count)
                 if keep_transcripts:
                     transcripts.append(result.transcript)
-                for name, value in result.timings.items():
-                    timings[name] = timings.get(name, 0.0) + value
             fold_metrics.append(
                 _fit_score(task, train_proj, train_y, test_proj, test.labels)
-            )
-            timings["fold_total"] = timings.get("fold_total", 0.0) + (
-                time.perf_counter() - started
             )
         reports.append(
             RunReport(
@@ -188,7 +184,6 @@ def compare(
                 metric_name=metric_name,
                 fold_metrics=fold_metrics,
                 mean_metric=float(np.mean(fold_metrics)),
-                timings=timings,
                 protocol_sample_counts=sample_counts,
                 transcripts=transcripts,
             )
@@ -251,38 +246,26 @@ class BenchResult:
         return self.message_counts == self.expected_counts
 
 
-def bench(
-    ds: Dataset,
-    parties_list,
-    method: str,
-    k: int,
-    seed: int | None = 0,
-    key_bits: int = 2048,
-    allow_test_key: bool = False,
-    timeout: float = 300.0,
-) -> list[BenchResult]:
+def bench(ds: Dataset, parties_list, **session) -> list[BenchResult]:
     """Time full-dataset protocol runs for each party count and verify the
-    message accounting against the algorithm's exact counts."""
+    message accounting against the algorithm's exact counts.
+
+    ``session`` holds every :class:`SessionConfig` field but ``parties``
+    (``method`` and ``k`` at least), with ``SessionConfig``'s defaults for
+    the rest; ``seed`` also fixes the provider assignment.  Every party
+    count's config is built, and so checked, before the first run.
+    """
     results = []
-    for parties in parties_list:
-        cfg = SessionConfig(
-            method=method,
-            parties=parties,
-            k=k,
-            key_bits=key_bits,
-            allow_test_key=allow_test_key,
-            seed=seed,
-            timeout=timeout,
-        )
-        assignment = assign_providers(ds.rows, parties, seed)
-        data = [ds.features[assignment == q] for q in range(parties)]
+    for cfg in [SessionConfig(parties=p, **session) for p in parties_list]:
+        assignment = assign_providers(ds.rows, cfg.parties, cfg.seed)
+        data = [ds.features[assignment == q] for q in range(cfg.parties)]
         started = time.perf_counter()
         result = run_session(cfg, data)
         elapsed = time.perf_counter() - started
         results.append(
             BenchResult(
-                parties=parties,
-                method=method,
+                parties=cfg.parties,
+                method=cfg.method,
                 seconds=elapsed,
                 message_counts=message_counts_by_type(result.transcript),
                 expected_counts=expected_message_counts(cfg),

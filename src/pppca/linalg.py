@@ -330,7 +330,7 @@ def project(x, transfer) -> np.ndarray:
     return a @ t
 
 
-def centralized_pca(x, k: int, tol: float = DEFAULT_EIGH_TOL):
+def centralized_pca(x, k: int):
     """Reference PCA on pooled plaintext data.
 
     Centers columns by their means, eigendecomposes X^T X / (n - 1), and
@@ -345,7 +345,7 @@ def centralized_pca(x, k: int, tol: float = DEFAULT_EIGH_TOL):
         raise DimensionError(f"k must satisfy 1 <= k < d={d}, got {k}")
     centered = center_columns(a, column_means(a))
     cov = gram(centered) / (n - 1)
-    transfer = top_k_transfer(jacobi_eigh(cov, tol=tol), k)
+    transfer = top_k_transfer(jacobi_eigh(cov), k)
     return transfer, project(centered, transfer)
 
 

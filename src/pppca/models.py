@@ -16,6 +16,8 @@ from .errors import DataError
 from .linalg import check_matrix
 
 RIDGE_JITTER = 1e-8
+LOGREG_EPOCHS = 500
+LOGREG_STEP = 0.1
 
 
 def _with_intercept(x: np.ndarray) -> np.ndarray:
@@ -31,10 +33,10 @@ class LinearModel:
         return _with_intercept(a) @ self.weights
 
 
-def train_linreg(x, y, ridge: float = RIDGE_JITTER) -> LinearModel:
+def train_linreg(x, y) -> LinearModel:
     """Least squares with intercept via normal equations.
 
-    A ridge term of ``ridge`` on the diagonal keeps collinear post-PCA
+    A ridge term of ``RIDGE_JITTER`` on the diagonal keeps collinear post-PCA
     feature sets solvable; anything singular beyond that raises.
     """
     a = check_matrix(x)
@@ -46,7 +48,7 @@ def train_linreg(x, y, ridge: float = RIDGE_JITTER) -> LinearModel:
             f"need at least {a.shape[1] + 1} rows to fit {a.shape[1]} features"
         )
     design = _with_intercept(a)
-    gram = design.T @ design + ridge * np.eye(design.shape[1])
+    gram = design.T @ design + RIDGE_JITTER * np.eye(design.shape[1])
     try:
         weights = np.linalg.solve(gram, design.T @ labels)
     except np.linalg.LinAlgError as exc:
@@ -72,8 +74,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_logreg(x, y, epochs: int = 500, lr: float = 0.1) -> LogisticModel:
-    """Log-loss gradient descent, zero-initialized, fixed step size."""
+def train_logreg(x, y) -> LogisticModel:
+    """Log-loss gradient descent, zero-initialized: ``LOGREG_EPOCHS`` steps
+    of size ``LOGREG_STEP``."""
     a = check_matrix(x)
     labels = np.asarray(y, dtype=float)
     if labels.shape != (a.shape[0],):
@@ -84,9 +87,9 @@ def train_logreg(x, y, epochs: int = 500, lr: float = 0.1) -> LogisticModel:
     design = _with_intercept(a)
     weights = np.zeros(design.shape[1])
     n = design.shape[0]
-    for _ in range(epochs):
+    for _ in range(LOGREG_EPOCHS):
         grad = design.T @ (_sigmoid(design @ weights) - labels) / n
-        weights -= lr * grad
+        weights -= LOGREG_STEP * grad
     return LogisticModel(weights=weights)
 
 

@@ -71,6 +71,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -114,14 +115,6 @@ PHASE_TRANSFER = 8
 PHASE_REDUCED = 9
 
 
-def consumer_index(parties: int) -> int:
-    return parties + 1
-
-
-def provider_indices(parties: int) -> list[int]:
-    return list(range(1, parties + 1))
-
-
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything a session needs beyond the data itself.
@@ -142,6 +135,10 @@ class SessionConfig:
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
+        for name, kind in (("method", str), ("parties", Integral), ("k", Integral),
+                           ("aggregator", Integral), ("key_bits", Integral), ("timeout", Real)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
         if self.method not in SECURE_SUMS:
             raise ConfigError(f"method must be '{METHOD_HE}' or '{METHOD_SS}'")
         if self.parties < 2:
@@ -159,11 +156,11 @@ class SessionConfig:
 
     @property
     def consumer(self) -> int:
-        return consumer_index(self.parties)
+        return self.parties + 1
 
     @property
     def providers(self) -> list[int]:
-        return provider_indices(self.parties)
+        return list(range(1, self.parties + 1))
 
 
 def _derived_seed(seed: int, label: str) -> int:
@@ -638,7 +635,7 @@ class ConsumerRole(_Role):
     """Receives the reduced rows, stacked in provider order."""
 
     def __init__(self, cfg: SessionConfig):
-        super().__init__(consumer_index(cfg.parties), cfg)
+        super().__init__(cfg.consumer, cfg)
         self.reduced: np.ndarray | None = None
 
     def run(self, ep):

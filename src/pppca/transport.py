@@ -29,6 +29,8 @@ from .messages import (
 )
 
 DEFAULT_TIMEOUT = 30.0
+CONNECT_RETRY = 0.05  # seconds between attempts to reach a peer not yet listening
+LOOPBACK = "127.0.0.1"  # where TcpNetwork's endpoints listen
 
 
 class _Closed:
@@ -148,13 +150,11 @@ class TcpEndpoint(_BufferedReceiver):
         listen: tuple[str, int],
         transcript: Transcript | None = None,
         timeout: float = DEFAULT_TIMEOUT,
-        connect_retry: float = 0.05,
     ):
         super().__init__(party, transcript if transcript is not None else Transcript(), timeout)
         self._peers: dict[int, tuple[str, int]] = {}
         self._out: dict[int, socket.socket] = {}
         self._out_lock = threading.Lock()
-        self._connect_retry = connect_retry
         self._shutdown = False
         self._listener = socket.create_server(listen)
         self._listener.settimeout(0.2)
@@ -241,7 +241,7 @@ class TcpEndpoint(_BufferedReceiver):
                         raise TransportTimeout(
                             f"party {self.party}: could not reach party {receiver}"
                         ) from None
-                    time.sleep(self._connect_retry)
+                    time.sleep(CONNECT_RETRY)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._out[receiver] = sock
             return sock
@@ -274,11 +274,11 @@ class TcpNetwork:
 
     def __init__(
         self, parties: list[int], transcript: Transcript | None = None,
-        timeout: float = DEFAULT_TIMEOUT, host: str = "127.0.0.1",
+        timeout: float = DEFAULT_TIMEOUT,
     ):
         self.transcript = transcript if transcript is not None else Transcript()
         self.endpoints: dict[int, TcpEndpoint] = {
-            party: TcpEndpoint(party, (host, 0), self.transcript, timeout)
+            party: TcpEndpoint(party, (LOOPBACK, 0), self.transcript, timeout)
             for party in parties
         }
         addresses = {party: ep.address for party, ep in self.endpoints.items()}

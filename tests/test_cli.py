@@ -343,3 +343,67 @@ def test_role_connect_flag_overrides_config(tmp_path):
         ]
     )
     assert rc == EXIT_PROTOCOL
+
+
+def _config(tmp_path, wine_csv, **settings):
+    path = tmp_path / "cfg.json"
+    data = {"input": wine_csv, "label": "quality", "delimiter": ";", "k": 3, "seed": 5}
+    path.write_text(json.dumps({**data, **settings}))
+    return str(path)
+
+
+def test_bench_honours_the_configs_fixed_point(wine_csv, tmp_path, capsys):
+    # (16, 12) leaves |x| < 4 per provider: wine's features overflow the ring.
+    config = _config(tmp_path, wine_csv, fixed_point={"l": 16, "f": 12})
+    assert main(["simulate", "--config", config]) == EXIT_PROTOCOL
+    assert main(["bench", "--config", config, "--parties", "2"]) == EXIT_PROTOCOL
+    assert "protocol error" in capsys.readouterr().err
+
+
+def test_simulate_reads_the_aggregator_from_the_config(wine_csv, tmp_path, capsys):
+    config = _config(
+        tmp_path, wine_csv, method="he", parties=3, key_bits=512,
+        allow_test_key=True, aggregator=2,
+    )
+    assert main(["simulate", "--config", config, "--show-transcript"]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "privacy     : ok" in stdout
+    receivers = set(re.findall(r"ENCRYPTED_SUMS \d -> (\d)", stdout))
+    assert receivers == {"2"}
+
+
+def test_the_cli_can_set_every_session_field():
+    from dataclasses import fields
+
+    from pppca.cli import CONFIG_KEYS, SESSION_SETTINGS
+    from pppca.protocol import SessionConfig
+
+    settable = {"method", "parties", "k", *SESSION_SETTINGS}
+    assert settable == {f.name for f in fields(SessionConfig)}
+    assert settable <= CONFIG_KEYS
+
+
+def test_a_config_key_no_subcommand_reads_is_a_data_error(wine_csv, tmp_path, capsys):
+    config = _config(tmp_path, wine_csv, key_bit=512)
+    for command in (["simulate"], ["compare"], ["bench"], ["role", "--role", "server"]):
+        assert main([*command, "--config", config]) == EXIT_DATA
+        assert "key_bit" in capsys.readouterr().err
+    # A shared role config keeps its endpoints and every key some subcommand reads.
+    shared = _config(
+        tmp_path, wine_csv, method="ss", parties=2, timeout=20.0, methods="centralized",
+        folds=3, task="regression", standardize=False, no_header=False,
+        endpoints={"server": "127.0.0.1:1"},
+    )
+    assert main(["simulate", "--config", shared]) == EXIT_OK
+    assert main(["compare", "--config", shared]) == EXIT_OK
+    assert "separate" not in capsys.readouterr().out  # the config's methods, not all
+    # A known key of the wrong type is an invalid configuration, not a traceback.
+    assert main(["simulate", "--config", _config(tmp_path, wine_csv, k="3")]) == EXIT_USAGE
+
+
+def test_bench_takes_parties_as_a_json_list(wine_csv, tmp_path, capsys):
+    config = _config(tmp_path, wine_csv, parties=[2, 3])
+    assert main(["bench", "--config", config]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert stdout.count("exact") == 2
+    assert re.search(r"^\s+2\s+ss", stdout, re.M) and re.search(r"^\s+3\s+ss", stdout, re.M)

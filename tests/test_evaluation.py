@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pppca.evaluation as evaluation
 from pppca import linalg
 from pppca.datasets import (
     Dataset,
@@ -12,14 +13,17 @@ from pppca.datasets import (
     save_csv,
     standardize_features,
 )
-from pppca.errors import ConfigError, DataError
+from pppca.encoding import FixedPointConfig
+from pppca.errors import ConfigError, DataError, PPCAError
 from pppca.evaluation import (
+    bench,
     compare,
     kfold_indices,
     render_report,
     reports_to_csv,
 )
 from pppca.models import auc, rmse, train_linreg, train_logreg
+from pppca.transport import DEFAULT_TIMEOUT
 
 
 # --- load_csv ------------------------------------------------------------------
@@ -282,3 +286,43 @@ def test_render_report_shape():
     lines = text.strip().splitlines()
     assert lines[0].startswith("method")
     assert "centralized" in lines[2]
+
+
+def test_compare_and_bench_pass_session_settings_to_session_config(monkeypatch):
+    seen = []
+    real = evaluation.run_session
+
+    def spy(cfg, data):
+        seen.append(cfg)
+        return real(cfg, data)
+
+    monkeypatch.setattr(evaluation, "run_session", spy)
+    ds = make_wine_like(rows=60)
+    fp = FixedPointConfig(l=64, f=30)
+    compare(ds, parties=3, k=2, methods=["pppca-ss"], seed=1, folds=2, fixed_point=fp,
+            aggregator=2)
+    bench(ds, [2], method="ss", k=2, seed=1, fixed_point=fp)
+    assert len(seen) == 3
+    assert {(c.fixed_point, c.timeout) for c in seen} == {(fp, DEFAULT_TIMEOUT)}
+    assert [c.aggregator for c in seen[:2]] == [2, 2]
+    # A ring too narrow for wine's features aborts the session it reaches.
+    with pytest.raises(PPCAError):
+        compare(ds, parties=2, k=2, methods=["pppca-ss"], seed=1,
+                fixed_point=FixedPointConfig(l=16, f=12))
+
+
+def test_a_bad_session_setting_fails_before_the_first_fold(monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(evaluation, "_fit_score", no_fold)
+    monkeypatch.setattr(evaluation, "run_session", no_fold)
+    ds = make_wine_like(rows=40)
+    with pytest.raises(TypeError, match="key_bit"):
+        compare(ds, parties=2, k=2, methods=["centralized"], seed=0, key_bit=512)
+    with pytest.raises(ConfigError, match="test-only"):
+        compare(ds, parties=2, k=2, methods=["centralized", "pppca-he"], key_bits=512)
+    with pytest.raises(TypeError, match="key_bit"):
+        bench(ds, [2, 3], method="ss", k=2, key_bit=512)
+    with pytest.raises(ConfigError, match="test-only"):
+        bench(ds, [2, 3], method="he", k=2, key_bits=512)

@@ -332,6 +332,16 @@ def test_config_rejects_a_timeout_that_is_not_finite_and_positive():
             ss_cfg(timeout=timeout)
 
 
+def test_config_rejects_fields_of_the_wrong_type():
+    # A config file's "3" or [2, 3] must not reach the comparisons as is.
+    for name, value in (("k", "3"), ("parties", [2, 3]), ("timeout", "20"), ("aggregator", 1.0)):
+        with pytest.raises(ConfigError, match=name):
+            ss_cfg(**{name: value})
+    with pytest.raises(ConfigError, match="method"):
+        SessionConfig(method=["ss"], parties=2, k=1)
+    assert ss_cfg(parties=np.int64(3), k=np.int64(2), timeout=np.float64(5)).parties == 3
+
+
 @pytest.mark.parametrize("transport", ["sim", "tcp"])
 def test_live_session_outlasts_receive_timeout(monkeypatch, transport):
     data = split(HAND_DATA, 2)
