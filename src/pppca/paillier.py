@@ -79,8 +79,8 @@ ALLOWED_KEY_BITS = (512, 1024, 2048, 3072)
 # by 2^-100.  FIPS has no row for the 256-bit primes of test-only 512-bit
 # keys; they take the 12 rounds of Menezes et al., HAC Table 4.4 (2^-80).
 MILLER_RABIN_ROUNDS = {256: 12, 512: 7, 1024: 4, 1536: 3}
-# Candidates are trial-divided by the odd primes below the first bound, then
-# tested by one gcd against the product of the odd primes up to the second.
+# Candidates are tested by one gcd against the product of the odd primes
+# below the first bound, then by another against those up to the second.
 TRIAL_DIVISION_BOUND = 2000
 GCD_FILTER_BOUND = 1 << 16
 RANDOMIZER_WINDOW = 6
@@ -98,6 +98,7 @@ def _odd_primes(start: int, stop: int):
 
 
 _SMALL_PRIMES = list(_odd_primes(3, TRIAL_DIVISION_BOUND))
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 @functools.cache
@@ -114,16 +115,15 @@ def _gcd_filter_product() -> int:
 
 
 def _is_probable_prime(n: int, rng: random.Random, rounds: int) -> bool:
-    """Trial division by small primes, a gcd with the product of the primes
-    below GCD_FILTER_BOUND, a base-2 Fermat test, then Miller-Rabin with
-    random bases."""
+    """A gcd with the product of the small primes, another with the product
+    of the primes below GCD_FILTER_BOUND, a base-2 Fermat test, then
+    Miller-Rabin with random bases."""
     if n < 2 or n % 2 == 0:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n < TRIAL_DIVISION_BOUND:
+        return n in _SMALL_PRIMES  # any odd composite this small has a small factor
+    if math.gcd(_SMALL_PRIMES_PRODUCT, n) != 1:
+        return False
     # Neither filter can reject a prime: above the bound, a common factor
     # with the product is a proper factor of n, and every odd prime passes
     # Fermat's test.  A candidate they reject still draws the witness that

@@ -53,13 +53,14 @@ local covariance term (scale by 1/(n-1)) need the global row count.  They
 are treated as non-sensitive session metadata; deployments for which row
 counts are themselves secret need a different protocol.
 
-``SessionConfig.timeout`` bounds a single receive.  When every role runs in
-one process (:func:`run_session`), a receive that times out waits again
-while any other role is still computing, so a session that is alive never
-aborts; only a stalled session, in which every unfinished role is waiting
-and none has moved for a whole timeout, aborts with an error naming the
+``SessionConfig.timeout`` means one of two things.  When every role runs in
+one process (:func:`run_session`), receives do not time out; the timeout is
+the session's stall window instead.  A session that is alive never aborts;
+one in which every unfinished role is waiting, and nothing is consumed and
+no role finishes for a whole window, aborts with an error naming the
 waiting parties and their phases.  A role run on its own (``pppca role``)
-cannot see its peers, and a timed-out receive ends it.
+cannot see its peers, so there the timeout bounds each receive, and one
+that times out ends the role.
 """
 
 from __future__ import annotations
@@ -77,13 +78,7 @@ import numpy as np
 
 from . import linalg, paillier, ring
 from .encoding import FixedPointConfig, matrix_decode_fixed, matrix_encode_fixed
-from .errors import (
-    ConfigError,
-    DimensionError,
-    ProtocolAbort,
-    TransportError,
-    TransportTimeout,
-)
+from .errors import ConfigError, DimensionError, ProtocolAbort, TransportError
 from .messages import (
     MsgType,
     ProtocolMessage,
@@ -135,10 +130,14 @@ class SessionConfig:
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
-        for name, kind in (("method", str), ("parties", Integral), ("k", Integral),
-                           ("aggregator", Integral), ("key_bits", Integral), ("timeout", Real)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
+        for name, kinds in (("method", str), ("parties", Integral), ("k", Integral),
+                            ("aggregator", Integral), ("key_bits", Integral), ("timeout", Real),
+                            ("allow_test_key", bool), ("seed", (Integral, type(None))),
+                            ("fixed_point", FixedPointConfig)):
+            if not isinstance(getattr(self, name), kinds):
+                kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise ConfigError(f"{name} must be of type {names}, got {getattr(self, name)!r}")
         if self.method not in SECURE_SUMS:
             raise ConfigError(f"method must be '{METHOD_HE}' or '{METHOD_SS}'")
         if self.parties < 2:
@@ -364,54 +363,6 @@ class SessionResult:
     timings: dict[str, float]
 
 
-class _SessionMonitor:
-    """Which roles of an in-process session are computing, blocked in a
-    receive, or finished.
-
-    Every change of state counts as progress.  The session is stalled when
-    every unfinished role is blocked and nothing has changed since a given
-    mark.
-    """
-
-    def __init__(self, parties):
-        self._lock = threading.Lock()
-        self._unfinished = set(parties)
-        self._waiting: dict[int, int] = {}
-        self._progress = 0
-
-    def _changed(self):
-        self._progress += 1
-        return self._progress
-
-    def blocked(self, party: int, phase: int) -> int:
-        """Mark ``party`` as waiting in ``phase``; returns the progress mark."""
-        with self._lock:
-            self._waiting[party] = phase
-            return self._changed()
-
-    def resumed(self, party: int):
-        with self._lock:
-            self._waiting.pop(party, None)
-            self._changed()
-
-    def finished(self, party: int):
-        with self._lock:
-            self._waiting.pop(party, None)
-            self._unfinished.discard(party)
-            self._changed()
-
-    def check(self, mark: int) -> tuple[int, str | None]:
-        """After a timed-out wait begun at ``mark``: return a fresh mark and
-        ``None`` while the session is alive, else a description of the stall."""
-        with self._lock:
-            if self._progress != mark or self._unfinished - self._waiting.keys():
-                return self._progress, None
-            return mark, ", ".join(
-                f"party {j} in phase {phase}"
-                for j, phase in sorted(self._waiting.items())
-            )
-
-
 class _Role:
     """Shared plumbing: message construction, typed receive, phase tracking."""
 
@@ -419,8 +370,7 @@ class _Role:
         self.party = party
         self.cfg = cfg
         self.phase = PHASE_SAMPLE_COUNT
-        # Set by run_session; a role run on its own has no view of its peers.
-        self.monitor: _SessionMonitor | None = None
+        self.waiting = False  # inside a receive; run_session watches this
 
     def _send(self, ep, receiver: int, msg_type: MsgType, phase: int, payload: bytes):
         ep.send(
@@ -435,11 +385,11 @@ class _Role:
 
     def _recv(self, ep, sender: int, msg_type: MsgType, phase: int) -> ProtocolMessage:
         self.phase = phase
-        monitor = self.monitor
-        if monitor is None:
+        self.waiting = True
+        try:
             msg = ep.recv(sender=sender)
-        else:
-            msg = self._recv_monitored(ep, monitor, sender, phase)
+        finally:
+            self.waiting = False
         if msg.msg_type != msg_type or msg.phase != phase:
             raise ProtocolAbort(
                 phase,
@@ -447,27 +397,6 @@ class _Role:
                 f"from party {sender}, got {msg.msg_type.name} in phase {msg.phase}",
             )
         return msg
-
-    def _recv_monitored(
-        self, ep, monitor: _SessionMonitor, sender: int, phase: int
-    ) -> ProtocolMessage:
-        """Receive, waiting out timeouts for as long as the session moves."""
-        mark = monitor.blocked(self.party, phase)
-        try:
-            while True:
-                try:
-                    return ep.recv(sender=sender)
-                except TransportTimeout:
-                    mark, stall = monitor.check(mark)
-                    if stall is not None:
-                        raise ProtocolAbort(
-                            phase,
-                            f"party {self.party}: session stalled waiting for "
-                            f"party {sender}: no progress within "
-                            f"{self.cfg.timeout:g}s ({stall})",
-                        ) from None
-        finally:
-            monitor.resumed(self.party)
 
     def _exchange_sample_counts(self, ep, rows: int) -> int:
         """Phase 0: broadcast own row count, collect the others', return n."""
@@ -673,61 +602,83 @@ def _validate_inputs(cfg: SessionConfig, data) -> list[np.ndarray]:
     return matrices
 
 
+_NETWORKS = {"sim": SimulatedNetwork, "tcp": TcpNetwork}
+
+
+def _watch(threads: list[threading.Thread], roles: list[_Role], network, window: float):
+    """Join the role threads, aborting the network if the session stalls.
+
+    The session is stalled when two checks a whole ``window`` apart both
+    find every unfinished role waiting, the same number of messages
+    consumed and the same number of roles finished.
+    """
+    last = None
+    while True:
+        deadline = time.monotonic() + window
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+        running = [role for role, t in zip(roles, threads) if t.is_alive()]
+        if not running:
+            return
+        state = None
+        if all(role.waiting for role in running):
+            state = (len(network.transcript), len(running))
+            if state == last:
+                network.abort(
+                    f"session stalled: no progress within {window:g}s ("
+                    + ", ".join(f"party {r.party} in phase {r.phase}" for r in running)
+                    + ")"
+                )
+        last = state
+
+
 def run_session(
     cfg: SessionConfig, data, transport: str = "sim"
 ) -> SessionResult:
     """Execute a full session with every role in this process.
 
-    ``transport`` selects the in-process bus (``"sim"``) or loopback TCP
-    (``"tcp"``); both produce identical transcripts for identical seeds.
+    ``transport`` names the network, built from the party list: the
+    in-process bus (``"sim"``) or loopback TCP (``"tcp"``); both produce
+    identical transcripts for identical seeds.  Receives do not time out;
+    instead the session is watched, and aborted once it has stalled for
+    ``cfg.timeout`` seconds.
     """
     matrices = _validate_inputs(cfg, data)
-    parties = [SERVER] + cfg.providers + [cfg.consumer]
-    transcript = Transcript()
-    if transport == "sim":
-        network = SimulatedNetwork(transcript, timeout=cfg.timeout)
-        endpoints = {party: network.endpoint(party) for party in parties}
-    elif transport == "tcp":
-        network = TcpNetwork(parties, transcript, timeout=cfg.timeout)
-        endpoints = {party: network.endpoint(party) for party in parties}
-    else:
+    if transport not in _NETWORKS:
         raise ConfigError(f"unknown transport {transport!r}")
-
     server = ServerRole(cfg)
     providers = [
         ProviderRole(i, m, cfg) for i, m in zip(cfg.providers, matrices)
     ]
     consumer = ConsumerRole(cfg)
     roles = [server, *providers, consumer]
-    monitor = _SessionMonitor(parties)
-    for role in roles:
-        role.monitor = monitor
-
+    network = _NETWORKS[transport]([role.party for role in roles], timeout=None)
     failures: list[tuple[_Role, BaseException]] = []
     failure_lock = threading.Lock()
 
     def _drive(role: _Role):
         try:
-            role.run(endpoints[role.party])
+            role.run(network.endpoint(role.party))
         except BaseException as exc:  # noqa: BLE001 - must fan out the abort
             with failure_lock:
                 failures.append((role, exc))
             network.abort(f"party {role.party} failed: {exc}")
-        finally:
-            monitor.finished(role.party)
 
     started = time.perf_counter()
     threads = [
         threading.Thread(target=_drive, args=(role,), name=f"pppca-party-{role.party}")
         for role in roles
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    total = time.perf_counter() - started
-    if transport == "tcp":
+    try:
+        for t in threads:
+            t.start()
+        _watch(threads, roles, network, cfg.timeout)
+    except BaseException:
+        network.abort("session interrupted")
+        raise
+    finally:
         network.close()
+    total = time.perf_counter() - started
 
     if failures:
         # Report the root cause, not the TransportClosed cascade it triggers.
@@ -751,7 +702,7 @@ def run_session(
         mean=server.mean,
         eigenvalues=server.eigenvalues,
         sample_count=server.sample_count,
-        transcript=transcript,
+        transcript=network.transcript,
         timings=timings,
     )
 

@@ -6,9 +6,16 @@ Two interchangeable transports expose the same endpoint surface:
 * :class:`TcpNetwork` runs the identical frames over length-prefixed TCP,
   one connection per ordered (sender, receiver) channel.
 
-Both log every delivered message into a shared :class:`Transcript` at the
-moment the receiving role consumes it, so a transcript records exactly what
-each party saw, in a canonical order that is identical across transports.
+Both networks build one endpoint per party of the list they are given, and
+log every delivered message into a shared :class:`Transcript` at the moment
+the receiving role consumes it, so a transcript records exactly what each
+party saw, in a canonical order that is identical across transports.
+
+``timeout`` bounds each receive, and each attempt to reach a TCP peer.
+``None`` means no bound: a receive blocks until a frame arrives or the
+network is aborted, and a TCP endpoint makes one blocking connect attempt,
+for peers whose listeners already exist.  That suits sessions whose roles
+all run in one process, which watch for stalls themselves.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ class _BufferedReceiver:
     puts the marker in every queue, present and future.
     """
 
-    def __init__(self, party: int, transcript: Transcript, timeout: float):
+    def __init__(self, party: int, transcript: Transcript, timeout: float | None):
         self.party = party
         self.transcript = transcript
         self.timeout = timeout
@@ -94,9 +101,26 @@ class _BufferedReceiver:
         return item
 
 
+class _Network:
+    """The endpoints of a fixed party list, which share one transcript."""
+
+    endpoints: dict
+
+    def endpoint(self, party: int):
+        return self.endpoints[party]
+
+    def abort(self, reason: str):
+        """Fail every receive of every endpoint, now and later."""
+        for ep in self.endpoints.values():
+            ep._close(reason)
+
+    def close(self):
+        pass
+
+
 class SimEndpoint(_BufferedReceiver):
-    def __init__(self, network: "SimulatedNetwork", party: int):
-        super().__init__(party, network.transcript, network.timeout)
+    def __init__(self, network: "SimulatedNetwork", party: int, timeout: float | None):
+        super().__init__(party, network.transcript, timeout)
         self._network = network
 
     def send(self, msg: ProtocolMessage):
@@ -104,41 +128,22 @@ class SimEndpoint(_BufferedReceiver):
         # the bytes that TCP would carry.
         self._network.deliver(deserialize(serialize(msg)))
 
-    def close(self):
-        pass
 
-
-class SimulatedNetwork:
+class SimulatedNetwork(_Network):
     """Deterministic in-process bus: send delivers immediately, in order."""
 
     def __init__(
-        self, transcript: Transcript | None = None, timeout: float = DEFAULT_TIMEOUT
+        self, parties: list[int], transcript: Transcript | None = None,
+        timeout: float | None = DEFAULT_TIMEOUT,
     ):
         self.transcript = transcript if transcript is not None else Transcript()
-        self.timeout = timeout
-        self._endpoints: dict[int, SimEndpoint] = {}
-        self._lock = threading.Lock()
-
-    def endpoint(self, party: int) -> SimEndpoint:
-        with self._lock:
-            if party in self._endpoints:
-                raise ValueError(f"party {party} already registered")
-            ep = SimEndpoint(self, party)
-            self._endpoints[party] = ep
-            return ep
+        self.endpoints = {party: SimEndpoint(self, party, timeout) for party in parties}
 
     def deliver(self, msg: ProtocolMessage):
-        with self._lock:
-            target = self._endpoints.get(msg.receiver)
+        target = self.endpoints.get(msg.receiver)
         if target is None:
             raise TransportClosed(f"no endpoint for party {msg.receiver}")
         target._push(msg)
-
-    def abort(self, reason: str):
-        with self._lock:
-            endpoints = list(self._endpoints.values())
-        for ep in endpoints:
-            ep._close(reason)
 
 
 class TcpEndpoint(_BufferedReceiver):
@@ -149,7 +154,7 @@ class TcpEndpoint(_BufferedReceiver):
         party: int,
         listen: tuple[str, int],
         transcript: Transcript | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
+        timeout: float | None = DEFAULT_TIMEOUT,
     ):
         super().__init__(party, transcript if transcript is not None else Transcript(), timeout)
         self._peers: dict[int, tuple[str, int]] = {}
@@ -231,7 +236,8 @@ class TcpEndpoint(_BufferedReceiver):
                 return sock
             if receiver not in self._peers:
                 raise TransportClosed(f"no address known for party {receiver}")
-            deadline = time.monotonic() + self.timeout
+            # With no timeout, the one attempt below is the last.
+            deadline = time.monotonic() + (self.timeout or 0.0)
             while True:
                 try:
                     sock = socket.create_connection(self._peers[receiver], timeout=self.timeout)
@@ -269,12 +275,12 @@ class TcpEndpoint(_BufferedReceiver):
             self._out.clear()
 
 
-class TcpNetwork:
+class TcpNetwork(_Network):
     """Helper for in-process multi-endpoint TCP sessions (tests, demos)."""
 
     def __init__(
         self, parties: list[int], transcript: Transcript | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
+        timeout: float | None = DEFAULT_TIMEOUT,
     ):
         self.transcript = transcript if transcript is not None else Transcript()
         self.endpoints: dict[int, TcpEndpoint] = {
@@ -284,13 +290,6 @@ class TcpNetwork:
         addresses = {party: ep.address for party, ep in self.endpoints.items()}
         for ep in self.endpoints.values():
             ep.set_peers(addresses)
-
-    def endpoint(self, party: int) -> TcpEndpoint:
-        return self.endpoints[party]
-
-    def abort(self, reason: str):
-        for ep in self.endpoints.values():
-            ep._close(reason)
 
     def close(self):
         for ep in self.endpoints.values():

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -14,3 +15,14 @@ def test_keypair():
 @pytest.fixture(scope="session")
 def test_keypair_1024():
     return paillier.keygen(1024, random.Random(0xBEEF))
+
+
+@pytest.fixture(autouse=True)
+def no_role_thread_left_running():
+    """A role thread still waiting after its test would hang interpreter exit,
+    so every session must end with all of them joined: on success, on a
+    stall and on failure."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("pppca-party-")]
+    if left:
+        pytest.fail(f"role threads left running: {left}")

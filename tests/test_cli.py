@@ -401,6 +401,15 @@ def test_a_config_key_no_subcommand_reads_is_a_data_error(wine_csv, tmp_path, ca
     assert main(["simulate", "--config", _config(tmp_path, wine_csv, k="3")]) == EXIT_USAGE
 
 
+def test_a_string_allow_test_key_does_not_allow_a_test_key(wine_csv, tmp_path, capsys):
+    # The string "false" is truthy; read as is, it would run a 512-bit key.
+    config = _config(
+        tmp_path, wine_csv, method="he", key_bits=512, allow_test_key="false", k=2, seed=3,
+    )
+    assert main(["simulate", "--config", config]) == EXIT_USAGE
+    assert "allow_test_key" in capsys.readouterr().err
+
+
 def test_bench_takes_parties_as_a_json_list(wine_csv, tmp_path, capsys):
     config = _config(tmp_path, wine_csv, parties=[2, 3])
     assert main(["bench", "--config", config]) == EXIT_OK

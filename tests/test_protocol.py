@@ -112,13 +112,13 @@ def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
     # the simulated network.
     server_cfg = replace(he_cfg(timeout=1.0), key_bits=server_bits)
     provider_cfg = replace(server_cfg, key_bits=provider_bits)
-    network = SimulatedNetwork(timeout=server_cfg.timeout)
     blocks = split(HAND_DATA, 2)
     roles = [
         ServerRole(server_cfg),
         *(ProviderRole(i, x, provider_cfg) for i, x in zip(provider_cfg.providers, blocks)),
         ConsumerRole(provider_cfg),
     ]
+    network = SimulatedNetwork([role.party for role in roles], timeout=server_cfg.timeout)
     endpoints = {role.party: network.endpoint(role.party) for role in roles}
     errors = {}
 
@@ -334,7 +334,10 @@ def test_config_rejects_a_timeout_that_is_not_finite_and_positive():
 
 def test_config_rejects_fields_of_the_wrong_type():
     # A config file's "3" or [2, 3] must not reach the comparisons as is.
-    for name, value in (("k", "3"), ("parties", [2, 3]), ("timeout", "20"), ("aggregator", 1.0)):
+    for name, value in (
+        ("k", "3"), ("parties", [2, 3]), ("timeout", "20"), ("aggregator", 1.0),
+        ("allow_test_key", "false"), ("seed", "3"), ("fixed_point", {"l": 64, "f": 24}),
+    ):
         with pytest.raises(ConfigError, match=name):
             ss_cfg(**{name: value})
     with pytest.raises(ConfigError, match="method"):
@@ -361,7 +364,8 @@ def test_live_session_outlasts_receive_timeout(monkeypatch, transport):
     assert result.transcript.canonical_bytes() == expected.transcript.canonical_bytes()
 
 
-def test_stalled_session_aborts_naming_party_and_phase(monkeypatch):
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+def test_stalled_session_aborts_naming_party_and_phase(monkeypatch, transport):
     real_send = ProviderRole._send
 
     def silent_send(self, ep, receiver, msg_type, phase, payload):
@@ -372,7 +376,7 @@ def test_stalled_session_aborts_naming_party_and_phase(monkeypatch):
     timeout = 0.2
     started = time.perf_counter()
     with pytest.raises(ProtocolAbort) as err:
-        run_session(ss_cfg(timeout=timeout), split(HAND_DATA, 2))
+        run_session(ss_cfg(timeout=timeout), split(HAND_DATA, 2), transport=transport)
     assert time.perf_counter() - started < 10 * timeout
     message = str(err.value)
     assert "stalled" in message

@@ -310,7 +310,7 @@ def test_decoders_raise_only_frame_format_error(name, data):
 
 
 def test_sim_bus_fifo_per_sender():
-    net = SimulatedNetwork()
+    net = SimulatedNetwork([1, 2])
     a = net.endpoint(1)
     b = net.endpoint(2)
     for i in range(3):
@@ -321,15 +321,14 @@ def test_sim_bus_fifo_per_sender():
 
 
 def test_sim_bus_recv_timeout():
-    net = SimulatedNetwork(timeout=0.05)
+    net = SimulatedNetwork([1, 2], timeout=0.05)
     ep = net.endpoint(1)
-    net.endpoint(2)
     with pytest.raises(TransportTimeout):
         ep.recv(sender=2)
 
 
 def test_sim_bus_abort_unblocks():
-    net = SimulatedNetwork(timeout=5.0)
+    net = SimulatedNetwork([1, 2], timeout=5.0)
     ep = net.endpoint(1)
     errors = []
 
@@ -348,7 +347,7 @@ def test_sim_bus_abort_unblocks():
 
 
 def test_sim_bus_buffers_other_senders():
-    net = SimulatedNetwork()
+    net = SimulatedNetwork([1, 2, 3])
     a, b, c = net.endpoint(1), net.endpoint(2), net.endpoint(3)
     b.send(_msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(22)))
     c.send(_msg(MsgType.SAMPLE_COUNT, 3, 1, 0, encode_sample_count(33)))
@@ -361,7 +360,7 @@ def test_sim_bus_buffers_other_senders():
 
 
 def test_tcp_loopback_matches_sim_messages():
-    sim = SimulatedNetwork()
+    sim = SimulatedNetwork([1, 2])
     s1, s2 = sim.endpoint(1), sim.endpoint(2)
     tcp = TcpNetwork([1, 2], timeout=5.0)
     try:
