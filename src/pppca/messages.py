@@ -15,7 +15,12 @@ Matrix payloads carry rows (4 bytes) and cols (4 bytes) followed by entries
 in row-major order: real entries as IEEE-754 binary64, ring entries as
 16-byte unsigned values (covering ring widths up to 128 bits), which are
 the [hi, lo] limbs of a ring matrix (:mod:`pppca.ring`) in big-endian
-order, so each codec is one numpy conversion.  Encrypted
+order, so each codec is one numpy conversion.  A share payload starts with
+owner (2 bytes), l (2 bytes) and the secret id (2-byte length, then UTF-8)
+before that shape.  Its form follows from the message type:
+``LOCAL_SHARE_SUM`` carries the entries, and ``SHARE_BUNDLE`` carries the
+32-byte seed they expand from (:class:`pppca.sharing.SeededShare`), which
+the receiver expands only if the entries would fit the payload cap.  Encrypted
 matrices carry the same header, the matrix's shape, followed by the
 ceil(rows * cols / s) ciphertexts its entries pack into, s to a plaintext
 (see :mod:`pppca.paillier`), each as a fixed-width unsigned value of
@@ -37,7 +42,7 @@ import numpy as np
 
 from .errors import FrameFormatError
 from .paillier import Ciphertext, EncryptedMatrix, PublicKey, slot_count
-from .sharing import ShareMatrix
+from .sharing import SEED_BYTES, SeededShare, ShareMatrix
 
 MAGIC = b"PPCA"
 VERSION = 1
@@ -264,20 +269,14 @@ def decode_encrypted_matrix(payload: bytes, pk: PublicKey, slot_bits: int) -> En
     return EncryptedMatrix((rows, cols), slot_bits, cells)
 
 
-def encode_share_matrix(m: ShareMatrix) -> bytes:
+def _share_header(m: ShareMatrix) -> bytes:
     sid = m.secret_id.encode()
     rows, cols = m.shape
-    parts = [
-        struct.pack(">HH", m.owner, m.l),
-        struct.pack(">H", len(sid)),
-        sid,
-        struct.pack(">II", rows, cols),
-        m.values.astype(">u8").tobytes(),  # [hi, lo] per element
-    ]
-    return b"".join(parts)
+    return struct.pack(">HHH", m.owner, m.l, len(sid)) + sid + struct.pack(">II", rows, cols)
 
 
-def decode_share_matrix(payload: bytes) -> ShareMatrix:
+def _read_share_header(payload: bytes) -> tuple[_Reader, int, int, bytes, int, int]:
+    """The reader past the header, and owner, l, raw secret id, rows, cols."""
     r = _Reader(payload)
     owner, l = r.u16(), r.u16()
     raw_sid = r.take(r.u16())
@@ -286,6 +285,15 @@ def decode_share_matrix(payload: bytes) -> ShareMatrix:
         raise FrameFormatError(f"share matrix ring width {l} outside [1, 128]")
     if rows == 0 or cols == 0:
         raise FrameFormatError(f"share matrix {rows}x{cols} has no entries")
+    return r, owner, l, raw_sid, rows, cols
+
+
+def encode_share_matrix(m: ShareMatrix) -> bytes:
+    return _share_header(m) + m.values.astype(">u8").tobytes()  # [hi, lo] per element
+
+
+def decode_share_matrix(payload: bytes) -> ShareMatrix:
+    r, owner, l, raw_sid, rows, cols = _read_share_header(payload)
     if rows * cols * RING_ELEMENT_BYTES != len(payload) - r.pos:
         raise FrameFormatError(
             f"share matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
@@ -295,6 +303,27 @@ def decode_share_matrix(payload: bytes) -> ShareMatrix:
         return ShareMatrix(values, owner, raw_sid.decode(), l)
     except ValueError as exc:  # a value outside [0, 2^l), or a bad secret id
         raise FrameFormatError(f"malformed share matrix: {exc}") from exc
+
+
+def encode_seed_share(m: SeededShare) -> bytes:
+    return _share_header(m) + m.seed
+
+
+def decode_seed_share(payload: bytes) -> SeededShare:
+    """A seed-form share, expanded; one whose entries would not fit the
+    payload cap in full form is refused before anything is allocated."""
+    r, owner, l, raw_sid, rows, cols = _read_share_header(payload)
+    if rows * cols * RING_ELEMENT_BYTES > MAX_PAYLOAD:
+        raise FrameFormatError(
+            f"seeded share {rows}x{cols} expands past the 256 MiB payload cap"
+        )
+    seed = r.take(SEED_BYTES)
+    r.done()
+    try:
+        secret_id = raw_sid.decode()
+    except UnicodeDecodeError as exc:
+        raise FrameFormatError(f"malformed seeded share: {exc}") from exc
+    return SeededShare(seed, owner, secret_id, l, (rows, cols))
 
 
 def encode_sample_count(n: int) -> bytes:

@@ -36,7 +36,11 @@ back end's first phase:
     he        2  Paillier encryption of offset ring         provider p
                  elements, floor((bitlen(n) - 1) / w) of
                  them in w-bit slots of each plaintext
-    ss        1  n-of-n shares of ring elements            every provider
+    ss        1  n-of-n shares of ring elements; each      every provider
+                 provider keeps the balancing share and
+                 sends each other combiner only a 32-byte
+                 seed, whatever d is, that expands
+                 (SHAKE-128) to that combiner's share
 
 Both back ends encode into one fixed-point ring Z_{2^l}
 (``SessionConfig.fixed_point``): ``ss`` shares the ring elements.  ``he``
@@ -87,11 +91,13 @@ from .messages import (
     decode_public_key,
     decode_real_matrix,
     decode_sample_count,
+    decode_seed_share,
     decode_share_matrix,
     encode_encrypted_matrix,
     encode_public_key,
     encode_real_matrix,
     encode_sample_count,
+    encode_seed_share,
     encode_share_matrix,
     make_step,
 )
@@ -196,6 +202,8 @@ class SecureSum:
     Steps: :meth:`mask` turns a provider's values into one piece per
     combiner, :meth:`combine` adds the pieces a combiner holds, and
     :meth:`open` turns the combined pieces into the plaintext sum.
+    ``encode`` and ``decode`` carry a piece as the payload of a message of
+    the given type, whose codec they choose.
     """
 
     first_phase: int
@@ -304,25 +312,32 @@ class PaillierSum(SecureSum):
         sums = (slots - self.parties * self.offset) % self.fp.modulus
         return matrix_decode_fixed(ring.from_ints(sums), self.fp)
 
-    def encode(self, piece) -> bytes:
+    def encode(self, piece, msg_type: MsgType) -> bytes:
         return encode_encrypted_matrix(piece)
 
-    def decode(self, payload: bytes):
+    def decode(self, payload: bytes, msg_type: MsgType):
         return decode_encrypted_matrix(payload, self.pk, self.slot_bits)
 
 
 class SharedSum(SecureSum):
-    """n-of-n additive shares of fixed-point values; every provider combines."""
+    """n-of-n additive shares of fixed-point values; every provider combines.
+
+    A provider keeps the balancing share of its own values and sends every
+    other combiner only the seed of that combiner's share.
+    """
 
     first_phase = 1
     rounds = ((MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM),) * 2
 
-    def __init__(self, fixed_point: FixedPointConfig, parties: int, prg: CounterPRG):
-        self.fp, self.parties, self.prg = fixed_point, parties, prg
+    def __init__(self, fixed_point: FixedPointConfig, parties: int, prg: CounterPRG,
+                 balance: int | None = None):
+        self.fp, self.parties, self.prg, self.balance = fixed_point, parties, prg, balance
 
     @classmethod
     def for_party(cls, cfg: SessionConfig, party: int) -> SharedSum:
-        return cls(cfg.fixed_point, cfg.parties, _prg_for(cfg, f"shares/{party}"))
+        # Share i goes to provider i + 1; the server never masks.
+        balance = party - 1 if party in cfg.providers else None
+        return cls(cfg.fixed_point, cfg.parties, _prg_for(cfg, f"shares/{party}"), balance)
 
     @staticmethod
     def combiners(cfg: SessionConfig) -> list[int]:
@@ -330,7 +345,9 @@ class SharedSum(SecureSum):
 
     def mask(self, values, secret_id: str) -> list:
         encoded = matrix_encode_fixed(values, self.fp)
-        return share_matrix(encoded, self.parties, self.fp.l, self.prg, secret_id=secret_id)
+        return share_matrix(
+            encoded, self.parties, self.fp.l, self.prg, secret_id=secret_id, balance=self.balance
+        )
 
     def combine(self, pieces: list):
         return add_local_matrix(pieces)
@@ -338,10 +355,14 @@ class SharedSum(SecureSum):
     def open(self, pieces: list) -> np.ndarray:
         return matrix_decode_fixed(reconstruct_matrix(pieces, party_count=self.parties), self.fp)
 
-    def encode(self, piece) -> bytes:
+    def encode(self, piece, msg_type: MsgType) -> bytes:
+        if msg_type == MsgType.SHARE_BUNDLE:
+            return encode_seed_share(piece)
         return encode_share_matrix(piece)
 
-    def decode(self, payload: bytes):
+    def decode(self, payload: bytes, msg_type: MsgType):
+        if msg_type == MsgType.SHARE_BUNDLE:
+            return decode_seed_share(payload)
         return decode_share_matrix(payload)
 
 
@@ -448,15 +469,15 @@ class ProviderRole(_Role):
         pieces = dict(zip(combiners, backend.mask(values, f"{tag}/{self.party}")))
         for c in combiners:
             if c != self.party:
-                self._send(ep, c, hop1, first, backend.encode(pieces[c]))
+                self._send(ep, c, hop1, first, backend.encode(pieces[c], hop1))
         if self.party not in pieces:
             return
         held = [
             pieces[j] if j == self.party
-            else backend.decode(self._recv(ep, j, hop1, first).payload)
+            else backend.decode(self._recv(ep, j, hop1, first).payload, hop1)
             for j in cfg.providers
         ]
-        self._send(ep, SERVER, hop2, second, backend.encode(backend.combine(held)))
+        self._send(ep, SERVER, hop2, second, backend.encode(backend.combine(held), hop2))
 
     def run(self, ep):
         cfg = self.cfg
@@ -527,7 +548,7 @@ class ServerRole(_Role):
         self.phase = phase
         msg_type = backend.rounds[r][1]
         return backend.open([
-            backend.decode(self._recv(ep, c, msg_type, phase).payload)
+            backend.decode(self._recv(ep, c, msg_type, phase).payload, msg_type)
             for c in backend.combiners(self.cfg)
         ])
 

@@ -1,9 +1,18 @@
 """n-out-of-n additive secret sharing over Z_{2^l}.
 
-A secret s splits into M shares: the first M - 1 are uniform draws from a
-pseudo-random generator and the last is s minus their sum mod 2^l.  Every
-share is required for reconstruction; any proper subset is uniformly
-distributed and carries no information about the secret.
+A secret s splits into M shares: M - 1 of them are pseudo-random and the
+balancing one is s minus their sum mod 2^l.  Every share is required for
+reconstruction; any proper subset looks uniformly distributed and carries
+no information about the secret to anyone who cannot tell the
+pseudo-random shares from uniform ones.
+
+Each pseudo-random share is the expansion of its own fresh 32-byte seed,
+drawn from the party's :class:`CounterPRG`: one SHAKE-128 call over
+``SHARE_TAG + seed`` yields ceil(l/8) bytes per entry, and each entry keeps
+the top l bits of its bytes, read big-endian.  A :class:`SeededShare` keeps
+its seed, so the seed alone stands for the share on the wire; the balancing
+share has no seed.  That the expansion cannot be told from uniform is the
+assumption the shares rest on (pseudorandom secret sharing).
 
 Matrix secrets are shared entry-wise with whole-array arithmetic: a party's
 share is a :class:`ShareMatrix` whose values are one read-only ring matrix
@@ -34,12 +43,41 @@ from .errors import (
 )
 
 
+SEED_BYTES = 32
+SHARE_TAG = b"pppca/share/"  # domain separation of the share expansion
+
+
+def _width(bits: int) -> int:
+    """Bytes per draw of ``bits`` bits."""
+    if not 0 < bits <= 128:
+        raise ValueError("bits must lie in [1, 128]")
+    return (bits + 7) // 8
+
+
+def _limbs(raw: bytes, bits: int, count: int) -> np.ndarray:
+    """``count`` integers in [0, 2^bits), bits <= 128, as a (count, 2) array
+    of [hi, lo] limbs: each takes the next ceil(bits/8) bytes of ``raw``,
+    big-endian, and keeps the top ``bits``."""
+    nbytes = _width(bits)
+    # Left-pad each draw to 16 bytes: two big-endian limbs.
+    padded = np.zeros((count, 16), np.uint8)
+    padded[:, 16 - nbytes :] = np.frombuffer(raw, np.uint8).reshape(count, nbytes)
+    values = padded.view(">u8").astype(np.uint64)
+    shift = nbytes * 8 - bits
+    if shift:
+        values[:, 1] >>= np.uint64(shift)
+        values[:, 1] |= values[:, 0] << np.uint64(64 - shift)
+        values[:, 0] >>= np.uint64(shift)
+    return values
+
+
 class CounterPRG:
     """Deterministic counter-mode generator over SHA-256.
 
     State is the 32-byte seed plus a 128-bit block counter; each block hashes
     seed || counter.  Seed from ``CounterPRG.random_seed()`` for protocol
-    runs, or from a fixed int/bytes for reproducible tests.
+    runs, or from a fixed int/bytes for reproducible tests.  Sharing draws
+    only share seeds from it.
     """
 
     def __init__(self, seed: int | bytes):
@@ -55,20 +93,11 @@ class CounterPRG:
 
     @staticmethod
     def random_seed() -> bytes:
-        return _secrets.token_bytes(32)
+        return _secrets.token_bytes(SEED_BYTES)
 
-    def randbits_array(self, bits: int, count: int) -> np.ndarray:
-        """``count`` successive uniform integers in [0, 2^bits), bits <= 128,
-        as a (count, 2) array of [hi, lo] limbs.
-
-        Each draw takes the next ceil(bits/8) bytes of the stream, big-endian,
-        and keeps the top ``bits``.
-        """
-        if not 0 < bits <= 128:
-            raise ValueError("bits must lie in [1, 128]")
-        nbytes = (bits + 7) // 8
-        need = count * nbytes
-        blocks = -(-(need - len(self._buffer)) // 32)
+    def randbytes(self, n: int) -> bytes:
+        """The next ``n`` bytes of the stream."""
+        blocks = -(-(n - len(self._buffer)) // 32)
         if blocks > 0:
             keyed = hashlib.sha256(self._seed)
             digests = []
@@ -78,17 +107,17 @@ class CounterPRG:
                 digests.append(block.digest())
             self._buffer += b"".join(digests)
             self._counter += blocks
-        chunk, self._buffer = self._buffer[:need], self._buffer[need:]
-        # Left-pad each draw to 16 bytes: two big-endian limbs.
-        raw = np.zeros((count, 16), np.uint8)
-        raw[:, 16 - nbytes :] = np.frombuffer(chunk, np.uint8).reshape(count, nbytes)
-        values = raw.view(">u8").astype(np.uint64)
-        shift = nbytes * 8 - bits
-        if shift:
-            values[:, 1] >>= np.uint64(shift)
-            values[:, 1] |= values[:, 0] << np.uint64(64 - shift)
-            values[:, 0] >>= np.uint64(shift)
-        return values
+        chunk, self._buffer = self._buffer[:n], self._buffer[n:]
+        return chunk
+
+    def randbits_array(self, bits: int, count: int) -> np.ndarray:
+        """``count`` successive uniform integers in [0, 2^bits), bits <= 128,
+        as a (count, 2) array of [hi, lo] limbs.
+
+        Each draw takes the next ceil(bits/8) bytes of the stream, big-endian,
+        and keeps the top ``bits``.
+        """
+        return _limbs(self.randbytes(count * _width(bits)), bits, count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,28 +158,52 @@ class ShareMatrix:
         return same and np.array_equal(self.values, other.values)
 
 
+class SeededShare(ShareMatrix):
+    """A share whose values are the SHAKE-128 expansion of a 32-byte
+    ``seed``, so that the seed stands for it on the wire."""
+
+    def __init__(self, seed: bytes, owner: int, secret_id: str, l: int, shape: tuple[int, int]):
+        if len(seed) != SEED_BYTES:
+            raise ValueError(f"a share seed has {SEED_BYTES} bytes, got {len(seed)}")
+        rows, cols = shape
+        raw = hashlib.shake_128(SHARE_TAG + seed).digest(rows * cols * _width(l))
+        values = _limbs(raw, l, rows * cols).reshape(rows, cols, 2)
+        values.flags.writeable = False
+        self.__dict__.update(values=values, owner=owner, secret_id=secret_id, l=l, seed=bytes(seed))
+
+
 def share_matrix(
     ring_matrix,
     parties: int,
     l: int,
     prg: CounterPRG,
     secret_id: str | None = None,
+    balance: int | None = None,
 ) -> list[ShareMatrix]:
     """Entry-wise sharing of a ring matrix.
 
-    The PRG stream is consumed in row-major entry order, parties - 1 draws
-    per entry; the last party's share is the balancing term.
+    Share ``balance`` (default: the last) is the balancing term; every other
+    share is a :class:`SeededShare`, its seed the next 32 bytes of ``prg``,
+    drawn in index order.
     """
     if parties < 2:
         raise ValueError(f"need at least 2 parties, got {parties}")
+    if balance is None:
+        balance = parties - 1
+    if not 0 <= balance < parties:
+        raise ValueError(f"balancing share {balance} outside [0, {parties})")
     if secret_id is None:
         secret_id = _secrets.token_hex(8)
     secret = ring.checked(ring_matrix, l, "entry")
-    rows, cols, _ = secret.shape
-    drawn = prg.randbits_array(l, rows * cols * (parties - 1)).reshape(rows, cols, parties - 1, 2)
-    values = [drawn[:, :, i] for i in range(parties - 1)]
-    values.append(ring.sub(secret, *values, l=l))
-    return [ShareMatrix._wrap(v, i, secret_id, l) for i, v in enumerate(values)]
+    shape = secret.shape[:2]
+    mats: list[ShareMatrix] = [
+        SeededShare(prg.randbytes(SEED_BYTES), i, secret_id, l, shape)
+        for i in range(parties)
+        if i != balance
+    ]
+    own = ring.sub(secret, *(m.values for m in mats), l=l)
+    mats.insert(balance, ShareMatrix._wrap(own, balance, secret_id, l))
+    return mats
 
 
 def _check(mats: list[ShareMatrix], local: bool, party_count: int | None = None):
@@ -238,7 +291,7 @@ def share(
     """Split ``s`` into ``parties`` shares whose sum mod 2^l is ``s``.
 
     Shares are owned by parties 0 .. parties-1; the first parties-1 values
-    come from ``prg`` and the last is the balancing term.
+    expand seeds drawn from ``prg`` and the last is the balancing term.
     """
     mats = share_matrix(ring.from_ints([[s]]), parties, l, prg, secret_id)
     return [Share._wrap(m.values, m.owner, m.secret_id, l) for m in mats]

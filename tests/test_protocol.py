@@ -14,6 +14,7 @@ from pppca.messages import (
     MsgType,
     decode_encrypted_matrix,
     decode_public_key,
+    decode_seed_share,
     decode_share_matrix,
 )
 from pppca.protocol import (
@@ -257,6 +258,24 @@ def test_transport_equivalence_sim_vs_tcp():
     assert np.array_equal(sim.reduced, tcp.reduced)
 
 
+def test_share_bundles_carry_seeds_whose_size_does_not_depend_on_d():
+    lengths = {}
+    for d in (5, 40):
+        rng = np.random.default_rng(50 + d)
+        data = split(rng.normal(size=(30, d)), 3)
+        cfg = ss_cfg(parties=3, k=2, seed=14)
+        sim = run_session(cfg, data, transport="sim")
+        tcp = run_session(cfg, data, transport="tcp")
+        assert sim.transcript.canonical_bytes() == tcp.transcript.canonical_bytes()
+        bundles = [m for m in sim.transcript.entries() if m.msg_type == MsgType.SHARE_BUNDLE]
+        assert len(bundles) == 2 * 3 * 2
+        lengths[d] = {(m.phase, len(m.payload)) for m in bundles}
+    # One length per round (the secret ids of the two rounds differ in
+    # length), and the same at both widths.
+    assert lengths[5] == lengths[40]
+    assert len(lengths[5]) == 2
+
+
 def test_covariance_round_carries_the_upper_triangle():
     rng = np.random.default_rng(13)
     d = 4
@@ -271,7 +290,8 @@ def test_covariance_round_carries_the_upper_triangle():
         and m.phase in cov_phases
     ]
     assert {m.msg_type for m in shared} == {MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM}
-    assert all(decode_share_matrix(m.payload).shape == triangle for m in shared)
+    decode = {MsgType.SHARE_BUNDLE: decode_seed_share, MsgType.LOCAL_SHARE_SUM: decode_share_matrix}
+    assert all(decode[m.msg_type](m.payload).shape == triangle for m in shared)
     assert np.array_equal(ss.covariance, ss.covariance.T)
 
     he = run_session(he_cfg(parties=3, k=2), data)

@@ -19,12 +19,12 @@ from pppca.messages import ENCRYPTED_TYPES, SHARE_TYPES
 from pppca.protocol import SessionConfig, run_session
 
 DIGESTS = {
-    ("ss", 2, 128, 64): "938de798984433c9a88c6a250ef0fe96ff5165971ad02f2fd4dd1cb6640ebd3d",
-    ("ss", 3, 128, 64): "e6986f72d878647fadc7d4cf37364696ebd0f4fee6f1cad5e28e755e8d2ec215",
-    ("ss", 4, 128, 64): "598207232e162fdadfb767e6316512dbc95b940875e3769cfb3dad88011d2db9",
-    ("ss", 2, 64, 24): "f0d42a6018897da43c66d61df54ee373d48a5071353c03fcde6a6876a71e212b",
-    ("ss", 3, 64, 24): "3a06f1a126af1c37061dc50c28521257831bc3e53a7e79ddd58837035348d663",
-    ("ss", 4, 64, 24): "922026925fa5b0e03893fae8829f1681cbc53f34544c9f095e6da9c2fe4716bb",
+    ("ss", 2, 128, 64): "8e8acc10fa58604d5956f67b921cfc07d855d8de9684b4d0c7edd5a80609bec9",
+    ("ss", 3, 128, 64): "b8f421cccbce891aa43a55ede73436d4dc06ccd581d99df38afa1d3663f97cc2",
+    ("ss", 4, 128, 64): "07ace31a06b580966b75475e7f3e2a265be286c601ffaf78ff2f9e691c5c03a1",
+    ("ss", 2, 64, 24): "d6b5654fa3e2a3a69bc8327ce54cfa999dce6f3313f602f6bac5907eb3af1c00",
+    ("ss", 3, 64, 24): "d94bb6295649947e0f75037de7a2c25e67da1a5b02cfeb12a54ab7ad9249f192",
+    ("ss", 4, 64, 24): "464f3c5b7a79a88d83f9deede2b42406fff4a23daf3765cd8a8cd0dd4dfd90a8",
     ("he", 2, 128, 64): "1c22da282d8303d0ba215a9ea53605c134d025d82db5518fc290ee377d4cfaf1",
     ("he", 3, 128, 64): "a2d28221ad877ec38666fd4a3219829088b2e4f47186c6c9a0421054bc89154d",
     ("he", 4, 128, 64): "2a135ccdb3b45848ef629c0b234822055ff353fb0a8c8a9574f2bdaf5a001c21",

@@ -218,19 +218,40 @@ def _reference_draws(seed: int, bits: int, count: int) -> list[int]:
     ]
 
 
+def _reference_expansion(seed: bytes, bits: int, count: int) -> list[int]:
+    """The entries a share seed stands for, one at a time from one
+    SHAKE-128 output over the share tag and the seed."""
+    nbytes = (bits + 7) // 8
+    stream = hashlib.shake_128(b"pppca/share/" + seed).digest(count * nbytes)
+    return [
+        int.from_bytes(stream[i * nbytes : (i + 1) * nbytes], "big") >> (nbytes * 8 - bits)
+        for i in range(count)
+    ]
+
+
 @pytest.mark.parametrize("l", [13, 64, 128])
-def test_share_matrix_consumes_the_stream_in_row_major_entry_order(l):
+def test_share_matrix_expands_a_seed_per_share_and_balances_the_secret(l):
     ring = [[1, 2, 3], [4, 5, (1 << l) - 1]]
     parties = 3
     assert to_ints(CounterPRG(21).randbits_array(l, 40)).tolist() == _reference_draws(21, l, 40)
-    mats = share_matrix(from_ints(ring), parties, l, CounterPRG(21), "s")
-    values = [to_ints(m.values) for m in mats]
-    prg = CounterPRG(21)
-    for r in range(2):
-        for c in range(3):
-            drawn = to_ints(prg.randbits_array(l, parties - 1)).tolist()
-            assert [v[r, c] for v in values[:-1]] == drawn
-            assert values[-1][r, c] == (ring[r][c] - sum(drawn)) % (1 << l)
+    # The seeds are the stream's first 32-byte chunks, two 128-bit draws each.
+    halves = _reference_draws(21, 128, 2 * (parties - 1))
+    seeds = [
+        (halves[2 * i] << 128 | halves[2 * i + 1]).to_bytes(32, "big")
+        for i in range(parties - 1)
+    ]
+    default = share_matrix(from_ints(ring), parties, l, CounterPRG(21), "s")
+    assert default == share_matrix(from_ints(ring), parties, l, CounterPRG(21), "s", parties - 1)
+    for balance in range(parties):
+        mats = share_matrix(from_ints(ring), parties, l, CounterPRG(21), "s", balance)
+        assert [m.owner for m in mats] == list(range(parties))
+        seeded = [m for m in mats if m.owner != balance]
+        assert [m.seed for m in seeded] == seeds
+        for m in seeded:
+            assert to_ints(m.values).ravel().tolist() == _reference_expansion(m.seed, l, 6)
+        drawn = sum(to_ints(m.values) for m in seeded)
+        want = (np.array(ring, dtype=object) - drawn) % (1 << l)
+        assert to_ints(mats[balance].values).tolist() == want.tolist()
 
 
 def test_l128_share_codec_local_sum_reconstruct_round_trip():

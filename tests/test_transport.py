@@ -1,3 +1,4 @@
+import hashlib
 import random
 import socket
 import struct
@@ -19,12 +20,14 @@ from pppca.messages import (
     decode_public_key,
     decode_real_matrix,
     decode_sample_count,
+    decode_seed_share,
     decode_share_matrix,
     deserialize,
     encode_encrypted_matrix,
     encode_public_key,
     encode_real_matrix,
     encode_sample_count,
+    encode_seed_share,
     encode_share_matrix,
     make_step,
     serialize,
@@ -241,6 +244,47 @@ def test_malformed_share_matrix_raises_frame_format_error(payload):
         decode_share_matrix(payload)
 
 
+def _seed_payload(owner, l, sid: bytes, rows, cols, seed: bytes) -> bytes:
+    """The seed-form share wire format: the share header, then the seed."""
+    return struct.pack(">HHH", owner, l, len(sid)) + sid + struct.pack(">II", rows, cols) + seed
+
+
+def test_seed_share_golden_bytes():
+    secret = from_ints([[0, 1], [2**127 + 5, 2**128 - 1]])
+    bundle = share_matrix(secret, 2, 128, CounterPRG(3), "g")[0]
+    # The seed is the first SHA-256 counter block of CounterPRG(3).
+    seed = hashlib.sha256((3).to_bytes(32, "big") + (0).to_bytes(16, "big")).digest()
+    payload = encode_seed_share(bundle)
+    assert payload == _seed_payload(0, 128, b"g", 2, 2, seed)
+    assert payload == bytes.fromhex(
+        "0000" "0080" "0001" "67" "00000002" "00000002"
+        "4257ccaa9daa0f374c042f528a951020bde55a2f2c49b0d817bf081c40696ef7"
+    )
+    assert decode_seed_share(payload) == bundle
+
+
+_SEED = bytes(range(32))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _seed_payload(0, 8, b"s", 1, 1, _SEED[:31]),  # seed cut short
+        _seed_payload(0, 8, b"s", 1, 1, _SEED) + b"\x00",  # a trailing byte
+        _seed_payload(0, 0, b"s", 1, 1, _SEED),  # l = 0
+        _seed_payload(0, 200, b"s", 1, 1, _SEED),  # l past the 128-bit element
+        _seed_payload(0, 8, b"s", 0, 2, _SEED),  # no rows
+        _seed_payload(0, 8, b"\xff\xfe", 1, 1, _SEED),  # secret id not UTF-8
+        _seed_payload(0, 8, b"s", 1 << 16, 1 << 13, _SEED),  # 8 GiB expanded
+    ],
+    ids=["truncated-seed", "trailing-byte", "l-0", "l-200", "zero-rows", "sid-not-utf8",
+         "oversized-shape"],
+)
+def test_malformed_seed_share_raises_frame_format_error(payload):
+    with pytest.raises(FrameFormatError):
+        decode_seed_share(payload)
+
+
 def test_malformed_key_and_ciphertext_raise_frame_format_error():
     pk = paillier.PublicKey.from_modulus(15)  # one byte per ciphertext
     w = 1  # three slots per plaintext
@@ -278,6 +322,10 @@ _DECODERS = {
     "share_matrix": (
         decode_share_matrix,
         encode_share_matrix(share_matrix(from_ints([[1, 2]]), 2, 64, CounterPRG(1), "f")[0]),
+    ),
+    "seed_share": (
+        decode_seed_share,
+        encode_seed_share(share_matrix(from_ints([[1, 2]]), 2, 64, CounterPRG(1), "f")[0]),
     ),
     "sample_count": (decode_sample_count, encode_sample_count(9)),
     "frame": (
