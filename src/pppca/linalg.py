@@ -4,15 +4,19 @@ Column statistics, centering, Gram matrices, a symmetric eigensolver,
 projection, and the centralized PCA reference used to verify losslessness.
 
 Column sums and Gram entries are the correctly rounded exact sums (``gram``
-names the one exception, at the edges of float64's range).  Each
-column is cut into integer-valued slices (Ozaki, Ogita, Oishi and Rump,
-"Error-free transformations of matrix multiplication by using fast routines
-of matrix multiplication", Numer. Algorithms 2012), so that every slice
-product is exact in float64 under any BLAS blocking or thread count, and the
-exact terms of each entry are combined with one ``math.fsum``.  This makes
-``centralized_pca`` bit-for-bit invariant under row permutations of its
-input, which the rest of the package relies on when comparing differently
-partitioned runs.
+names the one exception, at the edges of float64's range).  Each column is
+cut into integer-valued slices (Ozaki, Ogita, Oishi and Rump, "Error-free
+transformations of matrix multiplication by using fast routines of matrix
+multiplication", Numer. Algorithms 2012), so that every slice product is
+exact in float64 under any BLAS blocking or thread count.  A screen of each
+column's largest and smallest nonzero |x| fixes where its slices start;
+each row block is cut until nothing is left, counting the slices every
+column needs; ``gram`` forms a block's slice products in one BLAS call per
+slice; and the exact terms of each entry are summed in int64 and rounded
+once, to nearest even, in the spirit of Rump, Ogita and Oishi's accurate
+summation (SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca``
+bit-for-bit invariant under row permutations of its input, which the rest
+of the package relies on when comparing differently partitioned runs.
 """
 
 from __future__ import annotations
@@ -73,25 +77,24 @@ class EigenPairs:
 def column_sums(x) -> np.ndarray:
     """Exact per-column sums, correctly rounded (order independent).
 
-    Each column is cut into slices of 53 - ceil(log2 n) bits, whose integer
-    sums are exact; the slice sums of a column are combined with one
-    ``math.fsum``.  A column that needs more than ``_MAX_SLICES`` slices, or
-    whose sum might overflow, is summed with ``math.fsum`` directly, which is
-    also exact.
+    Each column is cut into slices of w = 53 - ceil(log2 n) bits, as in
+    ``gram``, so the per-slice column sums are integers below 2^53 that
+    numpy adds exactly in any order; ``_round`` rounds their total once.  A
+    column that needs more than ``_MAX_SLICES`` slices, or whose sum might
+    overflow, is summed with ``math.fsum`` directly, which is also exact.
     """
     a = check_matrix(x)
     n, d = a.shape
     log_n = (n - 1).bit_length()
     width = 53 - log_n
-    hi, _, sliceable, count = _slice_plan(a, width)
-    fallback = ~sliceable | (hi + log_n > _MAX_EXP)
+    hi, counts, blocks = _slicing(a, width)
+    sums = np.zeros((_MAX_SLICES, d))
+    for sliced in blocks:
+        sums[: len(sliced)] += sliced.sum(axis=2)
+    fallback = (counts > _MAX_SLICES) | (hi + log_n > _MAX_EXP)
     cols = np.flatnonzero(~fallback)
-    sums = np.zeros((count, cols.size))
-    for block in _row_blocks(a):
-        sums += _slices(block[:, cols], hi[cols], width, count).sum(axis=2)
-    units = hi[cols, None] - width * np.arange(1, count + 1, dtype=np.int32)
     out = np.empty(d)
-    out[cols] = [math.fsum(t) for t in np.ldexp(sums.T, units).tolist()]
+    out[cols] = _round(sums[:, cols].astype(np.int64), hi[cols] - width, width)
     for t in np.flatnonzero(fallback):
         out[t] = math.fsum(a[:, t])
     return out
@@ -113,13 +116,23 @@ def gram(x) -> np.ndarray:
     """The scatter matrix X^T X, correctly rounded and exactly symmetric.
 
     Each column is cut into integer-valued slices of
-    b = floor((53 - ceil(log2 n)) / 2) bits, aligned to the column's largest
-    exponent, with as many slices as it takes to reach the lowest set bit of
-    every entry.  Every partial sum of a slice product S_k^T S_q is then an
-    integer below 2^53, so BLAS computes it exactly, and the terms of each
-    entry are combined with one ``math.fsum``.  The slice count depends only
-    on the set of entries in a column, so the result is invariant under row
-    permutations.
+    w = floor((53 - ceil(log2 n)) / 2) bits, aligned to the column's largest
+    exponent hi: x = sum_k s_k 2^(hi - (k + 1) w) with every |s_k| < 2^w.
+    Every partial sum of a slice product S_k^T S_q is then an integer below
+    2^53, so BLAS computes it exactly under any blocking or thread count.
+
+    - **Screen.** One pass over the rows takes each column's largest and
+      smallest nonzero |x| (``_screen``).
+    - **Count while cutting.** Each row block is cut until nothing is left,
+      so it costs the slices its own entries need, and the slice count of
+      every column is exact by the last block (``_slicing``).
+    - **One product per slice.** S_0 .. S_q of a block, stacked, meet S_q in
+      one BLAS call, which covers every pair k <= q (``_pair_products``).
+    - **One rounding.** The products of each entry are summed in int64 by
+      k + q and rounded once (``_group_pairs``, ``_round``).
+
+    The slice count depends only on the set of entries in a column, so the
+    result is invariant under row permutations.
 
     A pair of columns where one needs more than ``_MAX_SLICES`` slices, or
     whose terms could fall below float64's subnormal grid or overflow, is
@@ -130,35 +143,20 @@ def gram(x) -> np.ndarray:
     n, d = a.shape
     log_n = (n - 1).bit_length()
     width = (53 - log_n) // 2
-    hi, lowest, sliceable, count = _slice_plan(a, width)
-    cols = np.flatnonzero(sliceable)
-    pairs = [(k, q) for k in range(count) for q in range(k, count)]
-    acc = np.zeros((len(pairs), cols.size, cols.size))
-    for block in _row_blocks(a):
-        sliced = _slices(block[:, cols], hi[cols], width, count)
-        for p, (k, q) in enumerate(pairs):
-            acc[p] += sliced[k] @ sliced[q].T
-    # Entry (i, j) sums (S_k^T S_q)[i, j] * 2^(unit_ik + unit_jq) over all
-    # slice pairs; acc holds k <= q, and (S_q^T S_k)[i, j] = (S_k^T S_q)[j, i].
-    where = np.empty((count, count), dtype=np.intp)
-    for p, (k, q) in enumerate(pairs):
-        where[k, q], where[q, k] = p, len(pairs) + p
-    units = hi[cols, None] - width * np.arange(1, count + 1, dtype=np.int32)
-    g = np.empty((d, d))
-    for i, col in enumerate(cols):
-        # Row by row, so that only one row's terms are ever Python floats.
-        products = np.concatenate([acc[:, i, i:], acc[:, i:, i]])[where]
-        with np.errstate(over="ignore", under="ignore"):
-            terms = np.ldexp(products, units[i, :, None, None] + units[i:].T)
-        g[col, cols[i:]] = g[cols[i:], col] = [
-            math.fsum(t)
-            for t in terms.reshape(count * count, cols.size - i).T.tolist()
-        ]
+    hi, counts, blocks = _slicing(a, width)
+    pairs = _pair_products(blocks, d)
+    sliceable = counts <= _MAX_SLICES
+    lowest = hi - counts * width  # the unit of each column's last slice
     fallback = (
         ~(sliceable[:, None] & sliceable)
         | (lowest[:, None] + lowest < _MIN_EXP)
         | (hi[:, None] + hi + log_n > _MAX_EXP)
     )
+    rows, cols = np.nonzero(np.triu(~fallback))
+    terms = _group_pairs(pairs, rows, cols)
+    del pairs  # before the rounding's temporaries
+    g = np.empty((d, d))
+    g[rows, cols] = g[cols, rows] = _round(terms, hi[rows] + hi[cols] - 2 * width, width)
     for s, t in zip(*np.nonzero(np.triu(fallback))):
         g[s, t] = g[t, s] = math.fsum(a[:, s] * a[:, t])
     return g
@@ -180,44 +178,146 @@ def _row_blocks(a: np.ndarray):
     return (a[start : start + step] for start in range(0, a.shape[0], step))
 
 
-def _slice_plan(a: np.ndarray, width: int):
-    """How to cut the columns of ``a`` into ``width``-bit slices.
-
-    Returns ``(hi, lowest, sliceable, count)``: every entry of column t is
-    below 2^hi[t] in magnitude, its last slice has unit 2^lowest[t],
-    ``sliceable`` marks the columns that need at most ``_MAX_SLICES``
-    slices, and ``count`` is the most slices any of them needs.  An all-zero
-    column needs none.
-    """
-    d = a.shape[1]
-    hi = np.full(d, _MIN_EXP, dtype=np.int32)  # below every frexp exponent
-    lo = np.full(d, _MAX_EXP + 1, dtype=np.int32)  # above every set bit
+def _screen(a: np.ndarray):
+    """Per column, ``(hi, least)``: every entry is below 2^hi in magnitude
+    (hi = 0 for an all-zero column), and ``least`` is the smallest nonzero
+    |entry| (0.0 for an all-zero column)."""
+    top = np.zeros(a.shape[1])
+    least = np.full(a.shape[1], np.iinfo(np.uint64).max, dtype=np.uint64)
     for block in _row_blocks(a):
-        mantissas, exponents = np.frexp(block)
-        significands = np.abs(mantissas * 2.0**53).astype(np.int64)
-        nonzero = significands != 0
-        lowest_bit = np.frexp((significands & -significands).astype(float))[1] - 1
-        hi = np.maximum(hi, np.where(nonzero, exponents, hi).max(axis=0))
-        lo = np.minimum(lo, np.where(nonzero, exponents - 53 + lowest_bit, lo).min(axis=0))
-    zero = lo > hi
-    hi[zero] = lo[zero] = 0
-    counts = -((lo - hi) // width)
-    sliceable = counts <= _MAX_SLICES
-    return hi, hi - counts * width, sliceable, int(counts[sliceable].max(initial=0))
+        # Rows folded side by side keep the reductions' inner loops long.
+        fold = math.gcd(len(block), -(-256 // a.shape[1]))
+        magnitude = np.abs(block).reshape(-1, fold * a.shape[1])
+        np.maximum(top, magnitude.max(axis=0).reshape(fold, -1).max(axis=0), out=top)
+        # Positive floats order as their bit patterns; minus one, zeros wrap
+        # to the top, so the minimum skips them.
+        bits = magnitude.view(np.uint64)
+        bits -= 1
+        np.minimum(least, bits.min(axis=0).reshape(fold, -1).min(axis=0), out=least)
+    return np.frexp(top)[1], (least + 1).view(float)
 
 
-def _slices(block: np.ndarray, hi: np.ndarray, width: int, count: int) -> np.ndarray:
-    """The columns of ``block`` cut into ``count`` integer-valued slices each,
-    as rows: ``block[:, t] == sum_k out[k, t] * 2**(hi[t] - (k + 1) * width)``
-    exactly, with every |out| below 2^width."""
-    # Exact: a sliceable column spans at most _MAX_SLICES * width bits.
-    rest = np.ldexp(block.T, -hi[:, None], order="C")
-    out = np.empty((count,) + rest.shape)
-    for k in range(count):
-        rest *= 2.0**width
-        np.trunc(rest, out=out[k])
-        rest -= out[k]
-    return out
+def _slicing(a: np.ndarray, width: int):
+    """The columns of ``a`` cut into ``width``-bit slices, as
+    ``(hi, counts, blocks)``.
+
+    Every entry of column t is below 2^hi[t] in magnitude.  ``blocks``
+    yields the row blocks of ``a``, each cut into integer-valued slices
+    until nothing is left: an array s of shape (c, d, rows) with
+    ``block[:, t] == sum_k s[k, t] * 2**(hi[t] - (k + 1) * width)`` exactly
+    and every |s| below 2^width.  Each array is overwritten by the next.
+    Once ``blocks`` is exhausted, ``counts[t]`` is the number of slices
+    column t needs, or ``_MAX_SLICES + 1`` if that is more than
+    ``_MAX_SLICES``; such a column's slices mean nothing.
+    """
+    hi, least = _screen(a)
+    exponent = np.frexp(least)[1]
+    nonzero = least > 0
+    # An entry wholly below the last of _MAX_SLICES slices rules its column
+    # out before scaling by 2^-hi could lose the entry to underflow.  Every
+    # other entry scales exactly, to at least 2^-(_MAX_SLICES * width).
+    counts = np.where(nonzero & (exponent <= hi - _MAX_SLICES * width), _MAX_SLICES + 1, 0)
+    # An entry of exponent e has no set bit below 2^(e - 53), which bounds
+    # the slices a column needs, and so the room a block needs.
+    needs = np.minimum(-((exponent - 53 - hi) // width), _MAX_SLICES)
+    slots = int(needs[nonzero].max(initial=0))
+
+    def blocks():
+        size = min(a.size, max(_BLOCK_ENTRIES, a.shape[1]))
+        rests, outs = np.empty(size), np.empty(slots * size)
+        for block in _row_blocks(a):
+            rest = rests[: block.size].reshape(block.shape[::-1])
+            out = outs[: slots * block.size].reshape((slots,) + rest.shape)
+            np.ldexp(block.T, -hi[:, None], out=rest)
+            rest[counts > _MAX_SLICES] = 0.0
+            live = rest.any(axis=1)
+            count = 0
+            while live.any():
+                if count == _MAX_SLICES:
+                    counts[live] = _MAX_SLICES + 1
+                    break
+                rest *= 2.0**width
+                np.trunc(rest, out=out[count])
+                rest -= out[count]
+                count += 1
+                np.maximum(counts, count * live, out=counts)
+                live = rest.any(axis=1)
+            yield out[:count]
+
+    return hi, counts, blocks()
+
+
+def _pair_products(blocks, d: int) -> np.ndarray:
+    """S_k S_q^T summed over the sliced row ``blocks`` of ``_slicing``, for
+    each slice pair k <= q, at index q (q + 1) / 2 + k of the result, so
+    that a block with more slices appends pairs.  S_k holds slice k of
+    every column, as rows."""
+    acc = np.zeros((0, d, d))
+    for sliced in blocks:
+        c = len(sliced)
+        if c * (c + 1) // 2 > len(acc):
+            acc = np.pad(acc, ((0, c * (c + 1) // 2 - len(acc)), (0, 0), (0, 0)))
+        stacked = sliced.reshape(-1, sliced.shape[2])
+        for q in range(c):
+            # S_0 .. S_q against S_q, in one product.
+            product = stacked[: (q + 1) * d] @ sliced[q].T
+            acc[q * (q + 1) // 2 : (q + 1) * (q + 2) // 2] += product.reshape(q + 1, d, d)
+    return acc
+
+
+def _group_pairs(pairs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The entries (rows[p], cols[p]) of the slice products from
+    ``_pair_products``, summed in int64 by k + q: row g of the result holds
+    the sum of (S_k S_q^T)[rows, cols] over all k + q = g."""
+    count = math.isqrt(2 * len(pairs))  # there are count (count + 1) / 2 pairs
+    terms = np.zeros((max(2 * count - 1, 1), len(rows)), dtype=np.int64)
+    for q in range(count):
+        for k in range(q + 1):
+            pair = pairs[q * (q + 1) // 2 + k]
+            terms[k + q] += pair[rows, cols].astype(np.int64)
+            if k < q:
+                terms[k + q] += pair[cols, rows].astype(np.int64)  # S_q S_k^T
+    return terms
+
+
+def _round(terms: np.ndarray, top: np.ndarray, width: int) -> np.ndarray:
+    """The floats nearest to sum_g terms[g] * 2^(top - g * width), ties to
+    even, one per column of the int64 array ``terms``, which is overwritten.
+
+    Each exact sum must be a multiple of 2^-1074 below 2^1023 in magnitude,
+    and every |term| below 2^60.  Carrying makes the terms the digits of the
+    sum's magnitude in base 2^width.  The leading 60 to 62 bits of those
+    digits, with a sticky bit for the rest (rounding to odd), form an int64
+    m, and a float addition of its two exact halves rounds m once, to
+    nearest even, with the same result as rounding the exact sum.  A sum
+    below 2^-1022 has at most 52 significant bits, so m holds it exactly.
+    """
+    terms = _carry(terms, width)
+    negative = terms[0] < 0
+    np.negative(terms, out=terms, where=negative)
+    terms = _carry(terms, width)
+    units = top - width * np.arange(len(terms))[:, None]
+    # The digits' float sum is within a few ulps of the exact sum, which so
+    # lies in [2^(e - 2), 2^(e + 1)).
+    e = np.frexp(np.ldexp(terms.astype(float), units).sum(axis=0))[1]
+    shift = e - 61  # the unit of m's last bit
+    units -= shift
+    down = np.clip(-units, 0, 63)
+    kept = terms >> down
+    sticky = ((kept << down) != terms).any(axis=0)
+    kept <<= np.clip(units, 0, 63, out=down)
+    m = kept.sum(axis=0) | sticky
+    rounded = np.ldexp((m >> 31).astype(float), 31) + (m & ((1 << 31) - 1)).astype(float)
+    return np.where(negative, -1.0, 1.0) * np.ldexp(rounded, shift)
+
+
+def _carry(terms: np.ndarray, width: int) -> np.ndarray:
+    """Carry each term but the first into [0, 2^width), in place, keeping
+    sum_g terms[g] * 2^(-g * width)."""
+    for g in range(len(terms) - 1, 0, -1):
+        terms[g - 1] += terms[g] >> width
+        terms[g] &= (1 << width) - 1
+    return terms
 
 
 def upper_triangle(a) -> np.ndarray:

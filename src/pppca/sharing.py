@@ -110,15 +110,6 @@ class CounterPRG:
         chunk, self._buffer = self._buffer[:n], self._buffer[n:]
         return chunk
 
-    def randbits_array(self, bits: int, count: int) -> np.ndarray:
-        """``count`` successive uniform integers in [0, 2^bits), bits <= 128,
-        as a (count, 2) array of [hi, lo] limbs.
-
-        Each draw takes the next ceil(bits/8) bytes of the stream, big-endian,
-        and keeps the top ``bits``.
-        """
-        return _limbs(self.randbytes(count * _width(bits)), bits, count)
-
 
 @dataclass(frozen=True, eq=False)
 class ShareMatrix:

@@ -166,6 +166,58 @@ def assert_exact(x):
     assert np.array_equal(linalg.column_sums(x), fraction_column_sums(x))
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_row_permutation_invariant(x, rng):
+    perm = rng.permutation(len(x))
+    assert same_bits(linalg.gram(x[perm]), linalg.gram(x))
+    assert same_bits(linalg.column_sums(x[perm]), linalg.column_sums(x))
+
+
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """Every argument ``math.fsum`` receives during the test, as an array."""
+    calls = []
+    fsum = math.fsum
+
+    def recording(values):
+        calls.append(np.array(values, dtype=float))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", recording)
+    return calls
+
+
+def fsum_pairs(x, calls):
+    """The column pairs s <= t whose products ``gram`` handed to fsum."""
+    d = x.shape[1]
+    return {
+        (s, t)
+        for s in range(d)
+        for t in range(s, d)
+        if any(np.array_equal(c, x[:, s] * x[:, t]) for c in calls)
+    }
+
+
+def fsum_columns(x, calls):
+    """The columns ``column_sums`` handed to fsum."""
+    return {t for t in range(x.shape[1]) if any(np.array_equal(c, x[:, t]) for c in calls)}
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Row blocks of 8 rows at 4 columns, so that 40 rows span 5 blocks."""
+    monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 32)
+
+
+def short_significands(rng, rows, cols, scale):
+    """Entries of at most 20 significant bits below ``scale``, so that any
+    product of two entries is a float and fsum of such products is exact."""
+    return rng.integers(-(2**20), 2**20, size=(rows, cols)) * (scale / 2.0**20)
+
+
 def test_gram_and_column_sums_are_exact_on_mixed_scales():
     rng = np.random.default_rng(17)
     x = mixed_scale_columns(rng, 300)
@@ -199,7 +251,7 @@ def test_gram_and_column_sums_are_exact_property(rows, cols, seed, log_scales):
     assert np.array_equal(linalg.gram(x[perm]), linalg.gram(x))
 
 
-def test_gram_fallback_columns_are_exact():
+def test_gram_fallback_columns_are_exact(fsum_calls):
     # Column 0 spans about 1000 bits, far beyond the slice budget; column 1
     # lies near the subnormal range, so its products with itself and with
     # column 2 leave float64's normal range.  Both take the fsum path.  The
@@ -217,10 +269,8 @@ def test_gram_fallback_columns_are_exact():
             [0.25, -3 * 2.0**-1045, 2.0, -1.5],
         ]
     )
-    width = (53 - (x.shape[0] - 1).bit_length()) // 2
-    _, lowest, sliceable, _ = linalg._slice_plan(x, width)
-    assert list(sliceable) == [False, True, True, True]
-    assert lowest[1] + lowest[2] < -1074
+    linalg.gram(x)
+    assert fsum_pairs(x, fsum_calls) == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)}
     assert_exact(x)
     assert_exact(x[::-1])
 
@@ -234,6 +284,119 @@ def test_gram_fallback_rounds_each_product_below_the_normal_range():
     assert g[0, 1] == g[1, 0] == math.fsum(x[:, 0] * x[:, 1])
     assert g[0, 0] == math.fsum(x[:, 0] * x[:, 0])
     assert g[1, 1] == fraction_gram(x)[1, 1]
+
+
+def test_sliceable_input_never_calls_fsum(fsum_calls):
+    x = np.random.default_rng(19).normal(size=(300, 64))
+    linalg.gram(x)
+    linalg.column_sums(x)
+    assert fsum_calls == []
+
+
+def test_gram_and_column_sums_are_exact_across_row_blocks(small_blocks):
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(40, 4)) * [1e-3, 1.0, 7.5, 3e4]
+    # Rounded rows need fewer slices than the full-precision last block, so
+    # the slice count grows at the last block.
+    x[:32] = np.round(x[:32] * 2.0**12) / 2.0**12
+    x[8:16] = 0.0
+    x[16:24] = np.round(x[16:24] * 100.0)
+    assert_exact(x)
+    assert_row_permutation_invariant(x, rng)
+    x[32:] = 0.0  # the last block all zero instead
+    assert_exact(x)
+    assert_row_permutation_invariant(x, rng)
+
+
+def test_gram_slice_budget_edges(small_blocks, fsum_calls):
+    # 40 rows give slices of 23 bits, so in a column whose largest entry is
+    # 2^60 eight slices reach down to 2^(61 - 184).  Column 0 ends exactly
+    # there; column 1 one bit lower, in an entry whose leading bit the slices
+    # do reach; column 2 in an entry wholly below them.
+    rng = np.random.default_rng(21)
+    x = short_significands(rng, 40, 4, 2.0**59)
+    x[3, :3] = 2.0**60
+    x[37] = [2.0**-100 + 2.0**-123, 2.0**-100 + 2.0**-124, 2.0**-124, 1.5]
+    x[:, 3] = short_significands(rng, 40, 1, 4.0).ravel()
+    linalg.gram(x)
+    assert fsum_pairs(x, fsum_calls) == {(0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3)}
+    assert_exact(x)
+    assert_row_permutation_invariant(x, rng)
+
+
+def test_column_sums_slice_budget_edges(small_blocks, fsum_calls):
+    # 40 rows give slices of 47 bits, so in a column whose largest entry is 1
+    # eight slices reach down to 2^(1 - 376).  Columns as in the gram case.
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(40, 4)) * 0.4
+    x[3, :3] = 1.0
+    x[37] = [2.0**-330 + 2.0**-375, 2.0**-330 + 2.0**-376, 2.0**-376, 0.5]
+    assert same_bits(linalg.column_sums(x), fraction_column_sums(x))
+    assert fsum_columns(x, fsum_calls) == {1, 2}
+    perm = rng.permutation(40)
+    assert same_bits(linalg.column_sums(x[perm]), linalg.column_sums(x))
+
+
+def test_gram_and_column_sums_at_the_overflow_edge(small_blocks, fsum_calls):
+    # With 40 rows, a sum is sliced while hi + 6 <= 1023.  Gram: columns 0
+    # and 1 reach 2^507 and 2^508, so only the pair (1, 1) falls back.
+    rng = np.random.default_rng(23)
+    x = short_significands(rng, 40, 3, 1.0) * [2.0**507, 2.0**508, 1.0]
+    x[5, :2] = [-(2.0**507), 2.0**508]
+    linalg.gram(x)
+    assert fsum_pairs(x, fsum_calls) == {(1, 1)}
+    assert_exact(x)
+    assert_row_permutation_invariant(x, rng)
+    # Column sums: columns 0 and 1 reach 2^1016 and 2^1017.
+    fsum_calls.clear()
+    y = short_significands(rng, 40, 3, 1.0) * [2.0**1016, 2.0**1017, 1.0]
+    y[5, :2] = [2.0**1016, -(2.0**1017)]
+    assert same_bits(linalg.column_sums(y), fraction_column_sums(y))
+    assert fsum_columns(y, fsum_calls) == {1}
+    perm = rng.permutation(40)
+    assert same_bits(linalg.column_sums(y[perm]), linalg.column_sums(y))
+
+
+def test_sums_round_once_to_nearest_even():
+    # 1 + 2^-53 lies halfway between two floats: alone it rounds to even, and
+    # a far lower bit, 2^-100, tips it up.  Both paths are sliced.
+    for low, want in [(0.0, 1.0), (2.0**-100, 1.0 + 2.0**-52)]:
+        for sign in (1.0, -1.0):
+            x = np.array([[1.0, 1.0], [2.0**-53, 1.0], [low, 1.0]]) * [sign, 1.0]
+            assert linalg.column_sums(x)[0] == sign * want
+            assert linalg.gram(x)[0, 1] == sign * want
+            assert_exact(x)
+
+
+def test_an_entry_far_below_its_column_maximum_is_not_lost(small_blocks):
+    # Scaled by 2^-61, the column's largest exponent, 2^-1020 would underflow
+    # to zero and the column would look sliceable; it takes fsum instead.
+    x = np.zeros((40, 2))
+    x[[4, 20], 0] = [2.0**60, -(2.0**60)]
+    x[36, 0] = 2.0**-1020
+    x[:, 1] = 1.0
+    assert linalg.column_sums(x)[0] == linalg.gram(x)[0, 1] == 2.0**-1020
+    assert_exact(x)
+
+
+def test_gram_near_the_subnormal_edge_uses_each_columns_own_slice_count(
+    small_blocks, fsum_calls
+):
+    # Column 0 holds 27-bit significands just below 2^-490: two 23-bit
+    # slices, so its own products stay above 2^-1074 and are sliced, exactly;
+    # as floats they would be rounded.  Column 1 needs eight slices.
+    rng = np.random.default_rng(24)
+    x = np.column_stack(
+        [
+            rng.integers(2**26, 2**27, size=40) * 2.0**-517,
+            short_significands(rng, 40, 1, 2.0**59).ravel(),
+        ]
+    )
+    x[3, 1], x[30, 1] = 2.0**60, 2.0**-120
+    linalg.gram(x)
+    assert fsum_pairs(x, fsum_calls) == set()
+    assert_exact(x)
+    assert_row_permutation_invariant(x, rng)
 
 
 def test_upper_triangle_round_trip():

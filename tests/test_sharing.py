@@ -151,7 +151,7 @@ def test_share_uniformity_chi_squared():
 
 def test_prg_determinism_and_seeds():
     a, b = CounterPRG(7), CounterPRG(7)
-    assert np.array_equal(a.randbits_array(64, 10), b.randbits_array(64, 10))
+    assert a.randbytes(80) == b.randbytes(80)
     CounterPRG(2**256 - 1)  # the largest int seed that fits the 32 seed bytes
     for bad in (-1, 2**256, b""):
         with pytest.raises(ValueError):
@@ -204,14 +204,18 @@ def test_share_matrix_range_error_location():
         share_matrix(from_ints([[1, 300]]), 2, 8, CounterPRG(19))
 
 
+def _reference_stream(seed: int, n: int) -> bytes:
+    """The first ``n`` bytes of the SHA-256 counter stream, block by block."""
+    return b"".join(
+        hashlib.sha256(seed.to_bytes(32, "big") + i.to_bytes(16, "big")).digest()
+        for i in range((n + 31) // 32)
+    )[:n]
+
+
 def _reference_draws(seed: int, bits: int, count: int) -> list[int]:
     """Successive draws from the SHA-256 counter stream, one at a time."""
     nbytes = (bits + 7) // 8
-    blocks = (count * nbytes + 31) // 32
-    stream = b"".join(
-        hashlib.sha256(seed.to_bytes(32, "big") + i.to_bytes(16, "big")).digest()
-        for i in range(blocks)
-    )
+    stream = _reference_stream(seed, count * nbytes)
     return [
         int.from_bytes(stream[i * nbytes : (i + 1) * nbytes], "big") >> (nbytes * 8 - bits)
         for i in range(count)
@@ -233,7 +237,8 @@ def _reference_expansion(seed: bytes, bits: int, count: int) -> list[int]:
 def test_share_matrix_expands_a_seed_per_share_and_balances_the_secret(l):
     ring = [[1, 2, 3], [4, 5, (1 << l) - 1]]
     parties = 3
-    assert to_ints(CounterPRG(21).randbits_array(l, 40)).tolist() == _reference_draws(21, l, 40)
+    nbytes = 40 * ((l + 7) // 8)  # forty draws of l bits
+    assert CounterPRG(21).randbytes(nbytes) == _reference_stream(21, nbytes)
     # The seeds are the stream's first 32-byte chunks, two 128-bit draws each.
     halves = _reference_draws(21, 128, 2 * (parties - 1))
     seeds = [
