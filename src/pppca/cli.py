@@ -32,6 +32,8 @@ from .errors import (
     DimensionError,
     MatrixValidationError,
     PPCAError,
+    ProtocolAbort,
+    TransportError,
 )
 from .evaluation import (
     METHODS,
@@ -41,7 +43,6 @@ from .evaluation import (
     render_report,
     reports_to_csv,
 )
-from .messages import Transcript
 from .privacy import assert_privacy, message_counts_by_type
 from .protocol import (
     METHOD_SS,
@@ -263,8 +264,8 @@ def _cmd_simulate(args) -> int:
 
 def _parse_endpoint(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise DataError(f"endpoint {address!r} must be host:port")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise DataError(f"endpoint {address!r} must be host:port, with a port in [0, 65535]")
     return host, int(port)
 
 
@@ -322,10 +323,16 @@ def _cmd_role(args) -> int:
     listen = (
         _parse_endpoint(args.listen) if args.listen else endpoints[party]
     )
-    ep = TcpEndpoint(party, listen, Transcript(), timeout=cfg.timeout)
+    try:
+        ep = TcpEndpoint(party, listen, timeout=cfg.timeout)
+    except OSError as exc:
+        raise DataError(f"cannot listen on {listen[0]}:{listen[1]}: {exc}") from exc
     ep.set_peers(endpoints)
     try:
         role.run(ep)
+    except TransportError as exc:
+        # No party prefix: a receive timeout's message names the party already.
+        raise ProtocolAbort(role.phase, str(exc), cause=exc) from exc
     finally:
         ep.close()
 

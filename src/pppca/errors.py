@@ -68,12 +68,12 @@ class TransportClosed(TransportError):
 class ProtocolAbort(PPCAError, RuntimeError):
     """A protocol session aborted; no partial results are released.
 
-    ``step`` names the protocol phase that failed.
+    ``phase`` names the protocol phase that failed.
     """
 
-    def __init__(self, step, message, cause=None):
-        super().__init__(f"protocol aborted at step {step!r}: {message}")
-        self.step = step
+    def __init__(self, phase, message, cause=None):
+        super().__init__(f"protocol aborted in phase {phase}: {message}")
+        self.phase = phase
         self.cause = cause
 
 

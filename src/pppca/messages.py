@@ -65,17 +65,6 @@ class MsgType(enum.IntEnum):
     SAMPLE_COUNT = 11
 
 
-ENCRYPTED_TYPES = frozenset(
-    {
-        MsgType.ENCRYPTED_SUMS,
-        MsgType.ENCRYPTED_SUM_AGGREGATE,
-        MsgType.ENCRYPTED_COV,
-        MsgType.ENCRYPTED_COV_AGGREGATE,
-    }
-)
-SHARE_TYPES = frozenset({MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM})
-
-
 def make_step(phase: int, receiver: int) -> int:
     if not 0 <= phase < 1 << 16 or not 0 <= receiver < 1 << 16:
         raise ValueError("phase and receiver must fit in 16 bits")

@@ -23,9 +23,11 @@ from collections import Counter
 from .messages import MsgType, ProtocolMessage, Transcript
 from .protocol import (
     METHOD_HE,
+    PHASE_MEAN,
     PHASE_REDUCED,
     PHASE_SAMPLE_COUNT,
     PHASE_TRANSFER,
+    ROUND_PHASES,
     SERVER,
     SessionConfig,
 )
@@ -60,7 +62,7 @@ def legal_routes(cfg: SessionConfig) -> set[tuple[MsgType, int, int, int]]:
     providers = cfg.providers
     broadcasts = [
         *backend.setup,
-        (MsgType.PLAIN_MEAN, backend.mean_phase()),
+        (MsgType.PLAIN_MEAN, PHASE_MEAN),
         (MsgType.TRANSFER_MATRIX, PHASE_TRANSFER),
     ]
     routes: set[tuple[MsgType, int, int, int]] = set()
@@ -70,8 +72,7 @@ def legal_routes(cfg: SessionConfig) -> set[tuple[MsgType, int, int, int]]:
                 routes.add((MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, i, j))
         routes.update((t, phase, SERVER, i) for t, phase in broadcasts)
         routes.add((MsgType.REDUCED_ROWS, PHASE_REDUCED, i, cfg.consumer))
-    for r, (hop1, hop2) in enumerate(backend.rounds):
-        first, second = backend.phases(r)
+    for (hop1, hop2), (first, second) in zip(backend.rounds, ROUND_PHASES):
         for c in backend.combiners(cfg):
             routes.update((hop1, first, i, c) for i in providers if i != c)
             routes.add((hop2, second, c, SERVER))

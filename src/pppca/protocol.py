@@ -17,30 +17,32 @@ values and sends one piece to each *combiner* other than itself; each
 combiner adds the pieces it holds and sends the result to the server, which
 opens the total.
 
-Session flow (phases appear in transcripts and error messages); s is the
-back end's first phase:
+Session flow; a phase number names the same step under both back ends and
+appears in transcripts and error messages:
 
-    0    providers exchange sample counts with the server and each other
-    1    HE only: the server broadcasts its public key
-    s    providers send masked column sums to the combiners
-    s+1  combiners send their sums to the server, which opens the total
-    s+2  the server broadcasts the mean
-    s+4  providers center locally and send masked covariance terms, only
-         the d(d+1)/2 upper-triangle entries of the symmetric matrix
-    s+5  combiners send their sums to the server, which opens the total
-         and mirrors it into the covariance
-    8    the server broadcasts the transfer matrix
-    9    providers send reduced rows to the consumer
+    0  providers exchange sample counts with the server and each other
+    1  HE only: the server broadcasts its public key
+    2  providers send masked column sums to the combiners
+    3  combiners send their sums to the server, which opens the total
+    4  the server broadcasts the mean
+    6  providers center locally and send masked covariance terms, only the
+       d(d+1)/2 upper-triangle entries of the symmetric matrix
+    7  combiners send their sums to the server, which opens the total and
+       mirrors it into the covariance
+    8  the server broadcasts the transfer matrix
+    9  providers send reduced rows to the consumer
 
-    back end  s  masking                                   combiners
-    he        2  Paillier encryption of offset ring         provider p
-                 elements, floor((bitlen(n) - 1) / w) of
-                 them in w-bit slots of each plaintext
-    ss        1  n-of-n shares of ring elements; each      every provider
-                 provider keeps the balancing share and
-                 sends each other combiner only a 32-byte
-                 seed, whatever d is, that expands
-                 (SHAKE-128) to that combiner's share
+Phase 5 is unused.
+
+    back end  masking                                   combiners
+    he        Paillier encryption of offset ring         provider p
+              elements, floor((bitlen(n) - 1) / w) of
+              them in w-bit slots of each plaintext
+    ss        n-of-n shares of ring elements; each      every provider
+              provider keeps the balancing share and
+              sends each other combiner only a 32-byte
+              seed, whatever d is, that expands
+              (SHAKE-128) to that combiner's share
 
 Both back ends encode into one fixed-point ring Z_{2^l}
 (``SessionConfig.fixed_point``): ``ss`` shares the ring elements.  ``he``
@@ -111,9 +113,13 @@ METHOD_SS = "ss"
 
 PHASE_SAMPLE_COUNT = 0
 PHASE_PUBLIC_KEY = 1
-PHASE_SHARE_COV = 5  # the SS covariance round's first hop
+PHASE_SUMS = 2
+PHASE_MEAN = 4
+PHASE_COV = 6
 PHASE_TRANSFER = 8
 PHASE_REDUCED = 9
+# The hop-1 and hop-2 phases of round r: the column sums, then the covariance.
+ROUND_PHASES = ((PHASE_SUMS, PHASE_SUMS + 1), (PHASE_COV, PHASE_COV + 1))
 
 
 @dataclass(frozen=True)
@@ -192,12 +198,11 @@ class SecureSum:
     """A secure sum of one matrix per provider, as a declared route table
     plus three steps.
 
-    Table: ``first_phase`` s (round r uses phases s+4r and s+4r+1, the mean
-    goes out in s+2), ``setup`` (the server's broadcasts before round 0, as
-    (type, phase) pairs), ``rounds`` (the hop-1 and hop-2 message types of
-    the sums and the covariance round) and :meth:`combiners` (the hop-1
-    receivers and hop-2 senders).  Every provider sends hop 1 to every
-    combiner other than itself.
+    Table: ``setup`` (the server's broadcasts before round 0, as (type,
+    phase) pairs), ``rounds`` (the hop-1 and hop-2 message types of the sums
+    and the covariance round, sent in the phases of ``ROUND_PHASES``) and
+    :meth:`combiners` (the hop-1 receivers and hop-2 senders).  Every
+    provider sends hop 1 to every combiner other than itself.
 
     Steps: :meth:`mask` turns a provider's values into one piece per
     combiner, :meth:`combine` adds the pieces a combiner holds, and
@@ -206,17 +211,8 @@ class SecureSum:
     the given type, whose codec they choose.
     """
 
-    first_phase: int
     setup: tuple[tuple[MsgType, int], ...] = ()
     rounds: tuple[tuple[MsgType, MsgType], ...]
-
-    @classmethod
-    def phases(cls, r: int) -> tuple[int, int]:
-        return cls.first_phase + 4 * r, cls.first_phase + 4 * r + 1
-
-    @classmethod
-    def mean_phase(cls) -> int:
-        return cls.first_phase + 2
 
     @staticmethod
     def combiners(cfg: SessionConfig) -> list[int]:
@@ -236,7 +232,6 @@ class SecureSum:
 class PaillierSum(SecureSum):
     """Paillier encryption under the server's key; provider p folds."""
 
-    first_phase = 2
     setup = ((MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY),)
     rounds = (
         (MsgType.ENCRYPTED_SUMS, MsgType.ENCRYPTED_SUM_AGGREGATE),
@@ -326,7 +321,6 @@ class SharedSum(SecureSum):
     other combiner only the seed of that combiner's share.
     """
 
-    first_phase = 1
     rounds = ((MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM),) * 2
 
     def __init__(self, fixed_point: FixedPointConfig, parties: int, prg: CounterPRG,
@@ -419,20 +413,20 @@ class _Role:
             )
         return msg
 
-    def _exchange_sample_counts(self, ep, rows: int) -> int:
-        """Phase 0: broadcast own row count, collect the others', return n."""
-        cfg = self.cfg
-        payload = encode_sample_count(rows)
-        receivers = [SERVER] + [j for j in cfg.providers if j != self.party]
-        for receiver in sorted(receivers):
-            self._send(ep, receiver, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, payload)
-        total = rows
-        for j in cfg.providers:
-            if j == self.party:
-                continue
-            msg = self._recv(ep, j, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT)
-            total += decode_sample_count(msg.payload)
-        return total
+    def _sample_counts(self, ep, rows: int = 0) -> int:
+        """Phase 0: a provider sends its row count to the server and every
+        other provider; every party adds up the counts it holds."""
+        others = [j for j in self.cfg.providers if j != self.party]
+        if self.party in self.cfg.providers:
+            payload = encode_sample_count(rows)
+            for receiver in [SERVER, *others]:
+                self._send(ep, receiver, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, payload)
+        return rows + sum(
+            decode_sample_count(
+                self._recv(ep, j, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT).payload
+            )
+            for j in others
+        )
 
 
 class ProviderRole(_Role):
@@ -462,7 +456,7 @@ class ProviderRole(_Role):
         send the result to the server."""
         cfg, backend = self.cfg, self.sum
         hop1, hop2 = backend.rounds[r]
-        first, second = backend.phases(r)
+        first, second = ROUND_PHASES[r]
         self.phase = first
         self._check_range(values, what)
         combiners = backend.combiners(cfg)
@@ -481,13 +475,13 @@ class ProviderRole(_Role):
 
     def run(self, ep):
         cfg = self.cfg
-        n = self._exchange_sample_counts(ep, self.data.shape[0])
+        n = self._sample_counts(ep, self.data.shape[0])
         self.sum.setup_provider(self, ep)
 
         sums = linalg.column_sums(self.data).reshape(1, -1)
         self._round(ep, 0, sums, "sums", "column sums")
 
-        msg = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, self.sum.mean_phase())
+        msg = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN)
         mean = decode_real_matrix(msg.payload).ravel()
         centered = linalg.center_columns(self.data, mean)
 
@@ -524,19 +518,6 @@ class ServerRole(_Role):
         self.timings: dict[str, float] = {}
         self.sum = cfg.secure_sum.for_party(cfg, SERVER)
 
-    def _collect_sample_counts(self, ep) -> int:
-        total = 0
-        for j in self.cfg.providers:
-            msg = self._recv(ep, j, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT)
-            total += decode_sample_count(msg.payload)
-        if total < 2:
-            raise ProtocolAbort(
-                PHASE_SAMPLE_COUNT,
-                f"need at least 2 rows overall for covariance, got {total}",
-            )
-        self.sample_count = total
-        return total
-
     def _broadcast(self, ep, msg_type: MsgType, phase: int, payload: bytes):
         for j in self.cfg.providers:
             self._send(ep, j, msg_type, phase, payload)
@@ -544,8 +525,7 @@ class ServerRole(_Role):
     def _open(self, ep, r: int) -> np.ndarray:
         """Collect round ``r``'s combined pieces and open their sum."""
         backend = self.sum
-        _, phase = backend.phases(r)
-        self.phase = phase
+        phase = ROUND_PHASES[r][1]
         msg_type = backend.rounds[r][1]
         return backend.open([
             backend.decode(self._recv(ep, c, msg_type, phase).payload, msg_type)
@@ -554,14 +534,16 @@ class ServerRole(_Role):
 
     def run(self, ep):
         cfg = self.cfg
-        n = self._collect_sample_counts(ep)
+        n = self._sample_counts(ep)
+        if n < 2:
+            raise ProtocolAbort(
+                PHASE_SAMPLE_COUNT, f"need at least 2 rows overall for covariance, got {n}"
+            )
+        self.sample_count = n
         self.sum.setup_server(self, ep)
         self.mean = (self._open(ep, 0) / n).ravel()
         self._broadcast(
-            ep,
-            MsgType.PLAIN_MEAN,
-            self.sum.mean_phase(),
-            encode_real_matrix(self.mean.reshape(1, -1)),
+            ep, MsgType.PLAIN_MEAN, PHASE_MEAN, encode_real_matrix(self.mean.reshape(1, -1))
         )
         d = self.mean.size
         self.covariance = linalg.symmetric_from_upper(self._open(ep, 1), d)

@@ -132,11 +132,8 @@ class SimEndpoint(_BufferedReceiver):
 class SimulatedNetwork(_Network):
     """Deterministic in-process bus: send delivers immediately, in order."""
 
-    def __init__(
-        self, parties: list[int], transcript: Transcript | None = None,
-        timeout: float | None = DEFAULT_TIMEOUT,
-    ):
-        self.transcript = transcript if transcript is not None else Transcript()
+    def __init__(self, parties: list[int], timeout: float | None = DEFAULT_TIMEOUT):
+        self.transcript = Transcript()
         self.endpoints = {party: SimEndpoint(self, party, timeout) for party in parties}
 
     def deliver(self, msg: ProtocolMessage):
@@ -278,11 +275,8 @@ class TcpEndpoint(_BufferedReceiver):
 class TcpNetwork(_Network):
     """Helper for in-process multi-endpoint TCP sessions (tests, demos)."""
 
-    def __init__(
-        self, parties: list[int], transcript: Transcript | None = None,
-        timeout: float | None = DEFAULT_TIMEOUT,
-    ):
-        self.transcript = transcript if transcript is not None else Transcript()
+    def __init__(self, parties: list[int], timeout: float | None = DEFAULT_TIMEOUT):
+        self.transcript = Transcript()
         self.endpoints: dict[int, TcpEndpoint] = {
             party: TcpEndpoint(party, (LOOPBACK, 0), self.transcript, timeout)
             for party in parties

@@ -345,6 +345,43 @@ def test_role_connect_flag_overrides_config(tmp_path):
     assert rc == EXIT_PROTOCOL
 
 
+def _role_config(tmp_path, consumer: str) -> str:
+    path = tmp_path / "role.json"
+    endpoints = {"server": "127.0.0.1:1", "provider-1": "127.0.0.1:1",
+                 "provider-2": "127.0.0.1:1", "consumer": consumer}
+    path.write_text(json.dumps(
+        {"method": "ss", "parties": 2, "k": 2, "timeout": 0.3, "endpoints": endpoints}
+    ))
+    return str(path)
+
+
+def test_a_lone_role_names_its_phase_when_a_receive_times_out(tmp_path, capsys):
+    config = _role_config(tmp_path, f"127.0.0.1:{_free_port()}")
+    assert main(["role", "--role", "consumer", "--config", config]) == EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    assert "in phase 9:" in err
+    assert err.count("party 3") == 1
+    assert "no message from party 1 within 0.3s" in err
+
+
+def test_a_role_whose_port_is_taken_is_a_data_error(tmp_path, capsys):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        address = f"127.0.0.1:{taken.getsockname()[1]}"
+        assert main(["role", "--role", "consumer", "--config", _role_config(tmp_path, address)]) \
+            == EXIT_DATA
+    assert f"cannot listen on {address}" in capsys.readouterr().err
+
+
+def test_a_port_above_65535_is_a_data_error_naming_the_endpoint(tmp_path, capsys):
+    config = _role_config(tmp_path, "127.0.0.1:70000")
+    assert main(["role", "--role", "consumer", "--config", config]) == EXIT_DATA
+    assert "'127.0.0.1:70000'" in capsys.readouterr().err
+    ok = _role_config(tmp_path, f"127.0.0.1:{_free_port()}")
+    for flag, value in (("--listen", "127.0.0.1:65536"), ("--connect", "server=127.0.0.1:65536")):
+        assert main(["role", "--role", "consumer", "--config", ok, flag, value]) == EXIT_DATA
+        assert "'127.0.0.1:65536'" in capsys.readouterr().err
+
+
 def _config(tmp_path, wine_csv, **settings):
     path = tmp_path / "cfg.json"
     data = {"input": wine_csv, "label": "quality", "delimiter": ";", "k": 3, "seed": 5}

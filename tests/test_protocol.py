@@ -18,9 +18,14 @@ from pppca.messages import (
     decode_share_matrix,
 )
 from pppca.protocol import (
+    PHASE_COV,
+    PHASE_MEAN,
     PHASE_PUBLIC_KEY,
     PHASE_REDUCED,
-    PHASE_SHARE_COV,
+    PHASE_SAMPLE_COUNT,
+    PHASE_SUMS,
+    PHASE_TRANSFER,
+    ROUND_PHASES,
     ConsumerRole,
     ProviderRole,
     ServerRole,
@@ -140,7 +145,7 @@ def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
     aborts = {j: e for j, e in errors.items() if isinstance(e, ProtocolAbort)}
     assert set(aborts) & set(provider_cfg.providers)
     for j, e in aborts.items():
-        assert e.step == PHASE_PUBLIC_KEY
+        assert e.phase == PHASE_PUBLIC_KEY
         assert (
             f"party {j}: server sent a {server_bits}-bit modulus, "
             f"configured for {provider_bits}-bit keys" in str(e)
@@ -283,7 +288,7 @@ def test_covariance_round_carries_the_upper_triangle():
     triangle = (1, d * (d + 1) // 2)
 
     ss = run_session(ss_cfg(parties=3, k=2), data)
-    cov_phases = (PHASE_SHARE_COV, PHASE_SHARE_COV + 1)
+    cov_phases = ROUND_PHASES[1]
     shared = [
         m for m in ss.transcript.entries()
         if m.msg_type in (MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM)
@@ -312,6 +317,28 @@ def test_covariance_round_carries_the_upper_triangle():
         assert len(packed.ciphers) == math.ceil(triangle[1] / slots)
 
 
+def test_a_phase_names_the_same_step_under_both_back_ends():
+    rng = np.random.default_rng(17)
+    data = [rng.normal(size=(5, 4)) for _ in range(3)]
+    shared = {
+        MsgType.SAMPLE_COUNT: {PHASE_SAMPLE_COUNT},
+        MsgType.PLAIN_MEAN: {PHASE_MEAN},
+        MsgType.TRANSFER_MATRIX: {PHASE_TRANSFER},
+        MsgType.REDUCED_ROWS: {PHASE_REDUCED},
+    }
+    for cfg in (he_cfg(parties=3, seed=5), ss_cfg(parties=3, seed=5)):
+        seen = {(m.msg_type, m.phase) for m in run_session(cfg, data).transcript.entries()}
+        for msg_type, phases in shared.items():
+            assert {p for t, p in seen if t == msg_type} == phases, (cfg.method, msg_type)
+        hops = {t for pair in cfg.secure_sum.rounds for t in pair}
+        assert {(t, p) for t, p in seen if t in hops} == {
+            (t, p)
+            for types, phases in zip(cfg.secure_sum.rounds, ROUND_PHASES)
+            for t, p in zip(types, phases)
+        }, cfg.method
+    assert ROUND_PHASES == ((PHASE_SUMS, PHASE_SUMS + 1), (PHASE_COV, PHASE_COV + 1))
+
+
 # --- aborts ---------------------------------------------------------------------
 
 
@@ -328,14 +355,14 @@ def test_abort_on_bad_k():
         ss_cfg(k=0)
 
 
-@pytest.mark.parametrize("make_cfg, phase", [(ss_cfg, 1), (he_cfg, 2)], ids=["ss", "he"])
-def test_abort_on_fixed_point_overflow_names_step(make_cfg, phase):
+@pytest.mark.parametrize("make_cfg", [ss_cfg, he_cfg], ids=["ss", "he"])
+def test_abort_on_fixed_point_overflow_names_step(make_cfg):
     # Entries above 2^63 / M: the column sums blow the fixed-point budget of
     # the default (l, f) = (128, 64) at M = 2, for either back end.
     huge = np.full((4, 3), 1.5 * 2.0**62)
     with pytest.raises(ProtocolAbort) as err:
         run_session(make_cfg(), split(huge, 2))
-    assert err.value.step == phase  # the masking phase for column sums
+    assert err.value.phase == PHASE_SUMS  # the masking phase for column sums
     assert "fixed-point budget" in str(err.value)
 
 
@@ -372,7 +399,7 @@ def test_live_session_outlasts_receive_timeout(monkeypatch, transport):
     real_check = ProviderRole._check_range
 
     def slow_check(self, values, what):
-        if self.party == 2 and self.phase == PHASE_SHARE_COV:
+        if self.party == 2 and self.phase == PHASE_COV:
             time.sleep(1.0)  # five receive timeouts with nobody sending
         real_check(self, values, what)
 
@@ -400,7 +427,7 @@ def test_stalled_session_aborts_naming_party_and_phase(monkeypatch, transport):
     assert time.perf_counter() - started < 10 * timeout
     message = str(err.value)
     assert "stalled" in message
-    assert f"at step {err.value.step}" in message
+    assert f"in phase {err.value.phase}:" in message
     # Every waiting party is named with its phase, the consumer included.
     assert f"party 3 in phase {PHASE_REDUCED}" in message
     assert "party 0 in phase 0" in message

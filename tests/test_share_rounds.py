@@ -1,12 +1,12 @@
 """The bytes of the secure-sum rounds, pinned.
 
-The share-bundle and local-sum frames (phases 1-6) of seeded ``ss``
-sessions, and the ciphertext frames (phases 2-7) of seeded ``he`` sessions,
-depend only on the data, the seed and the fixed-point ring: the Gram matrix
-and column sums are exact, so no BLAS or LAPACK rounding reaches them, and
-``he`` keys and DJN randomizers are drawn from the seed.  Their SHA-256
-digests are therefore the same on every machine, and a change to the ring
-arithmetic, the codecs, the PRG stream or the Paillier packing shows here.
+The round frames (phases 2-7) of seeded sessions, share bundles and local
+sums under ``ss`` and ciphertexts under ``he``, depend only on the data,
+the seed and the fixed-point ring: the Gram matrix and column sums are
+exact, so no BLAS or LAPACK rounding reaches them, and ``he`` keys and DJN
+randomizers are drawn from the seed.  Their SHA-256 digests are therefore
+the same on every machine, and a change to the ring arithmetic, the codecs,
+the PRG stream or the Paillier packing shows here.
 """
 
 import hashlib
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from pppca.encoding import FixedPointConfig
-from pppca.messages import ENCRYPTED_TYPES, SHARE_TYPES
 from pppca.protocol import SessionConfig, run_session
 
 DIGESTS = {
@@ -35,19 +34,11 @@ DIGESTS = {
     ("he", 3, 65, 20): "f4d26baa1b81470fd7a215072f999ccd0b6e60edc5add314e6867c0fa5abe8fd",
 }
 
-# (frame types, first and last phase) of each method's secure-sum rounds.
-ROUNDS = {"ss": (SHARE_TYPES, 1, 6), "he": (ENCRYPTED_TYPES, 2, 7)}
-
-
-def round_digest(result, method: str) -> tuple[int, str]:
+def round_digest(result, cfg: SessionConfig) -> tuple[int, str]:
     """The round frames' count, and the digest of their payloads in
     canonical transcript order."""
-    types, first, last = ROUNDS[method]
-    frames = [
-        m.payload
-        for m in result.transcript.entries()
-        if m.msg_type in types and first <= m.phase <= last
-    ]
+    types = {t for hops in cfg.secure_sum.rounds for t in hops}
+    frames = [m.payload for m in result.transcript.entries() if m.msg_type in types]
     return len(frames), hashlib.sha256(b"".join(frames)).hexdigest()
 
 
@@ -74,4 +65,4 @@ def test_share_round_bytes_are_pinned(method, parties, l, f):
     # Per round, ss sends M(M - 1) bundles and M local sums, and he sends
     # M - 1 ciphertexts to the aggregator and one fold to the server.
     per_round = parties * parties if method == "ss" else parties
-    assert round_digest(result, method) == (2 * per_round, DIGESTS[method, parties, l, f])
+    assert round_digest(result, cfg) == (2 * per_round, DIGESTS[method, parties, l, f])
