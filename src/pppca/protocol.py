@@ -608,30 +608,35 @@ def _validate_inputs(cfg: SessionConfig, data) -> list[np.ndarray]:
 _NETWORKS = {"sim": SimulatedNetwork, "tcp": TcpNetwork}
 
 
-def _watch(threads: list[threading.Thread], roles: list[_Role], network, window: float):
+def _watch(
+    threads: list[threading.Thread], roles: list[_Role], network, window: float
+) -> ProtocolAbort | None:
     """Join the role threads, aborting the network if the session stalls.
 
     The session is stalled when two checks a whole ``window`` apart both
     find every unfinished role waiting, the same number of messages
-    consumed and the same number of roles finished.
+    consumed and the same number of roles finished.  Returns the stall, in
+    the lowest phase any waiting role is in, or None if there was none.
     """
-    last = None
+    last = stall = None
     while True:
         deadline = time.monotonic() + window
         for t in threads:
             t.join(max(0.0, deadline - time.monotonic()))
         running = [role for role, t in zip(roles, threads) if t.is_alive()]
         if not running:
-            return
+            return stall
         state = None
         if all(role.waiting for role in running):
             state = (len(network.transcript), len(running))
-            if state == last:
-                network.abort(
+            if state == last and stall is None:
+                reason = (
                     f"session stalled: no progress within {window:g}s ("
                     + ", ".join(f"party {r.party} in phase {r.phase}" for r in running)
                     + ")"
                 )
+                stall = ProtocolAbort(min(r.phase for r in running), reason)
+                network.abort(reason)
         last = state
 
 
@@ -675,7 +680,7 @@ def run_session(
     try:
         for t in threads:
             t.start()
-        _watch(threads, roles, network, cfg.timeout)
+        stall = _watch(threads, roles, network, cfg.timeout)
     except BaseException:
         network.abort("session interrupted")
         raise
@@ -683,6 +688,9 @@ def run_session(
         network.close()
     total = time.perf_counter() - started
 
+    if stall is not None:
+        # Every role then fails with TransportClosed, which blames no one.
+        raise stall
     if failures:
         # Report the root cause, not the TransportClosed cascade it triggers.
         root = min(

@@ -1,11 +1,19 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pppca import paillier
 from pppca.errors import EncodingRangeError, KeyMismatchError
+
+needs_gmp = pytest.mark.skipif(paillier._powmod is pow, reason="libgmp.so.10 did not load")
 
 
 def test_keygen_round_trip(test_keypair):
@@ -73,10 +81,9 @@ def test_keygen_deterministic_from_seed():
 
 
 def test_is_probable_prime_matches_a_sieve_below_2_17():
-    # Covers the primes in (TRIAL_DIVISION_BOUND, GCD_FILTER_BOUND], which
-    # divide the gcd filter's product and must not be called composite.
+    # Covers the primes above TRIAL_DIVISION_BOUND, which the small-prime
+    # gcd cannot reject and the Fermat test must not call composite.
     limit = 1 << 17
-    assert paillier.GCD_FILTER_BOUND < limit
     is_prime = np.ones(limit, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -94,20 +101,12 @@ def test_is_probable_prime_matches_a_sieve_below_2_17():
     "n",
     [
         341, 561, 1105, 2047, 1373653, 3215031751,  # base-2 pseudoprimes, Carmichael numbers
-        65851 * 131701 * 197551,  # Carmichael, every factor above GCD_FILTER_BOUND
+        65851 * 131701 * 197551,  # Carmichael, every factor above 2^16
     ],
 )
 def test_is_probable_prime_rejects_pseudoprimes(n):
     assert pow(2, n - 1, n) == 1
     assert not paillier._is_probable_prime(n, random.Random(n), rounds=12)
-
-
-def test_gcd_filter_product_holds_the_primes_between_the_bounds():
-    product = paillier._gcd_filter_product()
-    between = range(paillier.TRIAL_DIVISION_BOUND + 1, paillier.GCD_FILTER_BOUND, 2)
-    primes = [p for p in between if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
-    assert product == math.prod(primes)
-    assert product.bit_length() == 91228
 
 
 def test_seeded_keys_are_pinned(test_keypair, test_keypair_1024):
@@ -125,6 +124,60 @@ def test_seeded_keys_are_pinned(test_keypair, test_keypair_1024):
     assert pk.fingerprint == "396acbe6ead0d279"
     assert test_keypair[0].fingerprint == "6ee8f670b3a7358a"
     assert test_keypair_1024[0].fingerprint == "b757cd7628e54044"
+
+
+@needs_gmp
+def test_seeded_keys_are_pinned_under_the_builtin_pow(monkeypatch):
+    # The same pins as above with every exponentiation on the fallback, so
+    # both kernels are held to the same keys.
+    monkeypatch.setattr(paillier, "_powmod", pow)
+    test_seeded_keys_are_pinned(
+        paillier.keygen(512, random.Random(0xFEED), allow_test_key=True),
+        paillier.keygen(1024, random.Random(0xBEEF)),
+    )
+
+
+@needs_gmp
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.integers(-(1 << 4096), 1 << 4096),
+    exp=st.integers(0, 1 << 1024),
+    mod=st.integers(1, 1 << 4096),
+)
+@example(base=12345, exp=0, mod=1000003)  # exponent 0
+@example(base=0, exp=0, mod=97)
+@example(base=12345, exp=6789, mod=1)  # modulus 1
+@example(base=0, exp=0, mod=1)
+@example(base=0, exp=6789, mod=1000003)  # base 0
+@example(base=1000003, exp=5, mod=1000003)  # base >= modulus
+@example(base=(1 << 2100) + 3, exp=1 << 2048, mod=(1 << 2048) - 159)
+@example(base=(1 << 4095) + 12345, exp=(1 << 2047) + 1, mod=(1 << 4096) - 1)  # h^n mod n^2
+@example(base=-12345, exp=6789, mod=1000003)  # negative base
+@example(base=-(1 << 3000), exp=3, mod=(1 << 2048) + 981)
+@example(base=3, exp=-1, mod=7)  # negative exponent of an invertible base
+def test_powmod_matches_builtin_pow(base, exp, mod):
+    assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+@needs_gmp
+def test_powmod_leaves_what_gmp_cannot_take_to_the_builtin_pow():
+    # mpz_powm raises SIGFPE on these, which would kill the process, so the
+    # check runs in a child: it must exit cleanly, with pow's ValueErrors.
+    code = """
+from pppca import paillier
+for args in ((6, -1, 9), (3, 5, 0), (3, -1, 0), (0, -2, 7)):
+    for power in (pow, paillier._powmod):
+        try:
+            power(*args)
+        except ValueError as exc:
+            print(exc)
+"""
+    path = [str(Path(paillier.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 8 and lines[0::2] == lines[1::2]
 
 
 def test_keygen_spends_random_bases_only_on_primes(monkeypatch):

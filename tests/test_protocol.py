@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import threading
 import time
 from dataclasses import replace
@@ -431,6 +432,10 @@ def test_stalled_session_aborts_naming_party_and_phase(monkeypatch, transport):
     # Every waiting party is named with its phase, the consumer included.
     assert f"party 3 in phase {PHASE_REDUCED}" in message
     assert "party 0 in phase 0" in message
+    # The stall is blamed on no single party: the phase up front is the
+    # lowest any waiting party is in, and no "party N:" prefix names one.
+    assert err.value.phase == 0
+    assert re.search(r"party \d+:", message) is None, message
 
 
 # --- secure sums ------------------------------------------------------------------

@@ -14,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pppca import paillier
 from pppca.encoding import FixedPointConfig
 from pppca.protocol import SessionConfig, run_session
 
@@ -66,3 +67,12 @@ def test_share_round_bytes_are_pinned(method, parties, l, f):
     # M - 1 ciphertexts to the aggregator and one fold to the server.
     per_round = parties * parties if method == "ss" else parties
     assert round_digest(result, cfg) == (2 * per_round, DIGESTS[method, parties, l, f])
+
+
+@pytest.mark.skipif(paillier._powmod is pow, reason="libgmp.so.10 did not load")
+def test_he_round_bytes_are_pinned_under_the_builtin_pow(monkeypatch):
+    # One digest again with keygen, the randomizer table and decryption on
+    # the fallback, so that both kernels are held to the same bits.
+    monkeypatch.setattr(paillier, "_powmod", pow)
+    paillier._randomizer_table_for.cache_clear()
+    test_share_round_bytes_are_pinned("he", 3, 128, 64)
