@@ -12,10 +12,12 @@ sum_i v_i * 2^(i*w), so one encryption, fold and decryption serves s
 entries.  Adding two packed plaintexts adds slot by slot, as long as no
 slot sum reaches 2^w; choosing w so that it cannot is the caller's part.
 
-Modular exponentiation runs on libgmp's mpz_powm, called through ctypes
-when ``libgmp.so.10`` loads, and on the builtin ``pow`` otherwise; both
-give the same results.  Two standard speed-ups keep the builtin fallback
-usable at 2048 bits:
+The big-integer kernel, named by :data:`KERNEL`, is libgmp, called
+through ctypes, when ``libgmp.so.10`` loads, and the builtin ``pow`` with
+Python ints otherwise; both give the same results.  It runs the modular
+exponentiations (mpz_powm) and the randomizer tables below (their powers
+held as mpz, multiplied by mpz_mul and reduced by mpz_tdiv_r).  Two
+standard speed-ups keep the builtin fallback usable at 2048 bits:
 
 * decryption works modulo p^2 and q^2 and recombines by the CRT
   (Paillier, Eurocrypt '99, section 7);
@@ -35,9 +37,10 @@ first Miller-Rabin round would have drawn, so a seeded generator yields the
 same keys as with Miller-Rabin alone.  hp and hq take their closed forms
 for g = n + 1.
 
-Not hardened against side channels (neither GMP's mpz_powm nor the builtin
-``pow`` is constant time) and no zero-knowledge proofs are provided; the
-threat model is honest-but-curious protocol participants only.
+Not hardened against side channels (neither GMP's mpz_powm and mpz
+multiplication nor the builtin ``pow`` and int multiplication is constant
+time) and no zero-knowledge proofs are provided; the threat model is
+honest-but-curious protocol participants only.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import hashlib
 import math
 import random
 import threading
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,61 +68,81 @@ class _Mpz(ctypes.Structure):
     _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("d", ctypes.c_void_p)]
 
 
-def _gmp_powmod():
-    """Modular exponentiation by libgmp's mpz_powm through ctypes, or the
-    builtin ``pow`` when the library does not load.  Both give the same
-    results; GMP's is about ten times faster at 1024-4096 bits."""
-    try:
-        # By soname: ctypes.util.find_library would spawn ldconfig or gcc.
-        gmp = ctypes.CDLL("libgmp.so.10")
-    except OSError:
-        return pow
-    mpz, size_t, c_int = ctypes.POINTER(_Mpz), ctypes.c_size_t, ctypes.c_int
-    # The order, size, endian and nails arguments of mpz_import and mpz_export.
-    layout = [c_int, size_t, c_int, size_t]
-    for name, restype, argtypes in (
-        ("__gmpz_init", None, [mpz]),
-        ("__gmpz_clear", None, [mpz]),
-        ("__gmpz_import", None, [mpz, size_t, *layout, ctypes.c_char_p]),
-        (
-            "__gmpz_export",
-            ctypes.c_void_p,
-            [ctypes.c_void_p, ctypes.POINTER(size_t), *layout, mpz],
-        ),
-        ("__gmpz_sizeinbase", size_t, [mpz, c_int]),
-        ("__gmpz_powm", None, [mpz, mpz, mpz, mpz]),
-    ):
-        fn = getattr(gmp, name)
-        fn.restype, fn.argtypes = restype, argtypes
-    init, clear, powm = gmp.__gmpz_init, gmp.__gmpz_clear, gmp.__gmpz_powm
-    load, store, sizeinbase = gmp.__gmpz_import, gmp.__gmpz_export, gmp.__gmpz_sizeinbase
+class _Gmp:
+    """The few mpz functions of libgmp that Paillier needs, through ctypes.
 
-    def powmod(base: int, exp: int, mod: int) -> int:
+    ctypes releases the interpreter lock during each call, so concurrent
+    threads may run GMP at once: an mpz shared between them must only be
+    read, and every mpz written to belongs to one call.  The functions are
+    instance attributes, looked up at each use, so that tests can wrap them.
+    """
+
+    def __init__(self, lib: ctypes.CDLL):
+        mpz, size_t, c_int = ctypes.POINTER(_Mpz), ctypes.c_size_t, ctypes.c_int
+        # The order, size, endian and nails arguments of mpz_import and mpz_export.
+        layout = [c_int, size_t, c_int, size_t]
+        for attr, name, restype, argtypes in (
+            ("init", "__gmpz_init", None, [mpz]),
+            ("clear", "__gmpz_clear", None, [mpz]),
+            ("load", "__gmpz_import", None, [mpz, size_t, *layout, ctypes.c_char_p]),
+            (
+                "store",
+                "__gmpz_export",
+                ctypes.c_void_p,
+                [ctypes.c_void_p, ctypes.POINTER(size_t), *layout, mpz],
+            ),
+            ("sizeinbase", "__gmpz_sizeinbase", size_t, [mpz, c_int]),
+            ("powm", "__gmpz_powm", None, [mpz, mpz, mpz, mpz]),
+            ("mul", "__gmpz_mul", None, [mpz, mpz, mpz]),
+            ("tdiv_r", "__gmpz_tdiv_r", None, [mpz, mpz, mpz]),
+        ):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+            setattr(self, attr, fn)
+
+    def new(self, value: int = 0) -> _Mpz:
+        """A fresh mpz holding ``value`` >= 0; the caller clears it."""
+        z = _Mpz()
+        self.init(z)
+        if value:
+            # Big-endian bytes, one byte per word.
+            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+            self.load(z, len(raw), 1, 1, 1, 0, raw)
+        return z
+
+    def to_int(self, z: _Mpz) -> int:
+        out = ctypes.create_string_buffer((self.sizeinbase(z, 2) + 7) // 8)
+        count = ctypes.c_size_t()
+        self.store(out, count, 1, 1, 1, 0, z)
+        return int.from_bytes(out.raw[: count.value], "big")
+
+    def clear_all(self, zs) -> None:
+        for z in zs:
+            self.clear(z)
+
+    def powmod(self, base: int, exp: int, mod: int) -> int:
+        """pow(base, exp, mod) by mpz_powm; about ten times faster than the
+        builtin ``pow`` at 1024-4096 bits."""
         if exp < 0 or mod < 1:
             # GMP raises SIGFPE on a zero modulus, or on a negative exponent
             # of a base without an inverse; pow raises ValueError instead.
             return pow(base, exp, mod)
-        r, b, e, m = args = [_Mpz() for _ in range(4)]
-        for z in args:
-            init(z)
+        args = [self.new(v) for v in (0, base % mod, exp, mod)]
         try:
-            # Big-endian bytes, one byte per word; base % mod is >= 0.
-            for z, v in ((b, base % mod), (e, exp), (m, mod)):
-                raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
-                load(z, len(raw), 1, 1, 1, 0, raw)
-            powm(r, b, e, m)
-            out = ctypes.create_string_buffer((sizeinbase(r, 2) + 7) // 8)
-            count = size_t()
-            store(out, count, 1, 1, 1, 0, r)
-            return int.from_bytes(out.raw[: count.value], "big")
+            self.powm(*args)
+            return self.to_int(args[0])
         finally:
-            for z in args:
-                clear(z)
-
-    return powmod
+            self.clear_all(args)
 
 
-_powmod = _gmp_powmod()
+try:
+    # By soname: ctypes.util.find_library would spawn ldconfig or gcc.
+    _gmp = _Gmp(ctypes.CDLL("libgmp.so.10"))
+except OSError:
+    _gmp = None
+_powmod = pow if _gmp is None else _gmp.powmod
+#: What runs ``_powmod`` and the randomizer tables: "libgmp" or "builtin".
+KERNEL = "builtin" if _gmp is None else "libgmp"
 
 
 DEFAULT_KEY_BITS = 2048
@@ -134,6 +158,9 @@ MILLER_RABIN_ROUNDS = {256: 12, 512: 7, 1024: 4, 1536: 3}
 TRIAL_DIVISION_BOUND = 2000
 RANDOMIZER_WINDOW = 6
 RANDOMIZER_CACHE_SIZE = 8
+# Values a fixed-base power numbers after its table: a bucket per window
+# digit (digit 0's unused), the running product and the result.
+_WALK_SLOTS = (1 << RANDOMIZER_WINDOW) + 2
 
 
 def _odd_primes(stop: int) -> list[int]:
@@ -237,7 +264,8 @@ class Ciphertext:
     def __post_init__(self):
         if not 0 <= self.value < self.public_key.n_squared:
             raise ValueError("ciphertext value outside [0, n^2)")
-        if math.gcd(self.value, self.public_key.n_squared) != 1:
+        # n^2 has the prime factors of n, so gcd with n decides, at half the cost.
+        if math.gcd(self.value, self.public_key.n) != 1:
             raise ValueError("ciphertext value not coprime to n^2")
 
     @property
@@ -254,13 +282,54 @@ def _l_function(x: int, d: int) -> int:
     return (x - 1) // d
 
 
+def _bucket_walk(x: int, windows: int) -> tuple[list[tuple[int, int, int]], int | None]:
+    """The multiplications of one fixed-base power base^x, which both
+    table kernels run.
+
+    Values are numbered: 0 .. windows - 1 are the table's powers
+    base^(2^(w*i)), windows + d (0 < d < 2^w) the bucket of window digit d,
+    and windows + 2^w and windows + 2^w + 1 the running product and the
+    result of the walk down the buckets.  Returns the steps (out, a, b),
+    each value[out] = value[a] * value[b] mod m, and the number that holds
+    base^x at the end, or None for x = 0.  Each variable starts as another
+    value's number and is then written only in its own slot, which nothing
+    else still reads, so a kernel may overwrite slots in place.
+    """
+    mask = (1 << RANDOMIZER_WINDOW) - 1
+    running_slot, acc_slot = windows + mask + 1, windows + mask + 2
+    steps = []
+
+    def mul(a, b, out):
+        if a is None:
+            return b
+        steps.append((out, a, b))
+        return out
+
+    buckets = [None] * (mask + 1)
+    for i in range(windows):
+        digit = x & mask
+        if digit:
+            buckets[digit] = mul(buckets[digit], i, windows + digit)
+        x >>= RANDOMIZER_WINDOW
+    acc = running = None
+    for digit in range(mask, 0, -1):
+        if buckets[digit] is not None:
+            running = mul(running, buckets[digit], running_slot)
+        if running is not None:
+            acc = mul(acc, running, acc_slot)
+    return steps, acc
+
+
 class _FixedBase:
     """Powers of one fixed base by the fixed-base windowing method
-    (Brickell-Gordon-McCurley-Wilson; Menezes et al., HAC Algorithm 14.109).
+    (Brickell-Gordon-McCurley-Wilson, Eurocrypt '92; Menezes et al., HAC
+    Algorithm 14.109), on Python ints.
 
     Stores base^(2^(w*i)) for each w-bit window of the exponent; one power
     then costs a multiplication per nonzero window plus about 2^(w+1)
-    bucket multiplications, instead of a full square-and-multiply.
+    bucket multiplications (:func:`_bucket_walk`), instead of a full
+    square-and-multiply.  :class:`_GmpFixedBase` runs the same walk on
+    libgmp.  A table is read-only once built, so threads may share it.
     """
 
     def __init__(self, base: int, exp_bits: int, mod: int):
@@ -274,23 +343,46 @@ class _FixedBase:
     def pow(self, x: int) -> int:
         if not 0 <= x < 1 << self.exp_bits:
             raise ValueError(f"exponent must lie in [0, 2^{self.exp_bits})")
+        steps, result = _bucket_walk(x, len(self.powers))
+        return 1 if result is None else self._run(steps, result)
+
+    def _run(self, steps, result: int) -> int:
         mod = self.mod
-        mask = (1 << RANDOMIZER_WINDOW) - 1
-        buckets = [None] * (mask + 1)
-        for power in self.powers:
-            digit = x & mask
-            if digit:
-                b = buckets[digit]
-                buckets[digit] = power if b is None else b * power % mod
-            x >>= RANDOMIZER_WINDOW
-        acc = running = None
-        for digit in range(mask, 0, -1):
-            b = buckets[digit]
-            if b is not None:
-                running = b if running is None else running * b % mod
-            if running is not None:
-                acc = running if acc is None else acc * running % mod
-        return 1 if acc is None else acc
+        values = self.powers + [None] * _WALK_SLOTS
+        for out, a, b in steps:
+            values[out] = values[a] * values[b] % mod
+        return values[result]
+
+
+class _GmpFixedBase(_FixedBase):
+    """:class:`_FixedBase` with the table held as GMP integers and the walk
+    run by mpz_mul and mpz_tdiv_r, converted to a Python int once at the
+    end.  The table's mpz are only read, and every mpz written belongs to
+    one call of :meth:`pow`, because ctypes lets threads run GMP at once.
+    They are cleared when the table is collected.
+    """
+
+    def __init__(self, base: int, exp_bits: int, mod: int, gmp: _Gmp):
+        super().__init__(base, exp_bits, mod)
+        self.gmp = gmp
+        self.powers = [gmp.new(v) for v in self.powers]
+        self.mpz_mod = gmp.new(mod)
+        # Not at exit, where a thread still encrypting could use them; the
+        # process's end frees them anyway.
+        weakref.finalize(self, gmp.clear_all, [*self.powers, self.mpz_mod]).atexit = False
+
+    def _run(self, steps, result: int) -> int:
+        gmp = self.gmp
+        scratch = [gmp.new() for _ in range(_WALK_SLOTS + 1)]  # and the product
+        try:
+            product, values = scratch[-1], self.powers + scratch[:-1]
+            mul, tdiv_r, mod = gmp.mul, gmp.tdiv_r, self.mpz_mod
+            for out, a, b in steps:
+                mul(product, values[a], values[b])
+                tdiv_r(values[out], product, mod)
+            return gmp.to_int(values[result])
+        finally:
+            gmp.clear_all(scratch)
 
 
 def _djn_generator(n: int) -> int:
@@ -318,7 +410,9 @@ def _randomizer_bits(pk: PublicKey) -> int:
 @functools.lru_cache(maxsize=RANDOMIZER_CACHE_SIZE)
 def _randomizer_table_for(pk: PublicKey) -> _FixedBase:
     h_s = _powmod(_djn_generator(pk.n), pk.n, pk.n_squared)
-    return _FixedBase(h_s, _randomizer_bits(pk), pk.n_squared)
+    if _gmp is None:
+        return _FixedBase(h_s, _randomizer_bits(pk), pk.n_squared)
+    return _GmpFixedBase(h_s, _randomizer_bits(pk), pk.n_squared, _gmp)
 
 
 # Held while a table is built, so concurrent encrypting parties build it once.

@@ -17,6 +17,17 @@ def test_keypair_1024():
     return paillier.keygen(1024, random.Random(0xBEEF))
 
 
+@pytest.fixture
+def builtin_kernel(monkeypatch):
+    """Every modular exponentiation and randomizer table on the builtin
+    ``pow`` and Python ints, as when libgmp does not load."""
+    monkeypatch.setattr(paillier, "_powmod", pow)
+    monkeypatch.setattr(paillier, "_gmp", None)
+    paillier._randomizer_table_for.cache_clear()
+    yield
+    paillier._randomizer_table_for.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def no_role_thread_left_running():
     """A role thread still waiting after its test would hang interpreter exit,

@@ -1,8 +1,11 @@
+import collections
+import ctypes
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from pppca import paillier
 from pppca.errors import EncodingRangeError, KeyMismatchError
+from pppca.paillier import RANDOMIZER_CACHE_SIZE, RANDOMIZER_WINDOW
 
 needs_gmp = pytest.mark.skipif(paillier._powmod is pow, reason="libgmp.so.10 did not load")
 
@@ -127,10 +131,9 @@ def test_seeded_keys_are_pinned(test_keypair, test_keypair_1024):
 
 
 @needs_gmp
-def test_seeded_keys_are_pinned_under_the_builtin_pow(monkeypatch):
+def test_seeded_keys_are_pinned_under_the_builtin_pow(builtin_kernel):
     # The same pins as above with every exponentiation on the fallback, so
     # both kernels are held to the same keys.
-    monkeypatch.setattr(paillier, "_powmod", pow)
     test_seeded_keys_are_pinned(
         paillier.keygen(512, random.Random(0xFEED), allow_test_key=True),
         paillier.keygen(1024, random.Random(0xBEEF)),
@@ -172,12 +175,45 @@ for args in ((6, -1, 9), (3, 5, 0), (3, -1, 0), (0, -2, 7)):
         except ValueError as exc:
             print(exc)
 """
+    lines = _run_child(code)
+    assert len(lines) == 8 and lines[0::2] == lines[1::2]
+
+
+def _run_child(code: str) -> list[str]:
+    """The lines ``code`` prints in a fresh interpreter that imports this
+    ``pppca``; the child must exit cleanly."""
     path = [str(Path(paillier.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
-    assert len(lines) == 8 and lines[0::2] == lines[1::2]
+    return run.stdout.splitlines()
+
+
+def test_kernel_names_what_runs_the_powers_and_the_tables(test_keypair):
+    table = paillier._randomizer_table(test_keypair[0])
+    if paillier.KERNEL == "libgmp":
+        assert paillier._powmod == paillier._gmp.powmod
+        assert type(table) is paillier._GmpFixedBase
+    else:
+        assert paillier.KERNEL == "builtin"
+        assert paillier._powmod is pow and paillier._gmp is None
+        assert type(table) is paillier._FixedBase
+
+
+def test_kernel_is_the_builtin_pow_when_libgmp_does_not_load():
+    code = """
+import ctypes
+
+def no_library(name, *args, **kwargs):
+    raise OSError(f"{name}: cannot open shared object file")
+
+ctypes.CDLL = no_library
+from pppca import paillier
+table = paillier._randomizer_table(paillier.PublicKey.from_modulus(1000003 * 1000033))
+print(paillier.KERNEL, paillier._powmod is pow, paillier._gmp, type(table).__name__)
+print(table.pow(12345) == pow(table.powers[0], 12345, table.mod))
+"""
+    assert _run_child(code) == ["builtin True None _FixedBase", "True"]
 
 
 def test_keygen_spends_random_bases_only_on_primes(monkeypatch):
@@ -210,16 +246,104 @@ def test_encrypt_is_probabilistic(test_keypair):
     assert len(seen) == 100
 
 
+def _kernels():
+    """The randomizer-table kernels that can run here, by name."""
+    yield "builtin", paillier._FixedBase
+    if paillier._gmp is not None:
+        yield "libgmp", lambda *args: paillier._GmpFixedBase(*args, paillier._gmp)
+
+
 def test_fixed_base_power_matches_builtin_pow(test_keypair):
-    pk, _ = test_keypair
     rng = random.Random(18)
-    base = rng.randrange(2, pk.n_squared)
-    table = paillier._FixedBase(base, 256, pk.n_squared)
-    edges = [0, 1, 63, 64, (1 << 256) - 1]
-    for x in edges + [rng.getrandbits(256) for _ in range(20)]:
-        assert table.pow(x) == pow(base, x, pk.n_squared)
-    with pytest.raises(ValueError):
-        table.pow(1 << 256)
+    # A 512-bit key's n^2 with its 256-bit exponents, and a 2048-bit
+    # modulus squared with the 1024-bit exponents of 2048-bit keys.
+    big_n = rng.getrandbits(2048) | 1 << 2047 | 1
+    for mod, bits in ((test_keypair[0].n_squared, 256), (big_n * big_n, 1024)):
+        base = rng.randrange(2, mod)
+        top = RANDOMIZER_WINDOW * (-(-bits // RANDOMIZER_WINDOW) - 1)  # the top window's shift
+        edges = [
+            0,
+            1,
+            63,
+            64,
+            (1 << top) - 1,  # every window below the top at digit 63
+            (1 << bits) - 1,  # every window at its largest digit
+            1 << top,  # only the top window set
+            ((1 << bits) - 1) >> top << top,  # only the top window, at its largest digit
+            1 << bits - 1,  # only the top bit
+        ]
+        xs = edges + [rng.getrandbits(bits) for _ in range(8)]
+        expected = [pow(base, x, mod) for x in xs]
+        for name, kernel in _kernels():
+            table = kernel(base, bits, mod)
+            assert [table.pow(x) for x in xs] == expected, name
+            for x in (1 << bits, -1):
+                with pytest.raises(ValueError):
+                    table.pow(x)
+
+
+def test_concurrent_encryptions_equal_serial_ones(test_keypair_1024):
+    # ctypes lets threads run GMP at once, so a scratch value shared
+    # through the cached table would mix their ciphertexts.
+    pk, _ = test_keypair_1024
+    threads, plaintexts = 6, [0, 1, pk.n - 1, 2**200 + 7, 123456789]
+
+    def encrypt_all(seed):
+        rng = random.Random(seed)
+        return [paillier.encrypt(pk, m, rng).value for m in plaintexts]
+
+    serial = [encrypt_all(seed) for seed in range(threads)]
+    start = threading.Barrier(threads)
+    concurrent = [None] * threads
+
+    def run(seed):
+        start.wait(timeout=30)
+        concurrent[seed] = encrypt_all(seed)
+
+    workers = [threading.Thread(target=run, args=(seed,)) for seed in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert concurrent == serial
+
+
+@needs_gmp
+def test_gmp_tables_clear_every_mpz_they_init(monkeypatch):
+    gmp = paillier._gmp
+    paillier._randomizer_table_for.cache_clear()  # before the counting starts
+    # inits keeps every mpz struct alive, so that no address is reused.
+    live, inits = collections.Counter(), []
+    init, clear = gmp.init, gmp.clear
+
+    def counted_init(z):
+        live[ctypes.addressof(z)] += 1
+        inits.append(z)
+        init(z)
+
+    def counted_clear(z):
+        live[ctypes.addressof(z)] -= 1
+        clear(z)
+
+    monkeypatch.setattr(gmp, "init", counted_init)
+    monkeypatch.setattr(gmp, "clear", counted_clear)
+    rng = random.Random(20)
+    for _ in range(3 * RANDOMIZER_CACHE_SIZE):
+        pk = paillier.PublicKey.from_modulus(rng.getrandbits(512) | 1 << 511 | 1)
+        assert type(paillier._randomizer_table(pk)) is paillier._GmpFixedBase
+        paillier.encrypt(pk, 5, rng)
+    # Each cached table holds 43 powers (256-bit exponents, 6-bit windows)
+    # and its modulus; the tables evicted so far are cleared already.
+    assert sum(live.values()) == RANDOMIZER_CACHE_SIZE * 44
+    paillier._randomizer_table_for.cache_clear()
+    assert len(inits) > 3 * RANDOMIZER_CACHE_SIZE * 44
+    assert set(live.values()) == {0}
 
 
 def test_encrypt_range_check(test_keypair):

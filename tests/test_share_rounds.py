@@ -70,9 +70,7 @@ def test_share_round_bytes_are_pinned(method, parties, l, f):
 
 
 @pytest.mark.skipif(paillier._powmod is pow, reason="libgmp.so.10 did not load")
-def test_he_round_bytes_are_pinned_under_the_builtin_pow(monkeypatch):
+def test_he_round_bytes_are_pinned_under_the_builtin_pow(builtin_kernel):
     # One digest again with keygen, the randomizer table and decryption on
     # the fallback, so that both kernels are held to the same bits.
-    monkeypatch.setattr(paillier, "_powmod", pow)
-    paillier._randomizer_table_for.cache_clear()
     test_share_round_bytes_are_pinned("he", 3, 128, 64)

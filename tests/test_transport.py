@@ -310,6 +310,18 @@ def test_malformed_key_and_ciphertext_raise_frame_format_error():
             decode_public_key(messages._pack_bigint(n))
 
 
+def test_ciphertext_sharing_a_factor_with_n_raises_frame_format_error(test_keypair):
+    # The unit check reads gcd(value, n): n^2 has no prime factor n lacks.
+    pk, sk = test_keypair
+    width = messages._cipher_bytes(pk)
+    good = paillier.encrypt(pk, 7, random.Random(19)).value
+    assert decode_encrypted_matrix(_cipher_payload(1, 1, [good], width), pk, 130)
+    multiples = (sk.p, 12345 * sk.p, sk.q**2, pk.n, pk.n_squared - sk.p, good * sk.q % pk.n_squared)
+    for value in multiples:
+        with pytest.raises(FrameFormatError, match="not coprime"):
+            decode_encrypted_matrix(_cipher_payload(1, 1, [value], width), pk, 130)
+
+
 # A small odd modulus keeps the coprimality checks cheap.
 _FUZZ_PK = paillier.PublicKey.from_modulus(2**61 - 1)
 _DECODERS = {
