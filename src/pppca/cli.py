@@ -62,11 +62,14 @@ EXIT_PROTOCOL = 3
 
 # SessionConfig fields read from a flag or the config, besides method, parties and k.
 SESSION_SETTINGS = ("aggregator", "fixed_point", "key_bits", "allow_test_key", "seed", "timeout")
+# The type of each config key the CLI reads itself.  SessionConfig checks the
+# session settings, and _endpoint_map the endpoints.
+CONFIG_TYPES = {
+    "input": str, "label": str, "delimiter": str, "no_header": bool, "standardize": bool,
+    "methods": str, "folds": int, "task": str,
+}
 # Every key some subcommand reads from a config file.
-CONFIG_KEYS = frozenset({
-    "method", "parties", "k", *SESSION_SETTINGS, "endpoints", "input", "label",
-    "delimiter", "no_header", "standardize", "methods", "folds", "task",
-})
+CONFIG_KEYS = frozenset({"method", "parties", "k", *SESSION_SETTINGS, "endpoints", *CONFIG_TYPES})
 
 
 class _UsageError(Exception):
@@ -182,6 +185,9 @@ def _setting(args, config: dict, name: str, default=None):
     value = getattr(args, name, None)
     if value is None or value is False:
         value = config.get(name, default if value is None else value)
+        kind = CONFIG_TYPES.get(name)
+        if kind is not None and value is not None and type(value) is not kind:
+            raise DataError(f"config {name} must be of type {kind.__name__}, got {value!r}")
     return value
 
 
@@ -275,16 +281,19 @@ def _endpoint_map(config: dict, cfg: SessionConfig) -> dict[int, tuple[str, int]
         raise DataError("config must map 'endpoints' to {name: host:port}")
     mapping = {}
     for name, address in raw.items():
+        index = name.removeprefix("provider-")
         if name == "server":
             party = SERVER
         elif name == "consumer":
             party = cfg.consumer
-        elif name.startswith("provider-"):
-            party = int(name.split("-", 1)[1])
+        elif index != name and index.isdecimal():
+            party = int(index)
             if party not in cfg.providers:
                 raise DataError(f"endpoint {name!r} out of range for {cfg.parties} parties")
         else:
             raise DataError(f"unknown endpoint name {name!r}")
+        if not isinstance(address, str):
+            raise DataError(f"endpoint {name!r} must be a 'host:port' string, got {address!r}")
         mapping[party] = _parse_endpoint(address)
     expected = {SERVER, cfg.consumer, *cfg.providers}
     missing = expected - mapping.keys()

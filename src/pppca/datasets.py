@@ -67,6 +67,8 @@ def load_csv(
     delimiter: str = ",",
 ) -> Dataset:
     """Parse a rectangular numeric CSV, splitting out an optional label column."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DataError(f"delimiter must be one character, got {delimiter!r}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)

@@ -49,6 +49,10 @@ class FixedPointConfig:
     f: int = DEFAULT_FRACTIONAL_BITS
 
     def __post_init__(self):
+        for name in ("l", "f"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 0 < self.f < self.l <= 128:
             raise ValueError(
                 f"need 0 < f < l <= 128, got l={self.l}, f={self.f}"

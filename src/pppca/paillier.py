@@ -16,16 +16,18 @@ The big-integer kernel, named by :data:`KERNEL`, is libgmp, called
 through ctypes, when ``libgmp.so.10`` loads, and the builtin ``pow`` with
 Python ints otherwise; both give the same results.  It runs the modular
 exponentiations (mpz_powm) and the randomizer tables below (their powers
-held as mpz, multiplied by mpz_mul and reduced by mpz_tdiv_r).  Two
-standard speed-ups keep the builtin fallback usable at 2048 bits:
+built by mpz_powm and held as mpz; each power's two accumulators
+multiplied by mpz_mul and reduced by mpz_tdiv_r in place).  Two standard
+speed-ups keep the builtin fallback usable at 2048 bits:
 
 * decryption works modulo p^2 and q^2 and recombines by the CRT
   (Paillier, Eurocrypt '99, section 7);
 * the randomizer is h_s^x mod n^2 with h_s = h^n for a fixed public h
   derived from n and a short random exponent x of ceil(bits/2) bits
-  (Damgard-Jurik-Nielsen, IJIS 2010), evaluated with a fixed-base
-  windowing table cached per key.  Its hiding property rests on the DJN
-  assumption that such h_s^x cannot be told apart from a uniform r^n.
+  (Damgard-Jurik-Nielsen, IJIS 2010), evaluated from a fixed-base
+  windowing table cached per key by the two-accumulator walk of HAC
+  Algorithm 14.109.  Its hiding property rests on the DJN assumption that
+  such h_s^x cannot be told apart from a uniform r^n.
 
 Key generation draws each prime with its top two bits set, so that n = pq
 always has exactly the requested length, and confirms it with the
@@ -93,6 +95,7 @@ class _Gmp:
             ),
             ("sizeinbase", "__gmpz_sizeinbase", size_t, [mpz, c_int]),
             ("powm", "__gmpz_powm", None, [mpz, mpz, mpz, mpz]),
+            ("set", "__gmpz_set", None, [mpz, mpz]),
             ("mul", "__gmpz_mul", None, [mpz, mpz, mpz]),
             ("tdiv_r", "__gmpz_tdiv_r", None, [mpz, mpz, mpz]),
         ):
@@ -158,9 +161,6 @@ MILLER_RABIN_ROUNDS = {256: 12, 512: 7, 1024: 4, 1536: 3}
 TRIAL_DIVISION_BOUND = 2000
 RANDOMIZER_WINDOW = 6
 RANDOMIZER_CACHE_SIZE = 8
-# Values a fixed-base power numbers after its table: a bucket per window
-# digit (digit 0's unused), the running product and the result.
-_WALK_SLOTS = (1 << RANDOMIZER_WINDOW) + 2
 
 
 def _odd_primes(stop: int) -> list[int]:
@@ -282,54 +282,20 @@ def _l_function(x: int, d: int) -> int:
     return (x - 1) // d
 
 
-def _bucket_walk(x: int, windows: int) -> tuple[list[tuple[int, int, int]], int | None]:
-    """The multiplications of one fixed-base power base^x, which both
-    table kernels run.
-
-    Values are numbered: 0 .. windows - 1 are the table's powers
-    base^(2^(w*i)), windows + d (0 < d < 2^w) the bucket of window digit d,
-    and windows + 2^w and windows + 2^w + 1 the running product and the
-    result of the walk down the buckets.  Returns the steps (out, a, b),
-    each value[out] = value[a] * value[b] mod m, and the number that holds
-    base^x at the end, or None for x = 0.  Each variable starts as another
-    value's number and is then written only in its own slot, which nothing
-    else still reads, so a kernel may overwrite slots in place.
-    """
-    mask = (1 << RANDOMIZER_WINDOW) - 1
-    running_slot, acc_slot = windows + mask + 1, windows + mask + 2
-    steps = []
-
-    def mul(a, b, out):
-        if a is None:
-            return b
-        steps.append((out, a, b))
-        return out
-
-    buckets = [None] * (mask + 1)
-    for i in range(windows):
-        digit = x & mask
-        if digit:
-            buckets[digit] = mul(buckets[digit], i, windows + digit)
-        x >>= RANDOMIZER_WINDOW
-    acc = running = None
-    for digit in range(mask, 0, -1):
-        if buckets[digit] is not None:
-            running = mul(running, buckets[digit], running_slot)
-        if running is not None:
-            acc = mul(acc, running, acc_slot)
-    return steps, acc
-
-
 class _FixedBase:
     """Powers of one fixed base by the fixed-base windowing method
     (Brickell-Gordon-McCurley-Wilson, Eurocrypt '92; Menezes et al., HAC
     Algorithm 14.109), on Python ints.
 
-    Stores base^(2^(w*i)) for each w-bit window of the exponent; one power
-    then costs a multiplication per nonzero window plus about 2^(w+1)
-    bucket multiplications (:func:`_bucket_walk`), instead of a full
-    square-and-multiply.  :class:`_GmpFixedBase` runs the same walk on
-    libgmp.  A table is read-only once built, so threads may share it.
+    Stores base^(2^(w*i)) for each w-bit window i of the exponent.  A power
+    then walks two accumulators down the window digits d = 2^w - 1 .. 1: B
+    takes the table power of every window whose digit is d, and A takes B.
+    At the end A is the product of B's values, in which the power of window
+    i appears d_i times.  That costs a multiplication per nonzero window
+    plus one per digit below the top one, 232 at most for a 1024-bit
+    exponent, instead of a full square-and-multiply.  :class:`_GmpFixedBase`
+    runs the same walk on libgmp.  A table is read-only once built, so
+    threads may share it.
     """
 
     def __init__(self, base: int, exp_bits: int, mod: int):
@@ -340,49 +306,77 @@ class _FixedBase:
             powers.append(_powmod(powers[-1], 1 << RANDOMIZER_WINDOW, mod))
         self.powers = powers
 
-    def pow(self, x: int) -> int:
+    def _windows_by_digit(self, x: int) -> list[list[int]]:
+        """The windows of ``x`` grouped by their digit, for the digits
+        2^w - 1 down to 1."""
         if not 0 <= x < 1 << self.exp_bits:
             raise ValueError(f"exponent must lie in [0, 2^{self.exp_bits})")
-        steps, result = _bucket_walk(x, len(self.powers))
-        return 1 if result is None else self._run(steps, result)
+        mask = (1 << RANDOMIZER_WINDOW) - 1
+        groups = [[] for _ in range(mask + 1)]
+        for i in range(len(self.powers)):
+            groups[x & mask].append(i)
+            x >>= RANDOMIZER_WINDOW
+        return groups[:0:-1]
 
-    def _run(self, steps, result: int) -> int:
-        mod = self.mod
-        values = self.powers + [None] * _WALK_SLOTS
-        for out, a, b in steps:
-            values[out] = values[a] * values[b] % mod
-        return values[result]
+    def pow(self, x: int) -> int:
+        mod, powers = self.mod, self.powers
+        a = b = None  # each starts as a copy of its first factor
+        for windows in self._windows_by_digit(x):
+            for i in windows:
+                b = powers[i] if b is None else b * powers[i] % mod
+            if b is not None:
+                a = b if a is None else a * b % mod
+        return 1 if a is None else a
 
 
 class _GmpFixedBase(_FixedBase):
-    """:class:`_FixedBase` with the table held as GMP integers and the walk
-    run by mpz_mul and mpz_tdiv_r, converted to a Python int once at the
-    end.  The table's mpz are only read, and every mpz written belongs to
-    one call of :meth:`pow`, because ctypes lets threads run GMP at once.
-    They are cleared when the table is collected.
+    """:class:`_FixedBase` on libgmp.  The table is built by mpz_powm and
+    held as GMP integers; the walk's two accumulators are mpz of their own
+    call, updated in place by mpz_mul and mpz_tdiv_r and converted to a
+    Python int once at the end.  The table's mpz are only read, because
+    ctypes lets threads run GMP at once; they are cleared when the table is
+    collected.
     """
 
     def __init__(self, base: int, exp_bits: int, mod: int, gmp: _Gmp):
-        super().__init__(base, exp_bits, mod)
+        self.mod = mod
+        self.exp_bits = exp_bits
         self.gmp = gmp
-        self.powers = [gmp.new(v) for v in self.powers]
         self.mpz_mod = gmp.new(mod)
+        step = gmp.new(1 << RANDOMIZER_WINDOW)
+        self.powers = [gmp.new(base % mod)]
+        for _ in range(-(-exp_bits // RANDOMIZER_WINDOW) - 1):
+            self.powers.append(gmp.new())
+            gmp.powm(self.powers[-1], self.powers[-2], step, self.mpz_mod)
+        gmp.clear(step)
         # Not at exit, where a thread still encrypting could use them; the
         # process's end frees them anyway.
         weakref.finalize(self, gmp.clear_all, [*self.powers, self.mpz_mod]).atexit = False
 
-    def _run(self, steps, result: int) -> int:
-        gmp = self.gmp
-        scratch = [gmp.new() for _ in range(_WALK_SLOTS + 1)]  # and the product
+    def pow(self, x: int) -> int:
+        groups = self._windows_by_digit(x)
+        gmp, powers, mod = self.gmp, self.powers, self.mpz_mod
+        mul, tdiv_r, copy = gmp.mul, gmp.tdiv_r, gmp.set
+        a, b = gmp.new(), gmp.new()
+        a_set = b_set = False
         try:
-            product, values = scratch[-1], self.powers + scratch[:-1]
-            mul, tdiv_r, mod = gmp.mul, gmp.tdiv_r, self.mpz_mod
-            for out, a, b in steps:
-                mul(product, values[a], values[b])
-                tdiv_r(values[out], product, mod)
-            return gmp.to_int(values[result])
+            for windows in groups:
+                for i in windows:
+                    if b_set:
+                        mul(b, b, powers[i])
+                        tdiv_r(b, b, mod)
+                    else:
+                        copy(b, powers[i])
+                        b_set = True
+                if a_set:
+                    mul(a, a, b)
+                    tdiv_r(a, a, mod)
+                elif b_set:
+                    copy(a, b)
+                    a_set = True
+            return gmp.to_int(a) if a_set else 1
         finally:
-            gmp.clear_all(scratch)
+            gmp.clear_all((a, b))
 
 
 def _djn_generator(n: int) -> int:

@@ -146,10 +146,12 @@ class SessionConfig:
                             ("aggregator", Integral), ("key_bits", Integral), ("timeout", Real),
                             ("allow_test_key", bool), ("seed", (Integral, type(None))),
                             ("fixed_point", FixedPointConfig)):
-            if not isinstance(getattr(self, name), kinds):
+            value = getattr(self, name)
+            # A bool is an Integral, but True is no count, seed or timeout.
+            if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
                 kinds = kinds if isinstance(kinds, tuple) else (kinds,)
                 names = " or ".join(kind.__name__ for kind in kinds)
-                raise ConfigError(f"{name} must be of type {names}, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be of type {names}, got {value!r}")
         if self.method not in SECURE_SUMS:
             raise ConfigError(f"method must be '{METHOD_HE}' or '{METHOD_SS}'")
         if self.parties < 2:
@@ -158,6 +160,8 @@ class SessionConfig:
             raise ConfigError(f"k must be at least 1, got {self.k}")
         if not 0 < self.timeout < math.inf:  # False for NaN too
             raise ConfigError(f"timeout must be finite and positive, got {self.timeout}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self.secure_sum.check_config(self)
 
     @property

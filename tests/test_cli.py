@@ -194,6 +194,8 @@ def test_exit_codes(wine_csv, tmp_path):
     for timeout in ("0", "-1", "nan"):
         argv = ["simulate", "--method", "ss", "--k", "2", "--input", wine_csv, "--timeout", timeout]
         assert main(argv + ["--label", "quality", "--delimiter", ";"]) == EXIT_USAGE
+    # A negative seed would reach numpy's default_rng.
+    assert main(["simulate", "--k", "2", "--input", wine_csv, "--seed", "-1"]) == EXIT_USAGE
 
 
 def _free_port():
@@ -380,6 +382,34 @@ def test_a_port_above_65535_is_a_data_error_naming_the_endpoint(tmp_path, capsys
     for flag, value in (("--listen", "127.0.0.1:65536"), ("--connect", "server=127.0.0.1:65536")):
         assert main(["role", "--role", "consumer", "--config", ok, flag, value]) == EXIT_DATA
         assert "'127.0.0.1:65536'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, settings, named",
+    [
+        (["role", "--role", "server"], {"endpoints": {"provider-one": "127.0.0.1:1"}},
+         "'provider-one'"),
+        (["role", "--role", "server"], {"endpoints": {"server": 7101}}, "'server'"),
+        (["compare"], {"methods": ["pppca-ss"]}, "methods"),
+        (["compare"], {"folds": "x"}, "folds"),
+        (["simulate"], {"delimiter": 5}, "delimiter"),
+        (["simulate"], {"delimiter": ";;"}, "delimiter"),  # the csv module takes one character
+        (["simulate"], {"input": 5}, "input"),  # not a file descriptor
+        (["simulate"], {"no_header": "false"}, "no_header"),
+        (["simulate"], {"fixed_point": {"l": 64, "f": 24.5}}, "f must be an int"),
+    ],
+)
+def test_a_config_value_the_cli_cannot_use_is_a_data_error_naming_the_key(
+    command, settings, named, wine_csv, tmp_path, capsys
+):
+    if "endpoints" in settings:
+        endpoints = {"server": "127.0.0.1:1", "provider-1": "127.0.0.1:1",
+                     "provider-2": "127.0.0.1:1", "consumer": "127.0.0.1:1"}
+        settings = {"method": "ss", "parties": 2, "timeout": 0.3,
+                    "endpoints": {**endpoints, **settings["endpoints"]}}
+    assert main([*command, "--config", _config(tmp_path, wine_csv, **settings)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and named in err
 
 
 def _config(tmp_path, wine_csv, **settings):

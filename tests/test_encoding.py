@@ -98,6 +98,10 @@ def test_fixed_config_validation():
         FixedPointConfig(l=200, f=24)
     with pytest.raises(ValueError):
         FixedPointConfig(l=32, f=0)
+    # Non-int widths would fail later, inside a shift.
+    for l, f, name in ((64, 24.5, "f"), (64.0, 24, "l"), (True, 24, "l"), (64, "24", "f")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            FixedPointConfig(l=l, f=f)
 
 
 def test_default_ring_and_signed_reading():

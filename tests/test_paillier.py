@@ -282,6 +282,52 @@ def test_fixed_base_power_matches_builtin_pow(test_keypair):
                     table.pow(x)
 
 
+@needs_gmp
+def test_gmp_table_holds_the_int_tables_powers(test_keypair):
+    # The GMP table is built by mpz_powm on its own, not converted from ints.
+    gmp = paillier._gmp
+    rng = random.Random(19)
+    big_n = rng.getrandbits(2048) | 1 << 2047 | 1
+    for mod, bits in ((test_keypair[0].n_squared, 256), (big_n * big_n, 1024)):
+        base = rng.randrange(2, mod)
+        int_table = paillier._FixedBase(base, bits, mod)
+        gmp_table = paillier._GmpFixedBase(base, bits, mod, gmp)
+        assert len(int_table.powers) == -(-bits // RANDOMIZER_WINDOW)
+        assert [gmp.to_int(z) for z in gmp_table.powers] == int_table.powers
+
+
+@needs_gmp
+def test_gmp_power_walks_two_accumulators(monkeypatch):
+    # HAC 14.109: a multiplication into B per nonzero window but the first,
+    # and one into A per digit below the top nonzero one; two mpz per call.
+    gmp = paillier._gmp
+    rng = random.Random(21)
+    big_n = rng.getrandbits(2048) | 1 << 2047 | 1
+    mod, bits = big_n * big_n, 1024
+    table = paillier._GmpFixedBase(rng.randrange(2, mod), bits, mod, gmp)
+    counts = collections.Counter()
+    for name in ("mul", "init"):
+        monkeypatch.setattr(gmp, name, _counted(counts, name, getattr(gmp, name)))
+    mask = (1 << RANDOMIZER_WINDOW) - 1
+    for _ in range(4):
+        x = rng.getrandbits(bits)
+        digits = [x >> RANDOMIZER_WINDOW * i & mask for i in range(len(table.powers))]
+        counts.clear()
+        assert table.pow(x) == pow(gmp.to_int(table.powers[0]), x, mod)
+        nonzero = sum(1 for d in digits if d)
+        assert counts["mul"] == (nonzero - 1) + (max(digits) - 1)
+        assert counts["mul"] <= (len(table.powers) - 1) + (2**RANDOMIZER_WINDOW - 2) == 232
+        assert counts["init"] <= 3
+
+
+def _counted(counts, name, fn):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return counted
+
+
 def test_concurrent_encryptions_equal_serial_ones(test_keypair_1024):
     # ctypes lets threads run GMP at once, so a scratch value shared
     # through the cached table would mix their ciphertexts.

@@ -385,6 +385,9 @@ def test_config_rejects_fields_of_the_wrong_type():
     for name, value in (
         ("k", "3"), ("parties", [2, 3]), ("timeout", "20"), ("aggregator", 1.0),
         ("allow_test_key", "false"), ("seed", "3"), ("fixed_point", {"l": 64, "f": 24}),
+        # A bool passes as an Integral; k=True would run with k = 1.
+        ("k", True), ("parties", True), ("aggregator", True), ("key_bits", True),
+        ("timeout", True), ("seed", True), ("seed", -1),
     ):
         with pytest.raises(ConfigError, match=name):
             ss_cfg(**{name: value})
