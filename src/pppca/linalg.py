@@ -12,9 +12,11 @@ exact in float64 under any BLAS blocking or thread count.  A screen of each
 column's largest and smallest nonzero |x| fixes where its slices start;
 each row block is cut until nothing is left, counting the slices every
 column needs; ``gram`` forms a block's slice products in one BLAS call per
-slice; and the exact terms of each entry are summed in int64 and rounded
-once, to nearest even, in the spirit of Rump, Ogita and Oishi's accurate
-summation (SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca``
+slice, with slices as wide as the rows of one such call allow (a block holds
+at most 2^10 rows), and carries the blocks' exact products in int64; and the
+exact terms of each entry are summed in int64 and rounded once, to nearest
+even, in the spirit of Rump, Ogita and Oishi's accurate summation (SIAM J.
+Sci. Comput. 2008).  This makes ``centralized_pca``
 bit-for-bit invariant under row permutations of its input, which the rest
 of the package relies on when comparing differently partitioned runs.
 """
@@ -115,11 +117,32 @@ def center_columns(x, mean) -> np.ndarray:
 def gram(x) -> np.ndarray:
     """The scatter matrix X^T X, correctly rounded and exactly symmetric.
 
-    Each column is cut into integer-valued slices of
-    w = floor((53 - ceil(log2 n)) / 2) bits, aligned to the column's largest
-    exponent hi: x = sum_k s_k 2^(hi - (k + 1) w) with every |s_k| < 2^w.
-    Every partial sum of a slice product S_k^T S_q is then an integer below
-    2^53, so BLAS computes it exactly under any blocking or thread count.
+    Each column is cut into integer-valued slices of w bits, aligned to the
+    column's largest exponent hi: x = sum_k s_k 2^(hi - (k + 1) w) with
+    every |s_k| < 2^w.  Row blocks hold at most 2^10 rows, and the width
+    follows the rows that one BLAS call sums, not n.  With L = ceil(log2 n),
+
+        w = floor(min(53 - min(L, 10), 62 - L) / 2),
+
+    which is the whole column's width, floor((53 - L) / 2), up to 2^10 rows,
+    and 21 bits from there to 2^20 rows: a 25000-row block of centered
+    Gaussian data takes 3 slices, where the whole column's 19 bits took 4.
+    Every product of two slices is below 2^(2w), and:
+
+    - a BLAS call sums at most min(n, 2^10) <= 2^(53 - 2w) rows of them, so
+      every partial sum is an integer below 2^53, exact under any blocking
+      or thread count;
+    - the blocks' products add up in float64 over at most 2^(53 - 2w) rows
+      (2048 at w = 21), exactly, and are then flushed into int64; at most
+      2^10 rows are never flushed;
+    - a pair's int64 sum over all n rows is below 2^(L + 2w) <= 2^62;
+    - up to eight pair sums (k + q = g with at most ``_MAX_SLICES`` = 8
+      slices) meet in one term of ``_round``, which needs every term below
+      2^60.  While L + 2w <= 57 they add up as they are, below 8 * 2^57.
+      Beyond that each is split first into a w-bit digit, one term down,
+      and a carry below 2^(L + w) <= 2^(62 - w); a term then stays below
+      8 (2^(62 - w) + 2^w) <= 2^60 for any w >= 6, that is, any n up to
+      2^50.
 
     - **Screen.** One pass over the rows takes each column's largest and
       smallest nonzero |x| (``_screen``).
@@ -129,7 +152,8 @@ def gram(x) -> np.ndarray:
     - **One product per slice.** S_0 .. S_q of a block, stacked, meet S_q in
       one BLAS call, which covers every pair k <= q (``_pair_products``).
     - **One rounding.** The products of each entry are summed in int64 by
-      k + q and rounded once (``_group_pairs``, ``_round``).
+      k + q, split where they must be, and rounded once (``_group_pairs``,
+      ``_round``).
 
     The slice count depends only on the set of entries in a column, so the
     result is invariant under row permutations.
@@ -142,9 +166,9 @@ def gram(x) -> np.ndarray:
     a = check_matrix(x)
     n, d = a.shape
     log_n = (n - 1).bit_length()
-    width = (53 - log_n) // 2
+    width = min(53 - min(log_n, _LOG_BLOCK_ROWS), 62 - log_n) // 2
     hi, counts, blocks = _slicing(a, width)
-    pairs = _pair_products(blocks, d)
+    pairs = _pair_products(blocks, d, width)
     sliceable = counts <= _MAX_SLICES
     lowest = hi - counts * width  # the unit of each column's last slice
     fallback = (
@@ -153,10 +177,12 @@ def gram(x) -> np.ndarray:
         | (hi[:, None] + hi + log_n > _MAX_EXP)
     )
     rows, cols = np.nonzero(np.triu(~fallback))
-    terms = _group_pairs(pairs, rows, cols)
+    split = log_n + 2 * width > 57  # see the bounds above
+    terms = _group_pairs(pairs, rows, cols, width, split)
     del pairs  # before the rounding's temporaries
     g = np.empty((d, d))
-    g[rows, cols] = g[cols, rows] = _round(terms, hi[rows] + hi[cols] - 2 * width, width)
+    top = hi[rows] + hi[cols] - (2 - split) * width
+    g[rows, cols] = g[cols, rows] = _round(terms, top, width)
     for s, t in zip(*np.nonzero(np.triu(fallback))):
         g[s, t] = g[t, s] = math.fsum(a[:, s] * a[:, t])
     return g
@@ -169,12 +195,14 @@ _MAX_EXP = 1023
 # A column cut into more slices than this takes the fsum path instead.
 _MAX_SLICES = 8
 # Row blocks bound every temporary of the sliced products to about this many
-# entries per slice, whatever the input's shape.
+# entries per slice, whatever the input's shape, and hold at most
+# 2^_LOG_BLOCK_ROWS rows, which bounds the rows one BLAS call of ``gram`` sums.
 _BLOCK_ENTRIES = 1 << 14
+_LOG_BLOCK_ROWS = 10
 
 
 def _row_blocks(a: np.ndarray):
-    step = max(1, _BLOCK_ENTRIES // a.shape[1])
+    step = max(1, min(1 << _LOG_BLOCK_ROWS, _BLOCK_ENTRIES // a.shape[1]))
     return (a[start : start + step] for start in range(0, a.shape[0], step))
 
 
@@ -247,14 +275,24 @@ def _slicing(a: np.ndarray, width: int):
     return hi, counts, blocks()
 
 
-def _pair_products(blocks, d: int) -> np.ndarray:
+def _pair_products(blocks, d: int, width: int) -> np.ndarray:
     """S_k S_q^T summed over the sliced row ``blocks`` of ``_slicing``, for
     each slice pair k <= q, at index q (q + 1) / 2 + k of the result, so
     that a block with more slices appends pairs.  S_k holds slice k of
-    every column, as rows."""
-    acc = np.zeros((0, d, d))
+    every column, as rows.
+
+    Each product of two ``width``-bit slices is below 2^(2 width) in
+    magnitude, so a float64 sum over up to 2^(53 - 2 width) rows is exact.
+    The blocks' products add up in float64 until the next block would pass
+    that many rows; the sums are then flushed into int64.  The result is
+    the float64 sums if no flush was needed, and the int64 sums otherwise.
+    """
+    room = 1 << (53 - 2 * width)
+    acc, exact, summed = np.zeros((0, d, d)), None, 0
     for sliced in blocks:
         c = len(sliced)
+        if summed + sliced.shape[2] > room:
+            exact, summed = _flush(acc, exact), 0
         if c * (c + 1) // 2 > len(acc):
             acc = np.pad(acc, ((0, c * (c + 1) // 2 - len(acc)), (0, 0), (0, 0)))
         stacked = sliced.reshape(-1, sliced.shape[2])
@@ -262,21 +300,43 @@ def _pair_products(blocks, d: int) -> np.ndarray:
             # S_0 .. S_q against S_q, in one product.
             product = stacked[: (q + 1) * d] @ sliced[q].T
             acc[q * (q + 1) // 2 : (q + 1) * (q + 2) // 2] += product.reshape(q + 1, d, d)
-    return acc
+        summed += sliced.shape[2]
+    return acc if exact is None else _flush(acc, exact)
 
 
-def _group_pairs(pairs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _flush(acc: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
+    """``exact`` (None for nothing yet) plus the float64 sums ``acc``, in
+    int64; ``acc`` is zeroed.  ``acc`` has at least as many pairs as
+    ``exact``."""
+    total = acc.astype(np.int64)
+    if exact is not None:
+        total[: len(exact)] += exact
+    acc[:] = 0.0
+    return total
+
+
+def _group_pairs(
+    pairs: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int, split: bool
+) -> np.ndarray:
     """The entries (rows[p], cols[p]) of the slice products from
     ``_pair_products``, summed in int64 by k + q: row g of the result holds
-    the sum of (S_k S_q^T)[rows, cols] over all k + q = g."""
+    the sum of (S_k S_q^T)[rows, cols] over all k + q = g.  With ``split``,
+    each of them is cut first into a ``width``-bit digit, which goes to row
+    g + 1, and a carry, which goes to row g."""
     count = math.isqrt(2 * len(pairs))  # there are count (count + 1) / 2 pairs
-    terms = np.zeros((max(2 * count - 1, 1), len(rows)), dtype=np.int64)
+    terms = np.zeros((max(2 * count - 1 + split, 1), len(rows)), dtype=np.int64)
     for q in range(count):
         for k in range(q + 1):
             pair = pairs[q * (q + 1) // 2 + k]
-            terms[k + q] += pair[rows, cols].astype(np.int64)
+            ordered = [pair[rows, cols]]
             if k < q:
-                terms[k + q] += pair[cols, rows].astype(np.int64)  # S_q S_k^T
+                ordered.append(pair[cols, rows])  # S_q S_k^T
+            for sums in ordered:
+                sums = sums.astype(np.int64, copy=False)
+                if split:
+                    terms[k + q] += sums >> width
+                    sums &= (1 << width) - 1
+                terms[k + q + split] += sums
     return terms
 
 

@@ -207,7 +207,7 @@ def decode_public_key(payload: bytes) -> PublicKey:
 def encode_real_matrix(x) -> bytes:
     a = np.atleast_2d(np.asarray(x, dtype=float))
     rows, cols = a.shape
-    return struct.pack(">II", rows, cols) + a.astype(">f8").tobytes()
+    return b"".join((struct.pack(">II", rows, cols), a.astype(">f8", order="C")))
 
 
 def decode_real_matrix(payload: bytes) -> np.ndarray:

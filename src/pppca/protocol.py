@@ -158,6 +158,11 @@ class SessionConfig:
             raise ConfigError(f"need at least 2 data providers, got {self.parties}")
         if self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
+        if not 1 <= self.aggregator <= self.parties - 1:
+            raise ConfigError(
+                f"aggregator must be a provider index in [1, {self.parties - 1}], "
+                f"got {self.aggregator}"
+            )
         if not 0 < self.timeout < math.inf:  # False for NaN too
             raise ConfigError(f"timeout must be finite and positive, got {self.timeout}")
         if self.seed is not None and self.seed < 0:
@@ -262,11 +267,6 @@ class PaillierSum(SecureSum):
 
     @staticmethod
     def check_config(cfg: SessionConfig):
-        if not 1 <= cfg.aggregator <= cfg.parties - 1:
-            raise ConfigError(
-                f"aggregator must be a provider index in [1, {cfg.parties - 1}], "
-                f"got {cfg.aggregator}"
-            )
         if cfg.key_bits not in paillier.ALLOWED_KEY_BITS:
             raise ConfigError(
                 f"key_bits must be one of {paillier.ALLOWED_KEY_BITS}, got {cfg.key_bits}"

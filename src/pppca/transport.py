@@ -188,12 +188,14 @@ class TcpEndpoint(_BufferedReceiver):
         """Exactly ``count`` bytes, or b"" if the stream ends between frames:
         before the first of them, with no part of a frame read yet.  Ending
         anywhere inside a frame (``in_frame`` says part of it was read
-        already) raises ``TransportClosed``."""
+        already) raises ``TransportClosed``.  Each ``recv`` waits for all
+        the bytes it asks for, so one usually returns them all, and joining
+        a single chunk copies nothing."""
         chunks = []
         got = 0
         while got < count:
             try:
-                chunk = conn.recv(count - got)
+                chunk = conn.recv(count - got, socket.MSG_WAITALL)
             except OSError:
                 chunk = b""
             if not chunk:
@@ -212,10 +214,9 @@ class TcpEndpoint(_BufferedReceiver):
                     header = self._read_exact(conn, header_size(), in_frame=False)
                     if not header:
                         break  # the stream ended between frames
-                    _, _, _, _, length = parse_header(header)
-                    msg = deserialize(header + self._read_exact(conn, length, in_frame=True))
-                    sender = msg.sender
-                    self._push(msg)
+                    msg_type, sender, receiver, step, length = parse_header(header)
+                    payload = self._read_exact(conn, length, in_frame=True)
+                    self._push(ProtocolMessage(msg_type, sender, receiver, step, payload))
             except FrameFormatError as exc:
                 self._close(f"malformed frame: {exc}")
                 return

@@ -439,6 +439,12 @@ def test_simulate_reads_the_aggregator_from_the_config(wine_csv, tmp_path, capsy
     assert receivers == {"2"}
 
 
+def test_simulate_rejects_an_aggregator_out_of_range_under_ss(wine_csv, tmp_path, capsys):
+    config = _config(tmp_path, wine_csv, method="ss", parties=2, aggregator=9)
+    assert main(["simulate", "--config", config]) == EXIT_USAGE
+    assert "aggregator must be a provider index in [1, 1], got 9" in capsys.readouterr().err
+
+
 def test_the_cli_can_set_every_session_field():
     from dataclasses import fields
 

@@ -106,6 +106,15 @@ def test_he_aggregator_choice():
         he_cfg(parties=3, aggregator=0)
 
 
+@pytest.mark.parametrize("aggregator", [0, 3, 9])
+def test_ss_config_checks_the_aggregator_too(aggregator):
+    # ss never routes through the aggregator, but a value out of range is
+    # still a misconfiguration, reported as it is under he.
+    with pytest.raises(ConfigError, match="aggregator"):
+        ss_cfg(parties=3, aggregator=aggregator)
+    assert ss_cfg(parties=3, aggregator=2).aggregator == 2
+
+
 def test_he_config_checks_the_key_size():
     with pytest.raises(ConfigError):
         replace(he_cfg(), key_bits=768)
