@@ -122,11 +122,12 @@ def gram(x) -> np.ndarray:
     every |s_k| < 2^w.  Row blocks hold at most 2^10 rows, and the width
     follows the rows that one BLAS call sums, not n.  With L = ceil(log2 n),
 
-        w = floor(min(53 - min(L, 10), 62 - L) / 2),
+        w = floor(min(53 - min(L, 10), 57 - L) / 2),
 
     which is the whole column's width, floor((53 - L) / 2), up to 2^10 rows,
-    and 21 bits from there to 2^20 rows: a 25000-row block of centered
-    Gaussian data takes 3 slices, where the whole column's 19 bits took 4.
+    21 bits from there to 2^15 rows, and 2 bits wider than the whole
+    column's beyond: a 25000-row block of centered Gaussian data takes 3
+    slices, where the whole column's 19 bits took 4.
     Every product of two slices is below 2^(2w), and:
 
     - a BLAS call sums at most min(n, 2^10) <= 2^(53 - 2w) rows of them, so
@@ -135,14 +136,10 @@ def gram(x) -> np.ndarray:
     - the blocks' products add up in float64 over at most 2^(53 - 2w) rows
       (2048 at w = 21), exactly, and are then flushed into int64; at most
       2^10 rows are never flushed;
-    - a pair's int64 sum over all n rows is below 2^(L + 2w) <= 2^62;
+    - a pair's int64 sum over all n rows is below 2^(L + 2w) <= 2^57;
     - up to eight pair sums (k + q = g with at most ``_MAX_SLICES`` = 8
       slices) meet in one term of ``_round``, which needs every term below
-      2^60.  While L + 2w <= 57 they add up as they are, below 8 * 2^57.
-      Beyond that each is split first into a w-bit digit, one term down,
-      and a carry below 2^(L + w) <= 2^(62 - w); a term then stays below
-      8 (2^(62 - w) + 2^w) <= 2^60 for any w >= 6, that is, any n up to
-      2^50.
+      2^60; they stay below 8 * 2^57.
 
     - **Screen.** One pass over the rows takes each column's largest and
       smallest nonzero |x| (``_screen``).
@@ -152,8 +149,7 @@ def gram(x) -> np.ndarray:
     - **One product per slice.** S_0 .. S_q of a block, stacked, meet S_q in
       one BLAS call, which covers every pair k <= q (``_pair_products``).
     - **One rounding.** The products of each entry are summed in int64 by
-      k + q, split where they must be, and rounded once (``_group_pairs``,
-      ``_round``).
+      k + q and rounded once (``_group_pairs``, ``_round``).
 
     The slice count depends only on the set of entries in a column, so the
     result is invariant under row permutations.
@@ -166,7 +162,7 @@ def gram(x) -> np.ndarray:
     a = check_matrix(x)
     n, d = a.shape
     log_n = (n - 1).bit_length()
-    width = min(53 - min(log_n, _LOG_BLOCK_ROWS), 62 - log_n) // 2
+    width = min(53 - min(log_n, _LOG_BLOCK_ROWS), 57 - log_n) // 2
     hi, counts, blocks = _slicing(a, width)
     pairs = _pair_products(blocks, d, width)
     sliceable = counts <= _MAX_SLICES
@@ -177,12 +173,10 @@ def gram(x) -> np.ndarray:
         | (hi[:, None] + hi + log_n > _MAX_EXP)
     )
     rows, cols = np.nonzero(np.triu(~fallback))
-    split = log_n + 2 * width > 57  # see the bounds above
-    terms = _group_pairs(pairs, rows, cols, width, split)
+    terms = _group_pairs(pairs, rows, cols)
     del pairs  # before the rounding's temporaries
     g = np.empty((d, d))
-    top = hi[rows] + hi[cols] - (2 - split) * width
-    g[rows, cols] = g[cols, rows] = _round(terms, top, width)
+    g[rows, cols] = g[cols, rows] = _round(terms, hi[rows] + hi[cols] - 2 * width, width)
     for s, t in zip(*np.nonzero(np.triu(fallback))):
         g[s, t] = g[t, s] = math.fsum(a[:, s] * a[:, t])
     return g
@@ -315,28 +309,18 @@ def _flush(acc: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
     return total
 
 
-def _group_pairs(
-    pairs: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int, split: bool
-) -> np.ndarray:
+def _group_pairs(pairs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The entries (rows[p], cols[p]) of the slice products from
     ``_pair_products``, summed in int64 by k + q: row g of the result holds
-    the sum of (S_k S_q^T)[rows, cols] over all k + q = g.  With ``split``,
-    each of them is cut first into a ``width``-bit digit, which goes to row
-    g + 1, and a carry, which goes to row g."""
+    the sum of (S_k S_q^T)[rows, cols] over all k + q = g."""
     count = math.isqrt(2 * len(pairs))  # there are count (count + 1) / 2 pairs
-    terms = np.zeros((max(2 * count - 1 + split, 1), len(rows)), dtype=np.int64)
+    terms = np.zeros((max(2 * count - 1, 1), len(rows)), dtype=np.int64)
     for q in range(count):
         for k in range(q + 1):
             pair = pairs[q * (q + 1) // 2 + k]
-            ordered = [pair[rows, cols]]
+            terms[k + q] += pair[rows, cols].astype(np.int64)
             if k < q:
-                ordered.append(pair[cols, rows])  # S_q S_k^T
-            for sums in ordered:
-                sums = sums.astype(np.int64, copy=False)
-                if split:
-                    terms[k + q] += sums >> width
-                    sums &= (1 << width) - 1
-                terms[k + q + split] += sums
+                terms[k + q] += pair[cols, rows].astype(np.int64)  # S_q S_k^T
     return terms
 
 

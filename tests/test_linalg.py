@@ -226,14 +226,17 @@ def test_gram_and_column_sums_are_exact_on_mixed_scales():
     assert_exact(x)
     assert_exact(x[:1])
     assert_exact(-np.abs(x[:40]))
+    # Past 1024 rows, gram carries its row blocks' products in int64.
+    assert_exact(mixed_scale_columns(rng, 3000))
 
 
 def test_gram_and_column_sums_are_row_permutation_invariant_bitwise():
     rng = np.random.default_rng(18)
-    x = mixed_scale_columns(rng, 300)
-    perm = rng.permutation(300)
-    assert np.array_equal(linalg.gram(x[perm]), linalg.gram(x))
-    assert np.array_equal(linalg.column_sums(x[perm]), linalg.column_sums(x))
+    for rows in (300, 3000):
+        x = mixed_scale_columns(rng, rows)
+        perm = rng.permutation(rows)
+        assert np.array_equal(linalg.gram(x[perm]), linalg.gram(x))
+        assert np.array_equal(linalg.column_sums(x[perm]), linalg.column_sums(x))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
