@@ -9,16 +9,16 @@ cut into integer-valued slices (Ozaki, Ogita, Oishi and Rump, "Error-free
 transformations of matrix multiplication by using fast routines of matrix
 multiplication", Numer. Algorithms 2012), so that every slice product is
 exact in float64 under any BLAS blocking or thread count.  A screen of each
-column's largest and smallest nonzero |x| fixes where its slices start;
-each row block is cut until nothing is left, counting the slices every
-column needs; ``gram`` forms a block's slice products in one BLAS call per
-slice, with slices as wide as the rows of one such call allow (a block holds
-at most 2^10 rows), and carries the blocks' exact products in int64; and the
-exact terms of each entry are summed in int64 and rounded once, to nearest
-even, in the spirit of Rump, Ogita and Oishi's accurate summation (SIAM J.
-Sci. Comput. 2008).  This makes ``centralized_pca``
-bit-for-bit invariant under row permutations of its input, which the rest
-of the package relies on when comparing differently partitioned runs.
+column's largest |x| fixes where its slices start; each row block is cut
+until nothing is left, counting the slices every column needs; ``gram``
+forms a block's slice products in one BLAS call per slice, with slices as
+wide as the rows of one such call allow (a block holds at most 2^10 rows),
+and carries the blocks' exact products in int64; and the exact terms of
+each entry are summed in int64 and rounded once, to nearest even, in the
+spirit of Rump, Ogita and Oishi's accurate summation (SIAM J. Sci. Comput.
+2008).  This makes ``centralized_pca`` bit-for-bit invariant under row
+permutations of its input, which the rest of the package relies on when
+comparing differently partitioned runs.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def gram(x) -> np.ndarray:
       slices) meet in one term of ``_round``, which needs every term below
       2^60; they stay below 8 * 2^57.
 
-    - **Screen.** One pass over the rows takes each column's largest and
-      smallest nonzero |x| (``_screen``).
+    - **Screen.** One pass over the rows takes each column's largest |x|
+      (``_screen``).
     - **Count while cutting.** Each row block is cut until nothing is left,
       so it costs the slices its own entries need, and the slice count of
       every column is exact by the last block (``_slicing``).
@@ -200,23 +200,16 @@ def _row_blocks(a: np.ndarray):
     return (a[start : start + step] for start in range(0, a.shape[0], step))
 
 
-def _screen(a: np.ndarray):
-    """Per column, ``(hi, least)``: every entry is below 2^hi in magnitude
-    (hi = 0 for an all-zero column), and ``least`` is the smallest nonzero
-    |entry| (0.0 for an all-zero column)."""
+def _screen(a: np.ndarray) -> np.ndarray:
+    """Per column, the exponent hi: every entry is below 2^hi in magnitude
+    (hi = 0 for an all-zero column)."""
     top = np.zeros(a.shape[1])
-    least = np.full(a.shape[1], np.iinfo(np.uint64).max, dtype=np.uint64)
     for block in _row_blocks(a):
-        # Rows folded side by side keep the reductions' inner loops long.
+        # Rows folded side by side keep the reduction's inner loop long.
         fold = math.gcd(len(block), -(-256 // a.shape[1]))
         magnitude = np.abs(block).reshape(-1, fold * a.shape[1])
         np.maximum(top, magnitude.max(axis=0).reshape(fold, -1).max(axis=0), out=top)
-        # Positive floats order as their bit patterns; minus one, zeros wrap
-        # to the top, so the minimum skips them.
-        bits = magnitude.view(np.uint64)
-        bits -= 1
-        np.minimum(least, bits.min(axis=0).reshape(fold, -1).min(axis=0), out=least)
-    return np.frexp(top)[1], (least + 1).view(float)
+    return np.frexp(top)[1]
 
 
 def _slicing(a: np.ndarray, width: int):
@@ -227,30 +220,29 @@ def _slicing(a: np.ndarray, width: int):
     yields the row blocks of ``a``, each cut into integer-valued slices
     until nothing is left: an array s of shape (c, d, rows) with
     ``block[:, t] == sum_k s[k, t] * 2**(hi[t] - (k + 1) * width)`` exactly
-    and every |s| below 2^width.  Each array is overwritten by the next.
+    and every |s| below 2^width.  Each array is overwritten by the next, in
+    a buffer that grows by a block's room whenever a cut needs a slice more.
     Once ``blocks`` is exhausted, ``counts[t]`` is the number of slices
     column t needs, or ``_MAX_SLICES + 1`` if that is more than
-    ``_MAX_SLICES``; such a column's slices mean nothing.
+    ``_MAX_SLICES``; such a column's slices mean nothing.  Only the cutting
+    sets ``counts``.  It rules a column out when a block still holds part of
+    it after ``_MAX_SLICES`` slices, or when scaling by 2^-hi[t] rounds one
+    of its entries below float64's normal range, and so out of the cut.
     """
-    hi, least = _screen(a)
-    exponent = np.frexp(least)[1]
-    nonzero = least > 0
-    # An entry wholly below the last of _MAX_SLICES slices rules its column
-    # out before scaling by 2^-hi could lose the entry to underflow.  Every
-    # other entry scales exactly, to at least 2^-(_MAX_SLICES * width).
-    counts = np.where(nonzero & (exponent <= hi - _MAX_SLICES * width), _MAX_SLICES + 1, 0)
-    # An entry of exponent e has no set bit below 2^(e - 53), which bounds
-    # the slices a column needs, and so the room a block needs.
-    needs = np.minimum(-((exponent - 53 - hi) // width), _MAX_SLICES)
-    slots = int(needs[nonzero].max(initial=0))
+    hi = _screen(a)
+    counts = np.zeros(a.shape[1], dtype=np.int64)
 
     def blocks():
         size = min(a.size, max(_BLOCK_ENTRIES, a.shape[1]))
-        rests, outs = np.empty(size), np.empty(slots * size)
+        rests, outs = np.empty(size), np.empty(0)
         for block in _row_blocks(a):
             rest = rests[: block.size].reshape(block.shape[::-1])
-            out = outs[: slots * block.size].reshape((slots,) + rest.shape)
-            np.ldexp(block.T, -hi[:, None], out=rest)
+            try:
+                with np.errstate(under="raise"):
+                    np.ldexp(block.T, -hi[:, None], out=rest)
+            except FloatingPointError:  # numpy raises after writing all of rest
+                # Rule out the columns with an entry that did not survive it.
+                counts[(np.ldexp(rest, hi[:, None]) != block.T).any(axis=1)] = _MAX_SLICES + 1
             rest[counts > _MAX_SLICES] = 0.0
             live = rest.any(axis=1)
             count = 0
@@ -258,13 +250,20 @@ def _slicing(a: np.ndarray, width: int):
                 if count == _MAX_SLICES:
                     counts[live] = _MAX_SLICES + 1
                     break
+                if (count + 1) * block.size > len(outs):
+                    # BLAS reads slices on a 64-byte boundary about a quarter faster.
+                    grown = np.empty(len(outs) + size + 7)
+                    grown = grown[-grown.ctypes.data // 8 % 8 :][: len(outs) + size]
+                    grown[: count * block.size] = outs[: count * block.size]
+                    outs = grown
                 rest *= 2.0**width
-                np.trunc(rest, out=out[count])
-                rest -= out[count]
+                out = outs[count * block.size : (count + 1) * block.size].reshape(rest.shape)
+                np.trunc(rest, out=out)
+                rest -= out
                 count += 1
                 np.maximum(counts, count * live, out=counts)
                 live = rest.any(axis=1)
-            yield out[:count]
+            yield outs[: count * block.size].reshape((count,) + rest.shape)
 
     return hi, counts, blocks()
 

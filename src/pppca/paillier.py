@@ -33,10 +33,13 @@ Key generation draws each prime with its top two bits set, so that n = pq
 always has exactly the requested length, and confirms it with the
 Miller-Rabin round count FIPS 186-4 gives for its size.  Before those
 rounds, a gcd with the product of the odd primes below 2000 and a base-2
-Fermat test, which no prime can fail, discard most composites cheaply.  A
-candidate that Fermat's test rejects still draws the random witness its
-first Miller-Rabin round would have drawn, so a seeded generator yields the
-same keys as with Miller-Rabin alone.  hp and hq take their closed forms
+Fermat test, which no prime can fail, discard most composites.  The Fermat
+test is cheaper than a random-base round only under the builtin ``pow``,
+where multiplying by 2 is cheap; under libgmp's mpz_powm a base of 2 costs
+what any base costs, and the test saves nothing.  A candidate that Fermat's
+test rejects still draws the random witness its first Miller-Rabin round
+would have drawn, so a seeded generator yields the same keys as with
+Miller-Rabin alone.  hp and hq take their closed forms
 for g = n + 1.
 
 Not hardened against side channels (neither GMP's mpz_powm and mpz

@@ -29,7 +29,8 @@ appears in transcripts and error messages:
        d(d+1)/2 upper-triangle entries of the symmetric matrix
     7  combiners send their sums to the server, which opens the total and
        mirrors it into the covariance
-    8  the server broadcasts the transfer matrix
+    8  the server broadcasts the transfer matrix, or aborts if the
+       fixed-point grid may leave it unresolved (``MAX_ANGLE_BOUND``)
     9  providers send reduced rows to the consumer
 
 Phase 5 is unused.
@@ -120,6 +121,10 @@ PHASE_TRANSFER = 8
 PHASE_REDUCED = 9
 # The hop-1 and hop-2 phases of round r: the column sums, then the covariance.
 ROUND_PHASES = ((PHASE_SUMS, PHASE_SUMS + 1), (PHASE_COV, PHASE_COV + 1))
+# The server aborts rather than broadcast a transfer matrix whose largest
+# principal angle to the exact covariance's top-k subspace may have a sine
+# above this (``ServerRole._angle_bound``).
+MAX_ANGLE_BOUND = 1e-5
 
 
 @dataclass(frozen=True)
@@ -378,6 +383,7 @@ class SessionResult:
     mean: np.ndarray
     eigenvalues: np.ndarray
     sample_count: int
+    angle_bound: float  # on the transfer matrix's error; ServerRole._angle_bound
     transcript: Transcript
     timings: dict[str, float]
 
@@ -519,6 +525,7 @@ class ServerRole(_Role):
         self.transfer: np.ndarray | None = None
         self.eigenvalues: np.ndarray | None = None
         self.sample_count: int | None = None
+        self.angle_bound: float | None = None
         self.timings: dict[str, float] = {}
         self.sum = cfg.secure_sum.for_party(cfg, SERVER)
 
@@ -562,9 +569,37 @@ class ServerRole(_Role):
         self.transfer = linalg.top_k_transfer(pairs, cfg.k)
         self.eigenvalues = pairs.values
         self.timings["eigendecomposition"] = time.perf_counter() - started
+        self.angle_bound = self._angle_bound(n)
+        if self.angle_bound > MAX_ANGLE_BOUND:
+            fp = cfg.fixed_point
+            raise ProtocolAbort(
+                PHASE_TRANSFER,
+                f"the fixed-point grid of (l, f) = ({fp.l}, {fp.f}) leaves the transfer "
+                f"matrix unresolved: the sine of its largest principal angle may reach "
+                f"{self.angle_bound:.3g}, above {MAX_ANGLE_BOUND:g}; use a larger f or "
+                f"rescale the data",
+            )
         self._broadcast(
             ep, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, encode_real_matrix(self.transfer)
         )
+
+    def _angle_bound(self, n: int) -> float:
+        """A bound on the sine of the largest principal angle between the
+        transfer matrix and the top-k eigenvectors of the exact covariance C.
+
+        Every provider rounds its covariance terms to the 2^-f grid, so the
+        opened covariance is off by at most E = d M 2^-(f+1) in Frobenius
+        norm, plus the mean's share: centering at a mean off by delta, itself
+        the column sums' rounding over n, adds n/(n-1) delta delta^T.  By
+        Weyl, C's eigengap at k is at least the opened one, g, less E, and
+        by Davis and Kahan's sin-theta theorem the sine is at most
+        E / (g - E); infinite when g <= E.
+        """
+        cfg, values = self.cfg, self.eigenvalues
+        d, step = values.size, 2.0 ** -(cfg.fixed_point.f + 1)
+        error = d * cfg.parties * step + n / (n - 1) * d * (cfg.parties * step / n) ** 2
+        gap = float(values[cfg.k - 1] - values[cfg.k]) - error
+        return error / gap if gap > 0 else math.inf
 
 
 class ConsumerRole(_Role):
@@ -587,15 +622,15 @@ class ConsumerRole(_Role):
         self.reduced = np.vstack(blocks)
 
 
-def _validate_inputs(cfg: SessionConfig, data) -> list[np.ndarray]:
+def _provider_roles(cfg: SessionConfig, data) -> list[ProviderRole]:
+    """One role per provider, over its checked block, once the blocks agree
+    with each other and with the config."""
     if len(data) != cfg.parties:
         raise ConfigError(
             f"config names {cfg.parties} providers but {len(data)} matrices given"
         )
-    matrices = [
-        linalg.check_matrix(x, name=f"provider {i} data")
-        for i, x in zip(cfg.providers, data)
-    ]
+    providers = [ProviderRole(i, x, cfg) for i, x in zip(cfg.providers, data)]
+    matrices = [p.data for p in providers]
     widths = {m.shape[1] for m in matrices}
     if len(widths) != 1:
         raise DimensionError(
@@ -606,7 +641,7 @@ def _validate_inputs(cfg: SessionConfig, data) -> list[np.ndarray]:
         raise ConfigError(f"k={cfg.k} must satisfy 1 <= k < d={d}")
     if sum(m.shape[0] for m in matrices) < 2:
         raise ConfigError("need at least 2 rows overall")
-    return matrices
+    return providers
 
 
 _NETWORKS = {"sim": SimulatedNetwork, "tcp": TcpNetwork}
@@ -655,13 +690,10 @@ def run_session(
     instead the session is watched, and aborted once it has stalled for
     ``cfg.timeout`` seconds.
     """
-    matrices = _validate_inputs(cfg, data)
+    providers = _provider_roles(cfg, data)
     if transport not in _NETWORKS:
         raise ConfigError(f"unknown transport {transport!r}")
     server = ServerRole(cfg)
-    providers = [
-        ProviderRole(i, m, cfg) for i, m in zip(cfg.providers, matrices)
-    ]
     consumer = ConsumerRole(cfg)
     roles = [server, *providers, consumer]
     network = _NETWORKS[transport]([role.party for role in roles], timeout=None)
@@ -717,6 +749,7 @@ def run_session(
         mean=server.mean,
         eigenvalues=server.eigenvalues,
         sample_count=server.sample_count,
+        angle_bound=server.angle_bound,
         transcript=network.transcript,
         timings=timings,
     )

@@ -214,7 +214,18 @@ class TcpEndpoint(_BufferedReceiver):
                     header = self._read_exact(conn, header_size(), in_frame=False)
                     if not header:
                         break  # the stream ended between frames
-                    msg_type, sender, receiver, step, length = parse_header(header)
+                    msg_type, claimed, receiver, step, length = parse_header(header)
+                    if receiver != self.party:
+                        raise FrameFormatError(
+                            f"party {self.party} got a frame from party {claimed} "
+                            f"addressed to party {receiver}"
+                        )
+                    if sender not in (None, claimed):
+                        raise FrameFormatError(
+                            f"party {sender}'s channel to party {self.party} "
+                            f"carried a frame from party {claimed}"
+                        )
+                    sender = claimed
                     payload = self._read_exact(conn, length, in_frame=True)
                     self._push(ProtocolMessage(msg_type, sender, receiver, step, payload))
             except FrameFormatError as exc:

@@ -376,6 +376,34 @@ def test_abort_on_fixed_point_overflow_names_step(make_cfg):
     assert "fixed-point budget" in str(err.value)
 
 
+@pytest.mark.parametrize("fp", [FixedPointConfig(), FixedPointConfig(64, 24)], ids=str)
+def test_small_scales_abort_naming_l_and_f_instead_of_a_wrong_transfer(fp):
+    # One table of 3 x 400 rows, d = 6, k = 3, in units ever smaller against
+    # the 2^-f grid: each session matches the pooled PCA within the
+    # acceptance tolerances (1e-5 for he, 1e-3 for ss) or aborts before the
+    # transfer matrix goes out; none answers wrongly.
+    rng = np.random.default_rng(8)
+    basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    spread = rng.normal(size=(1200, 6)) * [4.0, 3.0, 2.0, 1.0, 0.7, 0.5]
+    table = rng.uniform(-3.0, 3.0, size=6) + spread @ basis.T
+    outcomes = set()
+    for make_cfg, tolerance in ((he_cfg, 1e-5), (ss_cfg, 1e-3)):
+        for scale in (1.0, 1e-4, 1e-8, 1e-12):
+            data = split(table * scale, 3)
+            oracle, _ = linalg.centralized_pca(table * scale, 3)
+            try:
+                result = run_session(make_cfg(parties=3, k=3, fixed_point=fp), data)
+            except ProtocolAbort as err:
+                assert err.phase == PHASE_TRANSFER
+                assert f"(l, f) = ({fp.l}, {fp.f})" in str(err)
+                outcomes.add("abort")
+                continue
+            angle = linalg.largest_principal_angle(result.transfer, oracle)
+            assert angle <= tolerance and result.angle_bound <= 1e-5
+            outcomes.add("answer")
+    assert outcomes == {"abort", "answer"}
+
+
 def test_abort_on_empty_provider():
     from pppca.errors import MatrixValidationError
 

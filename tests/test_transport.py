@@ -484,6 +484,39 @@ def test_tcp_frame_cut_short_closes_the_receiver_at_once():
             receiver.close()
 
 
+def _tcp_receiver_rejects(frames, match):
+    """Frames sent to party 1's listener on one connection, all but the
+    last of them well formed: party 1 receives those, then both party 2's
+    and party 3's channels are closed at once, for a reason that ``match``
+    finds."""
+    receiver = TcpEndpoint(1, ("127.0.0.1", 0), timeout=5.0)
+    try:
+        with socket.create_connection(receiver.address) as peer:
+            peer.sendall(b"".join(serialize(m) for m in frames))
+            started = time.monotonic()
+            assert [receiver.recv(sender=2) for _ in frames[:-1]] == frames[:-1]
+            for sender in (2, 3):
+                with pytest.raises(TransportClosed, match=match):
+                    receiver.recv(sender=sender)
+            assert time.monotonic() - started < 1.0
+        assert receiver.transcript.raw() == frames[:-1]
+    finally:
+        receiver.close()
+
+
+def test_tcp_frame_addressed_to_another_party_closes_the_receiver():
+    misaddressed = _msg(MsgType.SAMPLE_COUNT, 2, 5, 0, encode_sample_count(20))
+    _tcp_receiver_rejects([misaddressed], "malformed frame: .*party 2 addressed to party 5")
+
+
+def test_tcp_connection_switching_senders_closes_the_receiver():
+    first = _msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(20))
+    second = _msg(MsgType.SAMPLE_COUNT, 3, 1, 0, encode_sample_count(30))
+    _tcp_receiver_rejects(
+        [first, second], "malformed frame: party 2's channel to party 1 .* from party 3"
+    )
+
+
 # --- transcript --------------------------------------------------------------
 
 
