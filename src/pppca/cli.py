@@ -270,7 +270,7 @@ def _cmd_simulate(args) -> int:
 
 def _parse_endpoint(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")
-    if not host or not port.isdigit() or int(port) > 65535:
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise DataError(f"endpoint {address!r} must be host:port, with a port in [0, 65535]")
     return host, int(port)
 
@@ -286,7 +286,7 @@ def _endpoint_map(config: dict, cfg: SessionConfig) -> dict[int, tuple[str, int]
             party = SERVER
         elif name == "consumer":
             party = cfg.consumer
-        elif index != name and index.isdecimal():
+        elif index != name and index.isascii() and index.isdecimal():
             party = int(index)
             if party not in cfg.providers:
                 raise DataError(f"endpoint {name!r} out of range for {cfg.parties} parties")

@@ -93,6 +93,11 @@ def serialize(msg: ProtocolMessage) -> bytes:
         raise FrameFormatError(
             f"payload of {len(msg.payload)} bytes exceeds the 256 MiB cap"
         )
+    for name, value, bits in (
+        ("sender", msg.sender, 16), ("receiver", msg.receiver, 16), ("step", msg.step, 32)
+    ):
+        if not 0 <= value < 1 << bits:
+            raise FrameFormatError(f"{name} {value} does not fit the header's {bits}-bit field")
     header = _HEADER.pack(
         MAGIC,
         VERSION,

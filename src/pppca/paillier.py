@@ -422,22 +422,27 @@ def _randomizer_table(pk: PublicKey) -> _FixedBase:
         return _randomizer_table_for(pk)
 
 
+def check_key_bits(bits: int, allow_test_key: bool = False):
+    """Raise ``ValueError`` unless ``bits`` is one of ``ALLOWED_KEY_BITS``.
+    512-bit keys are far below a safe size and are admitted only with
+    ``allow_test_key``."""
+    if bits not in ALLOWED_KEY_BITS:
+        raise ValueError(f"key size must be one of {ALLOWED_KEY_BITS}, got {bits}")
+    if bits == 512 and not allow_test_key:
+        raise ValueError("512-bit keys are test-only; set allow_test_key")
+
+
 def keygen(
     bits: int = DEFAULT_KEY_BITS,
     rng: random.Random | None = None,
     allow_test_key: bool = False,
 ) -> tuple[PublicKey, PrivateKey]:
-    """Generate a keypair with an n of exactly ``bits`` bits.
-
-    512-bit keys are far below a safe size and are admitted only with
-    ``allow_test_key=True``.  Pass a seeded ``random.Random`` for
+    """Generate a keypair with an n of exactly ``bits`` bits, a size that
+    :func:`check_key_bits` admits.  Pass a seeded ``random.Random`` for
     reproducible keys in tests; the default draws from the system entropy
     pool.
     """
-    if bits not in ALLOWED_KEY_BITS:
-        raise ValueError(f"key size must be one of {ALLOWED_KEY_BITS}, got {bits}")
-    if bits == 512 and not allow_test_key:
-        raise ValueError("512-bit keys are test-only; pass allow_test_key=True")
+    check_key_bits(bits, allow_test_key)
     if rng is None:
         rng = random.SystemRandom()
     p = _random_prime(bits // 2, rng)

@@ -108,6 +108,9 @@ from .sharing import CounterPRG, add_local_matrix, reconstruct_matrix, share_mat
 from .transport import DEFAULT_TIMEOUT, SimulatedNetwork, TcpNetwork
 
 SERVER = 0
+# Parties are addressed by 16-bit header fields, and the consumer is party
+# parties + 1.
+MAX_PARTIES = (1 << 16) - 2
 
 METHOD_HE = "he"
 METHOD_SS = "ss"
@@ -159,8 +162,8 @@ class SessionConfig:
                 raise ConfigError(f"{name} must be of type {names}, got {value!r}")
         if self.method not in SECURE_SUMS:
             raise ConfigError(f"method must be '{METHOD_HE}' or '{METHOD_SS}'")
-        if self.parties < 2:
-            raise ConfigError(f"need at least 2 data providers, got {self.parties}")
+        if not 2 <= self.parties <= MAX_PARTIES:
+            raise ConfigError(f"need 2 to {MAX_PARTIES} data providers, got {self.parties}")
         if self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
         if not 1 <= self.aggregator <= self.parties - 1:
@@ -272,12 +275,10 @@ class PaillierSum(SecureSum):
 
     @staticmethod
     def check_config(cfg: SessionConfig):
-        if cfg.key_bits not in paillier.ALLOWED_KEY_BITS:
-            raise ConfigError(
-                f"key_bits must be one of {paillier.ALLOWED_KEY_BITS}, got {cfg.key_bits}"
-            )
-        if cfg.key_bits == 512 and not cfg.allow_test_key:
-            raise ConfigError("512-bit keys are test-only; set allow_test_key")
+        try:
+            paillier.check_key_bits(cfg.key_bits, cfg.allow_test_key)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def setup_server(self, role: ServerRole, ep):
         cfg = role.cfg
@@ -501,6 +502,14 @@ class ProviderRole(_Role):
 
         msg = self._recv(ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER)
         transfer = decode_real_matrix(msg.payload)
+        d = self.data.shape[1]
+        if transfer.shape != (d, cfg.k):
+            rows, cols = transfer.shape
+            raise ProtocolAbort(
+                PHASE_TRANSFER,
+                f"party {self.party}: server sent a {rows}x{cols} transfer matrix, "
+                f"configured for {d}x{cfg.k}",
+            )
         self.phase = PHASE_REDUCED
         reduced = linalg.project(centered, transfer)
         self._send(
@@ -559,13 +568,13 @@ class ServerRole(_Role):
         d = self.mean.size
         self.covariance = linalg.symmetric_from_upper(self._open(ep, 1), d)
 
-        started = time.perf_counter()
-        pairs = linalg.jacobi_eigh(self.covariance)
         if not 1 <= cfg.k < d:
             raise ProtocolAbort(
                 PHASE_TRANSFER,
                 f"k={cfg.k} must satisfy 1 <= k < d={d}",
             )
+        started = time.perf_counter()
+        pairs = linalg.jacobi_eigh(self.covariance)
         self.transfer = linalg.top_k_transfer(pairs, cfg.k)
         self.eigenvalues = pairs.values
         self.timings["eigendecomposition"] = time.perf_counter() - started
@@ -613,12 +622,14 @@ class ConsumerRole(_Role):
         blocks = []
         for j in self.cfg.providers:
             msg = self._recv(ep, j, MsgType.REDUCED_ROWS, PHASE_REDUCED)
-            blocks.append(decode_real_matrix(msg.payload))
-        widths = {b.shape[1] for b in blocks}
-        if len(widths) != 1:
-            raise ProtocolAbort(
-                PHASE_REDUCED, f"providers sent mismatched widths {sorted(widths)}"
-            )
+            block = decode_real_matrix(msg.payload)
+            if block.shape[1] != self.cfg.k:
+                raise ProtocolAbort(
+                    PHASE_REDUCED,
+                    f"party {self.party}: party {j} sent reduced rows of width "
+                    f"{block.shape[1]}, configured for k={self.cfg.k}",
+                )
+            blocks.append(block)
         self.reduced = np.vstack(blocks)
 
 

@@ -20,10 +20,10 @@ all run in one process, which watch for stalls themselves.
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 import time
+from collections import defaultdict, deque
 
 from .errors import FrameFormatError, TransportClosed, TransportTimeout
 from .messages import (
@@ -40,65 +40,61 @@ CONNECT_RETRY = 0.05  # seconds between attempts to reach a peer not yet listeni
 LOOPBACK = "127.0.0.1"  # where TcpNetwork's endpoints listen
 
 
-class _Closed:
-    """Queued for a receiver when no more frames can come from a sender."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
 class _BufferedReceiver:
-    """One receive queue per sender.
+    """One FIFO of frames per sender, all under one condition.
 
-    Each frame goes into its sender's queue, and ``recv(sender)`` takes the
-    next one from that queue only, so frames from other senders wait in
-    theirs.  A sender whose channel has ended gets a closed marker behind
-    its last frame, and ``recv`` raises ``TransportClosed`` once it reaches
-    the marker, every time after; other senders are unaffected.  Closing
-    the whole receiver (an abort, a malformed frame or a frame cut short)
-    puts the marker in every queue, present and future.
+    Each frame goes into its sender's FIFO, and ``recv(sender)`` takes the
+    next one from that FIFO only, so frames from other senders wait in
+    theirs.  Frames buffered before a sender's channel ends, or before the
+    whole receiver closes (an abort, a malformed frame or a frame cut
+    short), still arrive; after them ``recv`` raises ``TransportClosed``
+    every time, with the first reason given: the channel's own if it ended
+    first, so that other senders are unaffected, or else the close's.  A
+    closed receiver takes in no more frames.
     """
 
     def __init__(self, party: int, transcript: Transcript, timeout: float | None):
         self.party = party
         self.transcript = transcript
         self.timeout = timeout
-        self._queues: dict[int, queue.Queue] = {}
-        self._closed: _Closed | None = None
-        self._lock = threading.Lock()
-
-    def _queue(self, sender: int) -> queue.Queue:
-        with self._lock:
-            q = self._queues.get(sender)
-            if q is None:
-                q = self._queues[sender] = queue.Queue()
-                if self._closed is not None:
-                    q.put(self._closed)
-            return q
+        self._frames: dict[int, deque] = defaultdict(deque)
+        self._ended: dict[int, str] = {}  # sender -> why its channel ended
+        self._closed: str | None = None
+        self._ready = threading.Condition()
 
     def _push(self, msg: ProtocolMessage):
-        self._queue(msg.sender).put(msg)
+        with self._ready:
+            if self._closed is None:
+                self._frames[msg.sender].append(msg)
+                self._ready.notify_all()
+
+    def _end(self, sender: int, reason: str):
+        with self._ready:
+            if self._closed is None:
+                self._ended.setdefault(sender, reason)
+                self._ready.notify_all()
 
     def _close(self, reason: str):
-        with self._lock:
-            self._closed = closed = _Closed(reason)
-            queues = list(self._queues.values())
-        for q in queues:
-            q.put(closed)
+        with self._ready:
+            if self._closed is None:
+                self._closed = reason
+                self._ready.notify_all()
 
     def recv(self, sender: int) -> ProtocolMessage:
-        q = self._queue(sender)
-        try:
-            item = q.get(timeout=self.timeout)
-        except queue.Empty:
-            raise TransportTimeout(
-                f"party {self.party}: no message from party {sender} within {self.timeout:g}s"
-            ) from None
-        if isinstance(item, _Closed):
-            q.put(item)  # so that every later receive from this sender fails too
-            raise TransportClosed(item.reason)
-        self.transcript.append(item)
-        return item
+        with self._ready:
+            frames = self._frames[sender]
+            if not self._ready.wait_for(
+                lambda: frames or sender in self._ended or self._closed is not None,
+                self.timeout,
+            ):
+                raise TransportTimeout(
+                    f"party {self.party}: no message from party {sender} within {self.timeout:g}s"
+                )
+            if not frames:
+                raise TransportClosed(self._ended.get(sender, self._closed))
+            msg = frames.popleft()
+        self.transcript.append(msg)
+        return msg
 
 
 class _Network:
@@ -235,8 +231,7 @@ class TcpEndpoint(_BufferedReceiver):
                 self._close(str(exc))
                 return
         if sender is not None and not self._shutdown:
-            reason = f"party {sender} closed its channel to party {self.party}"
-            self._queue(sender).put(_Closed(reason))
+            self._end(sender, f"party {sender} closed its channel to party {self.party}")
 
     def _channel(self, receiver: int) -> socket.socket:
         with self._out_lock:

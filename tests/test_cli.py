@@ -384,6 +384,28 @@ def test_a_port_above_65535_is_a_data_error_naming_the_endpoint(tmp_path, capsys
         assert "'127.0.0.1:65536'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["\u00b2", "\uff11\uff12"])  # superscript two, fullwidth 12
+def test_a_port_of_non_ascii_digits_is_a_data_error(tmp_path, capsys, port):
+    address = f"127.0.0.1:{port}"
+    ok = _role_config(tmp_path, f"127.0.0.1:{_free_port()}")
+    assert main(["role", "--role", "server", "--config", ok, "--listen", address]) == EXIT_DATA
+    assert f"data error: endpoint {address!r}" in capsys.readouterr().err
+    config = _role_config(tmp_path, address)
+    assert main(["role", "--role", "consumer", "--config", config]) == EXIT_DATA
+    assert f"data error: endpoint {address!r}" in capsys.readouterr().err
+
+
+def test_an_endpoint_name_of_non_ascii_digits_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "role.json"
+    endpoints = {"server": "127.0.0.1:1", "provider-\uff11": "127.0.0.1:1",
+                 "provider-2": "127.0.0.1:1", "consumer": "127.0.0.1:1"}
+    path.write_text(json.dumps(
+        {"method": "ss", "parties": 2, "k": 2, "timeout": 0.3, "endpoints": endpoints}
+    ))
+    assert main(["role", "--role", "server", "--config", str(path)]) == EXIT_DATA
+    assert "unknown endpoint name 'provider-\uff11'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, settings, named",
     [

@@ -27,6 +27,7 @@ from pppca.protocol import (
     PHASE_SUMS,
     PHASE_TRANSFER,
     ROUND_PHASES,
+    SERVER,
     ConsumerRole,
     ProviderRole,
     ServerRole,
@@ -122,6 +123,13 @@ def test_he_config_checks_the_key_size():
         SessionConfig(method="he", parties=2, k=1, key_bits=512)  # test-only size
 
 
+def test_parties_must_fit_the_frame_header():
+    # The consumer is party parties + 1, and frames address 16-bit parties.
+    assert SessionConfig(method="ss", parties=65534, k=1).consumer == 65535
+    with pytest.raises(ConfigError, match="65534"):
+        SessionConfig(method="ss", parties=65535, k=1)
+
+
 @pytest.mark.parametrize("server_bits, provider_bits", [(512, 1024), (1024, 512)])
 def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
     # Role mode gives each process its own config; here two of them meet on
@@ -160,6 +168,66 @@ def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
             f"party {j}: server sent a {server_bits}-bit modulus, "
             f"configured for {provider_bits}-bit keys" in str(e)
         )
+
+
+def _run_roles(server_cfg, provider_cfg, consumer_cfg, data):
+    """Every role on one simulated network, each with its own config as in
+    role mode; the exception each failed role raised, by party."""
+    roles = [
+        ServerRole(server_cfg),
+        *(ProviderRole(i, x, provider_cfg) for i, x in zip(provider_cfg.providers, data)),
+        ConsumerRole(consumer_cfg),
+    ]
+    network = SimulatedNetwork([role.party for role in roles], timeout=server_cfg.timeout)
+    errors = {}
+
+    def drive(role):
+        try:
+            role.run(network.endpoint(role.party))
+        except Exception as exc:  # noqa: BLE001 - collected for the assertions
+            errors[role.party] = exc
+            network.abort(f"party {role.party} failed")
+
+    threads = [threading.Thread(target=drive, args=(role,)) for role in roles]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+def test_a_provider_configured_for_another_k_rejects_the_transfer_matrix():
+    server_cfg = ss_cfg(k=2, timeout=1.0)
+    provider_cfg = replace(server_cfg, k=1)
+    errors = _run_roles(server_cfg, provider_cfg, provider_cfg, split(HAND_DATA, 2))
+    aborts = {j: e for j, e in errors.items() if isinstance(e, ProtocolAbort)}
+    assert set(aborts) & set(provider_cfg.providers)
+    for j, e in aborts.items():
+        assert j in provider_cfg.providers and e.phase == PHASE_TRANSFER
+        assert f"party {j}: server sent a 3x2 transfer matrix, configured for 3x1" in str(e)
+
+
+def test_a_consumer_configured_for_another_k_names_the_provider():
+    data = np.random.default_rng(8).normal(size=(20, 4))
+    others = ss_cfg(k=2, timeout=1.0)
+    consumer_cfg = replace(others, k=3)
+    errors = _run_roles(others, others, consumer_cfg, split(data, 2))
+    assert set(errors) == {consumer_cfg.consumer}
+    e = errors[consumer_cfg.consumer]
+    assert isinstance(e, ProtocolAbort) and e.phase == PHASE_REDUCED
+    assert "party 3: party 1 sent reduced rows of width 2, configured for k=3" in str(e)
+
+
+def test_the_server_checks_k_before_the_eigendecomposition(monkeypatch):
+    def eigh(matrix):
+        raise AssertionError("eigendecomposition run for a k it cannot serve")
+
+    monkeypatch.setattr(linalg, "jacobi_eigh", eigh)
+    cfg = ss_cfg(k=3, timeout=1.0)  # as in role mode, where no role checks k against d
+    e = _run_roles(cfg, cfg, cfg, split(HAND_DATA, 2))[SERVER]
+    assert isinstance(e, ProtocolAbort) and e.phase == PHASE_TRANSFER
+    assert "k=3 must satisfy 1 <= k < d=3" in str(e)
 
 
 # --- ss sessions ----------------------------------------------------------

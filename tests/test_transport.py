@@ -89,6 +89,17 @@ def test_truncated_frame_rejected():
         deserialize(data + b"\x00")
 
 
+@pytest.mark.parametrize(
+    "sender, receiver, step, field",
+    [(1 << 16, 1, 0, "sender"), (-1, 1, 0, "sender"), (1, 1 << 16, 0, "receiver"),
+     (1, 2, 1 << 32, "step"), (1, 2, -1, "step")],
+)
+def test_serialize_rejects_a_party_or_step_outside_its_header_field(sender, receiver, step, field):
+    msg = ProtocolMessage(MsgType.SAMPLE_COUNT, sender, receiver, step, encode_sample_count(1))
+    with pytest.raises(FrameFormatError, match=f"^{field} "):
+        serialize(msg)
+
+
 def test_bad_magic_and_version():
     data = serialize(_msg(MsgType.SAMPLE_COUNT, 1, 0, 0, encode_sample_count(7)))
     with pytest.raises(FrameFormatError, match="magic"):
@@ -414,6 +425,28 @@ def test_sim_bus_buffers_other_senders():
     # Ask for party 3 first; party 2's message must still arrive afterwards.
     assert decode_sample_count(a.recv(sender=3).payload) == 33
     assert decode_sample_count(a.recv(sender=2).payload) == 22
+
+
+@pytest.mark.parametrize("network", [SimulatedNetwork, TcpNetwork])
+def test_every_receive_after_two_aborts_reports_the_first_reason(network):
+    net = network([1, 2], timeout=5.0)
+    try:
+        receiver = net.endpoint(1)
+        frame = _msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(20))
+        net.endpoint(2).send(frame)
+        deadline = time.monotonic() + 5.0
+        while network is TcpNetwork and not receiver._frames[2]:  # buffered by a reader thread
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        net.abort("first")
+        net.abort("second")
+        # The frame buffered before the aborts still arrives.
+        assert receiver.recv(sender=2) == frame
+        for _ in range(3):
+            with pytest.raises(TransportClosed, match="^first$"):
+                receiver.recv(sender=2)
+    finally:
+        net.close()
 
 
 # --- TCP --------------------------------------------------------------------
