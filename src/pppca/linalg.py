@@ -38,18 +38,31 @@ def check_matrix(x, name: str = "matrix") -> np.ndarray:
 
     Requires at least one row and one column and all entries finite.
     """
+    a = _as_matrix(x, name)
+    if not np.isfinite(a).all():
+        _reject_non_finite(a, name)
+    return a
+
+
+def _as_matrix(x, name: str = "matrix") -> np.ndarray:
+    """``x`` as a C-contiguous 2-D float64 array of at least 1x1, its
+    entries unchecked; callers screen them on a pass they make anyway."""
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
         raise MatrixValidationError(f"{name} must be 2-D, got ndim={a.ndim}")
     rows, cols = a.shape
     if rows < 1 or cols < 1:
         raise MatrixValidationError(f"{name} must be at least 1x1, got {rows}x{cols}")
-    if not np.isfinite(a).all():
-        bad = np.argwhere(~np.isfinite(a))[0]
-        raise MatrixValidationError(
-            f"{name} has a non-finite entry at ({bad[0]}, {bad[1]})"
-        )
     return np.ascontiguousarray(a)
+
+
+def _reject_non_finite(a: np.ndarray, name: str = "matrix", first_row: int = 0):
+    """Raise for the first non-finite entry of ``a``, whose row 0 is row
+    ``first_row`` of the matrix called ``name``."""
+    bad = np.argwhere(~np.isfinite(a))[0]
+    raise MatrixValidationError(
+        f"{name} has a non-finite entry at ({first_row + bad[0]}, {bad[1]})"
+    )
 
 
 def check_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -84,8 +97,10 @@ def column_sums(x) -> np.ndarray:
     numpy adds exactly in any order; ``_round`` rounds their total once.  A
     column that needs more than ``_MAX_SLICES`` slices, or whose sum might
     overflow, is summed with ``math.fsum`` directly, which is also exact.
+    A non-finite entry raises ``MatrixValidationError``, as in
+    ``check_matrix``, from the screen of each column's largest |x|.
     """
-    a = check_matrix(x)
+    a = _as_matrix(x)
     n, d = a.shape
     log_n = (n - 1).bit_length()
     width = 53 - log_n
@@ -103,7 +118,7 @@ def column_sums(x) -> np.ndarray:
 
 
 def column_means(x) -> np.ndarray:
-    a = check_matrix(x)
+    a = _as_matrix(x)  # column_sums screens the entries
     return column_sums(a) / a.shape[0]
 
 
@@ -158,8 +173,11 @@ def gram(x) -> np.ndarray:
     whose terms could fall below float64's subnormal grid or overflow, is
     accumulated as ``math.fsum`` of the rounded products instead: still
     order independent, and exact whenever those products are floats.
+
+    A non-finite entry raises ``MatrixValidationError``, as in
+    ``check_matrix``, from the screen.
     """
-    a = check_matrix(x)
+    a = _as_matrix(x)
     n, d = a.shape
     log_n = (n - 1).bit_length()
     width = min(53 - min(log_n, _LOG_BLOCK_ROWS), 57 - log_n) // 2
@@ -202,13 +220,17 @@ def _row_blocks(a: np.ndarray):
 
 def _screen(a: np.ndarray) -> np.ndarray:
     """Per column, the exponent hi: every entry is below 2^hi in magnitude
-    (hi = 0 for an all-zero column)."""
+    (hi = 0 for an all-zero column).  A NaN or infinite entry makes its
+    column's largest |x| non-finite, and raises ``MatrixValidationError``
+    naming the first such entry."""
     top = np.zeros(a.shape[1])
     for block in _row_blocks(a):
         # Rows folded side by side keep the reduction's inner loop long.
         fold = math.gcd(len(block), -(-256 // a.shape[1]))
         magnitude = np.abs(block).reshape(-1, fold * a.shape[1])
         np.maximum(top, magnitude.max(axis=0).reshape(fold, -1).max(axis=0), out=top)
+    if not np.isfinite(top).all():
+        _reject_non_finite(a)
     return np.frexp(top)[1]
 
 
@@ -461,16 +483,40 @@ def top_k_transfer(pairs: EigenPairs, k: int) -> np.ndarray:
     return canonicalize_sign(pairs.vectors[:, :k])
 
 
-def project(x, transfer) -> np.ndarray:
-    """Matrix product X @ T."""
-    a = check_matrix(x)
+def project(x, transfer, center=None) -> np.ndarray:
+    """Matrix product X @ T, or (X - center) @ T.
+
+    With ``center``, the rows are centered one row block at a time, so no
+    centered copy of X is made, and a non-finite entry of X - center raises
+    ``MatrixValidationError`` naming it, as ``center_columns`` would.  The
+    result is bit-identical to ``project(center_columns(x, center),
+    transfer)`` when BLAS computes each row of a product alike whatever the
+    other rows of the call.  OpenBLAS does on one thread, except across its
+    small-matrix cutoff of 10^6 multiply-adds, so a block holds
+    8 ceil(2^17 / (d k)) rows, at least 2^20 multiply-adds, and the last
+    block takes the rest.  On several threads it splits a call's rows by
+    the call's size, and the threaded gemv (k = 1) and gemm at d >= 400,
+    k = 60 differed in the last bits.
+    """
+    a = check_matrix(x) if center is None else _as_matrix(x)
     t = check_matrix(transfer, name="transfer")
-    if a.shape[1] != t.shape[0]:
+    (n, d), k = a.shape, t.shape[1]
+    if d != t.shape[0]:
         raise DimensionError(
-            f"cannot project {a.shape[0]}x{a.shape[1]} data with "
-            f"{t.shape[0]}x{t.shape[1]} transfer matrix"
+            f"cannot project {n}x{d} data with {t.shape[0]}x{k} transfer matrix"
         )
-    return a @ t
+    if center is None:
+        return a @ t
+    c = check_vector(center, length=d, name="mean")
+    rows = 8 * -(-(1 << 17) // (d * k))
+    out = np.empty((n, k))
+    for start in range(0, max(n // rows, 1) * rows, rows):
+        stop = start + rows if start + 2 * rows <= n else n
+        block = a[start:stop] - c
+        if not np.isfinite(block).all():
+            _reject_non_finite(block, first_row=start)
+        np.matmul(block, t, out=out[start:stop])
+    return out
 
 
 def centralized_pca(x, k: int):
@@ -479,6 +525,8 @@ def centralized_pca(x, k: int):
     Centers columns by their means, eigendecomposes X^T X / (n - 1), and
     returns ``(transfer, reduced)`` where ``reduced`` is the centered data
     projected on the top-k eigenvectors.  Deterministic for fixed input.
+    The centered copy lives only for ``gram``'s call; ``project`` centers
+    again, one row block at a time.
     """
     a = check_matrix(x)
     n, d = a.shape
@@ -486,10 +534,10 @@ def centralized_pca(x, k: int):
         raise DimensionError(f"need at least 2 rows for covariance, got {n}")
     if not 1 <= k < d:
         raise DimensionError(f"k must satisfy 1 <= k < d={d}, got {k}")
-    centered = center_columns(a, column_means(a))
-    cov = gram(centered) / (n - 1)
+    mean = column_means(a)
+    cov = gram(a - mean) / (n - 1)
     transfer = top_k_transfer(jacobi_eigh(cov), k)
-    return transfer, project(centered, transfer)
+    return transfer, project(a, transfer, mean)
 
 
 def covariance(x) -> np.ndarray:

@@ -89,6 +89,11 @@ class ProtocolMessage:
 
 
 def serialize(msg: ProtocolMessage) -> bytes:
+    return frame_header(msg) + msg.payload
+
+
+def frame_header(msg: ProtocolMessage) -> bytes:
+    """The header that precedes ``msg.payload`` on the wire."""
     if len(msg.payload) > MAX_PAYLOAD:
         raise FrameFormatError(
             f"payload of {len(msg.payload)} bytes exceeds the 256 MiB cap"
@@ -98,7 +103,7 @@ def serialize(msg: ProtocolMessage) -> bytes:
     ):
         if not 0 <= value < 1 << bits:
             raise FrameFormatError(f"{name} {value} does not fit the header's {bits}-bit field")
-    header = _HEADER.pack(
+    return _HEADER.pack(
         MAGIC,
         VERSION,
         int(msg.msg_type),
@@ -107,7 +112,6 @@ def serialize(msg: ProtocolMessage) -> bytes:
         msg.step,
         len(msg.payload),
     )
-    return header + msg.payload
 
 
 def parse_header(header: bytes) -> tuple[MsgType, int, int, int, int]:
@@ -215,7 +219,9 @@ def encode_real_matrix(x) -> bytes:
     return b"".join((struct.pack(">II", rows, cols), a.astype(">f8", order="C")))
 
 
-def decode_real_matrix(payload: bytes) -> np.ndarray:
+def decode_real_matrix(payload: bytes, copy: bool = True) -> np.ndarray:
+    """A native float64 copy, or with ``copy=False`` a read-only big-endian
+    view of the payload."""
     if len(payload) < 8:
         raise FrameFormatError("payload ended early")
     rows, cols = struct.unpack_from(">II", payload)
@@ -223,8 +229,8 @@ def decode_real_matrix(payload: bytes) -> np.ndarray:
         raise FrameFormatError(
             f"real matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
         )
-    entries = np.frombuffer(payload, ">f8", count=rows * cols, offset=8)
-    return entries.reshape(rows, cols).astype(np.float64)
+    entries = np.frombuffer(payload, ">f8", count=rows * cols, offset=8).reshape(rows, cols)
+    return entries.astype(np.float64) if copy else entries
 
 
 def _cipher_bytes(pk: PublicKey) -> int:

@@ -493,16 +493,16 @@ class ProviderRole(_Role):
         self._round(ep, 0, sums, "sums", "column sums")
 
         msg = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN)
-        mean = decode_real_matrix(msg.payload).ravel()
-        centered = linalg.center_columns(self.data, mean)
-
-        local_cov = linalg.gram(centered) / (n - 1)
+        d = self.data.shape[1]
+        mean = linalg.check_vector(decode_real_matrix(msg.payload).ravel(), d, "mean")
+        # gram screens the centered entries, which live only for its call;
+        # project centers again, one row block at a time.
+        local_cov = linalg.gram(self.data - mean) / (n - 1)
         triangle = linalg.upper_triangle(local_cov).reshape(1, -1)
         self._round(ep, 1, triangle, "cov", "covariance terms")
 
         msg = self._recv(ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER)
         transfer = decode_real_matrix(msg.payload)
-        d = self.data.shape[1]
         if transfer.shape != (d, cfg.k):
             rows, cols = transfer.shape
             raise ProtocolAbort(
@@ -511,14 +511,9 @@ class ProviderRole(_Role):
                 f"configured for {d}x{cfg.k}",
             )
         self.phase = PHASE_REDUCED
-        reduced = linalg.project(centered, transfer)
-        self._send(
-            ep,
-            cfg.consumer,
-            MsgType.REDUCED_ROWS,
-            PHASE_REDUCED,
-            encode_real_matrix(reduced),
-        )
+        # The rows are freed as soon as they are encoded, before the send.
+        payload = encode_real_matrix(linalg.project(self.data, transfer, mean))
+        self._send(ep, cfg.consumer, MsgType.REDUCED_ROWS, PHASE_REDUCED, payload)
 
 
 class ServerRole(_Role):
@@ -619,10 +614,10 @@ class ConsumerRole(_Role):
         self.reduced: np.ndarray | None = None
 
     def run(self, ep):
-        blocks = []
+        blocks = []  # big-endian views of the payloads, converted once below
         for j in self.cfg.providers:
             msg = self._recv(ep, j, MsgType.REDUCED_ROWS, PHASE_REDUCED)
-            block = decode_real_matrix(msg.payload)
+            block = decode_real_matrix(msg.payload, copy=False)
             if block.shape[1] != self.cfg.k:
                 raise ProtocolAbort(
                     PHASE_REDUCED,
@@ -630,7 +625,7 @@ class ConsumerRole(_Role):
                     f"{block.shape[1]}, configured for k={self.cfg.k}",
                 )
             blocks.append(block)
-        self.reduced = np.vstack(blocks)
+        self.reduced = np.concatenate(blocks, dtype=np.float64)
 
 
 def _provider_roles(cfg: SessionConfig, data) -> list[ProviderRole]:

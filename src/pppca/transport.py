@@ -30,6 +30,7 @@ from .messages import (
     ProtocolMessage,
     Transcript,
     deserialize,
+    frame_header,
     header_size,
     parse_header,
     serialize,
@@ -257,10 +258,12 @@ class TcpEndpoint(_BufferedReceiver):
             return sock
 
     def send(self, msg: ProtocolMessage):
-        data = serialize(msg)
+        header = frame_header(msg)
         sock = self._channel(msg.receiver)
         try:
-            sock.sendall(data)
+            # Two writes, so the payload is not copied behind the header.
+            sock.sendall(header)
+            sock.sendall(msg.payload)
         except OSError as exc:
             raise TransportClosed(f"send to party {msg.receiver} failed: {exc}") from exc
 

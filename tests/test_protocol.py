@@ -3,6 +3,7 @@ import random
 import re
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -316,6 +317,46 @@ def test_reduced_rows_stack_in_provider_order():
         got = result.reduced[offset : offset + part.shape[0]]
         assert np.allclose(got, expected, atol=1e-9)
         offset += part.shape[0]
+
+
+def test_each_provider_block_is_checked_once(monkeypatch):
+    # At construction only: column_sums and gram screen the entries on a
+    # pass they make anyway, and project checks one centered row block at a
+    # time.
+    checked = []
+    check = linalg.check_matrix
+
+    def counting(x, *args, **kwargs):
+        checked.append(np.shape(x))
+        return check(x, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "check_matrix", counting)
+    rng = np.random.default_rng(17)
+    parts = [rng.normal(size=(rows, 4)) for rows in (30, 31, 32)]
+    run_session(ss_cfg(parties=3, k=2), parts)
+    assert [checked.count(part.shape) for part in parts] == [1, 1, 1]
+
+
+def test_ss_session_traced_peak_stays_within_2_75_times_the_reduced_rows():
+    # ss-tall's shape over the simulated bus.  What stays is the result and
+    # the transcript's payloads, one copy of the rows each; what passes is
+    # each provider's centered block while gram runs, and its rows between
+    # projection and delivery.  Kept too long, those read 3.5 to 3.8 times.
+    rng = np.random.default_rng(23)
+    basis = np.linalg.qr(rng.normal(size=(16, 8)))[0]
+    signal = (rng.normal(size=(100_000, 8)) * np.geomspace(10.0, 5.0, 8)) @ basis.T
+    data = rng.uniform(-10.0, 10.0, 16) + signal + rng.normal(size=(100_000, 16))
+    parts = [np.ascontiguousarray(part) for part in split(data, 4)]
+    del basis, signal, data
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run_session(ss_cfg(parties=4, k=8, seed=3), parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.reduced.shape == (100_000, 8)
+    assert peak - start <= 2.75 * result.reduced.nbytes
 
 
 def test_protocol_determinism_byte_identical_transcripts():

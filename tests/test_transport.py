@@ -80,6 +80,15 @@ def test_real_matrix_golden_bytes():
             decode_real_matrix(bad)
 
 
+def test_real_matrix_view_reads_the_payload_in_place():
+    x = np.random.default_rng(5).normal(size=(4, 3))
+    payload = encode_real_matrix(x)
+    view = decode_real_matrix(payload, copy=False)
+    assert view.dtype == np.dtype(">f8") and not view.flags.writeable
+    assert np.shares_memory(view, np.frombuffer(payload, np.uint8))
+    assert np.array_equal(view, x)
+
+
 def test_truncated_frame_rejected():
     data = serialize(_msg(MsgType.SAMPLE_COUNT, 1, 0, 0, encode_sample_count(7)))
     for cut in (0, 3, len(data) - 1):
