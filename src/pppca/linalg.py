@@ -56,12 +56,11 @@ def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def _reject_non_finite(a: np.ndarray, name: str = "matrix", first_row: int = 0):
-    """Raise for the first non-finite entry of ``a``, whose row 0 is row
-    ``first_row`` of the matrix called ``name``."""
+def _reject_non_finite(a: np.ndarray, name: str = "matrix"):
+    """Raise for the first non-finite entry of ``a``."""
     bad = np.argwhere(~np.isfinite(a))[0]
     raise MatrixValidationError(
-        f"{name} has a non-finite entry at ({first_row + bad[0]}, {bad[1]})"
+        f"{name} has a non-finite entry at ({bad[0]}, {bad[1]})"
     )
 
 
@@ -483,40 +482,16 @@ def top_k_transfer(pairs: EigenPairs, k: int) -> np.ndarray:
     return canonicalize_sign(pairs.vectors[:, :k])
 
 
-def project(x, transfer, center=None) -> np.ndarray:
-    """Matrix product X @ T, or (X - center) @ T.
-
-    With ``center``, the rows are centered one row block at a time, so no
-    centered copy of X is made, and a non-finite entry of X - center raises
-    ``MatrixValidationError`` naming it, as ``center_columns`` would.  The
-    result is bit-identical to ``project(center_columns(x, center),
-    transfer)`` when BLAS computes each row of a product alike whatever the
-    other rows of the call.  OpenBLAS does on one thread, except across its
-    small-matrix cutoff of 10^6 multiply-adds, so a block holds
-    8 ceil(2^17 / (d k)) rows, at least 2^20 multiply-adds, and the last
-    block takes the rest.  On several threads it splits a call's rows by
-    the call's size, and the threaded gemv (k = 1) and gemm at d >= 400,
-    k = 60 differed in the last bits.
-    """
-    a = check_matrix(x) if center is None else _as_matrix(x)
+def project(x, transfer) -> np.ndarray:
+    """Matrix product X @ T."""
+    a = check_matrix(x)
     t = check_matrix(transfer, name="transfer")
-    (n, d), k = a.shape, t.shape[1]
-    if d != t.shape[0]:
+    if a.shape[1] != t.shape[0]:
         raise DimensionError(
-            f"cannot project {n}x{d} data with {t.shape[0]}x{k} transfer matrix"
+            f"cannot project {a.shape[0]}x{a.shape[1]} data with "
+            f"{t.shape[0]}x{t.shape[1]} transfer matrix"
         )
-    if center is None:
-        return a @ t
-    c = check_vector(center, length=d, name="mean")
-    rows = 8 * -(-(1 << 17) // (d * k))
-    out = np.empty((n, k))
-    for start in range(0, max(n // rows, 1) * rows, rows):
-        stop = start + rows if start + 2 * rows <= n else n
-        block = a[start:stop] - c
-        if not np.isfinite(block).all():
-            _reject_non_finite(block, first_row=start)
-        np.matmul(block, t, out=out[start:stop])
-    return out
+    return a @ t
 
 
 def centralized_pca(x, k: int):
@@ -525,8 +500,8 @@ def centralized_pca(x, k: int):
     Centers columns by their means, eigendecomposes X^T X / (n - 1), and
     returns ``(transfer, reduced)`` where ``reduced`` is the centered data
     projected on the top-k eigenvectors.  Deterministic for fixed input.
-    The centered copy lives only for ``gram``'s call; ``project`` centers
-    again, one row block at a time.
+    The centered copy is made twice, for ``gram`` and for ``project``, and
+    lives only for each call.
     """
     a = check_matrix(x)
     n, d = a.shape
@@ -537,7 +512,7 @@ def centralized_pca(x, k: int):
     mean = column_means(a)
     cov = gram(a - mean) / (n - 1)
     transfer = top_k_transfer(jacobi_eigh(cov), k)
-    return transfer, project(a, transfer, mean)
+    return transfer, project(a - mean, transfer)
 
 
 def covariance(x) -> np.ndarray:

@@ -221,7 +221,8 @@ def encode_real_matrix(x) -> bytes:
 
 def decode_real_matrix(payload: bytes, copy: bool = True) -> np.ndarray:
     """A native float64 copy, or with ``copy=False`` a read-only big-endian
-    view of the payload."""
+    view of the payload.  The consumer is the one caller of the view: it
+    converts all providers' rows at once, in ``np.concatenate``."""
     if len(payload) < 8:
         raise FrameFormatError("payload ended early")
     rows, cols = struct.unpack_from(">II", payload)

@@ -495,8 +495,7 @@ class ProviderRole(_Role):
         msg = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN)
         d = self.data.shape[1]
         mean = linalg.check_vector(decode_real_matrix(msg.payload).ravel(), d, "mean")
-        # gram screens the centered entries, which live only for its call;
-        # project centers again, one row block at a time.
+        # The centered block lives only for the call it is passed to.
         local_cov = linalg.gram(self.data - mean) / (n - 1)
         triangle = linalg.upper_triangle(local_cov).reshape(1, -1)
         self._round(ep, 1, triangle, "cov", "covariance terms")
@@ -512,7 +511,7 @@ class ProviderRole(_Role):
             )
         self.phase = PHASE_REDUCED
         # The rows are freed as soon as they are encoded, before the send.
-        payload = encode_real_matrix(linalg.project(self.data, transfer, mean))
+        payload = encode_real_matrix(linalg.project(self.data - mean, transfer))
         self._send(ep, cfg.consumer, MsgType.REDUCED_ROWS, PHASE_REDUCED, payload)
 
 

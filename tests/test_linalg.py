@@ -574,40 +574,17 @@ def test_project_dimension_mismatch():
         linalg.project(np.ones((2, 3)), np.ones((2, 2)))
 
 
-# (rows, d, k): the ss-tall block, which spans three row blocks with a ragged
-# last one; one row past two blocks; a d = 128 block over two; he-wine's d and
-# k over two; an ss-wide block, which fits one block; and a single row.
-PROJECT_SHAPES = [
-    (25000, 16, 8), (2 * 8192 + 1, 16, 8), (3000, 128, 8), (50000, 11, 4),
-    (667, 128, 8), (1, 16, 8),
-]
-
-
-@pytest.mark.parametrize("rows,d,k", PROJECT_SHAPES)
-@pytest.mark.parametrize("zero", [False, True], ids=["mean", "zero"])
-def test_project_centering_blocks_keeps_the_bits(rows, d, k, zero):
-    rng = np.random.default_rng([rows, d, k])
-    scales = 10.0 ** rng.integers(-3, 6, size=d)  # mixed column scales
-    x = rng.normal(size=(rows, d)) * scales + 4.0 * scales
-    transfer = np.linalg.qr(rng.normal(size=(d, k)))[0]
-    center = np.zeros(d) if zero else linalg.column_means(x)
-    got = linalg.project(x, transfer, center)
-    want = linalg.project(linalg.center_columns(x, center), transfer)
-    assert got.shape == (rows, k)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_are_named_by_the_screens_and_project(bad):
     rng = np.random.default_rng(16)
     x = rng.normal(size=(25000, 16))
-    x[20001, 13] = bad  # in a later row block of every function
+    x[20001, 13] = bad  # in a later row block of the screens
     named = r"non-finite entry at \(20001, 13\)"
     for check in (
         linalg.column_sums,
         linalg.column_means,
         linalg.gram,
-        lambda a: linalg.project(a, np.eye(16)[:, :8], np.ones(16)),
+        lambda a: linalg.project(a, np.eye(16)[:, :8]),
     ):
         with pytest.raises(MatrixValidationError, match=named):
             check(x)
@@ -623,7 +600,7 @@ def test_centering_that_overflows_is_rejected_naming_the_entry():
         with pytest.raises(MatrixValidationError, match=named):
             linalg.gram(centered)
         with pytest.raises(MatrixValidationError, match=named):
-            linalg.project(x, np.eye(2)[:, :1], mean)
+            linalg.project(centered, np.eye(2)[:, :1])
 
 
 # --- centralized PCA --------------------------------------------------------------

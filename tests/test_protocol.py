@@ -319,10 +319,9 @@ def test_reduced_rows_stack_in_provider_order():
         offset += part.shape[0]
 
 
-def test_each_provider_block_is_checked_once(monkeypatch):
-    # At construction only: column_sums and gram screen the entries on a
-    # pass they make anyway, and project checks one centered row block at a
-    # time.
+def test_each_provider_block_is_checked_once_and_its_centered_rows_once(monkeypatch):
+    # The block at construction only, since column_sums and gram screen the
+    # entries on a pass they make anyway; the centered rows in project.
     checked = []
     check = linalg.check_matrix
 
@@ -334,19 +333,23 @@ def test_each_provider_block_is_checked_once(monkeypatch):
     rng = np.random.default_rng(17)
     parts = [rng.normal(size=(rows, 4)) for rows in (30, 31, 32)]
     run_session(ss_cfg(parties=3, k=2), parts)
-    assert [checked.count(part.shape) for part in parts] == [1, 1, 1]
+    assert [checked.count(part.shape) for part in parts] == [2, 2, 2]
 
 
-def test_ss_session_traced_peak_stays_within_2_75_times_the_reduced_rows():
-    # ss-tall's shape over the simulated bus.  What stays is the result and
-    # the transcript's payloads, one copy of the rows each; what passes is
-    # each provider's centered block while gram runs, and its rows between
-    # projection and delivery.  Kept too long, those read 3.5 to 3.8 times.
+def test_ss_session_traced_peak_is_one_providers_three_copies_of_its_rows():
+    # ss-tall's shape over the simulated bus, but one provider holds 97 % of
+    # the rows, so the peak is that provider's whatever the overlap of the
+    # role threads.  Its centered block lives only while gram or project
+    # runs, and at most three copies of its rows coexist: the rows, the
+    # byte-swapped copy and the payload; then the payload, the frame and the
+    # delivered payload.  Three copies of every provider's rows at once are
+    # 3.0 times the reduced rows.  Keeping the centered block and the rows
+    # until the send reads 5.9 times.
     rng = np.random.default_rng(23)
     basis = np.linalg.qr(rng.normal(size=(16, 8)))[0]
     signal = (rng.normal(size=(100_000, 8)) * np.geomspace(10.0, 5.0, 8)) @ basis.T
     data = rng.uniform(-10.0, 10.0, 16) + signal + rng.normal(size=(100_000, 16))
-    parts = [np.ascontiguousarray(part) for part in split(data, 4)]
+    parts = [np.ascontiguousarray(p) for p in np.split(data, [97_000, 98_000, 99_000])]
     del basis, signal, data
     tracemalloc.start()
     try:
@@ -356,7 +359,7 @@ def test_ss_session_traced_peak_stays_within_2_75_times_the_reduced_rows():
     finally:
         tracemalloc.stop()
     assert result.reduced.shape == (100_000, 8)
-    assert peak - start <= 2.75 * result.reduced.nbytes
+    assert peak - start <= 4.0 * result.reduced.nbytes
 
 
 def test_protocol_determinism_byte_identical_transcripts():
