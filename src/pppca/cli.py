@@ -13,7 +13,9 @@ object of ``l`` and ``f``) are config-only.  A config may also carry the
 other flags by their long names, and a role's ``endpoints``; a key that no
 subcommand reads is a data error.  Flags override config values, and
 ``SessionConfig`` supplies every default.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 protocol error.
+error, 2 data error, 3 protocol error.  In ``role`` mode every error raised
+once the role runs is a protocol error naming its phase; all but transport
+errors also name the party.
 """
 
 from __future__ import annotations
@@ -211,12 +213,10 @@ def _session_settings(args, config: dict, parties=2) -> dict:
     return settings
 
 
-def _load_dataset(args, config: dict, need_input=True) -> Dataset | None:
+def _load_dataset(args, config: dict) -> Dataset:
     path = _setting(args, config, "input")
     if path is None:
-        if need_input:
-            raise _UsageError("an --input CSV is required")
-        return None
+        raise _UsageError("an --input CSV is required")
     ds = load_csv(
         path,
         label_column=_setting(args, config, "label"),
@@ -339,9 +339,12 @@ def _cmd_role(args) -> int:
     ep.set_peers(endpoints)
     try:
         role.run(ep)
-    except TransportError as exc:
-        # No party prefix: a receive timeout's message names the party already.
-        raise ProtocolAbort(role.phase, str(exc), cause=exc) from exc
+    except ProtocolAbort:
+        raise
+    except Exception as exc:
+        # A transport error keeps its message; a timeout's names the party.
+        prefix = "" if isinstance(exc, TransportError) else f"party {party}: "
+        raise ProtocolAbort(role.phase, prefix + str(exc), cause=exc) from exc
     finally:
         ep.close()
 

@@ -64,13 +64,13 @@ def _reject_non_finite(a: np.ndarray, name: str = "matrix"):
     )
 
 
-def check_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
+def check_vector(v, length: int, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1:
         raise MatrixValidationError(f"{name} must be 1-D, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise MatrixValidationError(f"{name} has a non-finite entry")
-    if length is not None and a.shape[0] != length:
+    if a.shape[0] != length:
         raise DimensionError(f"{name} has length {a.shape[0]}, expected {length}")
     return a
 
@@ -124,7 +124,7 @@ def column_means(x) -> np.ndarray:
 def center_columns(x, mean) -> np.ndarray:
     """Subtract ``mean[t]`` from every entry of column t."""
     a = check_matrix(x)
-    m = check_vector(mean, length=a.shape[1], name="mean")
+    m = check_vector(mean, a.shape[1], "mean")
     return a - m
 
 
@@ -298,15 +298,14 @@ def _pair_products(blocks, d: int, width: int) -> np.ndarray:
     Each product of two ``width``-bit slices is below 2^(2 width) in
     magnitude, so a float64 sum over up to 2^(53 - 2 width) rows is exact.
     The blocks' products add up in float64 until the next block would pass
-    that many rows; the sums are then flushed into int64.  The result is
-    the float64 sums if no flush was needed, and the int64 sums otherwise.
+    that many rows; the sums are then flushed into int64, the result.
     """
     room = 1 << (53 - 2 * width)
     acc, exact, summed = np.zeros((0, d, d)), None, 0
     for sliced in blocks:
         c = len(sliced)
         if summed + sliced.shape[2] > room:
-            exact, summed = _flush(acc, exact), 0
+            exact, acc, summed = _flush(acc, exact), np.zeros_like(acc), 0
         if c * (c + 1) // 2 > len(acc):
             acc = np.pad(acc, ((0, c * (c + 1) // 2 - len(acc)), (0, 0), (0, 0)))
         stacked = sliced.reshape(-1, sliced.shape[2])
@@ -315,17 +314,18 @@ def _pair_products(blocks, d: int, width: int) -> np.ndarray:
             product = stacked[: (q + 1) * d] @ sliced[q].T
             acc[q * (q + 1) // 2 : (q + 1) * (q + 2) // 2] += product.reshape(q + 1, d, d)
         summed += sliced.shape[2]
-    return acc if exact is None else _flush(acc, exact)
+    return _flush(acc, exact)
 
 
 def _flush(acc: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
     """``exact`` (None for nothing yet) plus the float64 sums ``acc``, in
-    int64; ``acc`` is zeroed.  ``acc`` has at least as many pairs as
+    int64, written over ``acc``.  ``acc`` has at least as many pairs as
     ``exact``."""
-    total = acc.astype(np.int64)
+    total = acc.view(np.int64)
+    for q in range(len(acc)):
+        total[q] = acc[q]  # one pair at a time: no second copy of acc
     if exact is not None:
         total[: len(exact)] += exact
-    acc[:] = 0.0
     return total
 
 
@@ -338,9 +338,9 @@ def _group_pairs(pairs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     for q in range(count):
         for k in range(q + 1):
             pair = pairs[q * (q + 1) // 2 + k]
-            terms[k + q] += pair[rows, cols].astype(np.int64)
+            terms[k + q] += pair[rows, cols]
             if k < q:
-                terms[k + q] += pair[cols, rows].astype(np.int64)  # S_q S_k^T
+                terms[k + q] += pair[cols, rows]  # S_q S_k^T
     return terms
 
 
@@ -513,14 +513,6 @@ def centralized_pca(x, k: int):
     cov = gram(a - mean) / (n - 1)
     transfer = top_k_transfer(jacobi_eigh(cov), k)
     return transfer, project(a - mean, transfer)
-
-
-def covariance(x) -> np.ndarray:
-    """Sample covariance of pre-centered data: X^T X / (n - 1)."""
-    a = check_matrix(x)
-    if a.shape[0] < 2:
-        raise DimensionError("need at least 2 rows for covariance")
-    return gram(a) / (a.shape[0] - 1)
 
 
 def principal_angles(a, b) -> np.ndarray:

@@ -219,19 +219,20 @@ def encode_real_matrix(x) -> bytes:
     return b"".join((struct.pack(">II", rows, cols), a.astype(">f8", order="C")))
 
 
-def decode_real_matrix(payload: bytes, copy: bool = True) -> np.ndarray:
-    """A native float64 copy, or with ``copy=False`` a read-only big-endian
-    view of the payload.  The consumer is the one caller of the view: it
-    converts all providers' rows at once, in ``np.concatenate``."""
+def decode_real_matrix(payload: bytes) -> np.ndarray:
+    """A read-only big-endian view of the payload.  Its callers convert it:
+    the consumer all providers' rows at once, in ``np.concatenate``, and the
+    provider the mean and transfer matrix, in ``linalg``'s checks."""
     if len(payload) < 8:
         raise FrameFormatError("payload ended early")
     rows, cols = struct.unpack_from(">II", payload)
+    if rows == 0 or cols == 0:
+        raise FrameFormatError(f"real matrix {rows}x{cols} has no entries")
     if rows * cols * 8 != len(payload) - 8:
         raise FrameFormatError(
             f"real matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
         )
-    entries = np.frombuffer(payload, ">f8", count=rows * cols, offset=8).reshape(rows, cols)
-    return entries.astype(np.float64) if copy else entries
+    return np.frombuffer(payload, ">f8", count=rows * cols, offset=8).reshape(rows, cols)
 
 
 def _cipher_bytes(pk: PublicKey) -> int:

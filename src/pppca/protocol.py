@@ -616,7 +616,7 @@ class ConsumerRole(_Role):
         blocks = []  # big-endian views of the payloads, converted once below
         for j in self.cfg.providers:
             msg = self._recv(ep, j, MsgType.REDUCED_ROWS, PHASE_REDUCED)
-            block = decode_real_matrix(msg.payload, copy=False)
+            block = decode_real_matrix(msg.payload)
             if block.shape[1] != self.cfg.k:
                 raise ProtocolAbort(
                     PHASE_REDUCED,

@@ -267,11 +267,6 @@ def _element(values: np.ndarray) -> int:
     return hi << 64 | lo
 
 
-def _check_width(width: int, l: int | None):
-    if l is not None and width != l:
-        raise ShareBindingError(f"shares carry l={width}, expected {l}")
-
-
 def share(
     s: int,
     parties: int,
@@ -288,18 +283,13 @@ def share(
     return [Share._wrap(m.values, m.owner, m.secret_id, l) for m in mats]
 
 
-def reconstruct(
-    shares: list[Share], l: int | None = None, party_count: int | None = None
-) -> int:
+def reconstruct(shares: list[Share], party_count: int | None = None) -> int:
     """Sum all shares mod 2^l; see :func:`reconstruct_matrix`."""
-    if shares:
-        _check_width(shares[0].l, l)
     return _element(reconstruct_matrix(shares, party_count))
 
 
-def add_local(shares: list[Share], l: int | None = None) -> Share:
+def add_local(shares: list[Share]) -> Share:
     """Sum shares of different secrets held by one party; see
     :func:`add_local_matrix`."""
     total = add_local_matrix(shares)
-    _check_width(total.l, l)
     return Share._wrap(total.values, total.owner, total.secret_id, total.l)

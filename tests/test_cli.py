@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pppca.cli import EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main
-from pppca.datasets import load_csv, make_wine_like, save_csv
+from pppca.datasets import Dataset, load_csv, make_wine_like, save_csv
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +290,53 @@ def test_role_mode_over_loopback(wine_csv, tmp_path, capsys):
     assert set(codes.values()) == {EXIT_OK}
     reduced = load_csv(reduced_out)
     assert reduced.features.shape == (wine.rows, 3)
+
+
+@pytest.mark.parametrize("method", ["he", "ss"])
+def test_roles_whose_providers_disagree_on_width_all_exit_with_a_protocol_error(
+    method, tmp_path, capsys
+):
+    rng = np.random.default_rng(7)
+    csvs = []
+    for party, cols in ((1, 4), (2, 5)):
+        path = tmp_path / f"part{party}.csv"
+        save_csv(Dataset(rng.normal(size=(30, cols))), path)
+        csvs.append(str(path))
+    names = ("server", "provider-1", "provider-2", "consumer")
+    config = tmp_path / "session.json"
+    config.write_text(json.dumps({
+        "method": method, "parties": 2, "k": 2, "timeout": 3.0, "key_bits": 512,
+        "allow_test_key": True, "endpoints": {n: f"127.0.0.1:{_free_port()}" for n in names},
+    }))
+    invocations = {
+        "server": ["--role", "server"],
+        "provider-1": ["--role", "provider", "--party-index", "1", "--input", csvs[0]],
+        "provider-2": ["--role", "provider", "--party-index", "2", "--input", csvs[1]],
+        "consumer": ["--role", "consumer"],
+    }
+    codes, escaped = {}, []
+
+    def run(name):
+        try:
+            codes[name] = main(["role", "--config", str(config), *invocations[name]])
+        except Exception as exc:
+            escaped.append(exc)
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in names]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert all(not t.is_alive() for t in threads)
+    assert escaped == []
+    assert codes == dict.fromkeys(names, EXIT_PROTOCOL)
+    err = capsys.readouterr().err
+    assert "data error" not in err
+    # Under he only the aggregator, provider 1, meets both providers' sums;
+    # provider 2 is then waiting for the mean and fails in phase 4.
+    failing = (1,) if method == "he" else (1, 2)
+    for party in failing:
+        assert f"protocol aborted in phase 2: party {party}: " in err
 
 
 def test_role_mode_requires_config():

@@ -490,7 +490,8 @@ def test_jacobi_at_protocol_sizes(d, kind):
     rng = np.random.default_rng(300 + d)
     if kind == "covariance":
         x = rng.normal(size=(2 * d, d)) * np.geomspace(1.0, 1e-3, d)
-        c = linalg.covariance(x - x.mean(axis=0))
+        xc = x - x.mean(axis=0)
+        c = linalg.gram(xc) / (len(xc) - 1)
     else:
         c = identity_plus_low_rank(rng, d, 6)
     pairs = linalg.jacobi_eigh(c)

@@ -78,6 +78,16 @@ def test_reconstruct_mixed_secret_ids():
         reconstruct([a[0], b[1]])
 
 
+def test_shares_of_different_ring_widths_do_not_combine():
+    narrow = sharing.Share(value=1, owner=0, secret_id="x", l=8)
+    wide = sharing.Share(value=2, owner=1, secret_id="x", l=16)
+    with pytest.raises(ShareBindingError, match="mixed ring widths: 8 vs 16"):
+        reconstruct([narrow, wide])
+    other = sharing.Share(value=2, owner=0, secret_id="y", l=16)
+    with pytest.raises(ShareBindingError, match="mixed ring widths: 8 vs 16"):
+        add_local([narrow, other])
+
+
 def test_reconstruct_matches_modular_sum_oracle():
     rng = random.Random(9)
     prg = CounterPRG(9)
