@@ -14,8 +14,9 @@ other flags by their long names, and a role's ``endpoints``; a key that no
 subcommand reads is a data error.  Flags override config values, and
 ``SessionConfig`` supplies every default.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 protocol error.  In ``role`` mode every error raised
-once the role runs is a protocol error naming its phase; all but transport
-errors also name the party.
+once the role runs is a protocol error that names its phase and the party,
+as ``protocol aborted in phase N: party P: ...``; a malformed payload also
+names its message type and sender.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .errors import (
     DimensionError,
     MatrixValidationError,
     PPCAError,
-    ProtocolAbort,
-    TransportError,
 )
 from .evaluation import (
     METHODS,
@@ -338,13 +337,7 @@ def _cmd_role(args) -> int:
         raise DataError(f"cannot listen on {listen[0]}:{listen[1]}: {exc}") from exc
     ep.set_peers(endpoints)
     try:
-        role.run(ep)
-    except ProtocolAbort:
-        raise
-    except Exception as exc:
-        # A transport error keeps its message; a timeout's names the party.
-        prefix = "" if isinstance(exc, TransportError) else f"party {party}: "
-        raise ProtocolAbort(role.phase, prefix + str(exc), cause=exc) from exc
+        role.play(ep)
     finally:
         ep.close()
 

@@ -68,12 +68,13 @@ class TransportClosed(TransportError):
 class ProtocolAbort(PPCAError, RuntimeError):
     """A protocol session aborted; no partial results are released.
 
-    ``phase`` names the protocol phase that failed.
+    ``phase`` names the protocol phase that failed, and ``reason`` says why.
     """
 
-    def __init__(self, phase, message, cause=None):
-        super().__init__(f"protocol aborted in phase {phase}: {message}")
+    def __init__(self, phase, reason, cause=None):
+        super().__init__(f"protocol aborted in phase {phase}: {reason}")
         self.phase = phase
+        self.reason = reason
         self.cause = cause
 
 

@@ -85,7 +85,7 @@ import numpy as np
 
 from . import linalg, paillier, ring
 from .encoding import FixedPointConfig, matrix_decode_fixed, matrix_encode_fixed
-from .errors import ConfigError, DimensionError, ProtocolAbort, TransportError
+from .errors import ConfigError, DimensionError, FrameFormatError, ProtocolAbort, TransportClosed
 from .messages import (
     MsgType,
     ProtocolMessage,
@@ -224,8 +224,8 @@ class SecureSum:
     Steps: :meth:`mask` turns a provider's values into one piece per
     combiner, :meth:`combine` adds the pieces a combiner holds, and
     :meth:`open` turns the combined pieces into the plaintext sum.
-    ``encode`` and ``decode`` carry a piece as the payload of a message of
-    the given type, whose codec they choose.
+    ``encode`` carries a piece as the payload of a message of the given
+    type, and ``decoder`` gives that type's payload decoder.
     """
 
     setup: tuple[tuple[MsgType, int], ...] = ()
@@ -291,14 +291,12 @@ class PaillierSum(SecureSum):
         role._broadcast(ep, MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY, encode_public_key(self.pk))
 
     def setup_provider(self, role: ProviderRole, ep):
-        msg = role._recv(ep, SERVER, MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY)
-        self.pk = decode_public_key(msg.payload)
+        self.pk = role._recv(ep, SERVER, MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY, decode_public_key)
         bits = self.pk.n.bit_length()
         if bits != role.cfg.key_bits:
             raise ProtocolAbort(
                 PHASE_PUBLIC_KEY,
-                f"party {role.party}: server sent a {bits}-bit modulus, "
-                f"configured for {role.cfg.key_bits}-bit keys",
+                f"server sent a {bits}-bit modulus, configured for {role.cfg.key_bits}-bit keys",
             )
 
     def mask(self, values, secret_id: str) -> list:
@@ -320,8 +318,8 @@ class PaillierSum(SecureSum):
     def encode(self, piece, msg_type: MsgType) -> bytes:
         return encode_encrypted_matrix(piece)
 
-    def decode(self, payload: bytes, msg_type: MsgType):
-        return decode_encrypted_matrix(payload, self.pk, self.slot_bits)
+    def decoder(self, msg_type: MsgType):
+        return lambda payload: decode_encrypted_matrix(payload, self.pk, self.slot_bits)
 
 
 class SharedSum(SecureSum):
@@ -364,10 +362,8 @@ class SharedSum(SecureSum):
             return encode_seed_share(piece)
         return encode_share_matrix(piece)
 
-    def decode(self, payload: bytes, msg_type: MsgType):
-        if msg_type == MsgType.SHARE_BUNDLE:
-            return decode_seed_share(payload)
-        return decode_share_matrix(payload)
+    def decoder(self, msg_type: MsgType):
+        return decode_seed_share if msg_type == MsgType.SHARE_BUNDLE else decode_share_matrix
 
 
 SECURE_SUMS: dict[str, type[SecureSum]] = {METHOD_HE: PaillierSum, METHOD_SS: SharedSum}
@@ -390,13 +386,26 @@ class SessionResult:
 
 
 class _Role:
-    """Shared plumbing: message construction, typed receive, phase tracking."""
+    """Shared plumbing: message construction, typed and decoded receive,
+    phase tracking, and the one place a failure becomes an abort."""
 
     def __init__(self, party: int, cfg: SessionConfig):
         self.party = party
         self.cfg = cfg
         self.phase = PHASE_SAMPLE_COUNT
         self.waiting = False  # inside a receive; run_session watches this
+
+    def play(self, ep):
+        """Run this role on ``ep``.  Whatever escapes becomes one
+        ``ProtocolAbort`` whose reason names this party once: an abort the
+        role raised keeps its phase and cause, and anything else is the
+        cause of an abort in the role's current phase."""
+        try:
+            self.run(ep)
+        except ProtocolAbort as exc:
+            raise ProtocolAbort(exc.phase, f"party {self.party}: {exc.reason}", exc.cause) from exc
+        except Exception as exc:
+            raise ProtocolAbort(self.phase, f"party {self.party}: {exc}", exc) from exc
 
     def _send(self, ep, receiver: int, msg_type: MsgType, phase: int, payload: bytes):
         ep.send(
@@ -409,7 +418,9 @@ class _Role:
             )
         )
 
-    def _recv(self, ep, sender: int, msg_type: MsgType, phase: int) -> ProtocolMessage:
+    def _recv(self, ep, sender: int, msg_type: MsgType, phase: int, decode):
+        """The payload of the next message from ``sender``, a ``msg_type``
+        of ``phase``, as ``decode`` reads it."""
         self.phase = phase
         self.waiting = True
         try:
@@ -419,10 +430,15 @@ class _Role:
         if msg.msg_type != msg_type or msg.phase != phase:
             raise ProtocolAbort(
                 phase,
-                f"party {self.party} expected {msg_type.name} in phase {phase} "
-                f"from party {sender}, got {msg.msg_type.name} in phase {msg.phase}",
+                f"expected {msg_type.name} in phase {phase} from party {sender}, "
+                f"got {msg.msg_type.name} in phase {msg.phase}",
             )
-        return msg
+        try:
+            return decode(msg.payload)
+        except FrameFormatError as exc:
+            raise ProtocolAbort(
+                phase, f"malformed {msg_type.name} from party {sender}: {exc}", exc
+            ) from exc
 
     def _sample_counts(self, ep, rows: int = 0) -> int:
         """Phase 0: a provider sends its row count to the server and every
@@ -433,9 +449,7 @@ class _Role:
             for receiver in [SERVER, *others]:
                 self._send(ep, receiver, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, payload)
         return rows + sum(
-            decode_sample_count(
-                self._recv(ep, j, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT).payload
-            )
+            self._recv(ep, j, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, decode_sample_count)
             for j in others
         )
 
@@ -456,7 +470,7 @@ class ProviderRole(_Role):
         if worst >= bound:
             raise ProtocolAbort(
                 self.phase,
-                f"party {self.party}: {what} magnitude {worst:g} exceeds the "
+                f"{what} magnitude {worst:g} exceeds the "
                 f"fixed-point budget {bound:g} (l={self.cfg.fixed_point.l}, "
                 f"f={self.cfg.fixed_point.f}, {self.cfg.parties} providers)",
             )
@@ -478,8 +492,7 @@ class ProviderRole(_Role):
         if self.party not in pieces:
             return
         held = [
-            pieces[j] if j == self.party
-            else backend.decode(self._recv(ep, j, hop1, first).payload, hop1)
+            pieces[j] if j == self.party else self._recv(ep, j, hop1, first, backend.decoder(hop1))
             for j in cfg.providers
         ]
         self._send(ep, SERVER, hop2, second, backend.encode(backend.combine(held), hop2))
@@ -492,22 +505,22 @@ class ProviderRole(_Role):
         sums = linalg.column_sums(self.data).reshape(1, -1)
         self._round(ep, 0, sums, "sums", "column sums")
 
-        msg = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN)
+        mean = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN, decode_real_matrix)
         d = self.data.shape[1]
-        mean = linalg.check_vector(decode_real_matrix(msg.payload).ravel(), d, "mean")
+        mean = linalg.check_vector(mean.ravel(), d, "mean")
         # The centered block lives only for the call it is passed to.
         local_cov = linalg.gram(self.data - mean) / (n - 1)
         triangle = linalg.upper_triangle(local_cov).reshape(1, -1)
         self._round(ep, 1, triangle, "cov", "covariance terms")
 
-        msg = self._recv(ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER)
-        transfer = decode_real_matrix(msg.payload)
+        transfer = self._recv(
+            ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, decode_real_matrix
+        )
         if transfer.shape != (d, cfg.k):
             rows, cols = transfer.shape
             raise ProtocolAbort(
                 PHASE_TRANSFER,
-                f"party {self.party}: server sent a {rows}x{cols} transfer matrix, "
-                f"configured for {d}x{cfg.k}",
+                f"server sent a {rows}x{cols} transfer matrix, configured for {d}x{cfg.k}",
             )
         self.phase = PHASE_REDUCED
         # The rows are freed as soon as they are encoded, before the send.
@@ -541,9 +554,9 @@ class ServerRole(_Role):
         backend = self.sum
         phase = ROUND_PHASES[r][1]
         msg_type = backend.rounds[r][1]
+        decode = backend.decoder(msg_type)
         return backend.open([
-            backend.decode(self._recv(ep, c, msg_type, phase).payload, msg_type)
-            for c in backend.combiners(self.cfg)
+            self._recv(ep, c, msg_type, phase, decode) for c in backend.combiners(self.cfg)
         ])
 
     def run(self, ep):
@@ -615,13 +628,12 @@ class ConsumerRole(_Role):
     def run(self, ep):
         blocks = []  # big-endian views of the payloads, converted once below
         for j in self.cfg.providers:
-            msg = self._recv(ep, j, MsgType.REDUCED_ROWS, PHASE_REDUCED)
-            block = decode_real_matrix(msg.payload)
+            block = self._recv(ep, j, MsgType.REDUCED_ROWS, PHASE_REDUCED, decode_real_matrix)
             if block.shape[1] != self.cfg.k:
                 raise ProtocolAbort(
                     PHASE_REDUCED,
-                    f"party {self.party}: party {j} sent reduced rows of width "
-                    f"{block.shape[1]}, configured for k={self.cfg.k}",
+                    f"party {j} sent reduced rows of width {block.shape[1]}, "
+                    f"configured for k={self.cfg.k}",
                 )
             blocks.append(block)
         self.reduced = np.concatenate(blocks, dtype=np.float64)
@@ -702,16 +714,16 @@ def run_session(
     consumer = ConsumerRole(cfg)
     roles = [server, *providers, consumer]
     network = _NETWORKS[transport]([role.party for role in roles], timeout=None)
-    failures: list[tuple[_Role, BaseException]] = []
+    failures: list[BaseException] = []
     failure_lock = threading.Lock()
 
     def _drive(role: _Role):
         try:
-            role.run(network.endpoint(role.party))
+            role.play(network.endpoint(role.party))
         except BaseException as exc:  # noqa: BLE001 - must fan out the abort
             with failure_lock:
-                failures.append((role, exc))
-            network.abort(f"party {role.party} failed: {exc}")
+                failures.append(exc)
+            network.abort(str(exc))
 
     started = time.perf_counter()
     threads = [
@@ -733,17 +745,10 @@ def run_session(
         # Every role then fails with TransportClosed, which blames no one.
         raise stall
     if failures:
-        # Report the root cause, not the TransportClosed cascade it triggers.
-        root = min(
-            failures,
-            key=lambda item: isinstance(item[1], TransportError),
+        # The first root cause, not the TransportClosed cascade of the closed bus.
+        raise min(
+            failures, key=lambda exc: isinstance(getattr(exc, "cause", None), TransportClosed)
         )
-        role, exc = root
-        if isinstance(exc, ProtocolAbort):
-            raise exc
-        raise ProtocolAbort(
-            role.phase, f"party {role.party}: {exc}", cause=exc
-        ) from exc
 
     timings = {"total": total, **{f"server.{k}": v for k, v in server.timings.items()}}
     return SessionResult(

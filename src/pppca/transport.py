@@ -88,9 +88,7 @@ class _BufferedReceiver:
                 lambda: frames or sender in self._ended or self._closed is not None,
                 self.timeout,
             ):
-                raise TransportTimeout(
-                    f"party {self.party}: no message from party {sender} within {self.timeout:g}s"
-                )
+                raise TransportTimeout(f"no message from party {sender} within {self.timeout:g}s")
             if not frames:
                 raise TransportClosed(self._ended.get(sender, self._closed))
             msg = frames.popleft()
@@ -156,7 +154,6 @@ class TcpEndpoint(_BufferedReceiver):
         self._out_lock = threading.Lock()
         self._shutdown = False
         self._listener = socket.create_server(listen)
-        self._listener.settimeout(0.2)
         self.address = self._listener.getsockname()
         threading.Thread(
             target=self._accept_loop, name=f"pppca-accept-{party}", daemon=True
@@ -169,9 +166,7 @@ class TcpEndpoint(_BufferedReceiver):
         while not self._shutdown:
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # close() shut the listener down
                 return
             threading.Thread(
                 target=self._read_loop,
@@ -181,11 +176,12 @@ class TcpEndpoint(_BufferedReceiver):
             ).start()
 
     @staticmethod
-    def _read_exact(conn: socket.socket, count: int, in_frame: bool) -> bytes:
+    def _read_exact(conn: socket.socket, count: int, sender: int | None, in_frame: bool) -> bytes:
         """Exactly ``count`` bytes, or b"" if the stream ends between frames:
         before the first of them, with no part of a frame read yet.  Ending
         anywhere inside a frame (``in_frame`` says part of it was read
-        already) raises ``TransportClosed``.  Each ``recv`` waits for all
+        already) raises ``TransportClosed``, naming ``sender`` if it is
+        known.  Each ``recv`` waits for all
         the bytes it asks for, so one usually returns them all, and joining
         a single chunk copies nothing."""
         chunks = []
@@ -197,7 +193,8 @@ class TcpEndpoint(_BufferedReceiver):
                 chunk = b""
             if not chunk:
                 if got or in_frame:
-                    raise TransportClosed(f"connection lost mid-frame ({got}/{count} bytes)")
+                    peer = "" if sender is None else f" from party {sender}"
+                    raise TransportClosed(f"connection{peer} lost mid-frame ({got}/{count} bytes)")
                 return b""
             chunks.append(chunk)
             got += len(chunk)
@@ -208,14 +205,13 @@ class TcpEndpoint(_BufferedReceiver):
         with conn:
             try:
                 while not self._shutdown:
-                    header = self._read_exact(conn, header_size(), in_frame=False)
+                    header = self._read_exact(conn, header_size(), sender, in_frame=False)
                     if not header:
                         break  # the stream ended between frames
                     msg_type, claimed, receiver, step, length = parse_header(header)
                     if receiver != self.party:
                         raise FrameFormatError(
-                            f"party {self.party} got a frame from party {claimed} "
-                            f"addressed to party {receiver}"
+                            f"a frame from party {claimed} addressed to party {receiver}"
                         )
                     if sender not in (None, claimed):
                         raise FrameFormatError(
@@ -223,7 +219,7 @@ class TcpEndpoint(_BufferedReceiver):
                             f"carried a frame from party {claimed}"
                         )
                     sender = claimed
-                    payload = self._read_exact(conn, length, in_frame=True)
+                    payload = self._read_exact(conn, length, sender, in_frame=True)
                     self._push(ProtocolMessage(msg_type, sender, receiver, step, payload))
             except FrameFormatError as exc:
                 self._close(f"malformed frame: {exc}")
@@ -232,7 +228,7 @@ class TcpEndpoint(_BufferedReceiver):
                 self._close(str(exc))
                 return
         if sender is not None and not self._shutdown:
-            self._end(sender, f"party {sender} closed its channel to party {self.party}")
+            self._end(sender, f"party {sender} closed its channel")
 
     def _channel(self, receiver: int) -> socket.socket:
         with self._out_lock:
@@ -249,9 +245,7 @@ class TcpEndpoint(_BufferedReceiver):
                     break
                 except OSError:
                     if time.monotonic() >= deadline:
-                        raise TransportTimeout(
-                            f"party {self.party}: could not reach party {receiver}"
-                        ) from None
+                        raise TransportTimeout(f"could not reach party {receiver}") from None
                     time.sleep(CONNECT_RETRY)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._out[receiver] = sock
@@ -270,6 +264,8 @@ class TcpEndpoint(_BufferedReceiver):
     def close(self):
         self._shutdown = True
         try:
+            # close() alone leaves the accept loop blocked; shutdown wakes it.
+            self._listener.shutdown(socket.SHUT_RDWR)
             self._listener.close()
         except OSError:
             pass

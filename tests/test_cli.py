@@ -2,12 +2,14 @@ import json
 import re
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from pppca.cli import EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main
 from pppca.datasets import Dataset, load_csv, make_wine_like, save_csv
+from pppca.messages import MsgType, ProtocolMessage, encode_real_matrix, make_step, serialize
 
 
 @pytest.fixture(scope="module")
@@ -394,12 +396,12 @@ def test_role_connect_flag_overrides_config(tmp_path):
     assert rc == EXIT_PROTOCOL
 
 
-def _role_config(tmp_path, consumer: str) -> str:
+def _role_config(tmp_path, consumer: str, timeout: float = 0.3) -> str:
     path = tmp_path / "role.json"
     endpoints = {"server": "127.0.0.1:1", "provider-1": "127.0.0.1:1",
                  "provider-2": "127.0.0.1:1", "consumer": consumer}
     path.write_text(json.dumps(
-        {"method": "ss", "parties": 2, "k": 2, "timeout": 0.3, "endpoints": endpoints}
+        {"method": "ss", "parties": 2, "k": 2, "timeout": timeout, "endpoints": endpoints}
     ))
     return str(path)
 
@@ -411,6 +413,37 @@ def test_a_lone_role_names_its_phase_when_a_receive_times_out(tmp_path, capsys):
     assert "in phase 9:" in err
     assert err.count("party 3") == 1
     assert "no message from party 1 within 0.3s" in err
+
+
+def test_a_lone_role_names_the_type_and_sender_of_a_malformed_payload(tmp_path, capsys):
+    port = _free_port()
+    config = _role_config(tmp_path, f"127.0.0.1:{port}", timeout=5.0)
+    codes = []
+    consumer = threading.Thread(
+        target=lambda: codes.append(main(["role", "--role", "consumer", "--config", config]))
+    )
+    consumer.start()
+    # A fake party 1 sends the consumer reduced rows of shape 0x2.
+    empty = ProtocolMessage(
+        MsgType.REDUCED_ROWS, 1, 3, make_step(9, 3), encode_real_matrix(np.empty((0, 2)))
+    )
+    deadline = time.monotonic() + 5.0
+    while True:
+        try:
+            peer = socket.create_connection(("127.0.0.1", port))
+            break
+        except OSError:
+            assert time.monotonic() < deadline, "the consumer never listened"
+            time.sleep(0.05)
+    with peer:
+        peer.sendall(serialize(empty))
+        consumer.join(timeout=10)
+    assert not consumer.is_alive()
+    assert codes == [EXIT_PROTOCOL]
+    err = capsys.readouterr().err
+    assert "phase 9" in err
+    assert err.count("party 3") == 1
+    assert "party 1" in err and "REDUCED_ROWS" in err
 
 
 def test_a_role_whose_port_is_taken_is_a_data_error(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from pppca import linalg
 from pppca.encoding import FixedPointConfig
-from pppca.errors import ConfigError, DimensionError, ProtocolAbort
+from pppca.errors import ConfigError, DimensionError, ProtocolAbort, TransportClosed
 from pppca.messages import (
     MsgType,
     decode_encrypted_matrix,
@@ -131,49 +131,9 @@ def test_parties_must_fit_the_frame_header():
         SessionConfig(method="ss", parties=65535, k=1)
 
 
-@pytest.mark.parametrize("server_bits, provider_bits", [(512, 1024), (1024, 512)])
-def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
-    # Role mode gives each process its own config; here two of them meet on
-    # the simulated network.
-    server_cfg = replace(he_cfg(timeout=1.0), key_bits=server_bits)
-    provider_cfg = replace(server_cfg, key_bits=provider_bits)
-    blocks = split(HAND_DATA, 2)
-    roles = [
-        ServerRole(server_cfg),
-        *(ProviderRole(i, x, provider_cfg) for i, x in zip(provider_cfg.providers, blocks)),
-        ConsumerRole(provider_cfg),
-    ]
-    network = SimulatedNetwork([role.party for role in roles], timeout=server_cfg.timeout)
-    endpoints = {role.party: network.endpoint(role.party) for role in roles}
-    errors = {}
-
-    def drive(role):
-        try:
-            role.run(endpoints[role.party])
-        except Exception as exc:  # noqa: BLE001 - collected for the assertions
-            errors[role.party] = exc
-            network.abort(f"party {role.party} failed")
-
-    threads = [threading.Thread(target=drive, args=(role,)) for role in roles]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads)
-    # The first provider to see the key aborts; the rest may see the closed bus.
-    aborts = {j: e for j, e in errors.items() if isinstance(e, ProtocolAbort)}
-    assert set(aborts) & set(provider_cfg.providers)
-    for j, e in aborts.items():
-        assert e.phase == PHASE_PUBLIC_KEY
-        assert (
-            f"party {j}: server sent a {server_bits}-bit modulus, "
-            f"configured for {provider_bits}-bit keys" in str(e)
-        )
-
-
 def _run_roles(server_cfg, provider_cfg, consumer_cfg, data):
     """Every role on one simulated network, each with its own config as in
-    role mode; the exception each failed role raised, by party."""
+    role mode; the abort each failed role raised, by party."""
     roles = [
         ServerRole(server_cfg),
         *(ProviderRole(i, x, provider_cfg) for i, x in zip(provider_cfg.providers, data)),
@@ -184,8 +144,8 @@ def _run_roles(server_cfg, provider_cfg, consumer_cfg, data):
 
     def drive(role):
         try:
-            role.run(network.endpoint(role.party))
-        except Exception as exc:  # noqa: BLE001 - collected for the assertions
+            role.play(network.endpoint(role.party))
+        except ProtocolAbort as exc:
             errors[role.party] = exc
             network.abort(f"party {role.party} failed")
 
@@ -198,11 +158,34 @@ def _run_roles(server_cfg, provider_cfg, consumer_cfg, data):
     return errors
 
 
+def _root_aborts(errors):
+    """The aborts not caused by the closed bus that a first abort leaves."""
+    return {j: e for j, e in errors.items() if not isinstance(e.cause, TransportClosed)}
+
+
+@pytest.mark.parametrize("server_bits, provider_bits", [(512, 1024), (1024, 512)])
+def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
+    # Role mode gives each process its own config; here two of them meet on
+    # the simulated network.
+    server_cfg = replace(he_cfg(timeout=1.0), key_bits=server_bits)
+    provider_cfg = replace(server_cfg, key_bits=provider_bits)
+    errors = _run_roles(server_cfg, provider_cfg, provider_cfg, split(HAND_DATA, 2))
+    # The first provider to see the key aborts; the rest may see the closed bus.
+    aborts = _root_aborts(errors)
+    assert set(aborts) & set(provider_cfg.providers)
+    for j, e in aborts.items():
+        assert e.phase == PHASE_PUBLIC_KEY
+        assert (
+            f"party {j}: server sent a {server_bits}-bit modulus, "
+            f"configured for {provider_bits}-bit keys" in str(e)
+        )
+
+
 def test_a_provider_configured_for_another_k_rejects_the_transfer_matrix():
     server_cfg = ss_cfg(k=2, timeout=1.0)
     provider_cfg = replace(server_cfg, k=1)
     errors = _run_roles(server_cfg, provider_cfg, provider_cfg, split(HAND_DATA, 2))
-    aborts = {j: e for j, e in errors.items() if isinstance(e, ProtocolAbort)}
+    aborts = _root_aborts(errors)
     assert set(aborts) & set(provider_cfg.providers)
     for j, e in aborts.items():
         assert j in provider_cfg.providers and e.phase == PHASE_TRANSFER
@@ -229,6 +212,7 @@ def test_the_server_checks_k_before_the_eigendecomposition(monkeypatch):
     e = _run_roles(cfg, cfg, cfg, split(HAND_DATA, 2))[SERVER]
     assert isinstance(e, ProtocolAbort) and e.phase == PHASE_TRANSFER
     assert "k=3 must satisfy 1 <= k < d=3" in str(e)
+    assert "protocol aborted in phase 8: party 0: k=3" in str(e)
 
 
 # --- ss sessions ----------------------------------------------------------
