@@ -310,7 +310,8 @@ def _cmd_role(args) -> int:
         name, _, address = override.partition("=")
         if not name or not address:
             raise _UsageError(f"--connect expects NAME=HOST:PORT, got {override!r}")
-        config.setdefault("endpoints", {})[name] = address
+        if isinstance(config.setdefault("endpoints", {}), dict):  # else _endpoint_map rejects it
+            config["endpoints"][name] = address
     endpoints = _endpoint_map(config, cfg)
 
     if args.role == "provider":

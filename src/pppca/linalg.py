@@ -13,7 +13,7 @@ column's largest |x| fixes where its slices start; each row block is cut
 until nothing is left, counting the slices every column needs; ``gram``
 forms a block's slice products in one BLAS call per slice, with slices as
 wide as the rows of one such call allow (a block holds at most 2^10 rows),
-and carries the blocks' exact products in int64; and the exact terms of
+and adds each block's exact products into int64 sums; and the exact terms of
 each entry are summed in int64 and rounded once, to nearest even, in the
 spirit of Rump, Ogita and Oishi's accurate summation (SIAM J. Sci. Comput.
 2008).  This makes ``centralized_pca`` bit-for-bit invariant under row
@@ -146,10 +146,7 @@ def gram(x) -> np.ndarray:
 
     - a BLAS call sums at most min(n, 2^10) <= 2^(53 - 2w) rows of them, so
       every partial sum is an integer below 2^53, exact under any blocking
-      or thread count;
-    - the blocks' products add up in float64 over at most 2^(53 - 2w) rows
-      (2048 at w = 21), exactly, and are then flushed into int64; at most
-      2^10 rows are never flushed;
+      or thread count, and is added into int64 pair sums as BLAS returns it;
     - a pair's int64 sum over all n rows is below 2^(L + 2w) <= 2^57;
     - up to eight pair sums (k + q = g with at most ``_MAX_SLICES`` = 8
       slices) meet in one term of ``_round``, which needs every term below
@@ -181,7 +178,7 @@ def gram(x) -> np.ndarray:
     log_n = (n - 1).bit_length()
     width = min(53 - min(log_n, _LOG_BLOCK_ROWS), 57 - log_n) // 2
     hi, counts, blocks = _slicing(a, width)
-    pairs = _pair_products(blocks, d, width)
+    pairs = _pair_products(blocks, d)
     sliceable = counts <= _MAX_SLICES
     lowest = hi - counts * width  # the unit of each column's last slice
     fallback = (
@@ -289,44 +286,24 @@ def _slicing(a: np.ndarray, width: int):
     return hi, counts, blocks()
 
 
-def _pair_products(blocks, d: int, width: int) -> np.ndarray:
-    """S_k S_q^T summed over the sliced row ``blocks`` of ``_slicing``, for
-    each slice pair k <= q, at index q (q + 1) / 2 + k of the result, so
-    that a block with more slices appends pairs.  S_k holds slice k of
-    every column, as rows.
-
-    Each product of two ``width``-bit slices is below 2^(2 width) in
-    magnitude, so a float64 sum over up to 2^(53 - 2 width) rows is exact.
-    The blocks' products add up in float64 until the next block would pass
-    that many rows; the sums are then flushed into int64, the result.
-    """
-    room = 1 << (53 - 2 * width)
-    acc, exact, summed = np.zeros((0, d, d)), None, 0
+def _pair_products(blocks, d: int) -> np.ndarray:
+    """S_k S_q^T summed in int64 over the sliced row ``blocks`` of
+    ``_slicing``, for each slice pair k <= q, at index q (q + 1) / 2 + k of
+    the result, so that a block with more slices appends pairs.  S_k holds
+    slice k of every column, as rows.  Each block's products are exact
+    integers below 2^53 (see ``gram``), added in as BLAS returns them."""
+    pairs = np.zeros((0, d, d), dtype=np.int64)
     for sliced in blocks:
         c = len(sliced)
-        if summed + sliced.shape[2] > room:
-            exact, acc, summed = _flush(acc, exact), np.zeros_like(acc), 0
-        if c * (c + 1) // 2 > len(acc):
-            acc = np.pad(acc, ((0, c * (c + 1) // 2 - len(acc)), (0, 0), (0, 0)))
+        if c * (c + 1) // 2 > len(pairs):
+            pairs = np.pad(pairs, ((0, c * (c + 1) // 2 - len(pairs)), (0, 0), (0, 0)))
         stacked = sliced.reshape(-1, sliced.shape[2])
         for q in range(c):
-            # S_0 .. S_q against S_q, in one product.
+            # S_0 .. S_q against S_q in one product, cast to int64 in np.add's buffer.
             product = stacked[: (q + 1) * d] @ sliced[q].T
-            acc[q * (q + 1) // 2 : (q + 1) * (q + 2) // 2] += product.reshape(q + 1, d, d)
-        summed += sliced.shape[2]
-    return _flush(acc, exact)
-
-
-def _flush(acc: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
-    """``exact`` (None for nothing yet) plus the float64 sums ``acc``, in
-    int64, written over ``acc``.  ``acc`` has at least as many pairs as
-    ``exact``."""
-    total = acc.view(np.int64)
-    for q in range(len(acc)):
-        total[q] = acc[q]  # one pair at a time: no second copy of acc
-    if exact is not None:
-        total[: len(exact)] += exact
-    return total
+            into = pairs[q * (q + 1) // 2 : (q + 1) * (q + 2) // 2]
+            np.add(into, product.reshape(q + 1, d, d), out=into, casting="unsafe", dtype=np.int64)
+    return pairs
 
 
 def _group_pairs(pairs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -705,7 +705,9 @@ def run_session(
     in-process bus (``"sim"``) or loopback TCP (``"tcp"``); both produce
     identical transcripts for identical seeds.  Receives do not time out;
     instead the session is watched, and aborted once it has stalled for
-    ``cfg.timeout`` seconds.
+    ``cfg.timeout`` seconds.  A role that fails ends its channels, as its
+    process ending would, and the session raises the first root failure in
+    party order: server, providers, consumer.
     """
     providers = _provider_roles(cfg, data)
     if transport not in _NETWORKS:
@@ -714,21 +716,19 @@ def run_session(
     consumer = ConsumerRole(cfg)
     roles = [server, *providers, consumer]
     network = _NETWORKS[transport]([role.party for role in roles], timeout=None)
-    failures: list[BaseException] = []
-    failure_lock = threading.Lock()
+    failures: list[BaseException | None] = [None] * len(roles)  # one slot per role
 
-    def _drive(role: _Role):
+    def _drive(slot: int, role: _Role):
         try:
             role.play(network.endpoint(role.party))
-        except BaseException as exc:  # noqa: BLE001 - must fan out the abort
-            with failure_lock:
-                failures.append(exc)
-            network.abort(str(exc))
+        except BaseException as exc:  # noqa: BLE001 - must end its channels
+            failures[slot] = exc
+            network.leave(role.party, str(exc))
 
     started = time.perf_counter()
     threads = [
-        threading.Thread(target=_drive, args=(role,), name=f"pppca-party-{role.party}")
-        for role in roles
+        threading.Thread(target=_drive, args=(slot, role), name=f"pppca-party-{role.party}")
+        for slot, role in enumerate(roles)
     ]
     try:
         for t in threads:
@@ -744,10 +744,11 @@ def run_session(
     if stall is not None:
         # Every role then fails with TransportClosed, which blames no one.
         raise stall
-    if failures:
-        # The first root cause, not the TransportClosed cascade of the closed bus.
+    failed = [exc for exc in failures if exc is not None]
+    if failed:
+        # Not the TransportClosed cascade of the channels that failed roles ended.
         raise min(
-            failures, key=lambda exc: isinstance(getattr(exc, "cause", None), TransportClosed)
+            failed, key=lambda exc: isinstance(getattr(exc, "cause", None), TransportClosed)
         )
 
     timings = {"total": total, **{f"server.{k}": v for k, v in server.timings.items()}}

@@ -20,6 +20,7 @@ all run in one process, which watch for stalls themselves.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
@@ -109,6 +110,15 @@ class _Network:
         for ep in self.endpoints.values():
             ep._close(reason)
 
+    def leave(self, party: int, reason: str):
+        """End every channel from ``party``, as its process ending would:
+        receives from it fail with ``reason`` once its frames are taken, and
+        frames from other senders still arrive."""
+        opened = self.endpoints[party]._shut_channels()
+        for receiver, ep in self.endpoints.items():
+            if receiver not in opened:
+                ep._end(party, reason)
+
     def close(self):
         pass
 
@@ -122,6 +132,9 @@ class SimEndpoint(_BufferedReceiver):
         # Round-trip through the wire format so simulation exercises exactly
         # the bytes that TCP would carry.
         self._network.deliver(deserialize(serialize(msg)))
+
+    def _shut_channels(self) -> set[int]:
+        return set()  # every frame sent was delivered at once
 
 
 class SimulatedNetwork(_Network):
@@ -215,8 +228,7 @@ class TcpEndpoint(_BufferedReceiver):
                         )
                     if sender not in (None, claimed):
                         raise FrameFormatError(
-                            f"party {sender}'s channel to party {self.party} "
-                            f"carried a frame from party {claimed}"
+                            f"party {sender}'s channel carried a frame from party {claimed}"
                         )
                     sender = claimed
                     payload = self._read_exact(conn, length, sender, in_frame=True)
@@ -261,20 +273,25 @@ class TcpEndpoint(_BufferedReceiver):
         except OSError as exc:
             raise TransportClosed(f"send to party {msg.receiver} failed: {exc}") from exc
 
+    def _shut_channels(self) -> set[int]:
+        """Shut the sending side of each channel opened so far, so that its
+        receiver ends it behind its frames; returns their receivers."""
+        with self._out_lock:
+            for sock in self._out.values():
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_WR)
+            return set(self._out)
+
     def close(self):
         self._shutdown = True
-        try:
+        with contextlib.suppress(OSError):
             # close() alone leaves the accept loop blocked; shutdown wakes it.
             self._listener.shutdown(socket.SHUT_RDWR)
             self._listener.close()
-        except OSError:
-            pass
         with self._out_lock:
             for sock in self._out.values():
-                try:
+                with contextlib.suppress(OSError):
                     sock.close()
-                except OSError:
-                    pass
             self._out.clear()
 
 
@@ -283,10 +300,13 @@ class TcpNetwork(_Network):
 
     def __init__(self, parties: list[int], timeout: float | None = DEFAULT_TIMEOUT):
         self.transcript = Transcript()
-        self.endpoints: dict[int, TcpEndpoint] = {
-            party: TcpEndpoint(party, (LOOPBACK, 0), self.transcript, timeout)
-            for party in parties
-        }
+        self.endpoints: dict[int, TcpEndpoint] = {}
+        try:
+            for party in parties:
+                self.endpoints[party] = TcpEndpoint(party, (LOOPBACK, 0), self.transcript, timeout)
+        except BaseException:
+            self.close()  # the listeners made so far, and their accept threads
+            raise
         addresses = {party: ep.address for party, ep in self.endpoints.items()}
         for ep in self.endpoints.values():
             ep.set_peers(addresses)

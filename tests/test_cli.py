@@ -396,6 +396,16 @@ def test_role_connect_flag_overrides_config(tmp_path):
     assert rc == EXIT_PROTOCOL
 
 
+@pytest.mark.parametrize("endpoints", [["server", "127.0.0.1:1"], "server=127.0.0.1:1"])
+def test_connect_over_endpoints_that_are_no_map_is_a_data_error(endpoints, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"method": "ss", "parties": 2, "k": 2, "endpoints": endpoints}))
+    rc = main(["role", "--role", "server", "--config", str(config),
+               "--connect", "server=127.0.0.1:1"])
+    assert rc == EXIT_DATA
+    assert "config must map 'endpoints' to {name: host:port}" in capsys.readouterr().err
+
+
 def _role_config(tmp_path, consumer: str, timeout: float = 0.3) -> str:
     path = tmp_path / "role.json"
     endpoints = {"server": "127.0.0.1:1", "provider-1": "127.0.0.1:1",

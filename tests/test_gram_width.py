@@ -85,7 +85,7 @@ def slicing(monkeypatch):
 
 @pytest.mark.parametrize("rows, width, slices", [(3000, 21, 3), (2**20 + 1, 18, 4)])
 def test_gram_is_exact_on_tall_inputs(rows, width, slices, slicing):
-    # 3000 rows flush the float64 sums into int64 every 2048 rows.  At
+    # 3000 rows take three 1024-row blocks, added into int64 in turn.  At
     # 2^20 + 1 rows the width is capped at (57 - 21) / 2 = 18 bits, below
     # the 21 that 1024-row blocks allow; column 0's pair sums then come near
     # 2^57, and four of them meet at k + q = 3.

@@ -574,6 +574,19 @@ def test_stalled_session_aborts_naming_party_and_phase(monkeypatch, transport):
     assert re.search(r"party \d+:", message) is None, message
 
 
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+def test_a_session_where_every_provider_fails_names_the_first_each_time(transport):
+    # At 1e12 every provider's column sums blow the (64, 24) budget in phase
+    # 2; the root failure named is party 1's, whichever fails first.
+    rng = np.random.default_rng(0)
+    data = [rng.normal(size=(50, 3)) * 1e12 for _ in range(3)]
+    cfg = ss_cfg(parties=3, fixed_point=FixedPointConfig(64, 24))
+    for _ in range(10):
+        with pytest.raises(ProtocolAbort) as err:
+            run_session(cfg, data, transport=transport)
+        assert str(err.value).startswith("protocol aborted in phase 2: party 1: column sums")
+
+
 # --- secure sums ------------------------------------------------------------------
 
 

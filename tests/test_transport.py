@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import random
 import socket
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pppca import messages, paillier
+from pppca import messages, paillier, transport
 from pppca.errors import FrameFormatError, TransportClosed, TransportTimeout
 from pppca.messages import (
     MsgType,
@@ -555,8 +556,31 @@ def test_tcp_connection_switching_senders_closes_the_receiver():
     first = _msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(20))
     second = _msg(MsgType.SAMPLE_COUNT, 3, 1, 0, encode_sample_count(30))
     _tcp_receiver_rejects(
-        [first, second], "malformed frame: party 2's channel to party 1 .* from party 3"
+        [first, second], "malformed frame: party 2's channel carried a frame from party 3"
     )
+
+
+def test_tcp_network_that_fails_to_bind_closes_the_listeners_it_made(monkeypatch):
+    def accepting():
+        return {t for t in threading.enumerate() if t.name.startswith("pppca-accept-")}
+
+    before = accepting()
+    real = transport.socket.create_server
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport.socket, "create_server", third_fails)
+    with pytest.raises(OSError, match="Too many open files"):
+        TcpNetwork([0, 1, 2, 3])
+    deadline = time.monotonic() + 2.0
+    while accepting() - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not accepting() - before
 
 
 # --- transcript --------------------------------------------------------------
