@@ -293,6 +293,8 @@ def _endpoint_map(config: dict, cfg: SessionConfig) -> dict[int, tuple[str, int]
             raise DataError(f"unknown endpoint name {name!r}")
         if not isinstance(address, str):
             raise DataError(f"endpoint {name!r} must be a 'host:port' string, got {address!r}")
+        if party in mapping:
+            raise DataError(f"endpoint {name!r} names party {party}, which another name maps")
         mapping[party] = _parse_endpoint(address)
     expected = {SERVER, cfg.consumer, *cfg.providers}
     missing = expected - mapping.keys()

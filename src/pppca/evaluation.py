@@ -7,7 +7,8 @@ transfer matrix, and scores a linear or logistic model on the projections.
 
 Methods:
 
-* ``centralized``  - PCA on pooled plaintext training rows (the oracle),
+* ``centralized``  - PCA on pooled plaintext training rows (the oracle):
+                     ``separate``'s loop with every row in one group,
 * ``separate``     - each provider fits PCA on its own rows only; test rows
                      are projected by their owner's local transform,
 * ``pppca-he``     - the protocol with Paillier aggregation,
@@ -81,10 +82,6 @@ def _fit_score(task, train_x, train_y, test_x, test_y) -> float:
     return rmse(model.predict(test_x), test_y)
 
 
-def _project_with(features: np.ndarray, mean: np.ndarray, transfer: np.ndarray):
-    return (features - mean) @ transfer
-
-
 def compare(
     ds: Dataset,
     parties: int,
@@ -132,29 +129,27 @@ def compare(
         for fold, (train_idx, test_idx) in enumerate(folds_idx):
             train = ds.take(train_idx)
             test = ds.take(test_idx)
-            if method == "centralized":
-                mean = linalg.column_means(train.features)
-                transfer, train_proj = linalg.centralized_pca(train.features, k)
-                test_proj = _project_with(test.features, mean, transfer)
-                train_y = train.labels
-            elif method == "separate":
+            if method in ("centralized", "separate"):
+                # The oracle is the one-group case: every row belongs to group 0.
+                groups = assignment if method == "separate" else np.zeros_like(assignment)
                 train_proj = np.empty((train.rows, k))
                 test_proj = np.empty((test.rows, k))
-                for q in range(parties):
-                    tr_mask = assignment[train_idx] == q
-                    te_mask = assignment[test_idx] == q
+                for q in range(groups.max() + 1):
+                    tr_mask = groups[train_idx] == q
+                    te_mask = groups[test_idx] == q
                     local = train.features[tr_mask]
                     if local.shape[0] < 2:
+                        owner = f"provider {q + 1}" if method == "separate" else "the pool"
                         raise DataError(
-                            f"provider {q + 1} has {local.shape[0]} training "
-                            f"rows in fold {fold}; cannot fit a local PCA"
+                            f"{owner} has {local.shape[0]} training rows in fold "
+                            f"{fold}; cannot fit a PCA"
                         )
                     mean = linalg.column_means(local)
-                    transfer, proj = linalg.centralized_pca(local, k)
-                    train_proj[tr_mask] = proj
-                    test_proj[te_mask] = _project_with(
-                        test.features[te_mask], mean, transfer
-                    )
+                    transfer, train_proj[tr_mask] = linalg.centralized_pca(local, k)
+                    if te_mask.any():
+                        test_proj[te_mask] = linalg.project(
+                            test.features[te_mask] - mean, transfer
+                        )
                 train_y = train.labels
             else:
                 cfg = replace(
@@ -170,7 +165,7 @@ def compare(
                 # The consumer sees rows stacked in provider order; align labels.
                 train_y = ds.labels[np.concatenate(provider_rows)]
                 train_proj = result.reduced
-                test_proj = _project_with(test.features, result.mean, result.transfer)
+                test_proj = linalg.project(test.features - result.mean, result.transfer)
                 sample_counts.append(result.sample_count)
                 if keep_transcripts:
                     transcripts.append(result.transcript)
@@ -191,46 +186,32 @@ def compare(
     return reports
 
 
+def _table(reports: list[RunReport], digits: int) -> list[list[str]]:
+    """The header and one row per report, metrics to ``digits`` places; a
+    report with fewer folds than the most has empty cells for the rest."""
+    folds = max((len(r.fold_metrics) for r in reports), default=0)
+    rows = [["method", "k", "metric", *[f"fold{i + 1}" for i in range(folds)], "mean"]]
+    for r in reports:
+        metrics = [f"{v:.{digits}f}" for v in r.fold_metrics]
+        metrics += [""] * (folds - len(metrics))
+        rows.append([r.method, str(r.k), r.metric_name, *metrics, f"{r.mean_metric:.{digits}f}"])
+    return rows
+
+
 def render_report(reports: list[RunReport]) -> str:
     """Aligned text table; deterministic for a fixed seed (no timings)."""
     if not reports:
         return "(no reports)\n"
-    folds = max(len(r.fold_metrics) for r in reports)
-    headers = ["method", "k", "metric", *[f"fold{i + 1}" for i in range(folds)], "mean"]
-    rows = [
-        [
-            r.method,
-            str(r.k),
-            r.metric_name,
-            *[f"{v:.4f}" for v in r.fold_metrics],
-            f"{r.mean_metric:.4f}",
-        ]
-        for r in reports
-    ]
-    widths = [
-        max(len(headers[c]), *(len(row[c]) for row in rows))
-        for c in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    table = _table(reports, 4)
+    widths = [max(map(len, column)) for column in zip(*table)]
+    table.insert(1, ["-" * w for w in widths])
+    return "".join(
+        "  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n" for row in table
+    )
 
 
 def reports_to_csv(reports: list[RunReport]) -> str:
-    folds = max((len(r.fold_metrics) for r in reports), default=0)
-    header = ["method", "k", "metric", *[f"fold{i + 1}" for i in range(folds)], "mean"]
-    lines = [",".join(header)]
-    for r in reports:
-        cells = [r.method, str(r.k), r.metric_name]
-        cells.extend(f"{v:.6f}" for v in r.fold_metrics)
-        cells.extend("" for _ in range(folds - len(r.fold_metrics)))
-        cells.append(f"{r.mean_metric:.6f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(row) for row in _table(reports, 6)) + "\n"
 
 
 @dataclass

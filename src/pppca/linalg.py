@@ -97,7 +97,8 @@ def column_sums(x) -> np.ndarray:
     column that needs more than ``_MAX_SLICES`` slices, or whose sum might
     overflow, is summed with ``math.fsum`` directly, which is also exact.
     A non-finite entry raises ``MatrixValidationError``, as in
-    ``check_matrix``, from the screen of each column's largest |x|.
+    ``check_matrix``, from the screen of each column's largest |x|, and so
+    does a sum beyond float64's range, naming its column.
     """
     a = _as_matrix(x)
     n, d = a.shape
@@ -112,7 +113,7 @@ def column_sums(x) -> np.ndarray:
     out = np.empty(d)
     out[cols] = _round(sums[:, cols].astype(np.int64), hi[cols] - width, width)
     for t in np.flatnonzero(fallback):
-        out[t] = math.fsum(a[:, t])
+        out[t] = _fsum(a[:, t], f"the sum of column {t}")
     return out
 
 
@@ -171,7 +172,8 @@ def gram(x) -> np.ndarray:
     order independent, and exact whenever those products are floats.
 
     A non-finite entry raises ``MatrixValidationError``, as in
-    ``check_matrix``, from the screen.
+    ``check_matrix``, from the screen, and so does a product or sum beyond
+    float64's range, naming its entry.
     """
     a = _as_matrix(x)
     n, d = a.shape
@@ -191,9 +193,22 @@ def gram(x) -> np.ndarray:
     del pairs  # before the rounding's temporaries
     g = np.empty((d, d))
     g[rows, cols] = g[cols, rows] = _round(terms, hi[rows] + hi[cols] - 2 * width, width)
-    for s, t in zip(*np.nonzero(np.triu(fallback))):
-        g[s, t] = g[t, s] = math.fsum(a[:, s] * a[:, t])
+    with np.errstate(over="ignore"):  # an infinite product fails in _fsum
+        for s, t in zip(*np.nonzero(np.triu(fallback))):
+            g[s, t] = g[t, s] = _fsum(a[:, s] * a[:, t], f"Gram entry ({s}, {t})")
     return g
+
+
+def _fsum(terms: np.ndarray, what: str) -> float:
+    """``math.fsum`` of ``terms``; ``MatrixValidationError`` naming ``what``
+    if a term or the sum is not a finite float64."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # fsum's overflow, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise MatrixValidationError(f"{what} leaves float64's range")
+    return total
 
 
 # Exponents of the smallest subnormal float64 and of the largest power of two
@@ -417,8 +432,6 @@ def jacobi_eigh(c, tol: float = DEFAULT_EIGH_TOL) -> EigenPairs:
             f"C is not symmetric: max |C - C^T| = {asym:g} exceeds 1e-9 relative"
         )
     a = (a + a.T) / 2.0
-    if d == 1:
-        return EigenPairs(values=a.diagonal().copy(), vectors=np.eye(1))
     v = np.linalg.eigh(a)[1]
     a = v.T @ a @ v
     off = _off_diagonal_norm(a)

@@ -106,16 +106,10 @@ def auc(scores, labels) -> float:
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC undefined: both classes must be present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1  # average 1-based rank
-        i = j + 1
+    # Tied scores share the mean of the 1-based ranks they span.
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True, equal_nan=False)
+    last = np.cumsum(counts)
+    ranks = ((last - counts + 1 + last) / 2)[inverse]
     return float(
         (ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
     )

@@ -475,14 +475,16 @@ class ProviderRole(_Role):
                 f"f={self.cfg.fixed_point.f}, {self.cfg.parties} providers)",
             )
 
-    def _round(self, ep, r: int, values: np.ndarray, tag: str, what: str):
-        """Round ``r`` of the secure sum: mask local values, send one piece
-        to each other combiner, and, as a combiner, add the pieces held and
+    def _round(self, ep, r: int, local, tag: str, what: str):
+        """Round ``r`` of the secure sum: compute the local values as
+        ``local()`` in the round's first phase, mask them, send one piece to
+        each other combiner, and, as a combiner, add the pieces held and
         send the result to the server."""
         cfg, backend = self.cfg, self.sum
         hop1, hop2 = backend.rounds[r]
         first, second = ROUND_PHASES[r]
         self.phase = first
+        values = local().reshape(1, -1)
         self._check_range(values, what)
         combiners = backend.combiners(cfg)
         pieces = dict(zip(combiners, backend.mask(values, f"{tag}/{self.party}")))
@@ -502,16 +504,16 @@ class ProviderRole(_Role):
         n = self._sample_counts(ep, self.data.shape[0])
         self.sum.setup_provider(self, ep)
 
-        sums = linalg.column_sums(self.data).reshape(1, -1)
-        self._round(ep, 0, sums, "sums", "column sums")
+        self._round(ep, 0, lambda: linalg.column_sums(self.data), "sums", "column sums")
 
         mean = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN, decode_real_matrix)
         d = self.data.shape[1]
         mean = linalg.check_vector(mean.ravel(), d, "mean")
         # The centered block lives only for the call it is passed to.
-        local_cov = linalg.gram(self.data - mean) / (n - 1)
-        triangle = linalg.upper_triangle(local_cov).reshape(1, -1)
-        self._round(ep, 1, triangle, "cov", "covariance terms")
+        self._round(
+            ep, 1, lambda: linalg.upper_triangle(linalg.gram(self.data - mean) / (n - 1)),
+            "cov", "covariance terms",
+        )
 
         transfer = self._recv(
             ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, decode_real_matrix
@@ -789,26 +791,29 @@ def secure_sum_he(
     pk: paillier.PublicKey,
     sk: paillier.PrivateKey,
     rng: random.Random | None = None,
-    fixed_point: FixedPointConfig | None = None,
+    fixed_point: FixedPointConfig = FixedPointConfig(),
 ) -> np.ndarray:
     """The HE aggregation dataflow: encrypt each matrix, fold ciphertexts,
-    decrypt the single aggregate."""
-    fp = fixed_point if fixed_point is not None else FixedPointConfig()
+    decrypt the single aggregate.  Unlike a session, it checks no term
+    against a budget and opens the ring sum mod 2^l: a true sum beyond the
+    ring's range wraps, as in ``secure_sum_ss``."""
     arrays = _terms(matrices)
-    return _sum_without_transport(PaillierSum(fp, len(arrays), pk, sk, rng), arrays)
+    return _sum_without_transport(PaillierSum(fixed_point, len(arrays), pk, sk, rng), arrays)
 
 
 def secure_sum_ss(
     matrices,
-    fixed_point: FixedPointConfig | None = None,
+    fixed_point: FixedPointConfig = FixedPointConfig(),
     prg: CounterPRG | None = None,
 ) -> np.ndarray:
     """The SS aggregation dataflow: share each matrix among the holders,
-    sum shares locally per party, reconstruct only the total."""
-    fp = fixed_point if fixed_point is not None else FixedPointConfig()
+    sum shares locally per party, reconstruct only the total.  Unlike a
+    session, it checks no term against a budget and opens the ring sum mod
+    2^l, so a true sum beyond the ring's range wraps: at (l, f) = (64, 24)
+    two terms of 2^38.5 sum to -3.22e11, not 7.77e11."""
     generator = prg if prg is not None else CounterPRG(CounterPRG.random_seed())
     arrays = _terms(matrices)
     if len(arrays) == 1:
         # Degenerate single holder: nothing to share, just the encoding trip.
-        return matrix_decode_fixed(matrix_encode_fixed(arrays[0], fp), fp)
-    return _sum_without_transport(SharedSum(fp, len(arrays), generator), arrays)
+        return matrix_decode_fixed(matrix_encode_fixed(arrays[0], fixed_point), fixed_point)
+    return _sum_without_transport(SharedSum(fixed_point, len(arrays), generator), arrays)

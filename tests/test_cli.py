@@ -406,6 +406,29 @@ def test_connect_over_endpoints_that_are_no_map_is_a_data_error(endpoints, tmp_p
     assert "config must map 'endpoints' to {name: host:port}" in capsys.readouterr().err
 
 
+def test_two_endpoint_names_for_one_party_are_a_data_error(tmp_path, capsys):
+    path = tmp_path / "role.json"
+    endpoints = {"server": "127.0.0.1:1", "provider-1": "127.0.0.1:3",
+                 "provider-01": "127.0.0.1:9", "provider-2": "127.0.0.1:1",
+                 "consumer": "127.0.0.1:1"}
+    path.write_text(json.dumps(
+        {"method": "ss", "parties": 2, "k": 2, "timeout": 0.3, "endpoints": endpoints}
+    ))
+    assert main(["role", "--role", "server", "--config", str(path)]) == EXIT_DATA
+    assert "data error: endpoint 'provider-01' names party 1" in capsys.readouterr().err
+
+
+def test_compare_on_sums_beyond_float64s_range_is_a_data_error(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(40, 3))
+    features[:, 0] = np.where(np.arange(40) % 2, 9e307, 1e308)
+    path = tmp_path / "huge.csv"
+    save_csv(Dataset(features=features, labels=rng.normal(size=40)), path)
+    argv = ["compare", "--input", str(path), "--label", "label", "--k", "2", "--seed", "1"]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def _role_config(tmp_path, consumer: str, timeout: float = 0.3) -> str:
     path = tmp_path / "role.json"
     endpoints = {"server": "127.0.0.1:1", "provider-1": "127.0.0.1:1",

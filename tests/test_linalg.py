@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -358,6 +360,23 @@ def test_gram_and_column_sums_at_the_overflow_edge(small_blocks, fsum_calls):
     assert fsum_columns(y, fsum_calls) == {1}
     perm = rng.permutation(40)
     assert same_bits(linalg.column_sums(y[perm]), linalg.column_sums(y))
+
+
+@pytest.mark.parametrize(
+    "call, x, named",
+    [
+        (linalg.column_sums, [[1e308], [1e308]], "the sum of column 0"),  # fsum overflows
+        (linalg.gram, [[1e154], [1e154]], "Gram entry (0, 0)"),  # fsum overflows
+        (linalg.gram, [[1e200, 1e200], [-1e200, 1e200]], "Gram entry (0, 0)"),
+        (linalg.gram, [[1e10, 1e300], [-1e10, 1e300]], "Gram entry (0, 1)"),  # inf - inf
+        (linalg.gram, [[1e308], [1e308]], "Gram entry (0, 0)"),  # infinite products
+    ],
+)
+def test_an_exact_sum_beyond_float64s_range_names_its_entry(call, x, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixValidationError, match=re.escape(named) + " leaves float64"):
+            call(x)
 
 
 def test_sums_round_once_to_nearest_even():

@@ -587,6 +587,27 @@ def test_a_session_where_every_provider_fails_names_the_first_each_time(transpor
         assert str(err.value).startswith("protocol aborted in phase 2: party 1: column sums")
 
 
+_BIG = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]]) * 1e200
+
+
+@pytest.mark.parametrize("cfg", [ss_cfg(k=1, seed=1), he_cfg(k=1, seed=1)], ids=["ss", "he"])
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        # Provider 1's column sum leaves float64's range: the sums round.
+        ([np.array([[1e308, 1.0], [1e308, 2.0], [0.0, 3.0]]), HAND_DATA[:2, :2]],
+         "phase 2: party 1: the sum of column 0 leaves"),
+        # Column sums of 0, but a Gram beyond float64's range: the covariance round.
+        ([_BIG, _BIG], "phase 6: party 1: Gram entry (0, 0) leaves"),
+    ],
+    ids=["sums", "gram"],
+)
+def test_a_providers_local_terms_fail_in_the_phase_of_their_round(cfg, data, reason):
+    with pytest.raises(ProtocolAbort) as err:
+        run_session(cfg, data)
+    assert str(err.value).startswith(f"protocol aborted in {reason}")
+
+
 # --- secure sums ------------------------------------------------------------------
 
 
