@@ -27,7 +27,8 @@ import sys
 
 import numpy as np
 
-from .datasets import Dataset, load_csv, partition_horizontal, standardize_features
+from .datasets import Dataset, load_csv, partition_horizontal, save_csv
+from .datasets import standardize_features, writing
 from .encoding import FixedPointConfig
 from .errors import (
     ConfigError,
@@ -227,11 +228,12 @@ def _load_dataset(args, config: dict) -> Dataset:
     return ds
 
 
-def _write_matrix_csv(path: str, matrix: np.ndarray, prefix: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"{prefix}{i + 1}" for i in range(matrix.shape[1])) + "\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def _save_matrix(path: str | None, matrix: np.ndarray, prefix: str, what: str):
+    """Write ``matrix`` as CSV, its columns named prefix1, prefix2, ..., if a path is given."""
+    if path:
+        names = [f"{prefix}{i + 1}" for i in range(matrix.shape[1])]
+        save_csv(Dataset(matrix, columns=names), path)
+        print(f"{what} written to {path}")
 
 
 def _cmd_simulate(args) -> int:
@@ -261,9 +263,7 @@ def _cmd_simulate(args) -> int:
                 f"  phase {msg.phase}: {msg.msg_type.name} "
                 f"{msg.sender} -> {msg.receiver} ({len(msg.payload)} bytes)"
             )
-    if args.out:
-        _write_matrix_csv(args.out, result.reduced, "pc")
-        print(f"reduced matrix written to {args.out}")
+    _save_matrix(args.out, result.reduced, "pc", "reduced matrix")
     return EXIT_OK
 
 
@@ -346,14 +346,10 @@ def _cmd_role(args) -> int:
 
     if args.role == "server":
         print(f"eigenvalues: {np.array2string(role.eigenvalues, precision=4)}")
-        if args.out:
-            _write_matrix_csv(args.out, role.transfer, "ev")
-            print(f"transfer matrix written to {args.out}")
+        _save_matrix(args.out, role.transfer, "ev", "transfer matrix")
     elif args.role == "consumer":
         print(f"received reduced matrix: {role.reduced.shape[0]} x {role.reduced.shape[1]}")
-        if args.out:
-            _write_matrix_csv(args.out, role.reduced, "pc")
-            print(f"reduced matrix written to {args.out}")
+        _save_matrix(args.out, role.reduced, "pc", "reduced matrix")
     else:
         print(f"provider {party} finished")
     return EXIT_OK
@@ -377,7 +373,7 @@ def _cmd_compare(args) -> int:
     )
     sys.stdout.write(render_report(reports))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with writing(args.out) as fh:
             fh.write(reports_to_csv(reports))
         print(f"report written to {args.out}")
     return EXIT_OK

@@ -10,7 +10,8 @@ available; the two are interchangeable for every check in this package.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +37,10 @@ class Dataset:
                     f"label count {self.labels.shape} does not match "
                     f"{self.features.shape[0]} rows"
                 )
+            finite = np.isfinite(self.labels)
+            if not finite.all():
+                row = int(np.argmin(finite))  # the first non-finite label
+                raise DataError(f"label of row {row} is {float(self.labels[row])}, not finite")
         if self.columns is not None and len(self.columns) != self.features.shape[1]:
             raise DataError(
                 f"{len(self.columns)} column names for "
@@ -52,12 +57,8 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
-            features=self.features[idx],
-            labels=None if self.labels is None else self.labels[idx],
-            columns=self.columns,
-            label_name=self.label_name,
-        )
+        labels = None if self.labels is None else self.labels[idx]
+        return replace(self, features=self.features[idx], labels=labels)
 
 
 def load_csv(
@@ -121,18 +122,29 @@ def load_csv(
     )
 
 
+@contextmanager
+def writing(path):
+    """``path`` opened to write text; an ``OSError`` on it is a ``DataError``."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def save_csv(ds: Dataset, path, delimiter: str = ","):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        names = ds.columns or [f"col{i}" for i in range(ds.cols)]
-        if ds.labels is not None:
-            writer.writerow(names + [ds.label_name or "label"])
-            for row, label in zip(ds.features, ds.labels):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
-        else:
-            writer.writerow(names)
-            for row in ds.features:
-                writer.writerow([repr(float(v)) for v in row])
+    """Write ``ds`` as ``load_csv`` reads it: a header of the column names
+    (``col0``, ``col1``, ... if unnamed), the label column last if there is
+    one, every value as ``repr(float)``, and LF line endings."""
+    names = ds.columns or [f"col{i}" for i in range(ds.cols)]
+    table = ds.features
+    if ds.labels is not None:
+        names = [*names, ds.label_name or "label"]
+        table = np.column_stack([table, ds.labels])
+    with writing(path) as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([repr(float(v)) for v in row] for row in table)
 
 
 def assign_providers(rows: int, parties: int, seed: int | None) -> np.ndarray:
@@ -248,9 +260,4 @@ def standardize_features(ds: Dataset) -> Dataset:
     if np.any(std == 0):
         dead = int(np.flatnonzero(std == 0)[0])
         raise DataError(f"cannot standardize constant column {dead}")
-    return Dataset(
-        features=ds.features / std,
-        labels=ds.labels,
-        columns=ds.columns,
-        label_name=ds.label_name,
-    )
+    return replace(ds, features=ds.features / std)

@@ -18,12 +18,12 @@ Methods:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
-from .datasets import Dataset, assign_providers
+from .datasets import Dataset, assign_providers, partition_horizontal
 from .errors import ConfigError, DataError
 from .messages import Transcript
 from .models import auc, rmse, train_linreg, train_logreg
@@ -52,17 +52,13 @@ class RunReport:
 def kfold_indices(
     rows: int, folds: int, seed: int | None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shuffled disjoint folds as (train, test) index pairs."""
+    """Shuffled disjoint folds as sorted (train, test) index pairs: fold i
+    tests the rows that ``assign_providers(rows, folds, seed)`` puts in
+    group i and trains on the rest."""
     if folds < 2 or folds > rows:
         raise ConfigError(f"folds must lie in [2, {rows}], got {folds}")
-    perm = np.random.default_rng(seed).permutation(rows)
-    chunks = np.array_split(perm, folds)
-    out = []
-    for i in range(folds):
-        test = np.sort(chunks[i])
-        train = np.sort(np.concatenate([chunks[j] for j in range(folds) if j != i]))
-        out.append((train, test))
-    return out
+    groups = assign_providers(rows, folds, seed)
+    return [(np.flatnonzero(groups != i), np.flatnonzero(groups == i)) for i in range(folds)]
 
 
 def infer_task(ds: Dataset) -> str:
@@ -98,8 +94,10 @@ def compare(
     ``seed`` fixes the provider assignment, the folds and each fold's
     session seed.  ``session`` holds any other :class:`SessionConfig` field
     (``key_bits``, ``allow_test_key``, ``fixed_point``, ``aggregator``,
-    ``timeout``), with ``SessionConfig``'s defaults for the rest; every
-    protocol method's config is built, and so checked, before the first fold.
+    ``timeout``), with ``SessionConfig``'s defaults for the rest.  One
+    ``SessionConfig`` of ``parties``, ``k``, ``seed`` and ``session`` checks
+    them all before the first fold, whatever the methods; each protocol
+    method's config is that one with its method, also built up front.
     """
     for m in methods:
         if m not in METHODS:
@@ -110,13 +108,9 @@ def compare(
     if task not in (TASK_REGRESSION, TASK_CLASSIFICATION):
         raise ConfigError(f"unknown task {task!r}")
     metric_name = "auc" if task == TASK_CLASSIFICATION else "rmse"
-    unknown = session.keys() - {f.name for f in fields(SessionConfig)}
-    if unknown:
-        raise TypeError(f"compare() got unknown session settings {sorted(unknown)}")
+    base = SessionConfig(method="ss", parties=parties, k=k, seed=seed, **session)
     configs = {
-        m: SessionConfig(method=m.removeprefix("pppca-"), parties=parties, k=k, **session)
-        for m in methods
-        if m.startswith("pppca-")
+        m: replace(base, method=m.removeprefix("pppca-")) for m in methods if m.startswith("pppca-")
     }
 
     assignment = assign_providers(ds.rows, parties, seed)
@@ -238,10 +232,9 @@ def bench(ds: Dataset, parties_list, **session) -> list[BenchResult]:
     """
     results = []
     for cfg in [SessionConfig(parties=p, **session) for p in parties_list]:
-        assignment = assign_providers(ds.rows, cfg.parties, cfg.seed)
-        data = [ds.features[assignment == q] for q in range(cfg.parties)]
+        parts = partition_horizontal(ds, cfg.parties, cfg.seed)
         started = time.perf_counter()
-        result = run_session(cfg, data)
+        result = run_session(cfg, [p.features for p in parts])
         elapsed = time.perf_counter() - started
         results.append(
             BenchResult(

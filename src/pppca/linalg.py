@@ -425,21 +425,24 @@ def jacobi_eigh(c, tol: float = DEFAULT_EIGH_TOL) -> EigenPairs:
         raise DimensionError(f"C must be square, got {a.shape[0]}x{a.shape[1]}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    norm = float(np.linalg.norm(a))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-9 * max(norm, 1.0):
+    # Norms of C / 2^(e-1), 2^e just above max |C|, cannot overflow; a power of two keeps bits.
+    scale = np.ldexp(1.0, 1 - np.frexp(np.max(np.abs(a)))[1])
+    scaled = a * scale
+    norm = float(np.linalg.norm(scaled))
+    asym = float(np.max(np.abs(scaled - scaled.T)))
+    if asym > 1e-9 * max(norm, scale):
         raise MatrixValidationError(
-            f"C is not symmetric: max |C - C^T| = {asym:g} exceeds 1e-9 relative"
+            f"C is not symmetric: max |C - C^T| = {asym / scale:g} exceeds 1e-9 relative"
         )
-    a = (a + a.T) / 2.0
+    a = a / 2.0 + a.T / 2.0
     v = np.linalg.eigh(a)[1]
     a = v.T @ a @ v
-    off = _off_diagonal_norm(a)
+    off = _off_diagonal_norm(a * scale)
     threshold = tol * norm
-    if off > threshold:
+    if not off <= threshold:  # True for NaN too
         raise ConvergenceError(
-            f"eigh left off-diagonal norm {off:g} above threshold {threshold:g}",
-            off_diagonal_norm=off,
+            f"eigh left off-diagonal norm {off / scale:g} above threshold {threshold / scale:g}",
+            off_diagonal_norm=off / scale,
         )
     values = a.diagonal().copy()
     order = np.argsort(-values, kind="stable")

@@ -429,6 +429,32 @@ def test_compare_on_sums_beyond_float64s_range_is_a_data_error(tmp_path, capsys)
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_a_non_finite_label_is_a_data_error(tmp_path, capsys):
+    rows = np.random.default_rng(4).normal(size=(12, 4)).round(3).astype(str)
+    for value in ("nan", "inf"):
+        rows[5, 3] = value
+        path = tmp_path / f"{value}.csv"
+        path.write_text("a,b,c,y\n" + "".join(",".join(row) + "\n" for row in rows))
+        argv = ["compare", "--input", str(path), "--label", "y", "--k", "2",
+                "--methods", "centralized,separate", "--folds", "3"]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: label of row 5 is {value}, not finite\n"
+
+
+def test_an_out_path_that_cannot_be_written_is_a_data_error(wine_csv, tmp_path, capsys):
+    out = str(tmp_path / "absent" / "out.csv")
+    config = _config(tmp_path, wine_csv, methods="centralized", folds=3)
+    for command in ("simulate", "compare"):
+        assert main([command, "--config", config, "--out", out]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: cannot write {out}: ")
+
+
+def test_compare_rejects_a_negative_seed_whatever_the_methods(wine_csv, capsys):
+    argv = ["compare", "--input", wine_csv, "--label", "quality", "--delimiter", ";", "--k", "2"]
+    assert main(argv + ["--methods", "centralized", "--seed", "-1"]) == EXIT_USAGE
+    assert "invalid configuration: seed must be non-negative" in capsys.readouterr().err
+
+
 def _role_config(tmp_path, consumer: str, timeout: float = 0.3) -> str:
     path = tmp_path / "role.json"
     endpoints = {"server": "127.0.0.1:1", "provider-1": "127.0.0.1:1",

@@ -77,6 +77,26 @@ def test_load_csv_no_header(tmp_path):
     assert ds.columns == ["col0", "col1"]
 
 
+def test_a_non_finite_label_is_a_data_error_naming_its_row():
+    features = np.arange(10.0).reshape(5, 2)
+    for value in (np.nan, np.inf, -np.inf):
+        labels = np.array([1.0, 0.0, 2.0, value, 1.0])
+        with pytest.raises(DataError, match=rf"^label of row 3 is {value}, not finite$"):
+            Dataset(features=features, labels=labels)
+
+
+def test_save_csv_writes_lf_lines_that_load_csv_reads_back(tmp_path):
+    ds = Dataset(features=[[0.1, -2.0], [3e-300, 4.5]], labels=[1.0, 0.0], columns=["a", "b,c"])
+    path = tmp_path / "t.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == b'a,"b,c",label\n0.1,-2.0,1.0\n3e-300,4.5,0.0\n'
+    back = load_csv(path, label_column="label")
+    assert np.array_equal(back.features, ds.features) and np.array_equal(back.labels, ds.labels)
+    assert back.columns == ["a", "b,c"]
+    with pytest.raises(DataError, match="^cannot write .*absent"):
+        save_csv(ds, tmp_path / "absent" / "t.csv")
+
+
 # --- partitioning -----------------------------------------------------------------
 
 
@@ -212,6 +232,10 @@ def test_kfold_disjoint_and_covering():
     for train, test in folds:
         assert set(train) | set(test) == set(range(23))
         assert set(train) & set(test) == set()
+    # Pinned: which rows each fold tests.
+    assert [test.tolist() for _, test in folds] == [
+        [1, 7, 12, 16, 21], [2, 15, 17, 20, 22], [3, 4, 5, 10, 11], [0, 8, 9, 14], [6, 13, 18, 19],
+    ]
 
 
 def test_compare_centralized_only_single_report():
@@ -266,6 +290,14 @@ def test_compare_report_determinism():
     b = compare(ds, parties=2, k=2, methods=["centralized", "pppca-ss"], seed=3)
     assert render_report(a) == render_report(b)
     assert reports_to_csv(a) == reports_to_csv(b)
+
+
+def test_compare_checks_every_session_setting_whatever_the_methods():
+    ds = make_wine_like(rows=40)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        compare(ds, parties=2, k=2, methods=["separate"], seed=-3)
+    with pytest.raises(ConfigError, match="need 2 to"):
+        compare(ds, parties=1, k=2, methods=["centralized"], seed=0)
 
 
 def test_compare_rejects_unknown_method():

@@ -531,6 +531,25 @@ def test_jacobi_zero_matrix():
     assert np.array_equal(pairs.values, np.zeros(3))
 
 
+def test_jacobi_on_entries_near_float64s_maximum_neither_overflows_nor_warns():
+    # Unscaled, ||C||_F and C + C^T overflow here, and a NaN residual must
+    # not pass the check.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = linalg.jacobi_eigh([[1e308, 0.0], [0.0, 1.0]])
+    assert pairs.values.tolist() == [1e308, 1.0]
+
+
+def test_pca_of_rows_near_the_root_of_float64s_maximum_matches_unit_rows():
+    # The covariance is near 1e306: the residual check's threshold must stay finite.
+    x = np.random.default_rng(5).normal(size=(30, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge, _ = linalg.centralized_pca(x * 2.0**508, 2)
+    unit, _ = linalg.centralized_pca(x, 2)
+    assert linalg.largest_principal_angle(huge, unit) < 1e-12
+
+
 # --- top_k_transfer ------------------------------------------------------------
 
 
