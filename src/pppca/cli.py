@@ -228,6 +228,14 @@ def _load_dataset(args, config: dict) -> Dataset:
     return ds
 
 
+def _check_out(path: str | None):
+    """Fail before any work if ``path`` is given and cannot be written.  It
+    is opened to append, so a file already there keeps its contents."""
+    if path:
+        with writing(path, "a"):
+            pass
+
+
 def _save_matrix(path: str | None, matrix: np.ndarray, prefix: str, what: str):
     """Write ``matrix`` as CSV, its columns named prefix1, prefix2, ..., if a path is given."""
     if path:
@@ -240,6 +248,7 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     cfg = SessionConfig(**_session_settings(args, config))
     ds = _load_dataset(args, config)
+    _check_out(args.out)
     parts = partition_horizontal(ds, cfg.parties, cfg.seed)
     result = run_session(cfg, [p.features for p in parts])
     violations = assert_privacy(result.transcript, cfg)
@@ -330,6 +339,8 @@ def _cmd_role(args) -> int:
     else:
         party = cfg.consumer
         role = ConsumerRole(cfg)
+    if args.role != "provider":  # a provider writes nothing
+        _check_out(args.out)
 
     listen = (
         _parse_endpoint(args.listen) if args.listen else endpoints[party]
@@ -364,6 +375,7 @@ def _cmd_compare(args) -> int:
     del settings["method"]  # compare runs every method it lists
     raw = _setting(args, config, "methods", "all")
     methods = list(METHODS) if raw == "all" else [m.strip() for m in raw.split(",")]
+    _check_out(args.out)
     reports = compare(
         ds,
         methods=methods,

@@ -123,10 +123,11 @@ def load_csv(
 
 
 @contextmanager
-def writing(path):
-    """``path`` opened to write text; an ``OSError`` on it is a ``DataError``."""
+def writing(path, mode: str = "w"):
+    """``path`` opened to write text (``mode`` "a" keeps what it holds); an
+    ``OSError`` on it is a ``DataError``."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open(path, mode, newline="", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc

@@ -10,15 +10,15 @@ transformations of matrix multiplication by using fast routines of matrix
 multiplication", Numer. Algorithms 2012), so that every slice product is
 exact in float64 under any BLAS blocking or thread count.  A screen of each
 column's largest |x| fixes where its slices start; each row block is cut
-until nothing is left, counting the slices every column needs; ``gram``
-forms a block's slice products in one BLAS call per slice, with slices as
-wide as the rows of one such call allow (a block holds at most 2^10 rows),
-and adds each block's exact products into int64 sums; and the exact terms of
-each entry are summed in int64 and rounded once, to nearest even, in the
-spirit of Rump, Ogita and Oishi's accurate summation (SIAM J. Sci. Comput.
-2008).  This makes ``centralized_pca`` bit-for-bit invariant under row
-permutations of its input, which the rest of the package relies on when
-comparing differently partitioned runs.
+until nothing is left; ``gram`` forms a block's slice products in one BLAS
+call per slice, with slices as wide as the rows of one such call allow (a
+block holds at most 2^10 rows), adds each block's exact products into int64
+sums and reads each column's slice count off its own sums of squares; and
+the exact terms of each entry are summed in int64 and rounded once, to
+nearest even, in the spirit of Rump, Ogita and Oishi's accurate summation
+(SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca`` bit-for-bit
+invariant under row permutations of its input, which the rest of the package
+relies on when comparing differently partitioned runs.
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ def column_sums(x) -> np.ndarray:
     n, d = a.shape
     log_n = (n - 1).bit_length()
     width = 53 - log_n
-    hi, counts, blocks = _slicing(a, width)
+    hi, ruled_out, blocks = _slicing(a, width)
     sums = np.zeros((_MAX_SLICES, d))
     for sliced in blocks:
         sums[: len(sliced)] += sliced.sum(axis=2)
-    fallback = (counts > _MAX_SLICES) | (hi + log_n > _MAX_EXP)
+    fallback = ruled_out | (hi + log_n > _MAX_EXP)
     cols = np.flatnonzero(~fallback)
     out = np.empty(d)
     out[cols] = _round(sums[:, cols].astype(np.int64), hi[cols] - width, width)
@@ -155,11 +155,12 @@ def gram(x) -> np.ndarray:
 
     - **Screen.** One pass over the rows takes each column's largest |x|
       (``_screen``).
-    - **Count while cutting.** Each row block is cut until nothing is left,
-      so it costs the slices its own entries need, and the slice count of
-      every column is exact by the last block (``_slicing``).
+    - **Cut.** Each row block is cut until nothing is left, so it costs the
+      slices its own entries need (``_slicing``).
     - **One product per slice.** S_0 .. S_q of a block, stacked, meet S_q in
       one BLAS call, which covers every pair k <= q (``_pair_products``).
+    - **Counts from the products.** Column t's slice count is one more than
+      the last k for which (S_k S_k^T)[t, t], a sum of squares, is nonzero.
     - **One rounding.** The products of each entry are summed in int64 by
       k + q and rounded once (``_group_pairs``, ``_round``).
 
@@ -179,12 +180,15 @@ def gram(x) -> np.ndarray:
     n, d = a.shape
     log_n = (n - 1).bit_length()
     width = min(53 - min(log_n, _LOG_BLOCK_ROWS), 57 - log_n) // 2
-    hi, counts, blocks = _slicing(a, width)
+    hi, ruled_out, blocks = _slicing(a, width)
     pairs = _pair_products(blocks, d)
-    sliceable = counts <= _MAX_SLICES
-    lowest = hi - counts * width  # the unit of each column's last slice
+    # Column t's slices end at the last k with (S_k S_k^T)[t, t] > 0.
+    k = np.arange(math.isqrt(2 * len(pairs)))
+    used = pairs.diagonal(axis1=1, axis2=2)[k * (k + 3) // 2] != 0
+    lowest = hi - width * ((k + 1)[:, None] * used).max(axis=0, initial=0)  # last slice's unit
     fallback = (
-        ~(sliceable[:, None] & sliceable)
+        ruled_out[:, None]
+        | ruled_out
         | (lowest[:, None] + lowest < _MIN_EXP)
         | (hi[:, None] + hi + log_n > _MAX_EXP)
     )
@@ -247,27 +251,28 @@ def _screen(a: np.ndarray) -> np.ndarray:
 
 def _slicing(a: np.ndarray, width: int):
     """The columns of ``a`` cut into ``width``-bit slices, as
-    ``(hi, counts, blocks)``.
+    ``(hi, ruled_out, blocks)``.
 
     Every entry of column t is below 2^hi[t] in magnitude.  ``blocks``
     yields the row blocks of ``a``, each cut into integer-valued slices
-    until nothing is left: an array s of shape (c, d, rows) with
+    until the whole block is zero: an array s of shape (c, d, rows) with
     ``block[:, t] == sum_k s[k, t] * 2**(hi[t] - (k + 1) * width)`` exactly
     and every |s| below 2^width.  Each array is overwritten by the next, in
-    a buffer that grows by a block's room whenever a cut needs a slice more.
-    Once ``blocks`` is exhausted, ``counts[t]`` is the number of slices
-    column t needs, or ``_MAX_SLICES + 1`` if that is more than
-    ``_MAX_SLICES``; such a column's slices mean nothing.  Only the cutting
-    sets ``counts``.  It rules a column out when a block still holds part of
-    it after ``_MAX_SLICES`` slices, or when scaling by 2^-hi[t] rounds one
-    of its entries below float64's normal range, and so out of the cut.
+    one buffer with room for ``_MAX_SLICES`` slices of a block.  Once
+    ``blocks`` is exhausted, ``ruled_out[t]`` is set if some block still
+    held part of column t after ``_MAX_SLICES`` slices, or if scaling by
+    2^-hi[t] rounded one of its entries below float64's normal range, and so
+    out of the cut; such a column's slices mean nothing.
     """
     hi = _screen(a)
-    counts = np.zeros(a.shape[1], dtype=np.int64)
+    ruled_out = np.zeros(a.shape[1], dtype=bool)
 
     def blocks():
         size = min(a.size, max(_BLOCK_ENTRIES, a.shape[1]))
-        rests, outs = np.empty(size), np.empty(0)
+        rests = np.empty(size)
+        # BLAS reads slices on a 64-byte boundary about a quarter faster.
+        outs = np.empty(_MAX_SLICES * size + 7)
+        outs = outs[-outs.ctypes.data // 8 % 8 :][: _MAX_SLICES * size]
         for block in _row_blocks(a):
             rest = rests[: block.size].reshape(block.shape[::-1])
             try:
@@ -275,30 +280,21 @@ def _slicing(a: np.ndarray, width: int):
                     np.ldexp(block.T, -hi[:, None], out=rest)
             except FloatingPointError:  # numpy raises after writing all of rest
                 # Rule out the columns with an entry that did not survive it.
-                counts[(np.ldexp(rest, hi[:, None]) != block.T).any(axis=1)] = _MAX_SLICES + 1
-            rest[counts > _MAX_SLICES] = 0.0
-            live = rest.any(axis=1)
+                ruled_out[(np.ldexp(rest, hi[:, None]) != block.T).any(axis=1)] = True
+            rest[ruled_out] = 0.0
             count = 0
-            while live.any():
+            while rest.any():
                 if count == _MAX_SLICES:
-                    counts[live] = _MAX_SLICES + 1
+                    ruled_out[rest.any(axis=1)] = True
                     break
-                if (count + 1) * block.size > len(outs):
-                    # BLAS reads slices on a 64-byte boundary about a quarter faster.
-                    grown = np.empty(len(outs) + size + 7)
-                    grown = grown[-grown.ctypes.data // 8 % 8 :][: len(outs) + size]
-                    grown[: count * block.size] = outs[: count * block.size]
-                    outs = grown
                 rest *= 2.0**width
                 out = outs[count * block.size : (count + 1) * block.size].reshape(rest.shape)
                 np.trunc(rest, out=out)
                 rest -= out
                 count += 1
-                np.maximum(counts, count * live, out=counts)
-                live = rest.any(axis=1)
             yield outs[: count * block.size].reshape((count,) + rest.shape)
 
-    return hi, counts, blocks()
+    return hi, ruled_out, blocks()
 
 
 def _pair_products(blocks, d: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from pppca import cli
 from pppca.cli import EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main
 from pppca.datasets import Dataset, load_csv, make_wine_like, save_csv
 from pppca.messages import MsgType, ProtocolMessage, encode_real_matrix, make_step, serialize
@@ -441,11 +442,24 @@ def test_a_non_finite_label_is_a_data_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"data error: label of row 5 is {value}, not finite\n"
 
 
-def test_an_out_path_that_cannot_be_written_is_a_data_error(wine_csv, tmp_path, capsys):
+def test_an_out_path_that_cannot_be_written_is_a_data_error(
+    wine_csv, tmp_path, capsys, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the --out path was checked")
+
+    for name in ("run_session", "compare", "TcpEndpoint"):
+        monkeypatch.setattr(cli, name, no_work)
     out = str(tmp_path / "absent" / "out.csv")
     config = _config(tmp_path, wine_csv, methods="centralized", folds=3)
-    for command in ("simulate", "compare"):
-        assert main([command, "--config", config, "--out", out]) == EXIT_DATA
+    role_config = _role_config(tmp_path, f"127.0.0.1:{_free_port()}")
+    for argv in (
+        ["simulate", "--config", config],
+        ["compare", "--config", config],
+        ["role", "--role", "server", "--config", role_config],
+        ["role", "--role", "consumer", "--config", role_config],
+    ):
+        assert main([*argv, "--out", out]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: cannot write {out}: ")
 
 

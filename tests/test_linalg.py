@@ -313,6 +313,35 @@ def test_gram_and_column_sums_are_exact_across_row_blocks(small_blocks):
     assert_row_permutation_invariant(x, rng)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    block_rows=st.integers(1, 8),
+    grids=st.lists(st.one_of(st.none(), st.integers(-8, 70)), min_size=2, max_size=6),
+    short=st.integers(0, 7),
+    cols=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_scales=st.lists(st.floats(-12.0, 12.0), min_size=4, max_size=4),
+)
+def test_gram_and_column_sums_are_exact_across_row_blocks_property(
+    block_rows, grids, short, cols, seed, log_scales
+):
+    # One block of block_rows rows per grid, the last up to ``short`` rows
+    # shorter.  Each block's rows are rounded to a multiple of 2^-grid (or
+    # kept whole for None), so a column needs a different number of slices
+    # in each block, and its deepest slice may fall in any of them.
+    rng = np.random.default_rng(seed)
+    rows = max(len(grids) * block_rows - short, (len(grids) - 1) * block_rows + 1)
+    x = rng.normal(size=(rows, cols)) * 10.0 ** np.array(log_scales[:cols])
+    for b, grid in enumerate(grids):
+        if grid is not None:
+            block = x[b * block_rows : (b + 1) * block_rows]
+            block[:] = np.round(block * 2.0**grid) / 2.0**grid
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_BLOCK_ENTRIES", block_rows * cols)
+        assert_exact(x)
+        assert_row_permutation_invariant(x, rng)
+
+
 def test_gram_slice_budget_edges(small_blocks, fsum_calls):
     # 40 rows give slices of 23 bits, so in a column whose largest entry is
     # 2^60 eight slices reach down to 2^(61 - 184).  Column 0 ends exactly
