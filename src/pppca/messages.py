@@ -1,34 +1,43 @@
 """Typed protocol messages, their binary wire format, and transcripts.
 
-Wire format (all integers big-endian):
+Every integer on the wire is unsigned and big-endian.  A frame is:
 
-    magic   4 bytes  b"PPCA"
-    version 1 byte   0x01
-    type    1 byte   message type enum
-    sender  2 bytes  party index
-    receiver 2 bytes party index
-    step    4 bytes  (protocol phase << 16) | receiver
-    length  4 bytes  payload byte count, capped at 256 MiB
+    magic    4 bytes  b"PPCA"
+    version  1 byte   0x01
+    type     1 byte   message type enum
+    sender   2 bytes  party index
+    receiver 2 bytes  party index
+    step     4 bytes  (protocol phase << 16) | receiver
+    length   4 bytes  payload byte count, capped at 256 MiB
     payload
-
-Matrix payloads carry rows (4 bytes) and cols (4 bytes) followed by entries
-in row-major order: real entries as IEEE-754 binary64, ring entries as
-16-byte unsigned values (covering ring widths up to 128 bits), which are
-the [hi, lo] limbs of a ring matrix (:mod:`pppca.ring`) in big-endian
-order, so each codec is one numpy conversion.  A share payload starts with
-owner (2 bytes), l (2 bytes) and the secret id (2-byte length, then UTF-8)
-before that shape.  Its form follows from the message type:
-``LOCAL_SHARE_SUM`` carries the entries, and ``SHARE_BUNDLE`` carries the
-32-byte seed they expand from (:class:`pppca.sharing.SeededShare`), which
-the receiver expands only if the entries would fit the payload cap.  Encrypted
-matrices carry the same header, the matrix's shape, followed by the
-ceil(rows * cols / s) ciphertexts its entries pack into, s to a plaintext
-(see :mod:`pppca.paillier`), each as a fixed-width unsigned value of
-ceil(bitlen(n^2) / 8) bytes for the session key's modulus n.
 
 The step field packs the protocol phase in its upper 16 bits; the receiver
 index in the lower 16 bits makes steps unique and strictly increasing per
 sender when each phase sends to receivers in index order.
+
+Payloads, by message type, where a shape is rows (4 bytes) then cols
+(4 bytes), neither zero, and entries follow it in row-major order:
+
+    SAMPLE_COUNT      the count (8 bytes)
+    PUBLIC_KEY        the byte length of n (4 bytes), then n's minimal
+                      big-endian magnitude (at least one byte)
+    PLAIN_MEAN, TRANSFER_MATRIX, REDUCED_ROWS
+                      shape, then IEEE-754 binary64 entries
+    ENCRYPTED_*       shape, then the ceil(rows * cols / s) ciphertexts the
+                      entries pack into, s to a plaintext (see
+                      :mod:`pppca.paillier`), each ceil(bitlen(n^2) / 8)
+                      bytes for the session key's modulus n
+    LOCAL_SHARE_SUM   share header, then 16-byte entries: the [hi, lo] limbs
+                      of a ring matrix (:mod:`pppca.ring`), which cover ring
+                      widths up to 128 bits
+    SHARE_BUNDLE      share header, then the 32-byte seed the entries expand
+                      from (:class:`pppca.sharing.SeededShare`)
+
+A share header is owner (2 bytes), the ring width l (2 bytes, in [1, 128]),
+the secret id's length (2 bytes) and its UTF-8 bytes, then the shape.
+Entries cross in one numpy conversion, ciphertexts one Python int each, and
+each decoder takes exactly the bytes its layout names.  The receiver of a
+seed expands it only if the entries would fit the payload cap.
 """
 
 from __future__ import annotations
@@ -48,6 +57,10 @@ MAGIC = b"PPCA"
 VERSION = 1
 MAX_PAYLOAD = 256 * 1024 * 1024
 _HEADER = struct.Struct(">4sBBHHII")
+_SHAPE = struct.Struct(">II")  # rows, cols
+_SHARE_HEAD = struct.Struct(">HHH")  # owner, l, secret id length
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 RING_ELEMENT_BYTES = 16
 
 
@@ -95,23 +108,20 @@ def serialize(msg: ProtocolMessage) -> bytes:
 def frame_header(msg: ProtocolMessage) -> bytes:
     """The header that precedes ``msg.payload`` on the wire."""
     if len(msg.payload) > MAX_PAYLOAD:
-        raise FrameFormatError(
-            f"payload of {len(msg.payload)} bytes exceeds the 256 MiB cap"
-        )
-    for name, value, bits in (
-        ("sender", msg.sender, 16), ("receiver", msg.receiver, 16), ("step", msg.step, 32)
-    ):
-        if not 0 <= value < 1 << bits:
-            raise FrameFormatError(f"{name} {value} does not fit the header's {bits}-bit field")
-    return _HEADER.pack(
-        MAGIC,
-        VERSION,
-        int(msg.msg_type),
-        msg.sender,
-        msg.receiver,
-        msg.step,
-        len(msg.payload),
+        raise FrameFormatError(f"payload of {len(msg.payload)} bytes exceeds the 256 MiB cap")
+    _check_fields(
+        "header", ("sender", msg.sender, 16), ("receiver", msg.receiver, 16), ("step", msg.step, 32)
     )
+    return _HEADER.pack(
+        MAGIC, VERSION, int(msg.msg_type), msg.sender, msg.receiver, msg.step, len(msg.payload)
+    )
+
+
+def _check_fields(where: str, *fields: tuple[str, int, int]):
+    """Each (name, value, bits) must fit its unsigned field of ``where``."""
+    for name, value, bits in fields:
+        if not 0 <= value < 1 << bits:
+            raise FrameFormatError(f"{name} {value} does not fit the {where}'s {bits}-bit field")
 
 
 def parse_header(header: bytes) -> tuple[MsgType, int, int, int, int]:
@@ -166,38 +176,27 @@ def header_size() -> int:
 
 def _pack_bigint(v: int) -> bytes:
     raw = v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
-    return struct.pack(">I", len(raw)) + raw
+    return _U32.pack(len(raw)) + raw
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _unpack(layout: struct.Struct, payload: bytes, at: int = 0) -> tuple:
+    if len(payload) < at + layout.size:
+        raise FrameFormatError("payload ended early")
+    return layout.unpack_from(payload, at)
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FrameFormatError("payload ended early")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
 
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+def _shape(payload: bytes, at: int, what: str) -> tuple[int, int]:
+    """The (rows, cols) at offset ``at``; neither may be zero."""
+    rows, cols = _unpack(_SHAPE, payload, at)
+    if rows == 0 or cols == 0:
+        raise FrameFormatError(f"{what} {rows}x{cols} has no entries")
+    return rows, cols
 
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def bigint(self) -> int:
-        return int.from_bytes(self.take(self.u32()), "big")
-
-    def done(self):
-        if self.pos != len(self.data):
-            raise FrameFormatError(
-                f"{len(self.data) - self.pos} unconsumed payload bytes"
-            )
+def _fits(payload: bytes, size: int, what: str):
+    """The payload must be exactly the ``size`` bytes its layout names."""
+    if len(payload) != size:
+        raise FrameFormatError(f"{what} takes {size} bytes, not the payload's {len(payload)}")
 
 
 def encode_public_key(pk: PublicKey) -> bytes:
@@ -205,9 +204,9 @@ def encode_public_key(pk: PublicKey) -> bytes:
 
 
 def decode_public_key(payload: bytes) -> PublicKey:
-    r = _Reader(payload)
-    n = r.bigint()
-    r.done()
+    (size,) = _unpack(_U32, payload)
+    _fits(payload, _U32.size + size, f"public key of {size} bytes")
+    n = int.from_bytes(payload[_U32.size :], "big")
     if n < 3 or n % 2 == 0:
         raise FrameFormatError("public key modulus is not an odd integer above 1")
     return PublicKey.from_modulus(n)
@@ -215,24 +214,16 @@ def decode_public_key(payload: bytes) -> PublicKey:
 
 def encode_real_matrix(x) -> bytes:
     a = np.atleast_2d(np.asarray(x, dtype=float))
-    rows, cols = a.shape
-    return b"".join((struct.pack(">II", rows, cols), a.astype(">f8", order="C")))
+    return b"".join((_SHAPE.pack(*a.shape), a.astype(">f8", order="C")))
 
 
 def decode_real_matrix(payload: bytes) -> np.ndarray:
     """A read-only big-endian view of the payload.  Its callers convert it:
     the consumer all providers' rows at once, in ``np.concatenate``, and the
     provider the mean and transfer matrix, in ``linalg``'s checks."""
-    if len(payload) < 8:
-        raise FrameFormatError("payload ended early")
-    rows, cols = struct.unpack_from(">II", payload)
-    if rows == 0 or cols == 0:
-        raise FrameFormatError(f"real matrix {rows}x{cols} has no entries")
-    if rows * cols * 8 != len(payload) - 8:
-        raise FrameFormatError(
-            f"real matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
-        )
-    return np.frombuffer(payload, ">f8", count=rows * cols, offset=8).reshape(rows, cols)
+    rows, cols = _shape(payload, 0, "real matrix")
+    _fits(payload, _SHAPE.size + rows * cols * 8, f"real matrix {rows}x{cols}")
+    return np.frombuffer(payload, ">f8", offset=_SHAPE.size).reshape(rows, cols)
 
 
 def _cipher_bytes(pk: PublicKey) -> int:
@@ -240,31 +231,23 @@ def _cipher_bytes(pk: PublicKey) -> int:
 
 
 def encode_encrypted_matrix(matrix: EncryptedMatrix) -> bytes:
-    rows, cols = matrix.shape
     width = _cipher_bytes(matrix.ciphers[0].public_key)
     cells = (c.value.to_bytes(width, "big") for c in matrix.ciphers)
-    return struct.pack(">II", rows, cols) + b"".join(cells)
+    return _SHAPE.pack(*matrix.shape) + b"".join(cells)
 
 
 def decode_encrypted_matrix(payload: bytes, pk: PublicKey, slot_bits: int) -> EncryptedMatrix:
     """The header gives the matrix shape; the ciphertext count must be the
     one that shape packs into at ``slot_bits`` bits per slot."""
-    if len(payload) < 8:
-        raise FrameFormatError("payload ended early")
-    rows, cols = struct.unpack_from(">II", payload)
+    rows, cols = _shape(payload, 0, "encrypted matrix")
     width = _cipher_bytes(pk)
-    if rows == 0 or cols == 0:
-        raise FrameFormatError(f"encrypted matrix {rows}x{cols} has no entries")
     count = -(-rows * cols // slot_count(pk, slot_bits))
-    if count * width != len(payload) - 8:
-        raise FrameFormatError(
-            f"encrypted matrix {rows}x{cols} packs into {count} ciphertexts of "
-            f"{width} bytes, which do not fit a {len(payload)}-byte payload"
-        )
+    what = f"encrypted matrix {rows}x{cols} in {count} ciphertexts of {width} bytes"
+    _fits(payload, _SHAPE.size + count * width, what)
     try:  # each value outside [0, n^2) or not a unit raises
         cells = tuple(
             Ciphertext(int.from_bytes(payload[at : at + width], "big"), pk)
-            for at in range(8, len(payload), width)
+            for at in range(_SHAPE.size, len(payload), width)
         )
     except ValueError as exc:
         raise FrameFormatError(f"malformed ciphertext: {exc}") from exc
@@ -273,21 +256,24 @@ def decode_encrypted_matrix(payload: bytes, pk: PublicKey, slot_bits: int) -> En
 
 def _share_header(m: ShareMatrix) -> bytes:
     sid = m.secret_id.encode()
-    rows, cols = m.shape
-    return struct.pack(">HHH", m.owner, m.l, len(sid)) + sid + struct.pack(">II", rows, cols)
+    _check_fields(
+        "share header", ("owner", m.owner, 16), ("l", m.l, 16), ("secret id length", len(sid), 16)
+    )
+    return _SHARE_HEAD.pack(m.owner, m.l, len(sid)) + sid + _SHAPE.pack(*m.shape)
 
 
-def _read_share_header(payload: bytes) -> tuple[_Reader, int, int, bytes, int, int]:
-    """The reader past the header, and owner, l, raw secret id, rows, cols."""
-    r = _Reader(payload)
-    owner, l = r.u16(), r.u16()
-    raw_sid = r.take(r.u16())
-    rows, cols = r.u32(), r.u32()
+def _read_share_header(payload: bytes, what: str) -> tuple[int, int, str, tuple[int, int], int]:
+    """Owner, l, secret id, shape, and the offset past the header."""
+    owner, l, size = _unpack(_SHARE_HEAD, payload)
+    at = _SHARE_HEAD.size + size
+    shape = _shape(payload, at, what)
     if not 1 <= l <= 8 * RING_ELEMENT_BYTES:
-        raise FrameFormatError(f"share matrix ring width {l} outside [1, 128]")
-    if rows == 0 or cols == 0:
-        raise FrameFormatError(f"share matrix {rows}x{cols} has no entries")
-    return r, owner, l, raw_sid, rows, cols
+        raise FrameFormatError(f"{what} ring width {l} outside [1, 128]")
+    try:
+        secret_id = payload[_SHARE_HEAD.size : at].decode()
+    except UnicodeDecodeError as exc:
+        raise FrameFormatError(f"malformed {what}: {exc}") from exc
+    return owner, l, secret_id, shape, at + _SHAPE.size
 
 
 def encode_share_matrix(m: ShareMatrix) -> bytes:
@@ -295,15 +281,12 @@ def encode_share_matrix(m: ShareMatrix) -> bytes:
 
 
 def decode_share_matrix(payload: bytes) -> ShareMatrix:
-    r, owner, l, raw_sid, rows, cols = _read_share_header(payload)
-    if rows * cols * RING_ELEMENT_BYTES != len(payload) - r.pos:
-        raise FrameFormatError(
-            f"share matrix {rows}x{cols} does not fit a {len(payload)}-byte payload"
-        )
-    values = np.frombuffer(payload, ">u8", offset=r.pos).reshape(rows, cols, 2)
+    owner, l, secret_id, (rows, cols), at = _read_share_header(payload, "share matrix")
+    _fits(payload, at + rows * cols * RING_ELEMENT_BYTES, f"share matrix {rows}x{cols}")
+    values = np.frombuffer(payload, ">u8", offset=at).reshape(rows, cols, 2)
     try:
-        return ShareMatrix(values, owner, raw_sid.decode(), l)
-    except ValueError as exc:  # a value outside [0, 2^l), or a bad secret id
+        return ShareMatrix(values, owner, secret_id, l)
+    except ValueError as exc:  # a value outside [0, 2^l)
         raise FrameFormatError(f"malformed share matrix: {exc}") from exc
 
 
@@ -314,29 +297,20 @@ def encode_seed_share(m: SeededShare) -> bytes:
 def decode_seed_share(payload: bytes) -> SeededShare:
     """A seed-form share, expanded; one whose entries would not fit the
     payload cap in full form is refused before anything is allocated."""
-    r, owner, l, raw_sid, rows, cols = _read_share_header(payload)
+    owner, l, secret_id, (rows, cols), at = _read_share_header(payload, "seeded share")
     if rows * cols * RING_ELEMENT_BYTES > MAX_PAYLOAD:
-        raise FrameFormatError(
-            f"seeded share {rows}x{cols} expands past the 256 MiB payload cap"
-        )
-    seed = r.take(SEED_BYTES)
-    r.done()
-    try:
-        secret_id = raw_sid.decode()
-    except UnicodeDecodeError as exc:
-        raise FrameFormatError(f"malformed seeded share: {exc}") from exc
-    return SeededShare(seed, owner, secret_id, l, (rows, cols))
+        raise FrameFormatError(f"seeded share {rows}x{cols} expands past the 256 MiB payload cap")
+    _fits(payload, at + SEED_BYTES, "seeded share")
+    return SeededShare(payload[at:], owner, secret_id, l, (rows, cols))
 
 
 def encode_sample_count(n: int) -> bytes:
-    return struct.pack(">Q", n)
+    return _U64.pack(n)
 
 
 def decode_sample_count(payload: bytes) -> int:
-    r = _Reader(payload)
-    n = r.u64()
-    r.done()
-    return n
+    _fits(payload, _U64.size, "sample count")
+    return _U64.unpack(payload)[0]
 
 
 # --- transcript -----------------------------------------------------------

@@ -34,7 +34,7 @@ from pppca.messages import (
     serialize,
 )
 from pppca.ring import from_ints, to_ints
-from pppca.sharing import CounterPRG, share_matrix
+from pppca.sharing import CounterPRG, SeededShare, share_matrix
 from pppca.transport import SimulatedNetwork, TcpEndpoint, TcpNetwork
 
 
@@ -187,8 +187,31 @@ def test_public_key_and_share_matrix_round_trip(test_keypair):
     assert back == bundle
 
 
+def test_public_key_golden_bytes():
+    # The modulus's byte count as >I, then its minimal big-endian magnitude.
+    for n, hex_payload in (
+        (15, "00000001" "0f"),
+        (257, "00000002" "0101"),
+        (2**61 - 1, "00000008" "1fffffffffffffff"),
+    ):
+        payload = encode_public_key(paillier.PublicKey.from_modulus(n))
+        assert payload == bytes.fromhex(hex_payload)
+        assert decode_public_key(payload).n == n
+
+
 def test_sample_count_round_trip():
     assert decode_sample_count(encode_sample_count(123456789)) == 123456789
+
+
+def test_sample_count_golden_bytes():
+    # One >Q: eight bytes, big-endian.
+    for n, hex_payload in (
+        (0, "0000000000000000"),
+        (123456789, "00000000075bcd15"),
+        (2**64 - 1, "ffffffffffffffff"),
+    ):
+        assert encode_sample_count(n) == bytes.fromhex(hex_payload)
+        assert decode_sample_count(bytes.fromhex(hex_payload)) == n
 
 
 def test_serialization_injective_over_random_messages(test_keypair):
@@ -263,6 +286,19 @@ def test_share_matrix_golden_bytes():
 def test_malformed_share_matrix_raises_frame_format_error(payload):
     with pytest.raises(FrameFormatError):
         decode_share_matrix(payload)
+
+
+@pytest.mark.parametrize("field", ["owner", "l", "secret id length"])
+def test_a_share_header_field_past_16_bits_is_a_frame_format_error_naming_it(field):
+    sid = "x" * 70000 if field == "secret id length" else "s"
+    seeded, full = share_matrix(from_ints([[1]]), 2, 64, CounterPRG(1), secret_id=sid)
+    if field != "secret id length":
+        for share in (seeded, full):
+            share.__dict__[field] = 1 << 16
+    assert isinstance(seeded, SeededShare) and not isinstance(full, SeededShare)
+    for encode, share in ((encode_share_matrix, full), (encode_seed_share, seeded)):
+        with pytest.raises(FrameFormatError, match=f"^{field} .* 16-bit field"):
+            encode(share)
 
 
 def _seed_payload(owner, l, sid: bytes, rows, cols, seed: bytes) -> bytes:
@@ -366,6 +402,17 @@ _DECODERS = {
         serialize(_msg(MsgType.SAMPLE_COUNT, 1, 0, 0, encode_sample_count(9))),
     ),
 }
+
+
+@pytest.mark.parametrize("name", sorted(_DECODERS))
+def test_decoders_take_exactly_the_bytes_of_their_layout(name):
+    decode, valid = _DECODERS[name]
+    decode(valid)
+    for cut in range(len(valid)):
+        with pytest.raises(FrameFormatError):
+            decode(valid[:cut])
+    with pytest.raises(FrameFormatError):
+        decode(valid + b"\x00")
 
 
 def _spliced(valid: bytes):
