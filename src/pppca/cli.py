@@ -13,10 +13,11 @@ object of ``l`` and ``f``) are config-only.  A config may also carry the
 other flags by their long names, and a role's ``endpoints``; a key that no
 subcommand reads is a data error.  Flags override config values, and
 ``SessionConfig`` supplies every default.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 protocol error.  In ``role`` mode every error raised
-once the role runs is a protocol error that names its phase and the party,
-as ``protocol aborted in phase N: party P: ...``; a malformed payload also
-names its message type and sender.
+error, 2 data error, 3 protocol error.  ``role`` mode refuses ``standardize``,
+which would scale each provider's rows by its own deviations.  In ``role``
+mode every error raised once the role runs is a protocol error that names
+its phase and the party, as ``protocol aborted in phase N: party P: ...``; a
+malformed payload also names its message type and sender.
 """
 
 from __future__ import annotations
@@ -316,6 +317,9 @@ def _cmd_role(args) -> int:
     config = _load_config(args.config)
     if not config:
         raise _UsageError("role mode needs --config with an 'endpoints' map")
+    if _setting(args, config, "standardize", False):
+        raise _UsageError("role mode cannot standardize: each provider would scale its rows "
+                          "by its own standard deviations, not the joint data's")
     cfg = SessionConfig(**_session_settings(args, config))
     for override in args.connect:
         name, _, address = override.partition("=")

@@ -36,8 +36,8 @@ Payloads, by message type, where a shape is rows (4 bytes) then cols
 A share header is owner (2 bytes), the ring width l (2 bytes, in [1, 128]),
 the secret id's length (2 bytes) and its UTF-8 bytes, then the shape.
 Entries cross in one numpy conversion, ciphertexts one Python int each, and
-each decoder takes exactly the bytes its layout names.  The receiver of a
-seed expands it only if the entries would fit the payload cap.
+each decoder takes exactly the bytes its layout names.  A matrix decoder
+refuses a shape other than the one its receiver expects before it allocates.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ def make_step(phase: int, receiver: int) -> int:
     return (phase << 16) | receiver
 
 
-def phase_of(step: int) -> int:
-    return step >> 16
-
-
 @dataclass(frozen=True)
 class ProtocolMessage:
     msg_type: MsgType
@@ -98,7 +94,7 @@ class ProtocolMessage:
 
     @property
     def phase(self) -> int:
-        return phase_of(self.step)
+        return self.step >> 16
 
 
 def serialize(msg: ProtocolMessage) -> bytes:
@@ -185,11 +181,15 @@ def _unpack(layout: struct.Struct, payload: bytes, at: int = 0) -> tuple:
     return layout.unpack_from(payload, at)
 
 
-def _shape(payload: bytes, at: int, what: str) -> tuple[int, int]:
-    """The (rows, cols) at offset ``at``; neither may be zero."""
+def _shape(payload: bytes, at: int, what: str, expected=None) -> tuple[int, int]:
+    """The (rows, cols) at offset ``at``; neither may be zero, and each must
+    be ``expected``'s, if given, where that is not None."""
     rows, cols = _unpack(_SHAPE, payload, at)
     if rows == 0 or cols == 0:
         raise FrameFormatError(f"{what} {rows}x{cols} has no entries")
+    if expected is not None and any(e not in (None, got) for e, got in zip(expected, (rows, cols))):
+        want = "x".join("*" if e is None else str(e) for e in expected)
+        raise FrameFormatError(f"{what} {rows}x{cols} is not the expected {want}")
     return rows, cols
 
 
@@ -217,11 +217,11 @@ def encode_real_matrix(x) -> bytes:
     return b"".join((_SHAPE.pack(*a.shape), a.astype(">f8", order="C")))
 
 
-def decode_real_matrix(payload: bytes) -> np.ndarray:
+def decode_real_matrix(payload: bytes, shape=None) -> np.ndarray:
     """A read-only big-endian view of the payload.  Its callers convert it:
     the consumer all providers' rows at once, in ``np.concatenate``, and the
     provider the mean and transfer matrix, in ``linalg``'s checks."""
-    rows, cols = _shape(payload, 0, "real matrix")
+    rows, cols = _shape(payload, 0, "real matrix", shape)
     _fits(payload, _SHAPE.size + rows * cols * 8, f"real matrix {rows}x{cols}")
     return np.frombuffer(payload, ">f8", offset=_SHAPE.size).reshape(rows, cols)
 
@@ -236,10 +236,10 @@ def encode_encrypted_matrix(matrix: EncryptedMatrix) -> bytes:
     return _SHAPE.pack(*matrix.shape) + b"".join(cells)
 
 
-def decode_encrypted_matrix(payload: bytes, pk: PublicKey, slot_bits: int) -> EncryptedMatrix:
+def decode_encrypted_matrix(payload, pk: PublicKey, slot_bits: int, shape=None) -> EncryptedMatrix:
     """The header gives the matrix shape; the ciphertext count must be the
     one that shape packs into at ``slot_bits`` bits per slot."""
-    rows, cols = _shape(payload, 0, "encrypted matrix")
+    rows, cols = _shape(payload, 0, "encrypted matrix", shape)
     width = _cipher_bytes(pk)
     count = -(-rows * cols // slot_count(pk, slot_bits))
     what = f"encrypted matrix {rows}x{cols} in {count} ciphertexts of {width} bytes"
@@ -262,11 +262,12 @@ def _share_header(m: ShareMatrix) -> bytes:
     return _SHARE_HEAD.pack(m.owner, m.l, len(sid)) + sid + _SHAPE.pack(*m.shape)
 
 
-def _read_share_header(payload: bytes, what: str) -> tuple[int, int, str, tuple[int, int], int]:
-    """Owner, l, secret id, shape, and the offset past the header."""
+def _read_share_header(payload: bytes, what: str, expected) -> tuple:
+    """Owner, l, secret id, shape (as ``expected``), and the offset past the
+    header."""
     owner, l, size = _unpack(_SHARE_HEAD, payload)
     at = _SHARE_HEAD.size + size
-    shape = _shape(payload, at, what)
+    shape = _shape(payload, at, what, expected)
     if not 1 <= l <= 8 * RING_ELEMENT_BYTES:
         raise FrameFormatError(f"{what} ring width {l} outside [1, 128]")
     try:
@@ -280,8 +281,8 @@ def encode_share_matrix(m: ShareMatrix) -> bytes:
     return _share_header(m) + m.values.astype(">u8").tobytes()  # [hi, lo] per element
 
 
-def decode_share_matrix(payload: bytes) -> ShareMatrix:
-    owner, l, secret_id, (rows, cols), at = _read_share_header(payload, "share matrix")
+def decode_share_matrix(payload: bytes, shape=None) -> ShareMatrix:
+    owner, l, secret_id, (rows, cols), at = _read_share_header(payload, "share matrix", shape)
     _fits(payload, at + rows * cols * RING_ELEMENT_BYTES, f"share matrix {rows}x{cols}")
     values = np.frombuffer(payload, ">u8", offset=at).reshape(rows, cols, 2)
     try:
@@ -294,12 +295,10 @@ def encode_seed_share(m: SeededShare) -> bytes:
     return _share_header(m) + m.seed
 
 
-def decode_seed_share(payload: bytes) -> SeededShare:
-    """A seed-form share, expanded; one whose entries would not fit the
-    payload cap in full form is refused before anything is allocated."""
-    owner, l, secret_id, (rows, cols), at = _read_share_header(payload, "seeded share")
-    if rows * cols * RING_ELEMENT_BYTES > MAX_PAYLOAD:
-        raise FrameFormatError(f"seeded share {rows}x{cols} expands past the 256 MiB payload cap")
+def decode_seed_share(payload: bytes, shape) -> SeededShare:
+    """A seed-form share of ``shape``, expanded.  Its header alone sets what
+    the seed expands to, so any other shape is refused before that."""
+    owner, l, secret_id, (rows, cols), at = _read_share_header(payload, "seeded share", shape)
     _fits(payload, at + SEED_BYTES, "seeded share")
     return SeededShare(payload[at:], owner, secret_id, l, (rows, cols))
 

@@ -225,7 +225,8 @@ class SecureSum:
     combiner, :meth:`combine` adds the pieces a combiner holds, and
     :meth:`open` turns the combined pieces into the plaintext sum.
     ``encode`` carries a piece as the payload of a message of the given
-    type, and ``decoder`` gives that type's payload decoder.
+    type, and ``decoder`` gives that type's payload decoder for pieces of
+    the given shape (None: any).
     """
 
     setup: tuple[tuple[MsgType, int], ...] = ()
@@ -318,8 +319,8 @@ class PaillierSum(SecureSum):
     def encode(self, piece, msg_type: MsgType) -> bytes:
         return encode_encrypted_matrix(piece)
 
-    def decoder(self, msg_type: MsgType):
-        return lambda payload: decode_encrypted_matrix(payload, self.pk, self.slot_bits)
+    def decoder(self, msg_type: MsgType, shape):
+        return lambda payload: decode_encrypted_matrix(payload, self.pk, self.slot_bits, shape)
 
 
 class SharedSum(SecureSum):
@@ -362,8 +363,9 @@ class SharedSum(SecureSum):
             return encode_seed_share(piece)
         return encode_share_matrix(piece)
 
-    def decoder(self, msg_type: MsgType):
-        return decode_seed_share if msg_type == MsgType.SHARE_BUNDLE else decode_share_matrix
+    def decoder(self, msg_type: MsgType, shape):
+        decode = decode_seed_share if msg_type == MsgType.SHARE_BUNDLE else decode_share_matrix
+        return lambda payload: decode(payload, shape)
 
 
 SECURE_SUMS: dict[str, type[SecureSum]] = {METHOD_HE: PaillierSum, METHOD_SS: SharedSum}
@@ -418,9 +420,9 @@ class _Role:
             )
         )
 
-    def _recv(self, ep, sender: int, msg_type: MsgType, phase: int, decode):
+    def _recv(self, ep, sender: int, msg_type: MsgType, phase: int, decode, *args):
         """The payload of the next message from ``sender``, a ``msg_type``
-        of ``phase``, as ``decode`` reads it."""
+        of ``phase``, as ``decode(payload, *args)`` reads it."""
         self.phase = phase
         self.waiting = True
         try:
@@ -434,7 +436,7 @@ class _Role:
                 f"got {msg.msg_type.name} in phase {msg.phase}",
             )
         try:
-            return decode(msg.payload)
+            return decode(msg.payload, *args)
         except FrameFormatError as exc:
             raise ProtocolAbort(
                 phase, f"malformed {msg_type.name} from party {sender}: {exc}", exc
@@ -493,21 +495,22 @@ class ProviderRole(_Role):
                 self._send(ep, c, hop1, first, backend.encode(pieces[c], hop1))
         if self.party not in pieces:
             return
+        decode = backend.decoder(hop1, values.shape)  # the others mask values of this shape too
         held = [
-            pieces[j] if j == self.party else self._recv(ep, j, hop1, first, backend.decoder(hop1))
+            pieces[j] if j == self.party else self._recv(ep, j, hop1, first, decode)
             for j in cfg.providers
         ]
         self._send(ep, SERVER, hop2, second, backend.encode(backend.combine(held), hop2))
 
     def run(self, ep):
         cfg = self.cfg
-        n = self._sample_counts(ep, self.data.shape[0])
+        rows, d = self.data.shape
+        n = self._sample_counts(ep, rows)
         self.sum.setup_provider(self, ep)
 
         self._round(ep, 0, lambda: linalg.column_sums(self.data), "sums", "column sums")
 
-        mean = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN, decode_real_matrix)
-        d = self.data.shape[1]
+        mean = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN, decode_real_matrix, (1, d))
         mean = linalg.check_vector(mean.ravel(), d, "mean")
         # The centered block lives only for the call it is passed to.
         self._round(
@@ -516,14 +519,8 @@ class ProviderRole(_Role):
         )
 
         transfer = self._recv(
-            ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, decode_real_matrix
+            ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, decode_real_matrix, (d, cfg.k)
         )
-        if transfer.shape != (d, cfg.k):
-            rows, cols = transfer.shape
-            raise ProtocolAbort(
-                PHASE_TRANSFER,
-                f"server sent a {rows}x{cols} transfer matrix, configured for {d}x{cfg.k}",
-            )
         self.phase = PHASE_REDUCED
         # The rows are freed as soon as they are encoded, before the send.
         payload = encode_real_matrix(linalg.project(self.data - mean, transfer))
@@ -551,12 +548,13 @@ class ServerRole(_Role):
         for j in self.cfg.providers:
             self._send(ep, j, msg_type, phase, payload)
 
-    def _open(self, ep, r: int) -> np.ndarray:
-        """Collect round ``r``'s combined pieces and open their sum."""
+    def _open(self, ep, r: int, shape) -> np.ndarray:
+        """Collect round ``r``'s combined pieces, each of ``shape`` (None:
+        any), and open their sum."""
         backend = self.sum
         phase = ROUND_PHASES[r][1]
         msg_type = backend.rounds[r][1]
-        decode = backend.decoder(msg_type)
+        decode = backend.decoder(msg_type, shape)
         return backend.open([
             self._recv(ep, c, msg_type, phase, decode) for c in backend.combiners(self.cfg)
         ])
@@ -570,12 +568,14 @@ class ServerRole(_Role):
             )
         self.sample_count = n
         self.sum.setup_server(self, ep)
-        self.mean = (self._open(ep, 0) / n).ravel()
+        # Any width: d is learnt here, and full-form pieces bound their own size.
+        self.mean = (self._open(ep, 0, None) / n).ravel()
         self._broadcast(
             ep, MsgType.PLAIN_MEAN, PHASE_MEAN, encode_real_matrix(self.mean.reshape(1, -1))
         )
         d = self.mean.size
-        self.covariance = linalg.symmetric_from_upper(self._open(ep, 1), d)
+        upper = self._open(ep, 1, (1, d * (d + 1) // 2))
+        self.covariance = linalg.symmetric_from_upper(upper, d)
 
         if not 1 <= cfg.k < d:
             raise ProtocolAbort(
@@ -628,16 +628,11 @@ class ConsumerRole(_Role):
         self.reduced: np.ndarray | None = None
 
     def run(self, ep):
-        blocks = []  # big-endian views of the payloads, converted once below
-        for j in self.cfg.providers:
-            block = self._recv(ep, j, MsgType.REDUCED_ROWS, PHASE_REDUCED, decode_real_matrix)
-            if block.shape[1] != self.cfg.k:
-                raise ProtocolAbort(
-                    PHASE_REDUCED,
-                    f"party {j} sent reduced rows of width {block.shape[1]}, "
-                    f"configured for k={self.cfg.k}",
-                )
-            blocks.append(block)
+        shape = (None, self.cfg.k)  # any number of rows, each k wide
+        blocks = [  # big-endian views of the payloads, converted once below
+            self._recv(ep, j, MsgType.REDUCED_ROWS, PHASE_REDUCED, decode_real_matrix, shape)
+            for j in self.cfg.providers
+        ]
         self.reduced = np.concatenate(blocks, dtype=np.float64)
 
 

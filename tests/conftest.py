@@ -1,5 +1,6 @@
 import random
 import threading
+import time
 
 import pytest
 
@@ -28,12 +29,23 @@ def builtin_kernel(monkeypatch):
     paillier._randomizer_table_for.cache_clear()
 
 
+def _running(*prefixes: str) -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith(prefixes)]
+
+
 @pytest.fixture(autouse=True)
 def no_role_thread_left_running():
     """A role thread still waiting after its test would hang interpreter exit,
     so every session must end with all of them joined: on success, on a
-    stall and on failure."""
+    stall and on failure.  A TCP endpoint's accept and read threads are
+    daemons, but one still running means an endpoint was left open; they get
+    a second to see their sockets close."""
     yield
-    left = [t.name for t in threading.enumerate() if t.name.startswith("pppca-party-")]
+    left = _running("pppca-party-")
     if left:
         pytest.fail(f"role threads left running: {left}")
+    deadline = time.monotonic() + 1.0
+    while left := _running("pppca-accept-", "pppca-read-"):
+        if time.monotonic() > deadline:
+            pytest.fail(f"transport threads left running: {left}")
+        time.sleep(0.01)

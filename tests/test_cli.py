@@ -519,6 +519,21 @@ def test_a_lone_role_names_the_type_and_sender_of_a_malformed_payload(tmp_path, 
     assert "party 1" in err and "REDUCED_ROWS" in err
 
 
+@pytest.mark.parametrize("by", ["flag", "config"])
+def test_role_mode_refuses_standardize_before_it_listens(
+    by, wine_csv, tmp_path, capsys, monkeypatch
+):
+    # Each provider would divide its rows by its own standard deviations.
+    monkeypatch.setattr(cli, "TcpEndpoint", lambda *args, **kwargs: pytest.fail("role listened"))
+    names = ("server", "provider-1", "provider-2", "consumer")
+    config = _config(tmp_path, wine_csv, parties=2, timeout=0.3, standardize=by == "config",
+                     endpoints=dict.fromkeys(names, "127.0.0.1:1"))
+    flag = ["--standardize"] if by == "flag" else []
+    for role in (["provider", "--party-index", "1"], ["server"], ["consumer"]):
+        assert main(["role", "--config", config, "--role", *role, *flag]) == EXIT_USAGE
+        assert "role mode cannot standardize" in capsys.readouterr().err
+
+
 def test_a_role_whose_port_is_taken_is_a_data_error(tmp_path, capsys):
     with socket.create_server(("127.0.0.1", 0)) as taken:
         address = f"127.0.0.1:{taken.getsockname()[1]}"

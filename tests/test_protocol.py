@@ -1,6 +1,8 @@
+import inspect
 import math
 import random
 import re
+import struct
 import threading
 import time
 import tracemalloc
@@ -9,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pppca import linalg
+from pppca import linalg, protocol
 from pppca.encoding import FixedPointConfig
 from pppca.errors import ConfigError, DimensionError, ProtocolAbort, TransportClosed
 from pppca.messages import (
@@ -189,7 +191,10 @@ def test_a_provider_configured_for_another_k_rejects_the_transfer_matrix():
     assert set(aborts) & set(provider_cfg.providers)
     for j, e in aborts.items():
         assert j in provider_cfg.providers and e.phase == PHASE_TRANSFER
-        assert f"party {j}: server sent a 3x2 transfer matrix, configured for 3x1" in str(e)
+        assert (
+            f"party {j}: malformed TRANSFER_MATRIX from party 0: "
+            "real matrix 3x2 is not the expected 3x1" in str(e)
+        )
 
 
 def test_a_consumer_configured_for_another_k_names_the_provider():
@@ -200,7 +205,78 @@ def test_a_consumer_configured_for_another_k_names_the_provider():
     assert set(errors) == {consumer_cfg.consumer}
     e = errors[consumer_cfg.consumer]
     assert isinstance(e, ProtocolAbort) and e.phase == PHASE_REDUCED
-    assert "party 3: party 1 sent reduced rows of width 2, configured for k=3" in str(e)
+    assert (
+        "party 3: malformed REDUCED_ROWS from party 1: "
+        "real matrix 10x2 is not the expected *x3" in str(e)
+    )
+
+
+def test_a_seed_share_of_another_shape_aborts_the_provider_it_reaches(monkeypatch):
+    # Provider 1's column-sum bundle to provider 2, replaced by 52 bytes whose
+    # header claims 1024x1024 entries at l = 128 where the round's are 1x4.
+    bad = struct.pack(">HHH", 1, 128, 6) + b"sums/1" + struct.pack(">II", 1024, 1024) + bytes(32)
+    assert len(bad) == 52
+    send = ProviderRole._send
+
+    def replacing(self, ep, receiver, msg_type, phase, payload):
+        if (self.party, receiver, msg_type, phase) == (1, 2, MsgType.SHARE_BUNDLE, PHASE_SUMS):
+            payload = bad
+        send(self, ep, receiver, msg_type, phase, payload)
+
+    monkeypatch.setattr(ProviderRole, "_send", replacing)
+    data = split(np.random.default_rng(3).normal(size=(12, 4)), 3)
+    with pytest.raises(ProtocolAbort) as info:
+        run_session(ss_cfg(parties=3, seed=4), data)
+    assert info.value.phase == PHASE_SUMS
+    assert str(info.value) == (
+        "protocol aborted in phase 2: party 2: malformed SHARE_BUNDLE from party 1: "
+        "seeded share 1024x1024 is not the expected 1x4"
+    )
+
+
+MATRIX_DECODERS = (
+    "decode_real_matrix", "decode_encrypted_matrix", "decode_share_matrix", "decode_seed_share"
+)
+
+
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+@pytest.mark.parametrize("make_cfg", [ss_cfg, he_cfg], ids=["ss", "he"])
+def test_every_matrix_receive_states_its_shape_but_the_servers_first_sums(
+    monkeypatch, make_cfg, transport
+):
+    receiving = threading.local()  # the receive each role thread is in
+    decoded = []  # ((party, type, phase), the shape the receive stated)
+    recv = protocol._Role._recv
+
+    def traced_recv(self, ep, sender, msg_type, phase, decode, *args):
+        receiving.at = (self.party, msg_type, phase)
+        return recv(self, ep, sender, msg_type, phase, decode, *args)
+
+    def tracing(decode):
+        signature = inspect.signature(decode)
+
+        def traced(*args, **kwargs):
+            shape = signature.bind(*args, **kwargs).arguments.get("shape")
+            decoded.append((receiving.at, shape))
+            return decode(*args, **kwargs)
+
+        return traced
+
+    monkeypatch.setattr(protocol._Role, "_recv", traced_recv)
+    for name in MATRIX_DECODERS:
+        monkeypatch.setattr(protocol, name, tracing(getattr(protocol, name)))
+    data = split(np.random.default_rng(5).normal(size=(15, 4)), 3)
+    result = run_session(make_cfg(parties=3, seed=6), data, transport)
+
+    matrices = sorted(
+        (m.receiver, m.msg_type, m.phase) for m in result.transcript.entries()
+        if m.msg_type not in (MsgType.SAMPLE_COUNT, MsgType.PUBLIC_KEY)
+    )
+    assert sorted(at for at, _ in decoded) == matrices  # each decoded once
+    free = [at for at, shape in decoded if shape is None]
+    first_sums = ROUND_PHASES[0][1]
+    assert free and all(party == SERVER and phase == first_sums for party, _, phase in free)
+    assert len(free) == len([m for m in matrices if m[0] == SERVER and m[2] == first_sums])
 
 
 def test_the_server_checks_k_before_the_eigendecomposition(monkeypatch):
@@ -402,7 +478,7 @@ def test_covariance_round_carries_the_upper_triangle():
     ]
     assert {m.msg_type for m in shared} == {MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM}
     decode = {MsgType.SHARE_BUNDLE: decode_seed_share, MsgType.LOCAL_SHARE_SUM: decode_share_matrix}
-    assert all(decode[m.msg_type](m.payload).shape == triangle for m in shared)
+    assert all(decode[m.msg_type](m.payload, triangle).shape == triangle for m in shared)
     assert np.array_equal(ss.covariance, ss.covariance.T)
 
     he = run_session(he_cfg(parties=3, k=2), data)
@@ -418,7 +494,7 @@ def test_covariance_round_carries_the_upper_triangle():
     w = FixedPointConfig().l + math.ceil(math.log2(3)) + 1
     slots = (pk.n.bit_length() - 1) // w
     for m in encrypted:
-        packed = decode_encrypted_matrix(m.payload, pk, w)
+        packed = decode_encrypted_matrix(m.payload, pk, w, triangle)
         assert packed.shape == triangle
         assert len(packed.ciphers) == math.ceil(triangle[1] / slots)
 

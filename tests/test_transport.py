@@ -1,10 +1,12 @@
 import errno
 import hashlib
 import random
+import re
 import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,7 +319,7 @@ def test_seed_share_golden_bytes():
         "0000" "0080" "0001" "67" "00000002" "00000002"
         "4257ccaa9daa0f374c042f528a951020bde55a2f2c49b0d817bf081c40696ef7"
     )
-    assert decode_seed_share(payload) == bundle
+    assert decode_seed_share(payload, (2, 2)) == bundle
 
 
 _SEED = bytes(range(32))
@@ -339,7 +341,7 @@ _SEED = bytes(range(32))
 )
 def test_malformed_seed_share_raises_frame_format_error(payload):
     with pytest.raises(FrameFormatError):
-        decode_seed_share(payload)
+        decode_seed_share(payload, (1, 1))
 
 
 def test_malformed_key_and_ciphertext_raise_frame_format_error():
@@ -393,7 +395,7 @@ _DECODERS = {
         encode_share_matrix(share_matrix(from_ints([[1, 2]]), 2, 64, CounterPRG(1), "f")[0]),
     ),
     "seed_share": (
-        decode_seed_share,
+        lambda p: decode_seed_share(p, (1, 2)),
         encode_seed_share(share_matrix(from_ints([[1, 2]]), 2, 64, CounterPRG(1), "f")[0]),
     ),
     "sample_count": (decode_sample_count, encode_sample_count(9)),
@@ -432,6 +434,43 @@ def test_decoders_raise_only_frame_format_error(name, data):
         decode(payload)
     except FrameFormatError:
         pass
+
+
+_SHARES = share_matrix(from_ints(np.arange(6).reshape(2, 3)), 2, 64, CounterPRG(1), "f")
+_SHAPED = {  # a 2x3 payload for each matrix decoder
+    "real_matrix": (decode_real_matrix, encode_real_matrix(np.ones((2, 3)))),
+    "encrypted_matrix": (
+        lambda p, shape: decode_encrypted_matrix(p, _FUZZ_PK, 20, shape),
+        _cipher_payload(2, 3, [5, 7], 16),
+    ),
+    "share_matrix": (decode_share_matrix, encode_share_matrix(_SHARES[1])),
+    "seed_share": (decode_seed_share, encode_seed_share(_SHARES[0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPED))
+def test_a_matrix_decoder_refuses_a_shape_but_the_expected_one_naming_both(name):
+    decode, payload = _SHAPED[name]
+    for shape in ((2, 3), (None, 3), (2, None), (None, None)):
+        assert decode(payload, shape).shape == (2, 3)
+    wrong = {(2, 4): "2x4", (3, 3): "3x3", (None, 2): "*x2", (1, None): "1x*"}
+    for shape, want in wrong.items():
+        with pytest.raises(FrameFormatError, match=re.escape(f"2x3 is not the expected {want}")):
+            decode(payload, shape)
+
+
+def test_a_seed_share_of_another_shape_is_refused_before_it_expands():
+    # 52 bytes whose header claims 1024x1024 entries at l = 128: 16 MiB expanded.
+    payload = _seed_payload(1, 128, b"sums/1", 1024, 1024, _SEED)
+    assert len(payload) == 52
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameFormatError, match="1024x1024 is not the expected 1x4"):
+            decode_seed_share(payload, (1, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- simulation bus ---------------------------------------------------------
