@@ -11,14 +11,15 @@ multiplication", Numer. Algorithms 2012), so that every slice product is
 exact in float64 under any BLAS blocking or thread count.  A screen of each
 column's largest |x| fixes where its slices start; each row block is cut
 until nothing is left; ``gram`` forms a block's slice products in one BLAS
-call per slice, with slices as wide as the rows of one such call allow (a
-block holds at most 2^10 rows), adds each block's exact products into int64
-sums and reads each column's slice count off its own sums of squares; and
-the exact terms of each entry are summed in int64 and rounded once, to
-nearest even, in the spirit of Rump, Ogita and Oishi's accurate summation
-(SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca`` bit-for-bit
-invariant under row permutations of its input, which the rest of the package
-relies on when comparing differently partitioned runs.
+call per slice (a few at wide d, each within a row block's entries), with
+slices as wide as the rows of one such call allow (a block holds at most
+2^10 rows), adds each block's exact products into int64 sums and reads each
+column's slice count off its own sums of squares; and the exact terms of
+each entry are summed in int64 and rounded once, to nearest even, a row
+block's entries at a time, in the spirit of Rump, Ogita and Oishi's accurate
+summation (SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca``
+bit-for-bit invariant under row permutations of its input, which the rest
+of the package relies on when comparing differently partitioned runs.
 """
 
 from __future__ import annotations
@@ -157,12 +158,13 @@ def gram(x) -> np.ndarray:
       (``_screen``).
     - **Cut.** Each row block is cut until nothing is left, so it costs the
       slices its own entries need (``_slicing``).
-    - **One product per slice.** S_0 .. S_q of a block, stacked, meet S_q in
-      one BLAS call, which covers every pair k <= q (``_pair_products``).
+    - **One product per slice.** S_0 .. S_q of a block, stacked as far as
+      ``_BLOCK_ENTRIES`` allows, meet S_q in one BLAS call (``_pair_products``).
     - **Counts from the products.** Column t's slice count is one more than
       the last k for which (S_k S_k^T)[t, t], a sum of squares, is nonzero.
     - **One rounding.** The products of each entry are summed in int64 by
-      k + q and rounded once (``_group_pairs``, ``_round``).
+      k + q and rounded once (``_group_pairs``, ``_round``), in pieces whose
+      2c - 1 terms fill at most ``_BLOCK_ENTRIES`` entries.
 
     The slice count depends only on the set of entries in a column, so the
     result is invariant under row permutations.
@@ -193,10 +195,11 @@ def gram(x) -> np.ndarray:
         | (hi[:, None] + hi + log_n > _MAX_EXP)
     )
     rows, cols = np.nonzero(np.triu(~fallback))
-    terms = _group_pairs(pairs, rows, cols)
-    del pairs  # before the rounding's temporaries
     g = np.empty((d, d))
-    g[rows, cols] = g[cols, rows] = _round(terms, hi[rows] + hi[cols] - 2 * width, width)
+    piece = max(1, _BLOCK_ENTRIES // max(2 * len(k) - 1, 1))
+    for start in range(0, len(rows), piece):
+        s, t = rows[start : start + piece], cols[start : start + piece]
+        g[s, t] = g[t, s] = _round(_group_pairs(pairs, s, t), hi[s] + hi[t] - 2 * width, width)
     with np.errstate(over="ignore"):  # an infinite product fails in _fsum
         for s, t in zip(*np.nonzero(np.triu(fallback))):
             g[s, t] = g[t, s] = _fsum(a[:, s] * a[:, t], f"Gram entry ({s}, {t})")
@@ -221,9 +224,10 @@ _MIN_EXP = -1074
 _MAX_EXP = 1023
 # A column cut into more slices than this takes the fsum path instead.
 _MAX_SLICES = 8
-# Row blocks bound every temporary of the sliced products to about this many
-# entries per slice, whatever the input's shape, and hold at most
-# 2^_LOG_BLOCK_ROWS rows, which bounds the rows one BLAS call of ``gram`` sums.
+# Row blocks hold at most 2^_LOG_BLOCK_ROWS rows, which bounds the rows one
+# BLAS call of ``gram`` sums, and about this many entries, which bounds every
+# temporary of the cut per slice, each slice product of ``gram`` (but a lone
+# d x d one) and each piece of its rounding, whatever the input's shape.
 _BLOCK_ENTRIES = 1 << 14
 _LOG_BLOCK_ROWS = 10
 
@@ -302,18 +306,23 @@ def _pair_products(blocks, d: int) -> np.ndarray:
     ``_slicing``, for each slice pair k <= q, at index q (q + 1) / 2 + k of
     the result, so that a block with more slices appends pairs.  S_k holds
     slice k of every column, as rows.  Each block's products are exact
-    integers below 2^53 (see ``gram``), added in as BLAS returns them."""
+    integers below 2^53 (see ``gram``), added in as BLAS writes them into one
+    buffer; each call stacks as many slices as fit ``_BLOCK_ENTRIES``, or one."""
     pairs = np.zeros((0, d, d), dtype=np.int64)
+    stack = max(1, _BLOCK_ENTRIES // (d * d))  # slices per product
+    product = np.empty((min(stack, _MAX_SLICES) * d, d))
     for sliced in blocks:
         c = len(sliced)
         if c * (c + 1) // 2 > len(pairs):
             pairs = np.pad(pairs, ((0, c * (c + 1) // 2 - len(pairs)), (0, 0), (0, 0)))
         stacked = sliced.reshape(-1, sliced.shape[2])
         for q in range(c):
-            # S_0 .. S_q against S_q in one product, cast to int64 in np.add's buffer.
-            product = stacked[: (q + 1) * d] @ sliced[q].T
-            into = pairs[q * (q + 1) // 2 : (q + 1) * (q + 2) // 2]
-            np.add(into, product.reshape(q + 1, d, d), out=into, casting="unsafe", dtype=np.int64)
+            for k in range(0, q + 1, stack):
+                # S_k .. S_(j-1) against S_q in one product, cast to int64 in np.add's buffer.
+                j = min(k + stack, q + 1)
+                out = np.matmul(stacked[k * d : j * d], sliced[q].T, out=product[: (j - k) * d])
+                into = pairs[q * (q + 1) // 2 + k : q * (q + 1) // 2 + j]
+                np.add(into, out.reshape(j - k, d, d), out=into, casting="unsafe", dtype=np.int64)
     return pairs
 
 

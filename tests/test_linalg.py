@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -157,9 +158,9 @@ def test_gram_partition_decomposition():
     assert np.allclose(pooled, split, atol=1e-12 * max(1.0, np.abs(pooled).max()))
 
 
-def mixed_scale_columns(rng, rows):
-    scales = np.array([1e-3, 1.0, 7.5, 3e4, 1e8])
-    x = rng.normal(size=(rows, scales.size)) * scales
+def mixed_scale_columns(rng, rows, cols=5):
+    scales = np.resize([1e-3, 1.0, 7.5, 3e4, 1e8], cols)
+    x = rng.normal(size=(rows, cols)) * scales
     return x - x.mean(axis=0)
 
 
@@ -232,10 +233,14 @@ def test_gram_and_column_sums_are_exact_on_mixed_scales():
     assert_exact(mixed_scale_columns(rng, 3000))
 
 
-def test_gram_and_column_sums_are_row_permutation_invariant_bitwise():
+# At 127 to 129 columns a d x d product about fills a row block's entries,
+# so each BLAS product of ``gram`` takes one slice and its rounding several
+# pieces.
+@pytest.mark.parametrize("cols", [5, 127, 128, 129])
+def test_gram_and_column_sums_are_row_permutation_invariant_bitwise(cols):
     rng = np.random.default_rng(18)
     for rows in (300, 3000):
-        x = mixed_scale_columns(rng, rows)
+        x = mixed_scale_columns(rng, rows, cols)
         perm = rng.permutation(rows)
         assert np.array_equal(linalg.gram(x[perm]), linalg.gram(x))
         assert np.array_equal(linalg.column_sums(x[perm]), linalg.column_sums(x))
@@ -340,6 +345,65 @@ def test_gram_and_column_sums_are_exact_across_row_blocks_property(
         patch.setattr(linalg, "_BLOCK_ENTRIES", block_rows * cols)
         assert_exact(x)
         assert_row_permutation_invariant(x, rng)
+
+
+def wide_provider_block():
+    """A seeded block of the shape of one ``ss-wide`` provider: 2000 rows
+    over three providers, 128 columns.  Every row block of it takes four
+    slices, so ``gram`` makes its pair sums once, at their full size."""
+    return np.random.default_rng(34).normal(size=(667, 128))
+
+
+def test_gram_holds_its_products_and_rounding_to_a_row_blocks_entries(monkeypatch):
+    x = wide_provider_block()
+    d = x.shape[1]
+    products, rounded = [], []
+    matmul, round_terms = np.matmul, linalg._round
+
+    def recording_matmul(*args, **kwargs):
+        out = matmul(*args, **kwargs)
+        products.append(out.size)
+        return out
+
+    def recording_round(terms, *args):
+        rounded.append(terms.size)
+        return round_terms(terms, *args)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    monkeypatch.setattr(linalg, "_round", recording_round)
+    g = linalg.gram(x)
+    assert len(rounded) > 1 and max(rounded) <= linalg._BLOCK_ENTRIES
+    assert products and max(products) <= max(linalg._BLOCK_ENTRIES, d * d)
+    # Room for a full stack of slices against S_q, and for the terms of
+    # every entry in one rounding piece.
+    monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * linalg._MAX_SLICES * d * d)
+    rounded.clear()
+    assert same_bits(linalg.gram(x), g)
+    assert len(rounded) == 1
+
+
+def test_gram_working_memory_is_the_slicing_the_pair_sums_and_a_few_blocks(monkeypatch):
+    x = wide_provider_block()
+    sizes = []
+    pair_products = linalg._pair_products
+
+    def recording(blocks, d):
+        pairs = pair_products(blocks, d)
+        sizes.append(pairs.nbytes)
+        return pairs
+
+    monkeypatch.setattr(linalg, "_pair_products", recording)
+    linalg.gram(x)  # numpy's first calls allocate for good
+    tracemalloc.start()
+    try:
+        linalg.gram(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slicing = 8 * (linalg._MAX_SLICES + 1) * linalg._BLOCK_ENTRIES  # slice buffer and rest
+    # Then one product, the result and a block for the small per-entry arrays.
+    block = 8 * max(linalg._BLOCK_ENTRIES, x.shape[1] ** 2)
+    assert peak <= slicing + sizes[-1] + 3 * block
 
 
 def test_gram_slice_budget_edges(small_blocks, fsum_calls):
