@@ -169,7 +169,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc

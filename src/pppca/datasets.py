@@ -71,7 +71,7 @@ def load_csv(
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise DataError(f"delimiter must be one character, got {delimiter!r}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             raw = [row for row in reader if row]
     except OSError as exc:

@@ -13,11 +13,11 @@ column's largest |x| fixes where its slices start; each row block is cut
 until nothing is left; ``gram`` forms a block's slice products in one BLAS
 call per slice (a few at wide d, each within a row block's entries), with
 slices as wide as the rows of one such call allow (a block holds at most
-2^10 rows), adds each block's exact products into int64 sums and reads each
-column's slice count off its own sums of squares; and the exact terms of
-each entry are summed in int64 and rounded once, to nearest even, a row
-block's entries at a time, in the spirit of Rump, Ogita and Oishi's accurate
-summation (SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca``
+2^10 rows), adds each block's exact products into int64 sums by k + q of
+the slice pair (k, q) and reads each column's slice count off its own sums
+of squares; and the terms of each entry are rounded once, to nearest even,
+a row block's entries at a time, in the spirit of Rump, Ogita and Oishi's
+accurate summation (SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca``
 bit-for-bit invariant under row permutations of its input, which the rest
 of the package relies on when comparing differently partitioned runs.
 """
@@ -148,11 +148,14 @@ def gram(x) -> np.ndarray:
 
     - a BLAS call sums at most min(n, 2^10) <= 2^(53 - 2w) rows of them, so
       every partial sum is an integer below 2^53, exact under any blocking
-      or thread count, and is added into int64 pair sums as BLAS returns it;
-    - a pair's int64 sum over all n rows is below 2^(L + 2w) <= 2^57;
-    - up to eight pair sums (k + q = g with at most ``_MAX_SLICES`` = 8
-      slices) meet in one term of ``_round``, which needs every term below
-      2^60; they stay below 8 * 2^57.
+      or thread count, and so is its double; it is added into the int64 sum
+      for g = k + q as BLAS returns it, doubled for k < q;
+    - a slice pair's sum over all n rows is below 2^(L + 2w) <= 2^57;
+    - with at most ``_MAX_SLICES`` = 8 slices, the sum for g holds at most
+      four doubled pair sums and one square, below 9 * 2^57 < 2^61, and an
+      entry plus its mirror stays below 2^62;
+    - half that, the term g of ``_round``, is the sum over the at most eight
+      ordered pairs with k + q = g, below 2^60 as ``_round`` needs.
 
     - **Screen.** One pass over the rows takes each column's largest |x|
       (``_screen``).
@@ -160,11 +163,12 @@ def gram(x) -> np.ndarray:
       slices its own entries need (``_slicing``).
     - **One product per slice.** S_0 .. S_q of a block, stacked as far as
       ``_BLOCK_ENTRIES`` allows, meet S_q in one BLAS call (``_pair_products``).
-    - **Counts from the products.** Column t's slice count is one more than
-      the last k for which (S_k S_k^T)[t, t], a sum of squares, is nonzero.
-    - **One rounding.** The products of each entry are summed in int64 by
-      k + q and rounded once (``_group_pairs``, ``_round``), in pieces whose
-      2c - 1 terms fill at most ``_BLOCK_ENTRIES`` entries.
+    - **Counts from the products.** Column t's last slice K is half the
+      last g at which the sum's diagonal entry [t, t] is nonzero: there only
+      (S_K S_K^T)[t, t], a sum of squares, is left.
+    - **One rounding.** Entry (s, t) takes half of the sums at [s, t] and at
+      [t, s], and is rounded once (``_round``), in pieces whose 2c - 1 terms
+      fill at most ``_BLOCK_ENTRIES`` entries.
 
     The slice count depends only on the set of entries in a column, so the
     result is invariant under row permutations.
@@ -183,11 +187,11 @@ def gram(x) -> np.ndarray:
     log_n = (n - 1).bit_length()
     width = min(53 - min(log_n, _LOG_BLOCK_ROWS), 57 - log_n) // 2
     hi, ruled_out, blocks = _slicing(a, width)
-    pairs = _pair_products(blocks, d)
-    # Column t's slices end at the last k with (S_k S_k^T)[t, t] > 0.
-    k = np.arange(math.isqrt(2 * len(pairs)))
-    used = pairs.diagonal(axis1=1, axis2=2)[k * (k + 3) // 2] != 0
-    lowest = hi - width * ((k + 1)[:, None] * used).max(axis=0, initial=0)  # last slice's unit
+    sums = _pair_products(blocks, d)
+    # Column t's last slice K sits at g = 2K, the last g with sums[g, t, t] != 0.
+    count = np.arange(len(sums)) // 2 + 1
+    used = sums.diagonal(axis1=1, axis2=2) != 0
+    lowest = hi - width * (count[:, None] * used).max(axis=0, initial=0)  # last slice's unit
     fallback = (
         ruled_out[:, None]
         | ruled_out
@@ -196,10 +200,13 @@ def gram(x) -> np.ndarray:
     )
     rows, cols = np.nonzero(np.triu(~fallback))
     g = np.empty((d, d))
-    piece = max(1, _BLOCK_ENTRIES // max(2 * len(k) - 1, 1))
+    piece = max(1, _BLOCK_ENTRIES // len(sums))
     for start in range(0, len(rows), piece):
         s, t = rows[start : start + piece], cols[start : start + piece]
-        g[s, t] = g[t, s] = _round(_group_pairs(pairs, s, t), hi[s] + hi[t] - 2 * width, width)
+        terms = sums[:, s, t]
+        terms += sums[:, t, s]  # twice the sum over every S_k S_q^T with k + q = g
+        terms >>= 1
+        g[s, t] = g[t, s] = _round(terms, hi[s] + hi[t] - 2 * width, width)
     with np.errstate(over="ignore"):  # an infinite product fails in _fsum
         for s, t in zip(*np.nonzero(np.triu(fallback))):
             g[s, t] = g[t, s] = _fsum(a[:, s] * a[:, t], f"Gram entry ({s}, {t})")
@@ -302,43 +309,30 @@ def _slicing(a: np.ndarray, width: int):
 
 
 def _pair_products(blocks, d: int) -> np.ndarray:
-    """S_k S_q^T summed in int64 over the sliced row ``blocks`` of
-    ``_slicing``, for each slice pair k <= q, at index q (q + 1) / 2 + k of
-    the result, so that a block with more slices appends pairs.  S_k holds
-    slice k of every column, as rows.  Each block's products are exact
-    integers below 2^53 (see ``gram``), added in as BLAS writes them into one
-    buffer; each call stacks as many slices as fit ``_BLOCK_ENTRIES``, or one."""
-    pairs = np.zeros((0, d, d), dtype=np.int64)
+    """The slice products of the sliced row ``blocks`` of ``_slicing``,
+    summed in int64 by g = k + q: 2 S_k S_q^T for each k < q and S_k S_k^T,
+    at index g of the result, so that a block with more slices appends sums.
+    S_k holds slice k of every column, as rows.  Each block's products are
+    exact integers below 2^53 (see ``gram``), so their doubles are exact too,
+    added in as BLAS writes them into one buffer; each call stacks as many
+    slices as fit ``_BLOCK_ENTRIES``, or one."""
+    sums = np.zeros((1, d, d), dtype=np.int64)
     stack = max(1, _BLOCK_ENTRIES // (d * d))  # slices per product
     product = np.empty((min(stack, _MAX_SLICES) * d, d))
     for sliced in blocks:
         c = len(sliced)
-        if c * (c + 1) // 2 > len(pairs):
-            pairs = np.pad(pairs, ((0, c * (c + 1) // 2 - len(pairs)), (0, 0), (0, 0)))
+        if 2 * c - 1 > len(sums):
+            sums = np.pad(sums, ((0, 2 * c - 1 - len(sums)), (0, 0), (0, 0)))
         stacked = sliced.reshape(-1, sliced.shape[2])
         for q in range(c):
             for k in range(0, q + 1, stack):
                 # S_k .. S_(j-1) against S_q in one product, cast to int64 in np.add's buffer.
                 j = min(k + stack, q + 1)
                 out = np.matmul(stacked[k * d : j * d], sliced[q].T, out=product[: (j - k) * d])
-                into = pairs[q * (q + 1) // 2 + k : q * (q + 1) // 2 + j]
+                out[: (min(j, q) - k) * d] *= 2.0  # S_k S_q^T stands for its mirror too
+                into = sums[k + q : j + q]
                 np.add(into, out.reshape(j - k, d, d), out=into, casting="unsafe", dtype=np.int64)
-    return pairs
-
-
-def _group_pairs(pairs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The entries (rows[p], cols[p]) of the slice products from
-    ``_pair_products``, summed in int64 by k + q: row g of the result holds
-    the sum of (S_k S_q^T)[rows, cols] over all k + q = g."""
-    count = math.isqrt(2 * len(pairs))  # there are count (count + 1) / 2 pairs
-    terms = np.zeros((max(2 * count - 1, 1), len(rows)), dtype=np.int64)
-    for q in range(count):
-        for k in range(q + 1):
-            pair = pairs[q * (q + 1) // 2 + k]
-            terms[k + q] += pair[rows, cols]
-            if k < q:
-                terms[k + q] += pair[cols, rows]  # S_q S_k^T
-    return terms
+    return sums
 
 
 def _round(terms: np.ndarray, top: np.ndarray, width: int) -> np.ndarray:

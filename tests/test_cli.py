@@ -167,6 +167,14 @@ def test_config_file_with_flag_override(wine_csv, tmp_path, capsys):
     assert "k           : 3" in capsys.readouterr().out  # flag beat config
 
 
+def test_config_file_with_a_byte_order_mark(wine_csv, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    settings = {"method": "ss", "k": 2, "input": wine_csv, "label": "quality", "delimiter": ";"}
+    config.write_bytes(("\ufeff" + json.dumps(settings)).encode("utf-8"))
+    assert main(["simulate", "--config", str(config)]) == EXIT_OK
+    assert "k           : 2" in capsys.readouterr().out
+
+
 def test_exit_codes(wine_csv, tmp_path):
     assert main(["simulate", "--input", wine_csv]) == EXIT_USAGE  # no --k
     assert main(["nonsense"]) == EXIT_USAGE

@@ -77,6 +77,21 @@ def test_load_csv_no_header(tmp_path):
     assert ds.columns == ["col0", "col1"]
 
 
+def test_load_csv_reads_a_byte_order_mark_before_a_label_column(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes("\ufeffquality,a,b\n5,1,2\n6,3,4\n".encode("utf-8"))
+    ds = load_csv(path, label_column="quality")
+    assert ds.columns == ["a", "b"]
+    assert np.array_equal(ds.labels, [5.0, 6.0])
+
+
+def test_load_csv_reads_a_byte_order_mark_before_a_headerless_first_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes("\ufeff1.0,2\n3,4\n".encode("utf-8"))
+    ds = load_csv(path, header=False)
+    assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_a_non_finite_label_is_a_data_error_naming_its_row():
     features = np.arange(10.0).reshape(5, 2)
     for value in (np.nan, np.inf, -np.inf):

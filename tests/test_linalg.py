@@ -350,7 +350,7 @@ def test_gram_and_column_sums_are_exact_across_row_blocks_property(
 def wide_provider_block():
     """A seeded block of the shape of one ``ss-wide`` provider: 2000 rows
     over three providers, 128 columns.  Every row block of it takes four
-    slices, so ``gram`` makes its pair sums once, at their full size."""
+    slices, so ``gram`` makes its sums by k + q once, at their full size."""
     return np.random.default_rng(34).normal(size=(667, 128))
 
 
@@ -388,12 +388,14 @@ def test_gram_working_memory_is_the_slicing_the_pair_sums_and_a_few_blocks(monke
     pair_products = linalg._pair_products
 
     def recording(blocks, d):
-        pairs = pair_products(blocks, d)
-        sizes.append(pairs.nbytes)
-        return pairs
+        sums = pair_products(blocks, d)
+        sizes.append(sums.nbytes)
+        return sums
 
     monkeypatch.setattr(linalg, "_pair_products", recording)
     linalg.gram(x)  # numpy's first calls allocate for good
+    # Four slices per row block give 2 * 4 - 1 sums by k + q, of d x d int64 each.
+    assert sizes == [8 * 7 * x.shape[1] ** 2]
     tracemalloc.start()
     try:
         linalg.gram(x)
