@@ -73,36 +73,38 @@ def load_csv(
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            raw = [row for row in reader if row]
+            # Each non-blank row with the file line it starts on; line_num
+            # counts blank lines and the newlines inside quoted cells too.
+            raw, line = [], 1
+            for row in reader:
+                if row:
+                    raw.append((line, row))
+                line = reader.line_num + 1
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not raw:
         raise DataError(f"{path}: file is empty")
 
     if header:
-        columns = [c.strip() for c in raw[0]]
+        columns = [c.strip() for c in raw[0][1]]
         body = raw[1:]
-        first_line = 2
     else:
-        columns = [f"col{i}" for i in range(len(raw[0]))]
+        columns = [f"col{i}" for i in range(len(raw[0][1]))]
         body = raw
-        first_line = 1
     if not body:
         raise DataError(f"{path}: no data rows")
 
     width = len(columns)
     values = np.empty((len(body), width))
-    for r, row in enumerate(body):
+    for r, (line, row) in enumerate(body):
         if len(row) != width:
-            raise DataError(
-                f"{path}: line {first_line + r} has {len(row)} cells, expected {width}"
-            )
+            raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
         for c, cell in enumerate(row):
             try:
                 values[r, c] = float(cell)
             except ValueError:
                 raise DataError(
-                    f"{path}: non-numeric cell {cell!r} at line {first_line + r}, "
+                    f"{path}: non-numeric cell {cell!r} at line {line}, "
                     f"column {columns[c]!r}"
                 ) from None
 

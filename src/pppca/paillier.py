@@ -15,10 +15,9 @@ slot sum reaches 2^w; choosing w so that it cannot is the caller's part.
 The big-integer kernel, named by :data:`KERNEL`, is libgmp, called
 through ctypes, when ``libgmp.so.10`` loads, and the builtin ``pow`` with
 Python ints otherwise; both give the same results.  It runs the modular
-exponentiations (mpz_powm) and the randomizer tables below (their powers
-built by mpz_powm and held as mpz; each power's two accumulators
-multiplied by mpz_mul and reduced by mpz_tdiv_r in place).  Two standard
-speed-ups keep the builtin fallback usable at 2048 bits:
+exponentiations (mpz_powm) and the randomizer tables below, one table
+class over either kernel.  Two standard speed-ups keep the builtin
+fallback usable at 2048 bits:
 
 * decryption works modulo p^2 and q^2 and recombines by the CRT
   (Paillier, Eurocrypt '99, section 7);
@@ -288,7 +287,7 @@ def _l_function(x: int, d: int) -> int:
 class _FixedBase:
     """Powers of one fixed base by the fixed-base windowing method
     (Brickell-Gordon-McCurley-Wilson, Eurocrypt '92; Menezes et al., HAC
-    Algorithm 14.109), on Python ints.
+    Algorithm 14.109), on either big-integer kernel.
 
     Stores base^(2^(w*i)) for each w-bit window i of the exponent.  A power
     then walks two accumulators down the window digits d = 2^w - 1 .. 1: B
@@ -296,90 +295,73 @@ class _FixedBase:
     At the end A is the product of B's values, in which the power of window
     i appears d_i times.  That costs a multiplication per nonzero window
     plus one per digit below the top one, 232 at most for a 1024-bit
-    exponent, instead of a full square-and-multiply.  :class:`_GmpFixedBase`
-    runs the same walk on libgmp.  A table is read-only once built, so
-    threads may share it.
+    exponent, instead of a full square-and-multiply.
+
+    Without ``gmp``, the table and the walk are Python ints.  With it, the
+    table is built by mpz_powm, held as mpz and cleared when collected, and
+    each power's two accumulators are mpz of their own call: made on first
+    use, multiplied and reduced in place, and cleared on every way out.  A
+    table is read-only once built, so threads may share it, even as ctypes
+    lets them run GMP at once.
     """
 
-    def __init__(self, base: int, exp_bits: int, mod: int):
-        self.mod = mod
-        self.exp_bits = exp_bits
-        powers = [base % mod]
-        for _ in range(-(-exp_bits // RANDOMIZER_WINDOW) - 1):
-            powers.append(_powmod(powers[-1], 1 << RANDOMIZER_WINDOW, mod))
-        self.powers = powers
-
-    def _windows_by_digit(self, x: int) -> list[list[int]]:
-        """The windows of ``x`` grouped by their digit, for the digits
-        2^w - 1 down to 1."""
-        if not 0 <= x < 1 << self.exp_bits:
-            raise ValueError(f"exponent must lie in [0, 2^{self.exp_bits})")
-        mask = (1 << RANDOMIZER_WINDOW) - 1
-        groups = [[] for _ in range(mask + 1)]
-        for i in range(len(self.powers)):
-            groups[x & mask].append(i)
-            x >>= RANDOMIZER_WINDOW
-        return groups[:0:-1]
-
-    def pow(self, x: int) -> int:
-        mod, powers = self.mod, self.powers
-        a = b = None  # each starts as a copy of its first factor
-        for windows in self._windows_by_digit(x):
-            for i in windows:
-                b = powers[i] if b is None else b * powers[i] % mod
-            if b is not None:
-                a = b if a is None else a * b % mod
-        return 1 if a is None else a
-
-
-class _GmpFixedBase(_FixedBase):
-    """:class:`_FixedBase` on libgmp.  The table is built by mpz_powm and
-    held as GMP integers; the walk's two accumulators are mpz of their own
-    call, updated in place by mpz_mul and mpz_tdiv_r and converted to a
-    Python int once at the end.  The table's mpz are only read, because
-    ctypes lets threads run GMP at once; they are cleared when the table is
-    collected.
-    """
-
-    def __init__(self, base: int, exp_bits: int, mod: int, gmp: _Gmp):
-        self.mod = mod
+    def __init__(self, base: int, exp_bits: int, mod: int, gmp: _Gmp | None = None):
         self.exp_bits = exp_bits
         self.gmp = gmp
-        self.mpz_mod = gmp.new(mod)
+        count = -(-exp_bits // RANDOMIZER_WINDOW)
+        if gmp is None:
+            self.mod = mod
+            self.powers = [base % mod]
+            for _ in range(count - 1):
+                self.powers.append(pow(self.powers[-1], 1 << RANDOMIZER_WINDOW, mod))
+            return
+        self.mod = gmp.new(mod)
         step = gmp.new(1 << RANDOMIZER_WINDOW)
         self.powers = [gmp.new(base % mod)]
-        for _ in range(-(-exp_bits // RANDOMIZER_WINDOW) - 1):
+        for _ in range(count - 1):
             self.powers.append(gmp.new())
-            gmp.powm(self.powers[-1], self.powers[-2], step, self.mpz_mod)
+            gmp.powm(self.powers[-1], self.powers[-2], step, self.mod)
         gmp.clear(step)
         # Not at exit, where a thread still encrypting could use them; the
         # process's end frees them anyway.
-        weakref.finalize(self, gmp.clear_all, [*self.powers, self.mpz_mod]).atexit = False
+        weakref.finalize(self, gmp.clear_all, [*self.powers, self.mod]).atexit = False
 
     def pow(self, x: int) -> int:
-        groups = self._windows_by_digit(x)
-        gmp, powers, mod = self.gmp, self.powers, self.mpz_mod
-        mul, tdiv_r, copy = gmp.mul, gmp.tdiv_r, gmp.set
-        a, b = gmp.new(), gmp.new()
-        a_set = b_set = False
+        if not 0 <= x < 1 << self.exp_bits:
+            raise ValueError(f"exponent must lie in [0, 2^{self.exp_bits})")
+        mask = (1 << RANDOMIZER_WINDOW) - 1
+        groups = [[] for _ in range(mask + 1)]  # the windows of x by their digit
+        for i in range(len(self.powers)):
+            groups[x & mask].append(i)
+            x >>= RANDOMIZER_WINDOW
+        gmp = self.gmp
+        a = b = None  # each starts as a copy of its first factor
         try:
-            for windows in groups:
+            for windows in groups[:0:-1]:  # the digits 2^w - 1 down to 1
                 for i in windows:
-                    if b_set:
-                        mul(b, b, powers[i])
-                        tdiv_r(b, b, mod)
-                    else:
-                        copy(b, powers[i])
-                        b_set = True
-                if a_set:
-                    mul(a, a, b)
-                    tdiv_r(a, a, mod)
-                elif b_set:
-                    copy(a, b)
-                    a_set = True
-            return gmp.to_int(a) if a_set else 1
+                    b = self._times(b, self.powers[i])
+                if b is not None:
+                    a = self._times(a, b)
+            if a is None:
+                return 1
+            return a if gmp is None else gmp.to_int(a)
         finally:
-            gmp.clear_all((a, b))
+            if gmp is not None:
+                gmp.clear_all(z for z in (a, b) if z is not None)
+
+    def _times(self, acc, z):
+        """acc * z mod the modulus, or a copy of z while acc is None; on
+        libgmp, in place in acc, or in a new mpz for the copy."""
+        gmp = self.gmp
+        if gmp is None:
+            return z if acc is None else acc * z % self.mod
+        if acc is None:
+            acc = gmp.new()
+            gmp.set(acc, z)
+        else:
+            gmp.mul(acc, acc, z)
+            gmp.tdiv_r(acc, acc, self.mod)
+        return acc
 
 
 def _djn_generator(n: int) -> int:
@@ -407,9 +389,7 @@ def _randomizer_bits(pk: PublicKey) -> int:
 @functools.lru_cache(maxsize=RANDOMIZER_CACHE_SIZE)
 def _randomizer_table_for(pk: PublicKey) -> _FixedBase:
     h_s = _powmod(_djn_generator(pk.n), pk.n, pk.n_squared)
-    if _gmp is None:
-        return _FixedBase(h_s, _randomizer_bits(pk), pk.n_squared)
-    return _GmpFixedBase(h_s, _randomizer_bits(pk), pk.n_squared, _gmp)
+    return _FixedBase(h_s, _randomizer_bits(pk), pk.n_squared, _gmp)
 
 
 # Held while a table is built, so concurrent encrypting parties build it once.

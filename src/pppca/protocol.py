@@ -587,23 +587,31 @@ class ServerRole(_Role):
         self.transfer = linalg.top_k_transfer(pairs, cfg.k)
         self.eigenvalues = pairs.values
         self.timings["eigendecomposition"] = time.perf_counter() - started
-        self.angle_bound = self._angle_bound(n)
+        self.angle_bound, gap, error = self._angle_bound(n)
         if self.angle_bound > MAX_ANGLE_BOUND:
             fp = cfg.fixed_point
-            raise ProtocolAbort(
-                PHASE_TRANSFER,
-                f"the fixed-point grid of (l, f) = ({fp.l}, {fp.f}) leaves the transfer "
-                f"matrix unresolved: the sine of its largest principal angle may reach "
-                f"{self.angle_bound:.3g}, above {MAX_ANGLE_BOUND:g}; use a larger f or "
-                f"rescale the data",
-            )
+            grid = f"the fixed-point grid of (l, f) = ({fp.l}, {fp.f})"
+            if gap <= error:  # C's own gap at k may be zero, which no f resolves
+                cause = (
+                    f"the opened eigengap at k={cfg.k}, g = {gap:.3g}, is within the "
+                    f"error E = {error:.3g} of {grid}: the top-{cfg.k} subspace is "
+                    f"unresolved; choose another k, use a larger f or rescale the data"
+                )
+            else:
+                cause = (
+                    f"{grid} leaves the transfer matrix unresolved: the sine of its "
+                    f"largest principal angle may reach {self.angle_bound:.3g}, above "
+                    f"{MAX_ANGLE_BOUND:g}; use a larger f or rescale the data"
+                )
+            raise ProtocolAbort(PHASE_TRANSFER, cause)
         self._broadcast(
             ep, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, encode_real_matrix(self.transfer)
         )
 
-    def _angle_bound(self, n: int) -> float:
+    def _angle_bound(self, n: int) -> tuple[float, float, float]:
         """A bound on the sine of the largest principal angle between the
-        transfer matrix and the top-k eigenvectors of the exact covariance C.
+        transfer matrix and the top-k eigenvectors of the exact covariance C,
+        with the opened eigengap g at k and the grid's error E it rests on.
 
         Every provider rounds its covariance terms to the 2^-f grid, so the
         opened covariance is off by at most E = d M 2^-(f+1) in Frobenius
@@ -616,8 +624,8 @@ class ServerRole(_Role):
         cfg, values = self.cfg, self.eigenvalues
         d, step = values.size, 2.0 ** -(cfg.fixed_point.f + 1)
         error = d * cfg.parties * step + n / (n - 1) * d * (cfg.parties * step / n) ** 2
-        gap = float(values[cfg.k - 1] - values[cfg.k]) - error
-        return error / gap if gap > 0 else math.inf
+        gap = float(values[cfg.k - 1] - values[cfg.k])
+        return (error / (gap - error) if gap > error else math.inf), gap, error
 
 
 class ConsumerRole(_Role):

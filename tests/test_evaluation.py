@@ -49,17 +49,32 @@ def test_load_csv_wine_like_semicolon(tmp_path):
 
 
 def test_load_csv_non_numeric_cell_location(tmp_path):
+    # Lines count as the file numbers them: blank lines, blank lines before
+    # the header and the newlines inside quoted cells; a row spanning lines
+    # is named by the line it starts on.
     path = tmp_path / "bad.csv"
-    path.write_text("x,y\n1,2\n3,abc\n")
-    with pytest.raises(DataError, match=r"line 3.*'y'"):
-        load_csv(path)
+    for text, line in (
+        ("x,y\n1,2\n3,abc\n", 3),
+        ("x,y\n1,2\n\n3,abc\n", 4),
+        ("\n\nx,y\n1,2\n3,abc\n", 5),
+        ('x,y\n"1\n",2\n3,abc\n', 4),
+        ('x,y\n1,2\n3,"a\nbc"\n', 3),
+    ):
+        path.write_text(text)
+        with pytest.raises(DataError, match=rf"line {line}\b.*'y'"):
+            load_csv(path)
 
 
 def test_load_csv_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
-    path.write_text("x,y\n1,2\n3\n")
-    with pytest.raises(DataError, match="line 3"):
-        load_csv(path)
+    for text, line in (
+        ("x,y\n1,2\n3\n", 3),
+        ("x,y\n\n1,2\n\n3\n", 5),
+        ('x,y\n"1\n\n",2\n3\n', 5),
+    ):
+        path.write_text(text)
+        with pytest.raises(DataError, match=rf"line {line}\b"):
+            load_csv(path)
 
 
 def test_load_csv_missing_label(tmp_path):

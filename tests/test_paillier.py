@@ -193,11 +193,11 @@ def test_kernel_names_what_runs_the_powers_and_the_tables(test_keypair):
     table = paillier._randomizer_table(test_keypair[0])
     if paillier.KERNEL == "libgmp":
         assert paillier._powmod == paillier._gmp.powmod
-        assert type(table) is paillier._GmpFixedBase
+        assert type(table) is paillier._FixedBase and table.gmp is paillier._gmp
     else:
         assert paillier.KERNEL == "builtin"
         assert paillier._powmod is pow and paillier._gmp is None
-        assert type(table) is paillier._FixedBase
+        assert type(table) is paillier._FixedBase and table.gmp is None
 
 
 def test_kernel_is_the_builtin_pow_when_libgmp_does_not_load():
@@ -250,7 +250,7 @@ def _kernels():
     """The randomizer-table kernels that can run here, by name."""
     yield "builtin", paillier._FixedBase
     if paillier._gmp is not None:
-        yield "libgmp", lambda *args: paillier._GmpFixedBase(*args, paillier._gmp)
+        yield "libgmp", lambda *args: paillier._FixedBase(*args, paillier._gmp)
 
 
 def test_fixed_base_power_matches_builtin_pow(test_keypair):
@@ -291,7 +291,7 @@ def test_gmp_table_holds_the_int_tables_powers(test_keypair):
     for mod, bits in ((test_keypair[0].n_squared, 256), (big_n * big_n, 1024)):
         base = rng.randrange(2, mod)
         int_table = paillier._FixedBase(base, bits, mod)
-        gmp_table = paillier._GmpFixedBase(base, bits, mod, gmp)
+        gmp_table = paillier._FixedBase(base, bits, mod, gmp)
         assert len(int_table.powers) == -(-bits // RANDOMIZER_WINDOW)
         assert [gmp.to_int(z) for z in gmp_table.powers] == int_table.powers
 
@@ -304,7 +304,7 @@ def test_gmp_power_walks_two_accumulators(monkeypatch):
     rng = random.Random(21)
     big_n = rng.getrandbits(2048) | 1 << 2047 | 1
     mod, bits = big_n * big_n, 1024
-    table = paillier._GmpFixedBase(rng.randrange(2, mod), bits, mod, gmp)
+    table = paillier._FixedBase(rng.randrange(2, mod), bits, mod, gmp)
     counts = collections.Counter()
     for name in ("mul", "init"):
         monkeypatch.setattr(gmp, name, _counted(counts, name, getattr(gmp, name)))
@@ -380,13 +380,37 @@ def test_gmp_tables_clear_every_mpz_they_init(monkeypatch):
     monkeypatch.setattr(gmp, "init", counted_init)
     monkeypatch.setattr(gmp, "clear", counted_clear)
     rng = random.Random(20)
-    for _ in range(3 * RANDOMIZER_CACHE_SIZE):
+    # The edge exponents of test_fixed_base_power_matches_builtin_pow, at
+    # the 256-bit exponents of a 512-bit modulus: no window set, the lowest
+    # digit 1, only the top window, every window below the top at digit 63,
+    # and every window at its largest digit.
+    bits = 256
+    top = RANDOMIZER_WINDOW * (-(-bits // RANDOMIZER_WINDOW) - 1)
+    edges = [0, 1, 1 << top, (1 << top) - 1, (1 << bits) - 1]
+    for cached in range(1, 3 * RANDOMIZER_CACHE_SIZE + 1):
         pk = paillier.PublicKey.from_modulus(rng.getrandbits(512) | 1 << 511 | 1)
-        assert type(paillier._randomizer_table(pk)) is paillier._GmpFixedBase
+        table = paillier._randomizer_table(pk)
+        assert table.gmp is gmp
+        # Each cached table holds 43 powers (256-bit exponents, 6-bit
+        # windows) and its modulus; the tables evicted so far are cleared
+        # already, and every power clears the accumulators it made.
+        held = min(cached, RANDOMIZER_CACHE_SIZE) * 44
+        for x in edges:
+            assert table.pow(x) == pow(gmp.to_int(table.powers[0]), x, pk.n_squared)
+            assert sum(live.values()) == held
         paillier.encrypt(pk, 5, rng)
-    # Each cached table holds 43 powers (256-bit exponents, 6-bit windows)
-    # and its modulus; the tables evicted so far are cleared already.
+        assert sum(live.values()) == held
+
+    # A power that fails with both accumulators made still clears them: digit
+    # 63 makes B and then A, and digit 62's first multiplication raises.
+    def failing_mul(*args):
+        raise RuntimeError("mpz_mul failed")
+
+    monkeypatch.setattr(gmp, "mul", failing_mul)
+    with pytest.raises(RuntimeError, match="mpz_mul failed"):
+        table.pow(63 | 62 << RANDOMIZER_WINDOW)
     assert sum(live.values()) == RANDOMIZER_CACHE_SIZE * 44
+    del table
     paillier._randomizer_table_for.cache_clear()
     assert len(inits) > 3 * RANDOMIZER_CACHE_SIZE * 44
     assert set(live.values()) == {0}

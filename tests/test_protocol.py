@@ -576,6 +576,25 @@ def test_small_scales_abort_naming_l_and_f_instead_of_a_wrong_transfer(fp):
     assert outcomes == {"abort", "answer"}
 
 
+@pytest.mark.parametrize("make_cfg", [ss_cfg, he_cfg], ids=["ss", "he"])
+def test_a_zero_eigengap_aborts_with_the_gap_the_grid_error_and_another_k(make_cfg):
+    # Tied eigenvalues ([3I; -3I], d = 4) and every row the same: the
+    # pooled covariance's own eigengap at k = 1 is zero, so no f resolves
+    # its top-k subspace, and the abort must not offer a larger f alone.
+    d, parties, n, step = 4, 2, 8, 2.0**-65  # the default f = 64's half step
+    error = d * parties * step + n / (n - 1) * d * (parties * step / n) ** 2
+    same_rows = np.tile([1.0, 2.0, 3.0, 4.0], (4, 1))
+    for data in ([3 * np.eye(d), -3 * np.eye(d)], [same_rows, same_rows.copy()]):
+        with pytest.raises(ProtocolAbort) as err:
+            run_session(make_cfg(k=1, seed=1), data)
+        assert err.value.phase == PHASE_TRANSFER
+        found = re.search(r"g = (\S+), is within the error E = (\S+) of", str(err.value))
+        assert found, str(err.value)
+        assert float(found[1]) <= error and found[2] == f"{error:.3g}"
+        assert "(l, f) = (128, 64)" in str(err.value)
+        assert "choose another k" in str(err.value)
+
+
 def test_abort_on_empty_provider():
     from pppca.errors import MatrixValidationError
 
