@@ -13,7 +13,8 @@ Every integer on the wire is unsigned and big-endian.  A frame is:
 
 The step field packs the protocol phase in its upper 16 bits; the receiver
 index in the lower 16 bits makes steps unique and strictly increasing per
-sender when each phase sends to receivers in index order.
+sender when each phase sends to receivers in index order.  Both transports
+read every frame through :func:`read_frame`, the one place that parses one.
 
 Payloads, by message type, where a shape is rows (4 bytes) then cols
 (4 bytes), neither zero, and entries follow it in row-major order:
@@ -43,6 +44,7 @@ refuses a shape other than the one its receiver expects before it allocates.
 from __future__ import annotations
 
 import enum
+import io
 import struct
 import threading
 from dataclasses import dataclass
@@ -120,15 +122,18 @@ def _check_fields(where: str, *fields: tuple[str, int, int]):
             raise FrameFormatError(f"{name} {value} does not fit the {where}'s {bits}-bit field")
 
 
-def parse_header(header: bytes) -> tuple[MsgType, int, int, int, int]:
-    """Returns (msg_type, sender, receiver, step, payload_length)."""
+def read_frame(read) -> ProtocolMessage | None:
+    """The next frame from ``read(n)``, which returns n bytes, or fewer only
+    where its stream ends; None if the stream ends before a frame begins.
+    A malformed header, or a frame cut short, raises ``FrameFormatError``."""
+    header = read(_HEADER.size)
+    if not header:
+        return None
     if len(header) < _HEADER.size:
         raise FrameFormatError(
-            f"truncated frame header: {len(header)} of {_HEADER.size} bytes"
+            f"stream ended mid-frame: {len(header)} of a header's {_HEADER.size} bytes"
         )
-    magic, version, raw_type, sender, receiver, step, length = _HEADER.unpack(
-        header[: _HEADER.size]
-    )
+    magic, version, raw_type, sender, receiver, step, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise FrameFormatError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -139,28 +144,24 @@ def parse_header(header: bytes) -> tuple[MsgType, int, int, int, int]:
         raise FrameFormatError(f"unknown message type {raw_type}") from exc
     if length > MAX_PAYLOAD:
         raise FrameFormatError(f"payload length {length} exceeds the 256 MiB cap")
-    return msg_type, sender, receiver, step, length
+    payload = read(length)
+    if len(payload) < length:
+        raise FrameFormatError(
+            f"stream ended mid-frame: {_HEADER.size + len(payload)} of party {sender}'s "
+            f"{_HEADER.size + length}-byte frame"
+        )
+    return ProtocolMessage(msg_type, sender, receiver, step, payload)
 
 
 def deserialize(data: bytes) -> ProtocolMessage:
     """Decode exactly one frame; trailing or missing bytes are an error."""
-    msg_type, sender, receiver, step, length = parse_header(data)
-    expected = _HEADER.size + length
-    if len(data) < expected:
-        raise FrameFormatError(
-            f"truncated frame: {len(data)} of {expected} bytes"
-        )
-    if len(data) > expected:
-        raise FrameFormatError(
-            f"trailing bytes after frame: {len(data) - expected}"
-        )
-    return ProtocolMessage(
-        msg_type=msg_type,
-        sender=sender,
-        receiver=receiver,
-        step=step,
-        payload=data[_HEADER.size :],
-    )
+    stream = io.BytesIO(data)
+    msg = read_frame(stream.read)
+    if msg is None:
+        raise FrameFormatError(f"stream ended mid-frame: 0 of a header's {_HEADER.size} bytes")
+    if stream.tell() < len(data):
+        raise FrameFormatError(f"trailing bytes after frame: {len(data) - stream.tell()}")
+    return msg
 
 
 def header_size() -> int:

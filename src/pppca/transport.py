@@ -6,7 +6,9 @@ Two interchangeable transports expose the same endpoint surface:
 * :class:`TcpNetwork` runs the identical frames over length-prefixed TCP,
   one connection per ordered (sender, receiver) channel.
 
-Both networks build one endpoint per party of the list they are given, and
+Neither knows the frame layout: both read frames through
+:func:`pppca.messages.read_frame`, so a bad frame reads the same on both.
+Both build one endpoint per party of the list they are given, and
 log every delivered message into a shared :class:`Transcript` at the moment
 the receiving role consumes it, so a transcript records exactly what each
 party saw, in a canonical order that is identical across transports.
@@ -32,8 +34,7 @@ from .messages import (
     Transcript,
     deserialize,
     frame_header,
-    header_size,
-    parse_header,
+    read_frame,
     serialize,
 )
 
@@ -188,56 +189,34 @@ class TcpEndpoint(_BufferedReceiver):
                 daemon=True,
             ).start()
 
-    @staticmethod
-    def _read_exact(conn: socket.socket, count: int, sender: int | None, in_frame: bool) -> bytes:
-        """Exactly ``count`` bytes, or b"" if the stream ends between frames:
-        before the first of them, with no part of a frame read yet.  Ending
-        anywhere inside a frame (``in_frame`` says part of it was read
-        already) raises ``TransportClosed``, naming ``sender`` if it is
-        known.  Each ``recv`` waits for all
-        the bytes it asks for, so one usually returns them all, and joining
-        a single chunk copies nothing."""
-        chunks = []
-        got = 0
-        while got < count:
-            try:
-                chunk = conn.recv(count - got, socket.MSG_WAITALL)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                if got or in_frame:
-                    peer = "" if sender is None else f" from party {sender}"
-                    raise TransportClosed(f"connection{peer} lost mid-frame ({got}/{count} bytes)")
-                return b""
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
-
     def _read_loop(self, conn: socket.socket):
+        def read(count: int) -> bytes:
+            # Each recv waits for all it asks for, so one usually returns it
+            # all, and joining one chunk copies nothing.  A failed recv (a
+            # reset) ends the stream there, behind the bytes that arrived.
+            chunks, got = [], 0
+            with contextlib.suppress(OSError):
+                while got < count and (chunk := conn.recv(count - got, socket.MSG_WAITALL)):
+                    chunks.append(chunk)
+                    got += len(chunk)
+            return b"".join(chunks)
+
         sender = None  # each connection carries one sender's frames
         with conn:
             try:
-                while not self._shutdown:
-                    header = self._read_exact(conn, header_size(), sender, in_frame=False)
-                    if not header:
-                        break  # the stream ended between frames
-                    msg_type, claimed, receiver, step, length = parse_header(header)
-                    if receiver != self.party:
+                while not self._shutdown and (msg := read_frame(read)) is not None:
+                    if msg.receiver != self.party:
                         raise FrameFormatError(
-                            f"a frame from party {claimed} addressed to party {receiver}"
+                            f"a frame from party {msg.sender} addressed to party {msg.receiver}"
                         )
-                    if sender not in (None, claimed):
+                    if sender not in (None, msg.sender):
                         raise FrameFormatError(
-                            f"party {sender}'s channel carried a frame from party {claimed}"
+                            f"party {sender}'s channel carried a frame from party {msg.sender}"
                         )
-                    sender = claimed
-                    payload = self._read_exact(conn, length, sender, in_frame=True)
-                    self._push(ProtocolMessage(msg_type, sender, receiver, step, payload))
+                    sender = msg.sender
+                    self._push(msg)
             except FrameFormatError as exc:
                 self._close(f"malformed frame: {exc}")
-                return
-            except TransportClosed as exc:
-                self._close(str(exc))
                 return
         if sender is not None and not self._shutdown:
             self._end(sender, f"party {sender} closed its channel")

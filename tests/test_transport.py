@@ -95,7 +95,7 @@ def test_real_matrix_view_reads_the_payload_in_place():
 def test_truncated_frame_rejected():
     data = serialize(_msg(MsgType.SAMPLE_COUNT, 1, 0, 0, encode_sample_count(7)))
     for cut in (0, 3, len(data) - 1):
-        with pytest.raises(FrameFormatError):
+        with pytest.raises(FrameFormatError, match="mid-frame"):
             deserialize(data[:cut])
     with pytest.raises(FrameFormatError):
         deserialize(data + b"\x00")
@@ -611,6 +611,53 @@ def test_tcp_frame_cut_short_closes_the_receiver_at_once():
             assert time.monotonic() - started < 1.0
         finally:
             receiver.close()
+
+
+def _reset(address, data):
+    """Send ``data`` to ``address``, then reset the connection: with
+    SO_LINGER 0, closing sends RST in place of FIN."""
+    with socket.create_connection(address) as peer:
+        peer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.sendall(data)
+
+
+def test_tcp_reset_between_frames_ends_only_that_senders_channel():
+    tcp = TcpNetwork([1, 3], timeout=5.0)
+    try:
+        receiver, other = tcp.endpoint(1), tcp.endpoint(3)
+        frame = _msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(20))
+        _reset(receiver.address, serialize(frame))
+        other.send(_msg(MsgType.SAMPLE_COUNT, 3, 1, 0, encode_sample_count(30)))
+        # The frame that arrived before the reset is delivered.
+        assert receiver.recv(sender=2) == frame
+        started = time.monotonic()
+        with pytest.raises(TransportClosed, match="party 2"):
+            receiver.recv(sender=2)
+        assert time.monotonic() - started < 1.0
+        other.send(_msg(MsgType.SAMPLE_COUNT, 3, 1, 1, encode_sample_count(31)))
+        got = [decode_sample_count(receiver.recv(sender=3).payload) for _ in range(2)]
+        assert got == [30, 31]
+    finally:
+        tcp.close()
+
+
+@pytest.mark.parametrize("cut", [1, messages.header_size() - 1, messages.header_size(),
+                                 messages.header_size() + 3])
+def test_tcp_reset_mid_frame_closes_the_receiver_at_once(cut):
+    frame = serialize(_msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(20)))
+    receiver = TcpEndpoint(1, ("127.0.0.1", 0), timeout=5.0)
+    try:
+        _reset(receiver.address, frame[:cut])
+        started = time.monotonic()
+        for sender in (2, 3):
+            with pytest.raises(TransportClosed, match="mid-frame") as closed:
+                receiver.recv(sender=sender)
+            # The sender is named once its header has been read.
+            assert ("party 2" in str(closed.value)) == (cut >= messages.header_size())
+        assert time.monotonic() - started < 1.0
+    finally:
+        receiver.close()
 
 
 def _tcp_receiver_rejects(frames, match):
