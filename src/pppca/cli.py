@@ -8,16 +8,16 @@ Subcommands:
 * ``bench``    - protocol timing and message accounting per party count.
 
 Every subcommand reads every :class:`SessionConfig` field from a flag or a
-JSON config file (``--config``); ``aggregator`` and ``fixed_point`` (an
-object of ``l`` and ``f``) are config-only.  A config may also carry the
-other flags by their long names, and a role's ``endpoints``; a key that no
-subcommand reads is a data error.  Flags override config values, and
-``SessionConfig`` supplies every default.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 protocol error.  ``role`` mode refuses ``standardize``,
-which would scale each provider's rows by its own deviations.  In ``role``
-mode every error raised once the role runs is a protocol error that names
-its phase and the party, as ``protocol aborted in phase N: party P: ...``; a
-malformed payload also names its message type and sender.
+JSON config file (``--config``); ``fixed_point`` (an object of ``l`` and
+``f``) is config-only.  A config may also carry the other flags by their
+long names, and a role's ``endpoints``; a key that no subcommand reads is a
+data error.  Flags override config values, and ``SessionConfig`` supplies
+every default.  Exit codes: 0 success, 1 usage error, 2 data error, 3
+protocol error.  ``role`` mode refuses ``standardize``, which would scale
+each provider's rows by its own deviations.  In ``role`` mode every error
+raised once the role runs is a protocol error that names its phase and the
+party, as ``protocol aborted in phase N: party P: ...``; a malformed payload
+also names its message type and sender.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ EXIT_DATA = 2
 EXIT_PROTOCOL = 3
 
 # SessionConfig fields read from a flag or the config, besides method, parties and k.
-SESSION_SETTINGS = ("aggregator", "fixed_point", "key_bits", "allow_test_key", "seed", "timeout")
+SESSION_SETTINGS = ("fixed_point", "key_bits", "allow_test_key", "seed", "timeout")
 # The type of each config key the CLI reads itself.  SessionConfig checks the
 # session settings, and _endpoint_map the endpoints.
 CONFIG_TYPES = {

@@ -93,11 +93,11 @@ def compare(
 
     ``seed`` fixes the provider assignment, the folds and each fold's
     session seed.  ``session`` holds any other :class:`SessionConfig` field
-    (``key_bits``, ``allow_test_key``, ``fixed_point``, ``aggregator``,
-    ``timeout``), with ``SessionConfig``'s defaults for the rest.  One
-    ``SessionConfig`` of ``parties``, ``k``, ``seed`` and ``session`` checks
-    them all before the first fold, whatever the methods; each protocol
-    method's config is that one with its method, also built up front.
+    (``key_bits``, ``allow_test_key``, ``fixed_point``, ``timeout``), with
+    ``SessionConfig``'s defaults for the rest.  One ``SessionConfig`` of
+    ``parties``, ``k``, ``seed`` and ``session`` checks them all before the
+    first fold, whatever the methods; each protocol method's config is that
+    one with its method, also built up front.
     """
     for m in methods:
         if m not in METHODS:

@@ -4,8 +4,8 @@ The protocol is honest-but-curious secure only if the message routing obeys
 a closed policy:
 
 * reduced rows travel exclusively to the data consumer,
-* the aggregating provider p receives, beyond broadcasts, only ciphertext
-  payloads (never a plaintext sum),
+* under ``he``, provider 1, which folds the ciphertexts, receives, beyond
+  broadcasts, only ciphertext payloads (never a plaintext sum),
 * the server receives only aggregates, never a per-provider term,
 * ordinary providers receive only the public key, the broadcast mean and
   transfer matrix, share bundles, and sample counts,

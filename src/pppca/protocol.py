@@ -9,10 +9,10 @@ rows:
 * the data consumer (party M+1) receives only the dimension-reduced rows.
 
 Secure addition is pluggable (:class:`SecureSum`): the HE back end encrypts
-local matrices under the server's Paillier key and lets one designated
-provider p fold ciphertexts; the SS back end additively secret-shares local
-matrices among the providers and lets the server reconstruct only the sum of
-local share sums.  Either way a round has two hops: every provider masks its
+local matrices under the server's Paillier key and lets provider 1 fold
+the ciphertexts; the SS back end additively secret-shares local matrices
+among the providers and lets the server reconstruct only the sum of local
+share sums.  Either way a round has two hops: every provider masks its
 values and sends one piece to each *combiner* other than itself; each
 combiner adds the pieces it holds and sends the result to the server, which
 opens the total.
@@ -36,7 +36,7 @@ appears in transcripts and error messages:
 Phase 5 is unused.
 
     back end  masking                                   combiners
-    he        Paillier encryption of offset ring         provider p
+    he        Paillier encryption of offset ring         provider 1
               elements, floor((bitlen(n) - 1) / w) of
               them in w-bit slots of each plaintext
     ss        n-of-n shares of ring elements; each      every provider
@@ -142,7 +142,6 @@ class SessionConfig:
     method: str
     parties: int
     k: int
-    aggregator: int = 1
     fixed_point: FixedPointConfig = field(default_factory=FixedPointConfig)
     key_bits: int = paillier.DEFAULT_KEY_BITS
     allow_test_key: bool = False
@@ -151,9 +150,8 @@ class SessionConfig:
 
     def __post_init__(self):
         for name, kinds in (("method", str), ("parties", Integral), ("k", Integral),
-                            ("aggregator", Integral), ("key_bits", Integral), ("timeout", Real),
-                            ("allow_test_key", bool), ("seed", (Integral, type(None))),
-                            ("fixed_point", FixedPointConfig)):
+                            ("key_bits", Integral), ("timeout", Real), ("allow_test_key", bool),
+                            ("seed", (Integral, type(None))), ("fixed_point", FixedPointConfig)):
             value = getattr(self, name)
             # A bool is an Integral, but True is no count, seed or timeout.
             if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
@@ -166,11 +164,6 @@ class SessionConfig:
             raise ConfigError(f"need 2 to {MAX_PARTIES} data providers, got {self.parties}")
         if self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
-        if not 1 <= self.aggregator <= self.parties - 1:
-            raise ConfigError(
-                f"aggregator must be a provider index in [1, {self.parties - 1}], "
-                f"got {self.aggregator}"
-            )
         if not 0 < self.timeout < math.inf:  # False for NaN too
             raise ConfigError(f"timeout must be finite and positive, got {self.timeout}")
         if self.seed is not None and self.seed < 0:
@@ -181,6 +174,11 @@ class SessionConfig:
     def secure_sum(self) -> type[SecureSum]:
         """The secure-sum back end; the one place ``method`` is read."""
         return SECURE_SUMS[self.method]
+
+    @property
+    def aggregator(self) -> int:
+        """The provider that folds the ``he`` ciphertexts."""
+        return 1
 
     @property
     def consumer(self) -> int:

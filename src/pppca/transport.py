@@ -165,7 +165,8 @@ class TcpEndpoint(_BufferedReceiver):
         super().__init__(party, transcript if transcript is not None else Transcript(), timeout)
         self._peers: dict[int, tuple[str, int]] = {}
         self._out: dict[int, socket.socket] = {}
-        self._out_lock = threading.Lock()
+        self._accepted: set[socket.socket] = set()
+        self._out_lock = threading.Lock()  # guards _out, _accepted and _shutdown
         self._shutdown = False
         self._listener = socket.create_server(listen)
         self.address = self._listener.getsockname()
@@ -177,11 +178,16 @@ class TcpEndpoint(_BufferedReceiver):
         self._peers.update(peers)
 
     def _accept_loop(self):
-        while not self._shutdown:
+        while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:  # close() shut the listener down
                 return
+            with self._out_lock:
+                if self._shutdown:  # accepted while close() ran
+                    conn.close()
+                    return
+                self._accepted.add(conn)
             threading.Thread(
                 target=self._read_loop,
                 args=(conn,),
@@ -204,7 +210,7 @@ class TcpEndpoint(_BufferedReceiver):
         sender = None  # each connection carries one sender's frames
         with conn:
             try:
-                while not self._shutdown and (msg := read_frame(read)) is not None:
+                while (msg := read_frame(read)) is not None:
                     if msg.receiver != self.party:
                         raise FrameFormatError(
                             f"a frame from party {msg.sender} addressed to party {msg.receiver}"
@@ -218,11 +224,13 @@ class TcpEndpoint(_BufferedReceiver):
             except FrameFormatError as exc:
                 self._close(f"malformed frame: {exc}")
                 return
-        if sender is not None and not self._shutdown:
+        if sender is not None:
             self._end(sender, f"party {sender} closed its channel")
 
     def _channel(self, receiver: int) -> socket.socket:
         with self._out_lock:
+            if self._shutdown:
+                raise TransportClosed(f"party {self.party}'s endpoint is closed")
             sock = self._out.get(receiver)
             if sock is not None:
                 return sock
@@ -262,12 +270,18 @@ class TcpEndpoint(_BufferedReceiver):
             return set(self._out)
 
     def close(self):
-        self._shutdown = True
-        with contextlib.suppress(OSError):
-            # close() alone leaves the accept loop blocked; shutdown wakes it.
-            self._listener.shutdown(socket.SHUT_RDWR)
-            self._listener.close()
+        """Fail every receive once its frames are taken, refuse every send, and
+        shut every socket, the accepted ones too, so that their readers end."""
+        self._close(f"party {self.party}'s endpoint is closed")
         with self._out_lock:
+            self._shutdown = True
+            # close() alone leaves a blocked accept or recv waiting; shutdown wakes it.
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
+                self._listener.close()
+            for sock in self._accepted:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)  # its reader closes it
             for sock in self._out.values():
                 with contextlib.suppress(OSError):
                     sock.close()

@@ -625,22 +625,15 @@ def test_bench_honours_the_configs_fixed_point(wine_csv, tmp_path, capsys):
     assert "protocol error" in capsys.readouterr().err
 
 
-def test_simulate_reads_the_aggregator_from_the_config(wine_csv, tmp_path, capsys):
+def test_a_config_that_names_an_aggregator_is_a_data_error(wine_csv, tmp_path, capsys):
+    # Provider 1 folds the he ciphertexts; no config picks another.
     config = _config(
         tmp_path, wine_csv, method="he", parties=3, key_bits=512,
         allow_test_key=True, aggregator=2,
     )
-    assert main(["simulate", "--config", config, "--show-transcript"]) == EXIT_OK
-    stdout = capsys.readouterr().out
-    assert "privacy     : ok" in stdout
-    receivers = set(re.findall(r"ENCRYPTED_SUMS \d -> (\d)", stdout))
-    assert receivers == {"2"}
-
-
-def test_simulate_rejects_an_aggregator_out_of_range_under_ss(wine_csv, tmp_path, capsys):
-    config = _config(tmp_path, wine_csv, method="ss", parties=2, aggregator=9)
-    assert main(["simulate", "--config", config]) == EXIT_USAGE
-    assert "aggregator must be a provider index in [1, 1], got 9" in capsys.readouterr().err
+    assert main(["simulate", "--config", config]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "aggregator" in err
 
 
 def test_the_cli_can_set_every_session_field():

@@ -362,11 +362,11 @@ def test_compare_and_bench_pass_session_settings_to_session_config(monkeypatch):
     ds = make_wine_like(rows=60)
     fp = FixedPointConfig(l=64, f=30)
     compare(ds, parties=3, k=2, methods=["pppca-ss"], seed=1, folds=2, fixed_point=fp,
-            aggregator=2)
+            timeout=12.5)
     bench(ds, [2], method="ss", k=2, seed=1, fixed_point=fp)
     assert len(seen) == 3
-    assert {(c.fixed_point, c.timeout) for c in seen} == {(fp, DEFAULT_TIMEOUT)}
-    assert [c.aggregator for c in seen[:2]] == [2, 2]
+    assert {c.fixed_point for c in seen} == {fp}
+    assert [c.timeout for c in seen] == [12.5, 12.5, DEFAULT_TIMEOUT]
     # A ring too narrow for wine's features aborts the session it reaches.
     with pytest.raises(PPCAError):
         compare(ds, parties=2, k=2, methods=["pppca-ss"], seed=1,

@@ -6,7 +6,7 @@ import struct
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -99,24 +99,29 @@ def test_he_replicated_data_covariance_oracle():
     assert np.max(np.abs(result.covariance - expected)) < 1e-9
 
 
-def test_he_aggregator_choice():
-    data = split(HAND_DATA, 3)
-    base = run_session(he_cfg(parties=3, k=2), data)
-    moved = run_session(he_cfg(parties=3, k=2, aggregator=2), data)
-    assert np.allclose(base.covariance, moved.covariance, atol=1e-9)
-    with pytest.raises(ConfigError):
-        he_cfg(parties=3, aggregator=3)  # p must be at most M - 1
-    with pytest.raises(ConfigError):
-        he_cfg(parties=3, aggregator=0)
+@pytest.mark.parametrize("parties", [2, 3, 4])
+def test_he_ciphertexts_are_folded_by_provider_1(parties):
+    result = run_session(he_cfg(parties=parties, k=2), split(HAND_DATA, parties))
+    frames = result.transcript.raw()
+    for kind, total in ((MsgType.ENCRYPTED_SUMS, MsgType.ENCRYPTED_SUM_AGGREGATE),
+                        (MsgType.ENCRYPTED_COV, MsgType.ENCRYPTED_COV_AGGREGATE)):
+        sent = [(m.sender, m.receiver) for m in frames if m.msg_type == kind]
+        assert sent == [(j, 1) for j in range(2, parties + 1)]
+        assert [(m.sender, m.receiver) for m in frames if m.msg_type == total] == [(1, SERVER)]
 
 
-@pytest.mark.parametrize("aggregator", [0, 3, 9])
-def test_ss_config_checks_the_aggregator_too(aggregator):
-    # ss never routes through the aggregator, but a value out of range is
-    # still a misconfiguration, reported as it is under he.
-    with pytest.raises(ConfigError, match="aggregator"):
-        ss_cfg(parties=3, aggregator=aggregator)
-    assert ss_cfg(parties=3, aggregator=2).aggregator == 2
+def test_the_folding_provider_is_not_a_setting():
+    assert [f.name for f in fields(SessionConfig)] == [
+        "method", "parties", "k", "fixed_point", "key_bits", "allow_test_key", "seed", "timeout",
+    ]
+    for make_cfg in (he_cfg, ss_cfg):
+        with pytest.raises(TypeError, match="aggregator"):
+            make_cfg(parties=3, aggregator=2)
+        for parties in (2, 3, 4):
+            cfg = make_cfg(parties=parties)
+            assert cfg.aggregator == 1
+            with pytest.raises(AttributeError):
+                cfg.aggregator = 2
 
 
 def test_he_config_checks_the_key_size():
@@ -133,15 +138,19 @@ def test_parties_must_fit_the_frame_header():
         SessionConfig(method="ss", parties=65535, k=1)
 
 
-def _run_roles(server_cfg, provider_cfg, consumer_cfg, data):
+def _run_roles(server_cfg, provider_cfgs, consumer_cfg, data):
     """Every role on one simulated network, each with its own config as in
-    role mode; the abort each failed role raised, by party."""
+    role mode (one per provider, in party order), and each endpoint waiting
+    its own role's timeout; the roles, and the abort each failed role
+    raised, by party."""
     roles = [
         ServerRole(server_cfg),
-        *(ProviderRole(i, x, provider_cfg) for i, x in zip(provider_cfg.providers, data)),
+        *(ProviderRole(i, x, cfg) for i, (x, cfg) in enumerate(zip(data, provider_cfgs), 1)),
         ConsumerRole(consumer_cfg),
     ]
-    network = SimulatedNetwork([role.party for role in roles], timeout=server_cfg.timeout)
+    network = SimulatedNetwork([role.party for role in roles])
+    for role in roles:
+        network.endpoint(role.party).timeout = role.cfg.timeout
     errors = {}
 
     def drive(role):
@@ -157,7 +166,7 @@ def _run_roles(server_cfg, provider_cfg, consumer_cfg, data):
     for t in threads:
         t.join(timeout=10)
     assert not any(t.is_alive() for t in threads)
-    return errors
+    return roles, errors
 
 
 def _root_aborts(errors):
@@ -171,7 +180,7 @@ def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
     # the simulated network.
     server_cfg = replace(he_cfg(timeout=1.0), key_bits=server_bits)
     provider_cfg = replace(server_cfg, key_bits=provider_bits)
-    errors = _run_roles(server_cfg, provider_cfg, provider_cfg, split(HAND_DATA, 2))
+    _, errors = _run_roles(server_cfg, [provider_cfg] * 2, provider_cfg, split(HAND_DATA, 2))
     # The first provider to see the key aborts; the rest may see the closed bus.
     aborts = _root_aborts(errors)
     assert set(aborts) & set(provider_cfg.providers)
@@ -186,7 +195,7 @@ def test_provider_rejects_a_key_of_another_size(server_bits, provider_bits):
 def test_a_provider_configured_for_another_k_rejects_the_transfer_matrix():
     server_cfg = ss_cfg(k=2, timeout=1.0)
     provider_cfg = replace(server_cfg, k=1)
-    errors = _run_roles(server_cfg, provider_cfg, provider_cfg, split(HAND_DATA, 2))
+    _, errors = _run_roles(server_cfg, [provider_cfg] * 2, provider_cfg, split(HAND_DATA, 2))
     aborts = _root_aborts(errors)
     assert set(aborts) & set(provider_cfg.providers)
     for j, e in aborts.items():
@@ -201,7 +210,7 @@ def test_a_consumer_configured_for_another_k_names_the_provider():
     data = np.random.default_rng(8).normal(size=(20, 4))
     others = ss_cfg(k=2, timeout=1.0)
     consumer_cfg = replace(others, k=3)
-    errors = _run_roles(others, others, consumer_cfg, split(data, 2))
+    _, errors = _run_roles(others, [others] * 2, consumer_cfg, split(data, 2))
     assert set(errors) == {consumer_cfg.consumer}
     e = errors[consumer_cfg.consumer]
     assert isinstance(e, ProtocolAbort) and e.phase == PHASE_REDUCED
@@ -209,6 +218,24 @@ def test_a_consumer_configured_for_another_k_names_the_provider():
         "party 3: malformed REDUCED_ROWS from party 1: "
         "real matrix 10x2 is not the expected *x3" in str(e)
     )
+
+
+@pytest.mark.parametrize("make_cfg", [ss_cfg, he_cfg], ids=["ss", "he"])
+def test_seed_and_timeout_are_each_roles_own(make_cfg):
+    # Role mode parties agree on every other setting; these two each role
+    # sets alone, and they change no opened sum, transfer matrix or row.
+    data = split(np.random.default_rng(21).normal(size=(30, 4)), 3)
+    expected = run_session(make_cfg(parties=3, k=2), data)
+    server_cfg, *provider_cfgs, consumer_cfg = (
+        make_cfg(parties=3, k=2, seed=seed, timeout=timeout)
+        for seed, timeout in ((None, 9.0), (1, 7.5), (2, 8.0), (3, 10.0), (4, 6.0))
+    )
+    roles, errors = _run_roles(server_cfg, provider_cfgs, consumer_cfg, data)
+    assert errors == {}
+    server, consumer = roles[0], roles[-1]
+    assert np.array_equal(server.covariance, expected.covariance)
+    assert np.array_equal(server.transfer, expected.transfer)
+    assert np.array_equal(consumer.reduced, expected.reduced)
 
 
 def test_a_seed_share_of_another_shape_aborts_the_provider_it_reaches(monkeypatch):
@@ -285,7 +312,7 @@ def test_the_server_checks_k_before_the_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(linalg, "jacobi_eigh", eigh)
     cfg = ss_cfg(k=3, timeout=1.0)  # as in role mode, where no role checks k against d
-    e = _run_roles(cfg, cfg, cfg, split(HAND_DATA, 2))[SERVER]
+    e = _run_roles(cfg, [cfg] * 2, cfg, split(HAND_DATA, 2))[1][SERVER]
     assert isinstance(e, ProtocolAbort) and e.phase == PHASE_TRANSFER
     assert "k=3 must satisfy 1 <= k < d=3" in str(e)
     assert "protocol aborted in phase 8: party 0: k=3" in str(e)
@@ -611,10 +638,10 @@ def test_config_rejects_a_timeout_that_is_not_finite_and_positive():
 def test_config_rejects_fields_of_the_wrong_type():
     # A config file's "3" or [2, 3] must not reach the comparisons as is.
     for name, value in (
-        ("k", "3"), ("parties", [2, 3]), ("timeout", "20"), ("aggregator", 1.0),
+        ("k", "3"), ("parties", [2, 3]), ("timeout", "20"),
         ("allow_test_key", "false"), ("seed", "3"), ("fixed_point", {"l": 64, "f": 24}),
         # A bool passes as an Integral; k=True would run with k = 1.
-        ("k", True), ("parties", True), ("aggregator", True), ("key_bits", True),
+        ("k", True), ("parties", True), ("key_bits", True),
         ("timeout", True), ("seed", True), ("seed", -1),
     ):
         with pytest.raises(ConfigError, match=name):

@@ -716,6 +716,44 @@ def test_tcp_network_that_fails_to_bind_closes_the_listeners_it_made(monkeypatch
     assert not accepting() - before
 
 
+def test_tcp_close_ends_the_reader_of_a_peer_that_stays_connected():
+    def reading():
+        return {t for t in threading.enumerate() if t.name == "pppca-read-1"}
+
+    before = reading()
+    receiver = TcpEndpoint(1, ("127.0.0.1", 0), timeout=5.0)
+    frame = _msg(MsgType.SAMPLE_COUNT, 2, 1, 0, encode_sample_count(20))
+    with socket.create_connection(receiver.address) as peer:
+        peer.sendall(serialize(frame))
+        assert receiver.recv(sender=2) == frame  # its reader thread is running
+        readers = reading() - before
+        assert len(readers) == 1
+        started = time.monotonic()
+        receiver.close()
+        for t in readers:
+            t.join(1.0)
+        assert not any(t.is_alive() for t in readers)
+        assert peer.recv(1) == b""  # the endpoint's side of the connection is shut
+        # A receive after the close fails at once, whoever it waits for.
+        for sender in (2, 3):
+            with pytest.raises(TransportClosed, match="party 1's endpoint is closed"):
+                receiver.recv(sender=sender)
+        assert time.monotonic() - started < 1.0
+
+
+def test_a_closed_tcp_endpoint_opens_no_channel():
+    tcp = TcpNetwork([1, 2], timeout=0.2)
+    try:
+        sender, receiver = tcp.endpoint(1), tcp.endpoint(2)
+        sender.close()
+        with pytest.raises(TransportClosed, match="party 1's endpoint is closed"):
+            sender.send(_msg(MsgType.SAMPLE_COUNT, 1, 2, 0, encode_sample_count(20)))
+        with pytest.raises(TransportTimeout):
+            receiver.recv(sender=1)
+    finally:
+        tcp.close()
+
+
 # --- transcript --------------------------------------------------------------
 
 
