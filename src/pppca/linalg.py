@@ -9,9 +9,12 @@ cut into integer-valued slices (Ozaki, Ogita, Oishi and Rump, "Error-free
 transformations of matrix multiplication by using fast routines of matrix
 multiplication", Numer. Algorithms 2012), so that every slice product is
 exact in float64 under any BLAS blocking or thread count.  A screen of each
-column's largest |x| fixes where its slices start; each row block is cut
-until nothing is left; ``gram`` forms a block's slice products in one BLAS
-call per slice (a few at wide d, each within a row block's entries), with
+column's extremes fixes where its slices start; each row block is cut
+until nothing is left (``gram`` of x less a shift, such as the column
+means, centers one row block at a time into the cut's scratch, so no
+centered copy of x is made); ``gram`` forms a block's slice products in
+one BLAS call per slice (a few at wide d, each within a row block's
+entries), with
 slices as wide as the rows of one such call allow (a block holds at most
 2^10 rows), adds each block's exact products into int64 sums by k + q of
 the slice pair (k, q) and reads each column's slice count off its own sums
@@ -130,8 +133,10 @@ def center_columns(x, mean) -> np.ndarray:
     return a - m
 
 
-def gram(x) -> np.ndarray:
-    """The scatter matrix X^T X, correctly rounded and exactly symmetric.
+def gram(x, shift=None) -> np.ndarray:
+    """The scatter matrix X^T X, correctly rounded and exactly symmetric;
+    with a ``shift``, that of the centered rows fl(x - shift), the same bits
+    as ``gram(x - shift)`` without ever holding that matrix.
 
     Each column is cut into integer-valued slices of w bits, aligned to the
     column's largest exponent hi: x = sum_k s_k 2^(hi - (k + 1) w) with
@@ -157,10 +162,11 @@ def gram(x) -> np.ndarray:
     - half that, the term g of ``_round``, is the sum over the at most eight
       ordered pairs with k + q = g, below 2^60 as ``_round`` needs.
 
-    - **Screen.** One pass over the rows takes each column's largest |x|
-      (``_screen``).
-    - **Cut.** Each row block is cut until nothing is left, so it costs the
-      slices its own entries need (``_slicing``).
+    - **Screen.** One pass over the rows takes each column's largest and
+      smallest entry, and so its largest centered |x| (``_screen``).
+    - **Cut.** Each row block is centered into the cut's scratch and cut
+      until nothing is left, so it costs the slices its own entries need
+      (``_slicing``).
     - **One product per slice.** S_0 .. S_q of a block, stacked as far as
       ``_BLOCK_ENTRIES`` allows, meet S_q in one BLAS call (``_pair_products``).
     - **Counts from the products.** Column t's last slice K is half the
@@ -178,15 +184,20 @@ def gram(x) -> np.ndarray:
     accumulated as ``math.fsum`` of the rounded products instead: still
     order independent, and exact whenever those products are floats.
 
-    A non-finite entry raises ``MatrixValidationError``, as in
-    ``check_matrix``, from the screen, and so does a product or sum beyond
+    A non-finite entry of x - shift (a NaN, or an entry that is or centers
+    to infinity) raises ``MatrixValidationError`` from the screen, naming
+    it as ``check_matrix`` would, and so does a product or sum beyond
     float64's range, naming its entry.
     """
     a = _as_matrix(x)
     n, d = a.shape
     log_n = (n - 1).bit_length()
     width = min(53 - min(log_n, _LOG_BLOCK_ROWS), 57 - log_n) // 2
-    hi, ruled_out, blocks = _slicing(a, width)
+    if shift is None:
+        hi, ruled_out, blocks = _slicing(a, width)
+    else:
+        shift = check_vector(shift, d, "shift")
+        hi, ruled_out, blocks = _slicing(a, width, shift)
     sums = _pair_products(blocks, d)
     # Column t's last slice K sits at g = 2K, the last g with sums[g, t, t] != 0.
     count = np.arange(len(sums)) // 2 + 1
@@ -207,9 +218,10 @@ def gram(x) -> np.ndarray:
         terms += sums[:, t, s]  # twice the sum over every S_k S_q^T with k + q = g
         terms >>= 1
         g[s, t] = g[t, s] = _round(terms, hi[s] + hi[t] - 2 * width, width)
+    column = (lambda t: a[:, t]) if shift is None else (lambda t: a[:, t] - shift[t])
     with np.errstate(over="ignore"):  # an infinite product fails in _fsum
         for s, t in zip(*np.nonzero(np.triu(fallback))):
-            g[s, t] = g[t, s] = _fsum(a[:, s] * a[:, t], f"Gram entry ({s}, {t})")
+            g[s, t] = g[t, s] = _fsum(column(s) * column(t), f"Gram entry ({s}, {t})")
     return g
 
 
@@ -244,28 +256,35 @@ def _row_blocks(a: np.ndarray):
     return (a[start : start + step] for start in range(0, a.shape[0], step))
 
 
-def _screen(a: np.ndarray) -> np.ndarray:
-    """Per column, the exponent hi: every entry is below 2^hi in magnitude
-    (hi = 0 for an all-zero column).  A NaN or infinite entry makes its
-    column's largest |x| non-finite, and raises ``MatrixValidationError``
-    naming the first such entry."""
-    top = np.zeros(a.shape[1])
+def _screen(a: np.ndarray, shift) -> np.ndarray:
+    """Per column, the exponent hi: every entry of fl(a - shift) is below
+    2^hi in magnitude (hi = 0 for an all-zero column).  Rounding is
+    monotone, so a column's largest centered |x| is that of its largest or
+    its smallest entry, centered.  A NaN entry, or one that is or centers
+    to infinity, makes it non-finite, and raises ``MatrixValidationError``
+    naming the first such entry of a - shift."""
+    d = a.shape[1]
+    top, bottom = np.full(d, -np.inf), np.full(d, np.inf)
     for block in _row_blocks(a):
-        # Rows folded side by side keep the reduction's inner loop long.
-        fold = math.gcd(len(block), -(-256 // a.shape[1]))
-        magnitude = np.abs(block).reshape(-1, fold * a.shape[1])
-        np.maximum(top, magnitude.max(axis=0).reshape(fold, -1).max(axis=0), out=top)
-    if not np.isfinite(top).all():
-        _reject_non_finite(a)
+        # Rows folded side by side keep the reductions' inner loop long.
+        fold = math.gcd(len(block), -(-256 // d))
+        rows = block.reshape(-1, fold * d)
+        np.maximum(top, rows.max(axis=0).reshape(fold, -1).max(axis=0), out=top)
+        np.minimum(bottom, rows.min(axis=0).reshape(fold, -1).min(axis=0), out=bottom)
+    with np.errstate(over="ignore"):
+        top = np.maximum(np.abs(top - shift), np.abs(bottom - shift))
+        if not np.isfinite(top).all():
+            _reject_non_finite(a - shift)
     return np.frexp(top)[1]
 
 
-def _slicing(a: np.ndarray, width: int):
-    """The columns of ``a`` cut into ``width``-bit slices, as
-    ``(hi, ruled_out, blocks)``.
+def _slicing(a: np.ndarray, width: int, shift=None):
+    """The columns of ``a``, less ``shift`` if given, cut into
+    ``width``-bit slices, as ``(hi, ruled_out, blocks)``.
 
-    Every entry of column t is below 2^hi[t] in magnitude.  ``blocks``
-    yields the row blocks of ``a``, each cut into integer-valued slices
+    Every entry of column t of x = fl(a - shift) is below 2^hi[t] in
+    magnitude.  ``blocks`` yields the row blocks of x, each centered into
+    the cut's scratch one at a time and cut into integer-valued slices
     until the whole block is zero: an array s of shape (c, d, rows) with
     ``block[:, t] == sum_k s[k, t] * 2**(hi[t] - (k + 1) * width)`` exactly
     and every |s| below 2^width.  Each array is overwritten by the next, in
@@ -275,7 +294,7 @@ def _slicing(a: np.ndarray, width: int):
     2^-hi[t] rounded one of its entries below float64's normal range, and so
     out of the cut; such a column's slices mean nothing.
     """
-    hi = _screen(a)
+    hi = _screen(a, 0.0 if shift is None else shift)
     ruled_out = np.zeros(a.shape[1], dtype=bool)
 
     def blocks():
@@ -286,12 +305,14 @@ def _slicing(a: np.ndarray, width: int):
         outs = outs[-outs.ctypes.data // 8 % 8 :][: _MAX_SLICES * size]
         for block in _row_blocks(a):
             rest = rests[: block.size].reshape(block.shape[::-1])
+            entries = block.T if shift is None else np.subtract(block.T, shift[:, None], out=rest)
             try:
                 with np.errstate(under="raise"):
-                    np.ldexp(block.T, -hi[:, None], out=rest)
+                    np.ldexp(entries, -hi[:, None], out=rest)
             except FloatingPointError:  # numpy raises after writing all of rest
                 # Rule out the columns with an entry that did not survive it.
-                ruled_out[(np.ldexp(rest, hi[:, None]) != block.T).any(axis=1)] = True
+                entries = block.T if shift is None else block.T - shift[:, None]
+                ruled_out[(np.ldexp(rest, hi[:, None]) != entries).any(axis=1)] = True
             rest[ruled_out] = 0.0
             count = 0
             while rest.any():
@@ -492,8 +513,8 @@ def centralized_pca(x, k: int):
     Centers columns by their means, eigendecomposes X^T X / (n - 1), and
     returns ``(transfer, reduced)`` where ``reduced`` is the centered data
     projected on the top-k eigenvectors.  Deterministic for fixed input.
-    The centered copy is made twice, for ``gram`` and for ``project``, and
-    lives only for each call.
+    ``gram`` centers one row block at a time; the one centered copy is made
+    for ``project`` and lives only for that call.
     """
     a = check_matrix(x)
     n, d = a.shape
@@ -502,7 +523,7 @@ def centralized_pca(x, k: int):
     if not 1 <= k < d:
         raise DimensionError(f"k must satisfy 1 <= k < d={d}, got {k}")
     mean = column_means(a)
-    cov = gram(a - mean) / (n - 1)
+    cov = gram(a, mean) / (n - 1)
     transfer = top_k_transfer(jacobi_eigh(cov), k)
     return transfer, project(a - mean, transfer)
 

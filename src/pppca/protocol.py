@@ -510,9 +510,9 @@ class ProviderRole(_Role):
 
         mean = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN, decode_real_matrix, (1, d))
         mean = linalg.check_vector(mean.ravel(), d, "mean")
-        # The centered block lives only for the call it is passed to.
+        # gram centers one row block at a time; project's centered copy lives for its call.
         self._round(
-            ep, 1, lambda: linalg.upper_triangle(linalg.gram(self.data - mean) / (n - 1)),
+            ep, 1, lambda: linalg.upper_triangle(linalg.gram(self.data, mean) / (n - 1)),
             "cov", "covariance terms",
         )
 

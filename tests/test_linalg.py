@@ -167,10 +167,20 @@ def mixed_scale_columns(rng, rows, cols=5):
 def assert_exact(x):
     assert np.array_equal(linalg.gram(x), fraction_gram(x))
     assert np.array_equal(linalg.column_sums(x), fraction_column_sums(x))
+    assert_shift_is_the_centered_copy(x)
 
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_shift_is_the_centered_copy(x):
+    """``gram(x, shift)`` has the bits of ``gram(x - shift)``, for the
+    column means, which give every column full significands, and for the
+    first row, which keeps the grids, the row blocks' slice counts and the
+    columns near the subnormal range that ``x`` has."""
+    for shift in (x.mean(axis=0), x[0]):
+        assert same_bits(linalg.gram(x, shift), linalg.gram(x - shift))
 
 
 def assert_row_permutation_invariant(x, rng):
@@ -408,6 +418,45 @@ def test_gram_working_memory_is_the_slicing_the_pair_sums_and_a_few_blocks(monke
     assert peak <= slicing + sizes[-1] + 3 * block
 
 
+def tall_provider_block():
+    """A seeded block of the shape of one ``ss-tall`` provider, 25000x16,
+    with column offsets that make centering matter."""
+    rng = np.random.default_rng(39)
+    return rng.uniform(-10.0, 10.0, size=16) + rng.normal(size=(25000, 16))
+
+
+def traced_peak(call, *args):
+    """The ``tracemalloc`` peak of ``call(*args)``, after a first call that
+    lets numpy allocate for good."""
+    call(*args)
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_less_a_mean_holds_no_centered_copy_of_a_tall_block():
+    x = tall_provider_block()
+    peak = traced_peak(linalg.gram, x, linalg.column_means(x))
+    assert peak < x.nbytes
+    # As in the wide case: the slice buffer and the rest, the 2c - 1 = 5
+    # sums by k + q of three slices (d x d int64 each), one product, the
+    # result and a block for the small per-entry arrays.
+    slicing = 8 * (linalg._MAX_SLICES + 1) * linalg._BLOCK_ENTRIES
+    block = 8 * max(linalg._BLOCK_ENTRIES, x.shape[1] ** 2)
+    assert peak <= slicing + 8 * 5 * x.shape[1] ** 2 + 3 * block
+
+
+def test_column_sums_working_memory_is_the_slicing_and_a_few_blocks():
+    # The bound, 1.5 MiB, is under half of one copy of the block (3.2 MB),
+    # so no temporary of the block's size fits in it.
+    x = tall_provider_block()
+    slicing = 8 * (linalg._MAX_SLICES + 1) * linalg._BLOCK_ENTRIES  # slice buffer and rest
+    assert traced_peak(linalg.column_sums, x) <= slicing + 3 * 8 * linalg._BLOCK_ENTRIES
+
+
 def test_gram_slice_budget_edges(small_blocks, fsum_calls):
     # 40 rows give slices of 23 bits, so in a column whose largest entry is
     # 2^60 eight slices reach down to 2^(61 - 184).  Column 0 ends exactly
@@ -493,6 +542,21 @@ def test_an_entry_far_below_its_column_maximum_is_not_lost(small_blocks):
     x[36, 0] = 2.0**-1020
     x[:, 1] = 1.0
     assert linalg.column_sums(x)[0] == linalg.gram(x)[0, 1] == 2.0**-1020
+    assert_exact(x)
+
+
+def test_an_entry_below_the_normal_range_rules_out_its_column_only(small_blocks, fsum_calls):
+    # As above, column 0's 2^-1020 does not survive scaling by 2^-61; the
+    # full significands of column 1 are sliced, unshifted or shifted, so
+    # only the pairs with column 0 take fsum.
+    x = np.zeros((40, 2))
+    x[[4, 20], 0] = [2.0**60, -(2.0**60)]
+    x[36, 0] = 2.0**-1020
+    x[:, 1] = np.random.default_rng(39).normal(size=40) + 3.0
+    for shift in (None, x.mean(axis=0), x[0]):
+        fsum_calls.clear()
+        linalg.gram(x, shift)
+        assert len(fsum_calls) == 2
     assert_exact(x)
 
 
@@ -722,6 +786,27 @@ def test_non_finite_entries_are_named_by_the_screens_and_project(bad):
     ):
         with pytest.raises(MatrixValidationError, match=named):
             check(x)
+
+
+@pytest.mark.parametrize(
+    "nan_at, shift",
+    [
+        (None, [-1e308, 0.0]),  # 1e308 + 1e308, the column's largest entry centered
+        (None, [1e308, 0.0]),  # -1e308 - 1e308, its smallest
+        ((2, 1), [0.0, -5.0]),
+    ],
+)
+def test_a_non_finite_centered_entry_is_named_as_in_the_centered_copy(nan_at, shift):
+    x = np.array([[1.0, 2.0], [1e308, 3.0], [-1e308, 4.0]])
+    if nan_at:
+        x[nan_at] = np.nan
+    shift = np.array(shift)
+    with np.errstate(over="ignore"), pytest.raises(MatrixValidationError) as copied:
+        linalg.gram(x - shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixValidationError, match=re.escape(str(copied.value))):
+            linalg.gram(x, shift)
 
 
 def test_centering_that_overflows_is_rejected_naming_the_entry():

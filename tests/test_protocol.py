@@ -408,7 +408,8 @@ def test_reduced_rows_stack_in_provider_order():
 
 def test_each_provider_block_is_checked_once_and_its_centered_rows_once(monkeypatch):
     # The block at construction only, since column_sums and gram screen the
-    # entries on a pass they make anyway; the centered rows in project.
+    # entries on a pass they make anyway; the centered rows in project, since
+    # gram centers one row block at a time and never holds them.
     checked = []
     check = linalg.check_matrix
 
@@ -426,12 +427,12 @@ def test_each_provider_block_is_checked_once_and_its_centered_rows_once(monkeypa
 def test_ss_session_traced_peak_is_one_providers_three_copies_of_its_rows():
     # ss-tall's shape over the simulated bus, but one provider holds 97 % of
     # the rows, so the peak is that provider's whatever the overlap of the
-    # role threads.  Its centered block lives only while gram or project
-    # runs, and at most three copies of its rows coexist: the rows, the
-    # byte-swapped copy and the payload; then the payload, the frame and the
-    # delivered payload.  Three copies of every provider's rows at once are
-    # 3.0 times the reduced rows.  Keeping the centered block and the rows
-    # until the send reads 5.9 times.
+    # role threads.  gram centers one row block at a time, its centered
+    # block lives only while project runs, and at most three copies of its
+    # rows coexist: the rows, the byte-swapped copy and the payload; then
+    # the payload, the frame and the delivered payload.  Three copies of
+    # every provider's rows at once are 3.0 times the reduced rows.  Keeping
+    # the centered block and the rows until the send reads 5.9 times.
     rng = np.random.default_rng(23)
     basis = np.linalg.qr(rng.normal(size=(16, 8)))[0]
     signal = (rng.normal(size=(100_000, 8)) * np.geomspace(10.0, 5.0, 8)) @ basis.T
