@@ -3,7 +3,7 @@
 Every integer on the wire is unsigned and big-endian.  A frame is:
 
     magic    4 bytes  b"PPCA"
-    version  1 byte   0x01
+    version  1 byte   0x02
     type     1 byte   message type enum
     sender   2 bytes  party index
     receiver 2 bytes  party index
@@ -23,14 +23,16 @@ Payloads, by message type, where a shape is rows (4 bytes) then cols
     PUBLIC_KEY        the byte length of n (4 bytes), then n's minimal
                       big-endian magnitude (at least one byte)
     PLAIN_MEAN, TRANSFER_MATRIX, REDUCED_ROWS
-                      shape, then IEEE-754 binary64 entries
+                      shape, then IEEE-754 binary64 entries; PLAIN_MEAN is
+                      2 x d: the mean, then the covariance round's scale
+                      exponent of each column, an integer
     ENCRYPTED_*       shape, then the ceil(rows * cols / s) ciphertexts the
                       entries pack into, s to a plaintext (see
                       :mod:`pppca.paillier`), each ceil(bitlen(n^2) / 8)
                       bytes for the session key's modulus n
-    LOCAL_SHARE_SUM   share header, then 16-byte entries: the [hi, lo] limbs
-                      of a ring matrix (:mod:`pppca.ring`), which cover ring
-                      widths up to 128 bits
+    LOCAL_SHARE_SUM   share header, then the entries of a ring matrix
+                      (:mod:`pppca.ring`): 8 bytes each, the low limb, for
+                      l <= 64, and 16 bytes, the [hi, lo] limbs, above
     SHARE_BUNDLE      share header, then the 32-byte seed the entries expand
                       from (:class:`pppca.sharing.SeededShare`)
 
@@ -56,14 +58,16 @@ from .paillier import Ciphertext, EncryptedMatrix, PublicKey, slot_count
 from .sharing import SEED_BYTES, SeededShare, ShareMatrix
 
 MAGIC = b"PPCA"
-VERSION = 1
+# Version 2: PLAIN_MEAN carries the scale exponents, and a share matrix of
+# l <= 64 bits sends one limb per entry.
+VERSION = 2
 MAX_PAYLOAD = 256 * 1024 * 1024
 _HEADER = struct.Struct(">4sBBHHII")
 _SHAPE = struct.Struct(">II")  # rows, cols
 _SHARE_HEAD = struct.Struct(">HHH")  # owner, l, secret id length
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-RING_ELEMENT_BYTES = 16
+MAX_RING_BITS = 128
 
 
 class MsgType(enum.IntEnum):
@@ -137,7 +141,9 @@ def read_frame(read) -> ProtocolMessage | None:
     if magic != MAGIC:
         raise FrameFormatError(f"bad magic {magic!r}")
     if version != VERSION:
-        raise FrameFormatError(f"unsupported frame version {version}")
+        raise FrameFormatError(
+            f"unsupported frame version {version}; this build reads version {VERSION}"
+        )
     try:
         msg_type = MsgType(raw_type)
     except ValueError as exc:
@@ -269,8 +275,8 @@ def _read_share_header(payload: bytes, what: str, expected) -> tuple:
     owner, l, size = _unpack(_SHARE_HEAD, payload)
     at = _SHARE_HEAD.size + size
     shape = _shape(payload, at, what, expected)
-    if not 1 <= l <= 8 * RING_ELEMENT_BYTES:
-        raise FrameFormatError(f"{what} ring width {l} outside [1, 128]")
+    if not 1 <= l <= MAX_RING_BITS:
+        raise FrameFormatError(f"{what} ring width {l} outside [1, {MAX_RING_BITS}]")
     try:
         secret_id = payload[_SHARE_HEAD.size : at].decode()
     except UnicodeDecodeError as exc:
@@ -278,14 +284,23 @@ def _read_share_header(payload: bytes, what: str, expected) -> tuple:
     return owner, l, secret_id, shape, at + _SHAPE.size
 
 
+def _limbs(l: int) -> int:
+    """64-bit limbs sent per element of a share matrix over Z_{2^l}."""
+    return 1 if l <= 64 else 2
+
+
 def encode_share_matrix(m: ShareMatrix) -> bytes:
-    return _share_header(m) + m.values.astype(">u8").tobytes()  # [hi, lo] per element
+    # [lo] or [hi, lo] per element: the high limb of an l <= 64 element is 0.
+    limbs = m.values[..., 2 - _limbs(m.l) :]
+    return _share_header(m) + limbs.astype(">u8").tobytes()
 
 
 def decode_share_matrix(payload: bytes, shape=None) -> ShareMatrix:
     owner, l, secret_id, (rows, cols), at = _read_share_header(payload, "share matrix", shape)
-    _fits(payload, at + rows * cols * RING_ELEMENT_BYTES, f"share matrix {rows}x{cols}")
-    values = np.frombuffer(payload, ">u8", offset=at).reshape(rows, cols, 2)
+    limbs = _limbs(l)
+    _fits(payload, at + rows * cols * 8 * limbs, f"share matrix {rows}x{cols} of l={l}")
+    values = np.zeros((rows, cols, 2), np.uint64)
+    values[..., 2 - limbs :] = np.frombuffer(payload, ">u8", offset=at).reshape(rows, cols, limbs)
     try:
         return ShareMatrix(values, owner, secret_id, l)
     except ValueError as exc:  # a value outside [0, 2^l)

@@ -22,13 +22,14 @@ appears in transcripts and error messages:
 
     0  providers exchange sample counts with the server and each other
     1  HE only: the server broadcasts its public key
-    2  providers send masked column sums to the combiners
+    2  providers send masked column sums and sums of squares to the combiners
     3  combiners send their sums to the server, which opens the total
-    4  the server broadcasts the mean
-    6  providers center locally and send masked covariance terms, only the
-       d(d+1)/2 upper-triangle entries of the symmetric matrix
-    7  combiners send their sums to the server, which opens the total and
-       mirrors it into the covariance
+    4  the server broadcasts the mean and one scale exponent per column
+    6  providers center locally and send masked covariance terms, scaled by
+       the exponents; only the d(d+1)/2 upper-triangle entries of the
+       symmetric matrix
+    7  combiners send their sums to the server, which opens the total,
+       scales it back and mirrors it into the covariance
     8  the server broadcasts the transfer matrix, or aborts if the
        fixed-point grid may leave it unresolved (``MAX_ANGLE_BOUND``)
     9  providers send reduced rows to the consumer
@@ -45,15 +46,22 @@ Phase 5 is unused.
               seed, whatever d is, that expands
               (SHAKE-128) to that combiner's share
 
-Both back ends encode into one fixed-point ring Z_{2^l}
-(``SessionConfig.fixed_point``): ``ss`` shares the ring elements.  ``he``
-flips bit l-1 of each, which turns the two's-complement element of
-z = round(x * 2^f) into z + 2^(l-1) in [0, 2^l), and packs these into
-slots of w = l + ceil(log2 M) + 1 bits, so that a slot of the folded sum
-holds sum(z) + M * 2^(l-1) < 2^w and no carry crosses into the next; the
-server subtracts M * 2^(l-1) from each slot and reduces mod 2^l.  Each
-provider's values must stay below 2^(l-f-1)/M, and both back ends open
-bit-identical sums.
+Each round encodes into a fixed-point ring Z_{2^l} (``SessionConfig.rings``):
+``ss`` shares the ring elements.  ``he`` flips bit l-1 of each, which turns
+the two's-complement element of z = round(x * 2^f) into z + 2^(l-1) in
+[0, 2^l), and packs these into slots of w = l + ceil(log2 M) + 1 bits, so
+that a slot of the folded sum holds sum(z) + M * 2^(l-1) < 2^w and no carry
+crosses into the next; the server subtracts M * 2^(l-1) from each slot and
+reduces mod 2^l.  Each provider's values must stay below 2^(l-f-1)/M, and
+both back ends open bit-identical sums.
+
+Round 0 also opens the sums of squares, on a coarser grid
+(:func:`_squares_grid`), from which the server bounds each column's variance
+and broadcasts, with the mean, exponents e_j that scale every covariance
+term (s, t), times 2^-(e_s + e_t), to at most 1 (``ServerRole._exponents``).
+So round 1 runs on a 64-bit ring whose grid follows each column's scale.
+Providers learn each e_j, the binary order of a column's global spread; the
+server learns nothing it could not compute from the mean and covariance.
 
 Sample counts travel in plaintext: both the mean (divide by n) and each
 local covariance term (scale by 1/(n-1)) need the global row count.  They
@@ -72,6 +80,7 @@ that times out ends the role.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import math
@@ -176,6 +185,13 @@ class SessionConfig:
         return SECURE_SUMS[self.method]
 
     @property
+    def rings(self) -> tuple[FixedPointConfig, FixedPointConfig]:
+        """The fixed-point ring of each round: ``fixed_point`` for the column
+        sums and squares, and Z_{2^64} with 62 - ceil(log2 M) fractional bits
+        for the covariance terms, which the exponents scale to at most 1."""
+        return self.fixed_point, FixedPointConfig(64, 62 - (self.parties - 1).bit_length())
+
+    @property
     def aggregator(self) -> int:
         """The provider that folds the ``he`` ciphertexts."""
         return 1
@@ -187,6 +203,20 @@ class SessionConfig:
     @property
     def providers(self) -> list[int]:
         return list(range(1, self.parties + 1))
+
+
+def _squares_grid(fp: FixedPointConfig, parties: int, fewest: int) -> int:
+    """The fractional bits g of round 0's sums of squares, at most ``fp.f``.
+
+    A provider of n_i >= ``fewest`` rows whose entries stay below the column
+    sums' budget per row, |x| < B / n_i with B = 2^(l-f-1) / M, has a sum of
+    squares below B^2 / n_i.  At g = 2f - l + floor(log2 M) + floor(log2
+    fewest) that is below half of B 2^(f-g), the squares' budget once each
+    is scaled by 2^(g-f) and encoded on ``fp``'s grid, so round 0 admits
+    every such |x| whatever its float sum's rounding.
+    """
+    g = 2 * fp.f - fp.l + parties.bit_length() - 1 + max(fewest, 1).bit_length() - 1
+    return min(fp.f, g)
 
 
 def _derived_seed(seed: int, label: str) -> int:
@@ -221,7 +251,8 @@ class SecureSum:
 
     Steps: :meth:`mask` turns a provider's values into one piece per
     combiner, :meth:`combine` adds the pieces a combiner holds, and
-    :meth:`open` turns the combined pieces into the plaintext sum.
+    :meth:`open` turns the combined pieces into the plaintext sum, all on
+    the ring ``fp``; :meth:`on` gives the back end on a round's ring.
     ``encode`` carries a piece as the payload of a message of the given
     type, and ``decoder`` gives that type's payload decoder for pieces of
     the given shape (None: any).
@@ -229,6 +260,14 @@ class SecureSum:
 
     setup: tuple[tuple[MsgType, int], ...] = ()
     rounds: tuple[tuple[MsgType, MsgType], ...]
+    fp: FixedPointConfig
+
+    def on(self, fp: FixedPointConfig) -> SecureSum:
+        """This back end on the ring ``fp``, sharing its keys and its
+        random stream, so that each round draws on from the last."""
+        other = copy.copy(self)
+        other.fp = fp
+        return other
 
     @staticmethod
     def combiners(cfg: SessionConfig) -> list[int]:
@@ -258,11 +297,16 @@ class PaillierSum(SecureSum):
         self, fixed_point: FixedPointConfig, parties: int, pk=None, sk=None, rng=None
     ):
         self.fp, self.parties, self.pk, self.sk, self.rng = fixed_point, parties, pk, sk, rng
-        self.offset = 1 << (fixed_point.l - 1)
-        self._offset_bit = ring.from_ints(self.offset)  # [hi, lo] of 2^(l-1)
+
+    @property
+    def offset(self) -> int:
+        return 1 << (self.fp.l - 1)
+
+    @property
+    def slot_bits(self) -> int:
         # A slot carries the sum of M offset entries, each in [0, 2^l), so it
         # stays below M * 2^l <= 2^(l + ceil(log2 M)); one more bit to spare.
-        self.slot_bits = fixed_point.l + (parties - 1).bit_length() + 1
+        return self.fp.l + (self.parties - 1).bit_length() + 1
 
     @classmethod
     def for_party(cls, cfg: SessionConfig, party: int) -> PaillierSum:
@@ -303,7 +347,7 @@ class PaillierSum(SecureSum):
         # slot summing two's-complement values would carry one 2^l per
         # negative term, and so count them.  For a ring element of z, that
         # offset is a flip of its top bit, l - 1.
-        shifted = matrix_encode_fixed(values, self.fp) ^ self._offset_bit
+        shifted = matrix_encode_fixed(values, self.fp) ^ ring.from_ints(self.offset)
         return [paillier.enc_matrix(self.pk, ring.to_ints(shifted), self.slot_bits, self.rng)]
 
     def combine(self, pieces: list):
@@ -440,18 +484,20 @@ class _Role:
                 phase, f"malformed {msg_type.name} from party {sender}: {exc}", exc
             ) from exc
 
-    def _sample_counts(self, ep, rows: int = 0) -> int:
+    def _sample_counts(self, ep, rows: int = 0) -> list[int]:
         """Phase 0: a provider sends its row count to the server and every
-        other provider; every party adds up the counts it holds."""
+        other provider; every party holds every provider's count, in
+        provider order."""
         others = [j for j in self.cfg.providers if j != self.party]
         if self.party in self.cfg.providers:
             payload = encode_sample_count(rows)
             for receiver in [SERVER, *others]:
                 self._send(ep, receiver, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, payload)
-        return rows + sum(
-            self._recv(ep, j, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, decode_sample_count)
-            for j in others
-        )
+        return [
+            rows if j == self.party
+            else self._recv(ep, j, MsgType.SAMPLE_COUNT, PHASE_SAMPLE_COUNT, decode_sample_count)
+            for j in self.cfg.providers
+        ]
 
 
 class ProviderRole(_Role):
@@ -461,26 +507,42 @@ class ProviderRole(_Role):
         super().__init__(index, cfg)
         self.data = linalg.check_matrix(data, name=f"provider {index} data")
         self.sum = cfg.secure_sum.for_party(cfg, index)
+        self.ring = cfg.fixed_point  # the ring of the round in progress
 
     def _check_range(self, values: np.ndarray, what: str):
         """Eager overflow guard: the global sum of M local terms, each below
-        2^(l-f-1)/M, still fits the fixed-point ring."""
-        bound = self.cfg.fixed_point.max_magnitude / self.cfg.parties
+        2^(l-f-1)/M, still fits the round's fixed-point ring."""
+        fp = self.ring
+        bound = fp.max_magnitude / self.cfg.parties
         worst = float(np.max(np.abs(values)))
         if worst >= bound:
             raise ProtocolAbort(
                 self.phase,
-                f"{what} magnitude {worst:g} exceeds the "
-                f"fixed-point budget {bound:g} (l={self.cfg.fixed_point.l}, "
-                f"f={self.cfg.fixed_point.f}, {self.cfg.parties} providers)",
+                f"{what} magnitude {worst:g} exceeds the fixed-point budget {bound:g} "
+                f"(l={fp.l}, f={fp.f}, {self.cfg.parties} providers)",
             )
+
+    def _sums_and_squares(self, grid: int) -> np.ndarray:
+        """Round 0's values: the column sums, then the sums of squares scaled
+        by 2^(g - f), which puts them on a 2^-g grid of the ring.  One past
+        its budget (only rows whose sums cancel reach it) is held at half of
+        it; the covariance round's budget then stops any term its exponent
+        leaves too large."""
+        fp = self.cfg.fixed_point
+        sums = linalg.column_sums(self.data)
+        with np.errstate(over="ignore"):  # an infinite square is held too
+            squares = np.ldexp(np.einsum("ij,ij->j", self.data, self.data), grid - fp.f)
+        cap = fp.max_magnitude / self.cfg.parties / 2
+        return np.concatenate([sums, np.minimum(squares, cap)])
 
     def _round(self, ep, r: int, local, tag: str, what: str):
         """Round ``r`` of the secure sum: compute the local values as
         ``local()`` in the round's first phase, mask them, send one piece to
         each other combiner, and, as a combiner, add the pieces held and
         send the result to the server."""
-        cfg, backend = self.cfg, self.sum
+        cfg = self.cfg
+        self.ring = cfg.rings[r]
+        backend = self.sum.on(self.ring)
         hop1, hop2 = backend.rounds[r]
         first, second = ROUND_PHASES[r]
         self.phase = first
@@ -503,17 +565,28 @@ class ProviderRole(_Role):
     def run(self, ep):
         cfg = self.cfg
         rows, d = self.data.shape
-        n = self._sample_counts(ep, rows)
+        counts = self._sample_counts(ep, rows)
+        n = sum(counts)
         self.sum.setup_provider(self, ep)
 
-        self._round(ep, 0, lambda: linalg.column_sums(self.data), "sums", "column sums")
+        grid = _squares_grid(cfg.fixed_point, cfg.parties, min(counts))
+        self._round(ep, 0, lambda: self._sums_and_squares(grid), "sums", "column sums and squares")
 
-        mean = self._recv(ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN, decode_real_matrix, (1, d))
-        mean = linalg.check_vector(mean.ravel(), d, "mean")
+        broadcast = self._recv(
+            ep, SERVER, MsgType.PLAIN_MEAN, PHASE_MEAN, decode_real_matrix, (2, d)
+        )
+        mean, scales = linalg.check_vector(broadcast[0], d, "mean"), broadcast[1]
+        if not (np.all(np.abs(scales) < 1 << 15) and np.all(scales % 1 == 0)):  # NaN fails too
+            raise ProtocolAbort(PHASE_MEAN, "the scale exponents are not integers below 2^15")
+        exponents = scales.astype(np.int64)
         # gram centers one row block at a time; project's centered copy lives for its call.
         self._round(
-            ep, 1, lambda: linalg.upper_triangle(linalg.gram(self.data, mean) / (n - 1)),
-            "cov", "covariance terms",
+            ep, 1,
+            lambda: np.ldexp(
+                linalg.upper_triangle(linalg.gram(self.data, mean) / (n - 1)),
+                -_pair_exponents(exponents),
+            ),
+            "cov", "scaled covariance terms",
         )
 
         transfer = self._recv(
@@ -537,6 +610,7 @@ class ServerRole(_Role):
         self.mean: np.ndarray | None = None
         self.transfer: np.ndarray | None = None
         self.eigenvalues: np.ndarray | None = None
+        self.exponents: np.ndarray | None = None  # of the covariance round's scales
         self.sample_count: int | None = None
         self.angle_bound: float | None = None
         self.timings: dict[str, float] = {}
@@ -549,7 +623,7 @@ class ServerRole(_Role):
     def _open(self, ep, r: int, shape) -> np.ndarray:
         """Collect round ``r``'s combined pieces, each of ``shape`` (None:
         any), and open their sum."""
-        backend = self.sum
+        backend = self.sum.on(self.cfg.rings[r])
         phase = ROUND_PHASES[r][1]
         msg_type = backend.rounds[r][1]
         decode = backend.decoder(msg_type, shape)
@@ -559,7 +633,8 @@ class ServerRole(_Role):
 
     def run(self, ep):
         cfg = self.cfg
-        n = self._sample_counts(ep)
+        counts = self._sample_counts(ep)
+        n = sum(counts)
         if n < 2:
             raise ProtocolAbort(
                 PHASE_SAMPLE_COUNT, f"need at least 2 rows overall for covariance, got {n}"
@@ -567,13 +642,18 @@ class ServerRole(_Role):
         self.sample_count = n
         self.sum.setup_server(self, ep)
         # Any width: d is learnt here, and full-form pieces bound their own size.
-        self.mean = (self._open(ep, 0, None) / n).ravel()
+        sums, squares = self._open(ep, 0, None).reshape(2, -1)
+        grid = _squares_grid(cfg.fixed_point, cfg.parties, min(counts))
+        self.mean = sums / n
+        self.exponents = self._exponents(sums, np.ldexp(squares, cfg.fixed_point.f - grid), n, grid)
         self._broadcast(
-            ep, MsgType.PLAIN_MEAN, PHASE_MEAN, encode_real_matrix(self.mean.reshape(1, -1))
+            ep, MsgType.PLAIN_MEAN, PHASE_MEAN, encode_real_matrix([self.mean, self.exponents])
         )
         d = self.mean.size
         upper = self._open(ep, 1, (1, d * (d + 1) // 2))
-        self.covariance = linalg.symmetric_from_upper(upper, d)
+        self.covariance = linalg.symmetric_from_upper(
+            np.ldexp(upper, _pair_exponents(self.exponents)), d
+        )
 
         if not 1 <= cfg.k < d:
             raise ProtocolAbort(
@@ -599,29 +679,69 @@ class ServerRole(_Role):
                 cause = (
                     f"{grid} leaves the transfer matrix unresolved: the sine of its "
                     f"largest principal angle may reach {self.angle_bound:.3g}, above "
-                    f"{MAX_ANGLE_BOUND:g}; use a larger f or rescale the data"
+                    f"{MAX_ANGLE_BOUND:g}, from the opened eigengap at k={cfg.k}, "
+                    f"g = {gap:.3g}, and the grid's error E = {error:.3g}; "
+                    f"use a larger f or rescale the data"
                 )
             raise ProtocolAbort(PHASE_TRANSFER, cause)
         self._broadcast(
             ep, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, encode_real_matrix(self.transfer)
         )
 
+    def _exponents(self, sums, squares, n: int, grid: int) -> np.ndarray:
+        """Per column j, an e_j with 2^(2 e_j) at least Y_j / (n - 1), and
+        within a factor of four of the bound below.  Y_j sums fl(x_j - m_j)^2
+        over all rows, for the broadcast mean m, so that by Cauchy-Schwarz a
+        provider's covariance term (s, t), at most sqrt(Y_s Y_t) / (n - 1)
+        up to its own rounding, is at most 1 once scaled by 2^-(e_s + e_t).
+
+        With S and Q the exact column sums and sums of squares, S' and Q'
+        the opened ones, M providers and u = 2^-53:
+
+        - Q <= Q+ = (Q' + M 2^-g) / (1 - gamma_n): each provider's float
+          sum of squares is within gamma_n = n u / (1 - n u) of its exact
+          one, and its encoding within 2^-(g+1), and what scaling by
+          2^(g-f) may drop;
+        - |S' - S| <= eps = M 2^-(f+1) + u sqrt(n Q+): each provider's
+          column sum is correctly rounded, and sum_i |S_i| <= sqrt(n Q);
+        - the mean is off by delta, |delta| <= (u |S'| + eps) / n, its own
+          rounding included, and Y <= (1 + u)^2 ((n - 1) C + n delta^2);
+        - (n - 1) C = Q - S^2 / n <= Q+ - max(0, |S'| - eps)^2 / n.
+
+        This computation's own rounding is covered by adding 2^-40 Q+, and
+        the providers' (the centering, the Gram's rounding and the division
+        by n - 1) by a factor 1 + 2^-20.
+        """
+        fp, m, u = self.cfg.fixed_point, self.cfg.parties, 2.0**-53
+        # Honest sums of squares are not negative; a corrupt one costs no NaN.
+        high = (np.maximum(squares, 0.0) + m * 2.0**-grid) / (1 - n * u / (1 - n * u))
+        eps = m * 2.0 ** -(fp.f + 1) + u * np.sqrt(n * high)
+        low = np.maximum(np.abs(sums) - eps, 0.0)
+        delta = (u * np.abs(sums) + eps) / n
+        bound = (high - low * low / n + n * delta * delta + 2.0**-40 * high) / (n - 1)
+        # bound (1 + 2^-20) < 2^k, so 2^(2 e) for e = ceil(k / 2) is above it.
+        return -(-np.frexp(bound * (1 + 2.0**-20))[1].astype(np.int64) // 2)
+
     def _angle_bound(self, n: int) -> tuple[float, float, float]:
         """A bound on the sine of the largest principal angle between the
         transfer matrix and the top-k eigenvectors of the exact covariance C,
-        with the opened eigengap g at k and the grid's error E it rests on.
+        with the opened eigengap g at k and the grids' error E it rests on.
 
-        Every provider rounds its covariance terms to the 2^-f grid, so the
-        opened covariance is off by at most E = d M 2^-(f+1) in Frobenius
-        norm, plus the mean's share: centering at a mean off by delta, itself
-        the column sums' rounding over n, adds n/(n-1) delta delta^T.  By
-        Weyl, C's eigengap at k is at least the opened one, g, less E, and
-        by Davis and Kahan's sin-theta theorem the sine is at most
-        E / (g - E); infinite when g <= E.
+        Every provider rounds its covariance term (s, t) to the covariance
+        ring's 2^-f' grid at the scale 2^(e_s + e_t), so the opened entry is
+        off by at most M 2^-(f'+1) 2^(e_s + e_t), and the opened covariance
+        by E = M 2^-(f'+1) sum_s 2^(2 e_s) in Frobenius norm, plus the
+        mean's share: centering at a mean off by delta, itself round 0's
+        2^-f grid over n, adds n/(n-1) delta delta^T.  By Weyl, C's eigengap
+        at k is at least the opened one, g, less E, and by Davis and Kahan's
+        sin-theta theorem the sine is at most E / (g - E); infinite when
+        g <= E.
         """
         cfg, values = self.cfg, self.eigenvalues
-        d, step = values.size, 2.0 ** -(cfg.fixed_point.f + 1)
-        error = d * cfg.parties * step + n / (n - 1) * d * (cfg.parties * step / n) ** 2
+        d, m = values.size, cfg.parties
+        step, cov_step = (2.0 ** -(fp.f + 1) for fp in cfg.rings)
+        scales = float(np.sum(np.ldexp(1.0, 2 * self.exponents)))
+        error = m * cov_step * scales + n / (n - 1) * d * (m * step / n) ** 2
         gap = float(values[cfg.k - 1] - values[cfg.k])
         return (error / (gap - error) if gap > error else math.inf), gap, error
 
@@ -640,6 +760,13 @@ class ConsumerRole(_Role):
             for j in self.cfg.providers
         ]
         self.reduced = np.concatenate(blocks, dtype=np.float64)
+
+
+def _pair_exponents(exponents: np.ndarray) -> np.ndarray:
+    """e_s + e_t for each upper-triangle entry (s, t), in the order of
+    ``linalg.upper_triangle``."""
+    rows, cols = np.triu_indices(len(exponents))
+    return exponents[rows] + exponents[cols]
 
 
 def _provider_roles(cfg: SessionConfig, data) -> list[ProviderRole]:

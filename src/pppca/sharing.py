@@ -18,7 +18,10 @@ Matrix secrets are shared entry-wise with whole-array arithmetic: a party's
 share is a :class:`ShareMatrix` whose values are one read-only ring matrix
 of [hi, lo] uint64 limbs (see :mod:`pppca.ring`), so every width up to 128
 bits takes the same wrapping limb arithmetic.  The scalar functions are the
-1x1 case of the matrix ones and take and return Python ints.
+1x1 case of the matrix ones and take and return Python ints.  A session
+shares each round on its own ring: the column sums and sums of squares at
+the configured l, and the scaled covariance terms at l = 64, whose elements
+take 8 bytes each to expand and, one limb apiece, to send.
 
 Shares are tagged with a ``secret_id`` so that shares of unrelated secrets
 cannot be mixed in one reconstruction by accident, and with the owning

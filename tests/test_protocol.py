@@ -18,6 +18,7 @@ from pppca.messages import (
     MsgType,
     decode_encrypted_matrix,
     decode_public_key,
+    decode_real_matrix,
     decode_seed_share,
     decode_share_matrix,
 )
@@ -240,7 +241,8 @@ def test_seed_and_timeout_are_each_roles_own(make_cfg):
 
 def test_a_seed_share_of_another_shape_aborts_the_provider_it_reaches(monkeypatch):
     # Provider 1's column-sum bundle to provider 2, replaced by 52 bytes whose
-    # header claims 1024x1024 entries at l = 128 where the round's are 1x4.
+    # header claims 1024x1024 entries at l = 128 where the round's are 1x8:
+    # four column sums and four sums of squares.
     bad = struct.pack(">HHH", 1, 128, 6) + b"sums/1" + struct.pack(">II", 1024, 1024) + bytes(32)
     assert len(bad) == 52
     send = ProviderRole._send
@@ -257,7 +259,7 @@ def test_a_seed_share_of_another_shape_aborts_the_provider_it_reaches(monkeypatc
     assert info.value.phase == PHASE_SUMS
     assert str(info.value) == (
         "protocol aborted in phase 2: party 2: malformed SHARE_BUNDLE from party 1: "
-        "seeded share 1024x1024 is not the expected 1x4"
+        "seeded share 1024x1024 is not the expected 1x8"
     )
 
 
@@ -519,7 +521,8 @@ def test_covariance_round_carries_the_upper_triangle():
         if m.msg_type in (MsgType.ENCRYPTED_COV, MsgType.ENCRYPTED_COV_AGGREGATE)
     ]
     assert len(encrypted) == 3
-    w = FixedPointConfig().l + math.ceil(math.log2(3)) + 1
+    w = SessionConfig(method="he", parties=3, k=2).rings[1].l + math.ceil(math.log2(3)) + 1
+    assert w == 64 + 2 + 1
     slots = (pk.n.bit_length() - 1) // w
     for m in encrypted:
         packed = decode_encrypted_matrix(m.payload, pk, w, triangle)
@@ -605,16 +608,25 @@ def test_small_scales_abort_naming_l_and_f_instead_of_a_wrong_transfer(fp):
 
 
 @pytest.mark.parametrize("make_cfg", [ss_cfg, he_cfg], ids=["ss", "he"])
-def test_a_zero_eigengap_aborts_with_the_gap_the_grid_error_and_another_k(make_cfg):
+def test_a_zero_eigengap_aborts_with_the_gap_the_grid_error_and_another_k(monkeypatch, make_cfg):
     # Tied eigenvalues ([3I; -3I], d = 4) and every row the same: the
     # pooled covariance's own eigengap at k = 1 is zero, so no f resolves
     # its top-k subspace, and the abort must not offer a larger f alone.
-    d, parties, n, step = 4, 2, 8, 2.0**-65  # the default f = 64's half step
-    error = d * parties * step + n / (n - 1) * d * (parties * step / n) ** 2
+    # E is the covariance round's half step 2^-(f'+1) = 2^-62 at each
+    # column's scale 2^(2 e_j), read off the mean's frames, plus the mean's
+    # share at the default f = 64's half step.
+    d, parties, n, step = 4, 2, 8, 2.0**-65
     same_rows = np.tile([1.0, 2.0, 3.0, 4.0], (4, 1))
     for data in ([3 * np.eye(d), -3 * np.eye(d)], [same_rows, same_rows.copy()]):
+        network = SimulatedNetwork(list(range(parties + 2)), timeout=None)
+        monkeypatch.setattr(protocol, "_NETWORKS", {"sim": lambda parties, timeout: network})
         with pytest.raises(ProtocolAbort) as err:
             run_session(make_cfg(k=1, seed=1), data)
+        means = [m for m in network.transcript.entries() if m.msg_type == MsgType.PLAIN_MEAN]
+        assert len(means) == parties
+        exponents = decode_real_matrix(means[0].payload, (2, d))[1]
+        scales = float(np.sum(np.ldexp(1.0, 2 * exponents.astype(int))))
+        error = parties * 2.0**-62 * scales + n / (n - 1) * d * (parties * step / n) ** 2
         assert err.value.phase == PHASE_TRANSFER
         found = re.search(r"g = (\S+), is within the error E = (\S+) of", str(err.value))
         assert found, str(err.value)

@@ -2,11 +2,13 @@
 
 The round frames (phases 2-7) of seeded sessions, share bundles and local
 sums under ``ss`` and ciphertexts under ``he``, depend only on the data,
-the seed and the fixed-point ring: the Gram matrix and column sums are
-exact, so no BLAS or LAPACK rounding reaches them, and ``he`` keys and DJN
-randomizers are drawn from the seed.  Their SHA-256 digests are therefore
-the same on every machine, and a change to the ring arithmetic, the codecs,
-the PRG stream or the Paillier packing shows here.
+the seed and the fixed-point rings: the Gram matrix and column sums are
+exact, so no BLAS or LAPACK rounding reaches them, the sums of squares are
+float sums on a grid of 2^-5 or coarser here, far above their rounding, and
+``he`` keys and DJN randomizers are drawn from the seed.  Their SHA-256
+digests are therefore the same on every machine, and a change to the ring
+arithmetic, the scales, the codecs, the PRG stream or the Paillier packing
+shows here.
 """
 
 import hashlib
@@ -19,20 +21,20 @@ from pppca.encoding import FixedPointConfig
 from pppca.protocol import SessionConfig, run_session
 
 DIGESTS = {
-    ("ss", 2, 128, 64): "8e8acc10fa58604d5956f67b921cfc07d855d8de9684b4d0c7edd5a80609bec9",
-    ("ss", 3, 128, 64): "b8f421cccbce891aa43a55ede73436d4dc06ccd581d99df38afa1d3663f97cc2",
-    ("ss", 4, 128, 64): "07ace31a06b580966b75475e7f3e2a265be286c601ffaf78ff2f9e691c5c03a1",
-    ("ss", 2, 64, 24): "d6b5654fa3e2a3a69bc8327ce54cfa999dce6f3313f602f6bac5907eb3af1c00",
-    ("ss", 3, 64, 24): "d94bb6295649947e0f75037de7a2c25e67da1a5b02cfeb12a54ab7ad9249f192",
-    ("ss", 4, 64, 24): "464f3c5b7a79a88d83f9deede2b42406fff4a23daf3765cd8a8cd0dd4dfd90a8",
-    ("he", 2, 128, 64): "1c22da282d8303d0ba215a9ea53605c134d025d82db5518fc290ee377d4cfaf1",
-    ("he", 3, 128, 64): "a2d28221ad877ec38666fd4a3219829088b2e4f47186c6c9a0421054bc89154d",
-    ("he", 4, 128, 64): "2a135ccdb3b45848ef629c0b234822055ff353fb0a8c8a9574f2bdaf5a001c21",
-    ("he", 2, 64, 24): "524098e3d47569bab670b19fae5963c8531bc0988d5ed5076ebaa6a095819897",
-    ("he", 3, 64, 24): "1d7a16b0dcace1d03025ce651f6b221a151475f9c028ba7a1449924a57384575",
-    ("he", 4, 64, 24): "0ef144cd76893a49eb0238c0dec46e1b1745f89cf3b53729062bf6b924576dd6",
+    ("ss", 2, 128, 64): "999201fb7d84899305aa75afae006791a1ef284678bb5576a320e97cb6f6fc2d",
+    ("ss", 3, 128, 64): "46b92d3e883cb4282853693f61016706043eb7916c326fd6c351b68b80be865a",
+    ("ss", 4, 128, 64): "69b846f980ad92500e348c60b3d1f11a566471c46ccac23de733a0ca65b066b6",
+    ("ss", 2, 64, 24): "066976729493c18f23f36971a77bc9af9a81305c310dc95ead785a7ca4c3568d",
+    ("ss", 3, 64, 24): "9548aa1a9880b78d141012b39d1c4f85faba0ff6a0b41526d8f2f1ea8b9cd7e3",
+    ("ss", 4, 64, 24): "355494a3f4033958690315bbbe38b86fdcf4e3fd3e1984ac353b1c6d21b113b4",
+    ("he", 2, 128, 64): "d1200e7d7978e8f5475ada688162abfb890faf00dd1dbf17f52ddb199e781fc7",
+    ("he", 3, 128, 64): "75d456b481ead1806dcc317b6c50388274dc2d4fa473902010d7ed7907d58c00",
+    ("he", 4, 128, 64): "fdf513b85a59575fb12e29b32cb13b23f1f970af552984502141beb09048c9ce",
+    ("he", 2, 64, 24): "1f4bb3433aae74208d0f0d094b80218b0c56d5c791367fb8eee47ca6c9f28b04",
+    ("he", 3, 64, 24): "ae0f4567699b45cb0bbfc14cb260e09e8b3b9f6f1926c2b5c6ea3f809a1bd39b",
+    ("he", 4, 64, 24): "2762087aae6b4585a3a3ae23252be37463609388c25868845ea3e29456331127",
     # l = 65 puts the offset's bit, l - 1, in the high limb's lowest bit.
-    ("he", 3, 65, 20): "f4d26baa1b81470fd7a215072f999ccd0b6e60edc5add314e6867c0fa5abe8fd",
+    ("he", 3, 65, 20): "014730f96d01f0894e1bf63f46104cfd44374efb630abf7c8f081ffeece6a890",
 }
 
 def round_digest(result, cfg: SessionConfig) -> tuple[int, str]:

@@ -36,7 +36,7 @@ from pppca.messages import (
     serialize,
 )
 from pppca.ring import from_ints, to_ints
-from pppca.sharing import CounterPRG, SeededShare, share_matrix
+from pppca.sharing import CounterPRG, SeededShare, ShareMatrix, share_matrix
 from pppca.transport import SimulatedNetwork, TcpEndpoint, TcpNetwork
 
 
@@ -120,6 +120,15 @@ def test_bad_magic_and_version():
         deserialize(data[:4] + b"\x09" + data[5:])
     with pytest.raises(FrameFormatError, match="type"):
         deserialize(data[:5] + b"\xee" + data[6:])
+
+
+def test_a_version_1_frame_is_refused_naming_both_versions():
+    # Version 1 sent a 1 x d mean and 16 bytes per share element at any l:
+    # a role built before version 2 fails on the header, not mid-round.
+    data = serialize(_msg(MsgType.PLAIN_MEAN, 0, 1, 4, encode_real_matrix([[0.0], [1.0]])))
+    assert data[4] == 2
+    with pytest.raises(FrameFormatError, match=r"version 1; this build reads version 2$"):
+        deserialize(data[:4] + b"\x01" + data[5:])
 
 
 def test_ciphertext_matrix_round_trip(test_keypair):
@@ -257,12 +266,14 @@ def test_payload_cap_enforced():
 
 
 def _share_payload(owner, l, sid: bytes, rows, cols, values) -> bytes:
-    """The share-matrix wire format, one entry at a time."""
+    """The share-matrix wire format, one entry at a time: one 64-bit limb
+    per entry for l <= 64, two above."""
+    width = 8 if l <= 64 else 16
     return (
         struct.pack(">HHH", owner, l, len(sid))
         + sid
         + struct.pack(">II", rows, cols)
-        + b"".join(v.to_bytes(16, "big") for v in values)
+        + b"".join(v.to_bytes(width, "big") for v in values)
     )
 
 
@@ -274,19 +285,36 @@ def test_share_matrix_golden_bytes():
     assert decode_share_matrix(payload) == bundle
 
 
+def test_share_matrix_golden_bytes_at_l_64():
+    # One limb per element: the high limb of a 64-bit element is zero.
+    share = ShareMatrix(from_ints([[1, 2**64 - 1]]), owner=1, secret_id="g", l=64)
+    payload = encode_share_matrix(share)
+    assert payload == bytes.fromhex(
+        "0001" "0040" "0001" "67" "00000001" "00000002" "0000000000000001" "ffffffffffffffff"
+    )
+    assert payload == _share_payload(1, 64, b"g", 1, 2, [1, 2**64 - 1])
+    assert decode_share_matrix(payload) == share
+    secret = from_ints([[0, 1], [2**63 + 5, 2**64 - 1]])
+    bundle = share_matrix(secret, 2, 64, CounterPRG(3), "g")[1]
+    payload = encode_share_matrix(bundle)
+    assert payload == _share_payload(1, 64, b"g", 2, 2, to_ints(bundle.values).ravel().tolist())
+    assert decode_share_matrix(payload) == bundle
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, fault",
     [
-        _share_payload(0, 8, b"\xff\xfe", 1, 1, [3]),  # secret id not UTF-8
-        _share_payload(0, 8, b"s", 1, 2, [3, 256]),  # element >= 2^l
-        _share_payload(0, 8, b"s", 0, 2, []),  # no rows
-        _share_payload(0, 0, b"s", 1, 1, [0]),  # l = 0
-        _share_payload(0, 200, b"s", 1, 1, [1]),  # l past the 128-bit element
+        (_share_payload(0, 8, b"\xff\xfe", 1, 1, [3]), "codec can't decode"),  # id not UTF-8
+        # One limb per element at l = 8, so the length fits and the element fails.
+        (_share_payload(0, 8, b"s", 1, 2, [3, 256]), r"\(0, 1\) outside \[0, 2\^8\)"),
+        (_share_payload(0, 8, b"s", 0, 2, []), "0x2 has no entries"),  # no rows
+        (_share_payload(0, 0, b"s", 1, 1, [0]), "ring width 0 outside"),  # l = 0
+        (_share_payload(0, 200, b"s", 1, 1, [1]), "ring width 200 outside"),  # past 128 bits
     ],
     ids=["sid-not-utf8", "element-past-ring", "zero-rows", "l-0", "l-200"],
 )
-def test_malformed_share_matrix_raises_frame_format_error(payload):
-    with pytest.raises(FrameFormatError):
+def test_malformed_share_matrix_raises_frame_format_error(payload, fault):
+    with pytest.raises(FrameFormatError, match=fault):
         decode_share_matrix(payload)
 
 
