@@ -142,7 +142,7 @@ def compare(
                     transfer, train_proj[tr_mask] = linalg.centralized_pca(local, k)
                     if te_mask.any():
                         test_proj[te_mask] = linalg.project(
-                            test.features[te_mask] - mean, transfer
+                            test.features[te_mask], transfer, mean
                         )
                 train_y = train.labels
             else:
@@ -159,7 +159,7 @@ def compare(
                 # The consumer sees rows stacked in provider order; align labels.
                 train_y = ds.labels[np.concatenate(provider_rows)]
                 train_proj = result.reduced
-                test_proj = linalg.project(test.features - result.mean, result.transfer)
+                test_proj = linalg.project(test.features, result.transfer, result.mean)
                 sample_counts.append(result.sample_count)
                 if keep_transcripts:
                     transcripts.append(result.transcript)

@@ -60,11 +60,12 @@ def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def _reject_non_finite(a: np.ndarray, name: str = "matrix"):
-    """Raise for the first non-finite entry of ``a``."""
+def _reject_non_finite(a: np.ndarray, name: str = "matrix", first_row: int = 0):
+    """Raise for the first non-finite entry of ``a``, whose rows are those of
+    a matrix from ``first_row`` on."""
     bad = np.argwhere(~np.isfinite(a))[0]
     raise MatrixValidationError(
-        f"{name} has a non-finite entry at ({bad[0]}, {bad[1]})"
+        f"{name} has a non-finite entry at ({first_row + bad[0]}, {bad[1]})"
     )
 
 
@@ -251,8 +252,13 @@ _BLOCK_ENTRIES = 1 << 14
 _LOG_BLOCK_ROWS = 10
 
 
+def _block_rows(d: int) -> int:
+    """The rows of each row block of a matrix d wide."""
+    return max(1, min(1 << _LOG_BLOCK_ROWS, _BLOCK_ENTRIES // d))
+
+
 def _row_blocks(a: np.ndarray):
-    step = max(1, min(1 << _LOG_BLOCK_ROWS, _BLOCK_ENTRIES // a.shape[1]))
+    step = _block_rows(a.shape[1])
     return (a[start : start + step] for start in range(0, a.shape[0], step))
 
 
@@ -495,16 +501,47 @@ def top_k_transfer(pairs: EigenPairs, k: int) -> np.ndarray:
     return canonicalize_sign(pairs.vectors[:, :k])
 
 
-def project(x, transfer) -> np.ndarray:
-    """Matrix product X @ T."""
-    a = check_matrix(x)
+def project(x, transfer, shift=None, out=None) -> np.ndarray:
+    """The product X T, written into ``out`` if given and returned; with a
+    ``shift``, that of the centered rows fl(x - shift), the same bits as
+    ``project(x - shift, transfer)`` without ever holding that matrix.
+
+    Each row block (as ``gram``'s) is centered into one block's scratch,
+    multiplied in one BLAS call and converted into its rows of ``out``,
+    which may have any float dtype or byte order, such as a payload's
+    big-endian entries.  The products' last bits may follow the BLAS kernel
+    and its thread count, as the eigensolver's do.
+
+    A non-finite entry of x - shift (a NaN, or an entry that is or centers
+    to infinity) raises ``MatrixValidationError``, naming it as
+    ``check_matrix`` would.
+    """
+    a = _as_matrix(x)
     t = check_matrix(transfer, name="transfer")
-    if a.shape[1] != t.shape[0]:
+    (n, d), k = a.shape, t.shape[1]
+    if d != t.shape[0]:
         raise DimensionError(
-            f"cannot project {a.shape[0]}x{a.shape[1]} data with "
-            f"{t.shape[0]}x{t.shape[1]} transfer matrix"
+            f"cannot project {n}x{d} data with {t.shape[0]}x{k} transfer matrix"
         )
-    return a @ t
+    if shift is not None:
+        shift = check_vector(shift, d, "shift")
+    if out is None:
+        out = np.empty((n, k))
+    elif out.shape != (n, k):
+        raise DimensionError(f"the projection is {n}x{k}, but out has shape {out.shape}")
+    scratch = np.empty((min(n, _block_rows(d)), d))
+    product = np.empty((len(scratch), k))
+    start = 0
+    for block in _row_blocks(a):
+        rows = len(block)
+        if shift is not None:
+            with np.errstate(over="ignore"):  # the check below names the entry
+                block = np.subtract(block, shift, out=scratch[:rows])
+        if not np.isfinite(block).all():
+            _reject_non_finite(block, first_row=start)
+        out[start : start + rows] = np.matmul(block, t, out=product[:rows])
+        start += rows
+    return out
 
 
 def centralized_pca(x, k: int):
@@ -513,8 +550,8 @@ def centralized_pca(x, k: int):
     Centers columns by their means, eigendecomposes X^T X / (n - 1), and
     returns ``(transfer, reduced)`` where ``reduced`` is the centered data
     projected on the top-k eigenvectors.  Deterministic for fixed input.
-    ``gram`` centers one row block at a time; the one centered copy is made
-    for ``project`` and lives only for that call.
+    ``gram`` and ``project`` take the mean as a shift and center one row
+    block at a time, so no centered copy of the data is made.
     """
     a = check_matrix(x)
     n, d = a.shape
@@ -525,7 +562,7 @@ def centralized_pca(x, k: int):
     mean = column_means(a)
     cov = gram(a, mean) / (n - 1)
     transfer = top_k_transfer(jacobi_eigh(cov), k)
-    return transfer, project(a - mean, transfer)
+    return transfer, project(a, transfer, mean)
 
 
 def principal_angles(a, b) -> np.ndarray:

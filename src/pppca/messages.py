@@ -39,8 +39,11 @@ Payloads, by message type, where a shape is rows (4 bytes) then cols
 A share header is owner (2 bytes), the ring width l (2 bytes, in [1, 128]),
 the secret id's length (2 bytes) and its UTF-8 bytes, then the shape.
 Entries cross in one numpy conversion, ciphertexts one Python int each, and
-each decoder takes exactly the bytes its layout names.  A matrix decoder
-refuses a shape other than the one its receiver expects before it allocates.
+each decoder takes exactly the bytes its layout names.  A real matrix
+takes one buffer on its way to the wire: its writer fills the entries of
+:func:`real_matrix_payload` in place, as ``linalg.project`` does with a
+provider's reduced rows.  A matrix decoder refuses a shape other than the
+one its receiver expects before it allocates.
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ def make_step(phase: int, receiver: int) -> int:
 
 @dataclass(frozen=True)
 class ProtocolMessage:
+    """One frame.  A sender may pass a payload it filled in place, as a
+    bytearray it no longer writes; every delivered payload is bytes."""
+
     msg_type: MsgType
     sender: int
     receiver: int
@@ -219,9 +225,20 @@ def decode_public_key(payload: bytes) -> PublicKey:
     return PublicKey.from_modulus(n)
 
 
-def encode_real_matrix(x) -> bytes:
+def real_matrix_payload(rows: int, cols: int) -> tuple[bytearray, np.ndarray]:
+    """A real-matrix payload of ``rows`` x ``cols``, and a writable
+    big-endian view of its entries for the caller to fill in place: the one
+    buffer the entries take on their way to the wire."""
+    payload = bytearray(_SHAPE.size + rows * cols * 8)
+    _SHAPE.pack_into(payload, 0, rows, cols)
+    return payload, np.frombuffer(payload, ">f8", offset=_SHAPE.size).reshape(rows, cols)
+
+
+def encode_real_matrix(x) -> bytearray:
     a = np.atleast_2d(np.asarray(x, dtype=float))
-    return b"".join((_SHAPE.pack(*a.shape), a.astype(">f8", order="C")))
+    payload, entries = real_matrix_payload(*a.shape)
+    entries[...] = a
+    return payload
 
 
 def decode_real_matrix(payload: bytes, shape=None) -> np.ndarray:
@@ -230,7 +247,9 @@ def decode_real_matrix(payload: bytes, shape=None) -> np.ndarray:
     provider the mean and transfer matrix, in ``linalg``'s checks."""
     rows, cols = _shape(payload, 0, "real matrix", shape)
     _fits(payload, _SHAPE.size + rows * cols * 8, f"real matrix {rows}x{cols}")
-    return np.frombuffer(payload, ">f8", offset=_SHAPE.size).reshape(rows, cols)
+    view = np.frombuffer(payload, ">f8", offset=_SHAPE.size).reshape(rows, cols)
+    view.flags.writeable = False  # a bytearray payload's view is writable too
+    return view
 
 
 def _cipher_bytes(pk: PublicKey) -> int:

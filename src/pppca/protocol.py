@@ -112,6 +112,7 @@ from .messages import (
     encode_seed_share,
     encode_share_matrix,
     make_step,
+    real_matrix_payload,
 )
 from .sharing import CounterPRG, add_local_matrix, reconstruct_matrix, share_matrix
 from .transport import DEFAULT_TIMEOUT, SimulatedNetwork, TcpNetwork
@@ -579,7 +580,7 @@ class ProviderRole(_Role):
         if not (np.all(np.abs(scales) < 1 << 15) and np.all(scales % 1 == 0)):  # NaN fails too
             raise ProtocolAbort(PHASE_MEAN, "the scale exponents are not integers below 2^15")
         exponents = scales.astype(np.int64)
-        # gram centers one row block at a time; project's centered copy lives for its call.
+        # gram centers one row block at a time, so no centered copy is made.
         self._round(
             ep, 1,
             lambda: np.ldexp(
@@ -593,8 +594,10 @@ class ProviderRole(_Role):
             ep, SERVER, MsgType.TRANSFER_MATRIX, PHASE_TRANSFER, decode_real_matrix, (d, cfg.k)
         )
         self.phase = PHASE_REDUCED
-        # The rows are freed as soon as they are encoded, before the send.
-        payload = encode_real_matrix(linalg.project(self.data - mean, transfer))
+        # project centers one row block at a time and writes its product,
+        # big-endian, straight into the payload: the one copy of the rows.
+        payload, entries = real_matrix_payload(rows, cfg.k)
+        linalg.project(self.data, transfer, mean, entries)
         self._send(ep, cfg.consumer, MsgType.REDUCED_ROWS, PHASE_REDUCED, payload)
 
 

@@ -32,10 +32,8 @@ from .errors import FrameFormatError, TransportClosed, TransportTimeout
 from .messages import (
     ProtocolMessage,
     Transcript,
-    deserialize,
     frame_header,
     read_frame,
-    serialize,
 )
 
 DEFAULT_TIMEOUT = 30.0
@@ -130,9 +128,11 @@ class SimEndpoint(_BufferedReceiver):
         self._network = network
 
     def send(self, msg: ProtocolMessage):
-        # Round-trip through the wire format so simulation exercises exactly
-        # the bytes that TCP would carry.
-        self._network.deliver(deserialize(serialize(msg)))
+        # Read the frame's header and payload through the wire format, as TCP
+        # carries and reads them, without joining them.  The payload arrives
+        # as bytes, copied only if it is not bytes already.
+        parts = iter((frame_header(msg), bytes(msg.payload)))
+        self._network.deliver(read_frame(lambda count: next(parts)))
 
     def _shut_channels(self) -> set[int]:
         return set()  # every frame sent was delivered at once

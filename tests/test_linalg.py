@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pppca import linalg
 from pppca.errors import ConvergenceError, DimensionError, MatrixValidationError
+from pppca.messages import encode_real_matrix, real_matrix_payload
 
 
 # --- independent oracles ----------------------------------------------------
@@ -770,6 +771,56 @@ def test_project_matches_naive_matmul():
 def test_project_dimension_mismatch():
     with pytest.raises(DimensionError):
         linalg.project(np.ones((2, 3)), np.ones((2, 2)))
+    with pytest.raises(DimensionError, match="out has shape"):
+        linalg.project(np.ones((2, 3)), np.ones((3, 2)), out=np.empty((3, 2)))
+    with pytest.raises(DimensionError):
+        linalg.project(np.ones((2, 3)), np.ones((3, 2)), shift=np.ones(2))
+
+
+def _projection_cases():
+    """(rows, d, k): each benchmark workload's provider shape (he-wine,
+    ss-tall, ss-wide), also at k = 1, and row counts about one row block of
+    each width."""
+    shapes = [(800, 11, 4), (25000, 16, 8), (667, 128, 8)]
+    cases = shapes + [(rows, d, 1) for rows, d, _ in shapes]
+    for _, d, k in shapes:
+        block = linalg._block_rows(d)
+        cases += [(rows, d, k) for rows in (1, block - 1, block, block + 1)]
+    return cases
+
+
+def _projection_input(rows, d, k):
+    rng = np.random.default_rng(rows * 1000 + d * 10 + k)
+    x = rng.uniform(-10.0, 10.0, size=d) + rng.normal(size=(rows, d))
+    transfer = np.linalg.qr(rng.normal(size=(d, k)))[0]
+    return x, transfer, rng.uniform(-10.0, 10.0, size=d)
+
+
+@pytest.mark.parametrize("rows, d, k", _projection_cases())
+def test_projection_bits_of_a_shift_are_those_of_the_centered_copy(rows, d, k):
+    x, transfer, shift = _projection_input(rows, d, k)
+    expected = linalg.project(x - shift, transfer)
+    assert linalg.project(x, transfer, shift).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows, d, k", _projection_cases())
+def test_projection_bits_streamed_into_a_payload_are_its_encoding(rows, d, k):
+    x, transfer, shift = _projection_input(rows, d, k)
+    payload, entries = real_matrix_payload(rows, k)
+    assert linalg.project(x, transfer, shift, entries) is entries
+    assert payload == encode_real_matrix(linalg.project(x - shift, transfer))
+
+
+def test_project_less_a_mean_holds_one_row_blocks_scratch():
+    x = tall_provider_block()
+    transfer = np.eye(16)[:, :8]
+    out = np.empty((len(x), 8), ">f8")
+    peak = traced_peak(linalg.project, x, transfer, linalg.column_means(x), out)
+    # The centered block and its product, 24 entries a row, the finiteness
+    # mask, a byte an entry, and the byte-order cast's buffer, numpy's 8192
+    # entries.  A centered copy of the block alone would take 3.2 MB.
+    block = linalg._block_rows(16)
+    assert peak <= 8 * 24 * block + 16 * block + 8 * 8192 + 4096
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -783,6 +834,7 @@ def test_non_finite_entries_are_named_by_the_screens_and_project(bad):
         linalg.column_means,
         linalg.gram,
         lambda a: linalg.project(a, np.eye(16)[:, :8]),
+        lambda a: linalg.project(a, np.eye(16)[:, :8], np.ones(16)),
     ):
         with pytest.raises(MatrixValidationError, match=named):
             check(x)
@@ -807,6 +859,8 @@ def test_a_non_finite_centered_entry_is_named_as_in_the_centered_copy(nan_at, sh
         warnings.simplefilter("error")
         with pytest.raises(MatrixValidationError, match=re.escape(str(copied.value))):
             linalg.gram(x, shift)
+        with pytest.raises(MatrixValidationError, match=re.escape(str(copied.value))):
+            linalg.project(x, np.eye(2)[:, :1], shift)
 
 
 def test_centering_that_overflows_is_rejected_naming_the_entry():
@@ -820,6 +874,10 @@ def test_centering_that_overflows_is_rejected_naming_the_entry():
             linalg.gram(centered)
         with pytest.raises(MatrixValidationError, match=named):
             linalg.project(centered, np.eye(2)[:, :1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixValidationError, match=named):
+            linalg.project(x, np.eye(2)[:, :1], mean)
 
 
 # --- centralized PCA --------------------------------------------------------------
