@@ -121,7 +121,8 @@ def matrix_decode_fixed(z, cfg: FixedPointConfig) -> np.ndarray:
     # s is bitlen(hi) or one more: float(hi) may round up to a power of two.
     s = np.minimum(np.frexp(hi.astype(np.float64))[1], 64).astype(np.uint64)
     top = (hi << (64 - s)) | (lo >> s) | ((lo << (64 - s)) != 0)
-    value = np.ldexp(top.astype(np.float64), s.astype(np.int64) - cfg.f)
+    # int32 exponents keep np.ldexp on its vector loop, not a libm call per entry.
+    value = np.ldexp(top.astype(np.float64), s.astype(np.int32) - cfg.f)
     return np.where(negative, -value, value)
 
 

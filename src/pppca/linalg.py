@@ -9,18 +9,18 @@ cut into integer-valued slices (Ozaki, Ogita, Oishi and Rump, "Error-free
 transformations of matrix multiplication by using fast routines of matrix
 multiplication", Numer. Algorithms 2012), so that every slice product is
 exact in float64 under any BLAS blocking or thread count.  A screen of each
-column's extremes fixes where its slices start; each row block is cut
-until nothing is left (``gram`` of x less a shift, such as the column
-means, centers one row block at a time into the cut's scratch, so no
-centered copy of x is made); ``gram`` forms a block's slice products in
-one BLAS call per slice (a few at wide d, each within a row block's
-entries), with
-slices as wide as the rows of one such call allow (a block holds at most
-2^10 rows), adds each block's exact products into int64 sums by k + q of
-the slice pair (k, q) and reads each column's slice count off its own sums
-of squares; and the terms of each entry are rounded once, to nearest even,
-a row block's entries at a time, in the spirit of Rump, Ogita and Oishi's
-accurate summation (SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca``
+column's extremes fixes where its slices start; each row block is cut as
+deep as the block before it without a test, then on until nothing is left
+(``gram`` of x less a shift, such as the column means, centers one row
+block at a time into the cut's scratch, so no centered copy of x is made);
+``gram`` forms a block's slice products in one ``matmul`` per slice (a few
+at wide d, each within a row block's entries), with slices as wide as the
+rows of one such call allow (a block holds at most 2^10 rows), adds each
+block's exact products into int64 sums by k + q of the slice pair (k, q)
+and reads each column's slice count off its own sums of squares; and the
+terms of each entry are rounded once, to nearest even, a row block's
+entries at a time, in the spirit of Rump, Ogita and Oishi's accurate
+summation (SIAM J. Sci. Comput. 2008).  This makes ``centralized_pca``
 bit-for-bit invariant under row permutations of its input, which the rest
 of the package relies on when comparing differently partitioned runs.
 """
@@ -111,8 +111,9 @@ def column_sums(x) -> np.ndarray:
     width = 53 - log_n
     hi, ruled_out, blocks = _slicing(a, width)
     sums = np.zeros((_MAX_SLICES, d))
+    ones = np.ones(min(n, _block_rows(d)))
     for sliced in blocks:
-        sums[: len(sliced)] += sliced.sum(axis=2)
+        sums[: len(sliced)] += ones[: sliced.shape[1]] @ sliced  # a BLAS sum, exact too
     fallback = ruled_out | (hi + log_n > _MAX_EXP)
     cols = np.flatnonzero(~fallback)
     out = np.empty(d)
@@ -165,11 +166,13 @@ def gram(x, shift=None) -> np.ndarray:
 
     - **Screen.** One pass over the rows takes each column's largest and
       smallest entry, and so its largest centered |x| (``_screen``).
-    - **Cut.** Each row block is centered into the cut's scratch and cut
-      until nothing is left, so it costs the slices its own entries need
-      (``_slicing``).
-    - **One product per slice.** S_0 .. S_q of a block, stacked as far as
-      ``_BLOCK_ENTRIES`` allows, meet S_q in one BLAS call (``_pair_products``).
+    - **Cut.** Each row block is centered into the cut's scratch, scaled
+      so that its first slice is a plain ``trunc``, and cut as deep as the
+      block before it, then on until nothing is left (``_slicing``): it
+      tests its rest once where its depth is its predecessor's, and its
+      slices past its own need are zero.
+    - **One product per slice.** S_0 .. S_q of a block, as many as
+      ``_BLOCK_ENTRIES`` allows, meet S_q in one ``matmul`` (``_pair_products``).
     - **Counts from the products.** Column t's last slice K is half the
       last g at which the sum's diagonal entry [t, t] is nonzero: there only
       (S_K S_K^T)[t, t], a sum of squares, is left.
@@ -291,46 +294,79 @@ def _slicing(a: np.ndarray, width: int, shift=None):
     Every entry of column t of x = fl(a - shift) is below 2^hi[t] in
     magnitude.  ``blocks`` yields the row blocks of x, each centered into
     the cut's scratch one at a time and cut into integer-valued slices
-    until the whole block is zero: an array s of shape (c, d, rows) with
-    ``block[:, t] == sum_k s[k, t] * 2**(hi[t] - (k + 1) * width)`` exactly
-    and every |s| below 2^width.  Each array is overwritten by the next, in
-    one buffer with room for ``_MAX_SLICES`` slices of a block.  Once
-    ``blocks`` is exhausted, ``ruled_out[t]`` is set if some block still
-    held part of column t after ``_MAX_SLICES`` slices, or if scaling by
-    2^-hi[t] rounded one of its entries below float64's normal range, and so
-    out of the cut; such a column's slices mean nothing.
+    until the whole block is zero: an array s of shape (c, rows, d), in the
+    block's own layout, with
+    ``block[:, t] == sum_k s[k, :, t] * 2**(hi[t] - (k + 1) * width)``
+    exactly and every |s| below 2^width.  Each array is overwritten by the
+    next, in one buffer with room for ``_MAX_SLICES`` slices of a block.
+    No pass transposes a block: a transposed read costs about twice a
+    contiguous one.
+
+    A block is scaled by 2^(width - hi) in one ``ldexp``, so that its first
+    slice is a plain ``trunc``; each later slice scales the rest by
+    2^width, truncates it and subtracts.  A block first takes as many
+    slices as the block before it, without testing the rest, and then one
+    test per further slice until the rest is zero, so where every block
+    needs the same count each block tests its rest once.  Slices past a
+    block's own need are all zero; they add nothing to a sum, and ``gram``
+    reads each column's count off its own sums of squares, so the results
+    keep their bits.  The largest c over the blocks is the one that cutting
+    each block only as deep as it needs would give.
+
+    Once ``blocks`` is exhausted, ``ruled_out[t]`` is set if some block
+    still held part of column t after ``_MAX_SLICES`` slices, or if the
+    scaling rounded one of its entries below float64's normal range, and so
+    out of the cut; such a column's slices mean nothing.  An entry that
+    scaling by 2^-hi would round there lies below 2^(hi - 1022), while
+    eight slices of at most 53 bits reach 2^(hi - 424): whether or not
+    scaling by 2^(width - hi) keeps it, its column is ruled out, so the
+    ruled-out columns are those of scaling by 2^-hi.
     """
     hi = _screen(a, 0.0 if shift is None else shift)
     ruled_out = np.zeros(a.shape[1], dtype=bool)
 
     def blocks():
-        size = min(a.size, max(_BLOCK_ENTRIES, a.shape[1]))
-        rests = np.empty(size)
+        d = a.shape[1]
+        step = min(len(a), _block_rows(d))
+        rests = np.empty(step * d)
         # BLAS reads slices on a 64-byte boundary about a quarter faster.
-        outs = np.empty(_MAX_SLICES * size + 7)
-        outs = outs[-outs.ctypes.data // 8 % 8 :][: _MAX_SLICES * size]
+        outs = np.empty(_MAX_SLICES * rests.size + 7)
+        outs = outs[-outs.ctypes.data // 8 % 8 :][: _MAX_SLICES * rests.size]
+        # Rows side by side keep the inner loops of the passes that broadcast
+        # the shift and the exponents long.
+        fold = -(-1024 // d)
+        scale = np.tile(width - hi, fold)
+        shifts = None if shift is None else np.tile(shift, fold)
+        count = 0  # the slices of the block before
         for block in _row_blocks(a):
-            rest = rests[: block.size].reshape(block.shape[::-1])
-            entries = block.T if shift is None else np.subtract(block.T, shift[:, None], out=rest)
+            f = math.gcd(len(block), fold) * d
+            rest = rests[: block.size].reshape(block.shape)
+            folded = rest.reshape(-1, f)
+            entries = block.reshape(-1, f)
+            if shift is not None:
+                entries = np.subtract(entries, shifts[:f], out=folded)
             try:
                 with np.errstate(under="raise"):
-                    np.ldexp(entries, -hi[:, None], out=rest)
+                    np.ldexp(entries, scale[:f], out=folded)
             except FloatingPointError:  # numpy raises after writing all of rest
                 # Rule out the columns with an entry that did not survive it.
-                entries = block.T if shift is None else block.T - shift[:, None]
-                ruled_out[(np.ldexp(rest, hi[:, None]) != entries).any(axis=1)] = True
-            rest[ruled_out] = 0.0
-            count = 0
-            while rest.any():
-                if count == _MAX_SLICES:
-                    ruled_out[rest.any(axis=1)] = True
+                kept = np.ldexp(folded, -scale[:f]).reshape(block.shape)
+                entries = block if shift is None else block - shift
+                ruled_out[(kept != entries).any(axis=0)] = True
+            rest[:, ruled_out] = 0.0
+            k = 0
+            while k < count or rest.any():
+                if k == _MAX_SLICES:
+                    ruled_out[rest.any(axis=0)] = True
                     break
-                rest *= 2.0**width
-                out = outs[count * block.size : (count + 1) * block.size].reshape(rest.shape)
+                if k:
+                    rest *= 2.0**width
+                out = outs[k * block.size : (k + 1) * block.size].reshape(rest.shape)
                 np.trunc(rest, out=out)
                 rest -= out
-                count += 1
-            yield outs[: count * block.size].reshape((count,) + rest.shape)
+                k += 1
+            count = k
+            yield outs[: count * block.size].reshape((count,) + block.shape)
 
     return hi, ruled_out, blocks()
 
@@ -339,26 +375,31 @@ def _pair_products(blocks, d: int) -> np.ndarray:
     """The slice products of the sliced row ``blocks`` of ``_slicing``,
     summed in int64 by g = k + q: 2 S_k S_q^T for each k < q and S_k S_k^T,
     at index g of the result, so that a block with more slices appends sums.
-    S_k holds slice k of every column, as rows.  Each block's products are
-    exact integers below 2^53 (see ``gram``), so their doubles are exact too,
-    added in as BLAS writes them into one buffer; each call stacks as many
-    slices as fit ``_BLOCK_ENTRIES``, or one."""
+    S_k holds slice k of every column, as rows; ``_slicing`` yields its
+    transpose, which BLAS reads as it is.  Each block's products are exact
+    integers below 2^53 (see ``gram``), so their doubles are exact too,
+    added in as BLAS writes them into one buffer; each ``matmul`` takes as
+    many slices as fit ``_BLOCK_ENTRIES``, or one."""
     sums = np.zeros((1, d, d), dtype=np.int64)
     stack = max(1, _BLOCK_ENTRIES // (d * d))  # slices per product
-    product = np.empty((min(stack, _MAX_SLICES) * d, d))
+    product = np.empty((min(stack, _MAX_SLICES), d, d))
     for sliced in blocks:
         c = len(sliced)
         if 2 * c - 1 > len(sums):
             sums = np.pad(sums, ((0, 2 * c - 1 - len(sums)), (0, 0), (0, 0)))
-        stacked = sliced.reshape(-1, sliced.shape[2])
+        s = sliced.transpose(0, 2, 1)  # S_k, which BLAS reads transposed
         for q in range(c):
             for k in range(0, q + 1, stack):
-                # S_k .. S_(j-1) against S_q in one product, cast to int64 in np.add's buffer.
+                # S_k .. S_(j-1) against S_q in one call, cast to int64 in np.add's buffer.
                 j = min(k + stack, q + 1)
-                out = np.matmul(stacked[k * d : j * d], sliced[q].T, out=product[: (j - k) * d])
-                out[: (min(j, q) - k) * d] *= 2.0  # S_k S_q^T stands for its mirror too
+                out = product[: j - k]
+                if j == k + 1:  # numpy runs a lone product faster as a 2-D call
+                    np.matmul(s[k], sliced[q], out=out[0])
+                else:
+                    np.matmul(s[k:j], sliced[q], out=out)
+                out[: min(j, q) - k] *= 2.0  # S_k S_q^T stands for its mirror too
                 into = sums[k + q : j + q]
-                np.add(into, out.reshape(j - k, d, d), out=into, casting="unsafe", dtype=np.int64)
+                np.add(into, out, out=into, casting="unsafe", dtype=np.int64)
     return sums
 
 
@@ -375,10 +416,11 @@ def _round(terms: np.ndarray, top: np.ndarray, width: int) -> np.ndarray:
     below 2^-1022 has at most 52 significant bits, so m holds it exactly.
     """
     terms = _carry(terms, width)
-    negative = terms[0] < 0
-    np.negative(terms, out=terms, where=negative)
+    sign = np.where(terms[0] < 0, -1, 1)
+    terms *= sign
     terms = _carry(terms, width)
-    units = top - width * np.arange(len(terms))[:, None]
+    # int32 exponents keep np.ldexp on its vector loop, not a libm call per entry.
+    units = top - width * np.arange(len(terms), dtype=np.int32)[:, None]
     # The digits' float sum is within a few ulps of the exact sum, which so
     # lies in [2^(e - 2), 2^(e + 1)).
     e = np.frexp(np.ldexp(terms.astype(float), units).sum(axis=0))[1]
@@ -390,7 +432,7 @@ def _round(terms: np.ndarray, top: np.ndarray, width: int) -> np.ndarray:
     kept <<= np.clip(units, 0, 63, out=down)
     m = kept.sum(axis=0) | sticky
     rounded = np.ldexp((m >> 31).astype(float), 31) + (m & ((1 << 31) - 1)).astype(float)
-    return np.where(negative, -1.0, 1.0) * np.ldexp(rounded, shift)
+    return sign * np.ldexp(rounded, shift)
 
 
 def _carry(terms: np.ndarray, width: int) -> np.ndarray:

@@ -49,7 +49,6 @@ one its receiver expects before it allocates.
 from __future__ import annotations
 
 import enum
-import io
 import struct
 import threading
 from dataclasses import dataclass
@@ -163,17 +162,6 @@ def read_frame(read) -> ProtocolMessage | None:
             f"{_HEADER.size + length}-byte frame"
         )
     return ProtocolMessage(msg_type, sender, receiver, step, payload)
-
-
-def deserialize(data: bytes) -> ProtocolMessage:
-    """Decode exactly one frame; trailing or missing bytes are an error."""
-    stream = io.BytesIO(data)
-    msg = read_frame(stream.read)
-    if msg is None:
-        raise FrameFormatError(f"stream ended mid-frame: 0 of a header's {_HEADER.size} bytes")
-    if stream.tell() < len(data):
-        raise FrameFormatError(f"trailing bytes after frame: {len(data) - stream.tell()}")
-    return msg
 
 
 def header_size() -> int:

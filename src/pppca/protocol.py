@@ -579,7 +579,7 @@ class ProviderRole(_Role):
         mean, scales = linalg.check_vector(broadcast[0], d, "mean"), broadcast[1]
         if not (np.all(np.abs(scales) < 1 << 15) and np.all(scales % 1 == 0)):  # NaN fails too
             raise ProtocolAbort(PHASE_MEAN, "the scale exponents are not integers below 2^15")
-        exponents = scales.astype(np.int64)
+        exponents = scales.astype(np.int32)
         # gram centers one row block at a time, so no centered copy is made.
         self._round(
             ep, 1,
@@ -723,7 +723,7 @@ class ServerRole(_Role):
         delta = (u * np.abs(sums) + eps) / n
         bound = (high - low * low / n + n * delta * delta + 2.0**-40 * high) / (n - 1)
         # bound (1 + 2^-20) < 2^k, so 2^(2 e) for e = ceil(k / 2) is above it.
-        return -(-np.frexp(bound * (1 + 2.0**-20))[1].astype(np.int64) // 2)
+        return -(-np.frexp(bound * (1 + 2.0**-20))[1] // 2)
 
     def _angle_bound(self, n: int) -> tuple[float, float, float]:
         """A bound on the sine of the largest principal angle between the
@@ -767,7 +767,8 @@ class ConsumerRole(_Role):
 
 def _pair_exponents(exponents: np.ndarray) -> np.ndarray:
     """e_s + e_t for each upper-triangle entry (s, t), in the order of
-    ``linalg.upper_triangle``."""
+    ``linalg.upper_triangle``.  The exponents are int32, which keeps
+    ``np.ldexp`` on its vector loop; int64 ones take a libm call per entry."""
     rows, cols = np.triu_indices(len(exponents))
     return exponents[rows] + exponents[cols]
 

@@ -358,6 +358,163 @@ def test_gram_and_column_sums_are_exact_across_row_blocks_property(
         assert_row_permutation_invariant(x, rng)
 
 
+@pytest.fixture
+def cut_depths(monkeypatch):
+    """The slice count of every row block each ``_slicing`` call yields,
+    one list per call."""
+    calls = []
+    real = linalg._slicing
+
+    def recording(a, width, shift=None):
+        hi, ruled_out, blocks = real(a, width, shift)
+        depths = []
+        calls.append(depths)
+
+        def recorded():
+            for sliced in blocks:
+                depths.append(len(sliced))
+                yield sliced
+
+        return hi, ruled_out, recorded()
+
+    monkeypatch.setattr(linalg, "_slicing", recording)
+    return calls
+
+
+def blocks_at_depths(rng, depths, cols=4):
+    """Row blocks of 8 rows (``small_blocks``) whose ``gram`` slices end at
+    the given depths: at 40 rows the slices are 23 bits wide, and every
+    column's largest |x| is 1, so the entries of block b are odd multiples
+    of 2^(1 - 23 depths[b]), or zero for depth 0."""
+    x = np.zeros((8 * len(depths), cols))
+    for b, depth in enumerate(depths):
+        if depth:
+            odd = 2 * rng.integers(0, 2**9, size=(8, cols)) + 1
+            x[8 * b : 8 * b + 8] = odd * rng.choice([-1.0, 1.0], size=(8, cols)) * 2.0 ** (
+                1 - 23 * depth
+            )
+    x[8 * np.flatnonzero(depths)[0]] = 1.0
+    return x
+
+
+@pytest.mark.parametrize(
+    "depths, gram_cut, sums_cut",
+    [
+        # Each block first takes its predecessor's slices untested, so the
+        # depths a block yields never fall; the extra slices are zero.
+        ((1, 3, 2, 5, 1), [1, 3, 3, 5, 5], [1, 2, 2, 3, 3]),
+        ((2, 0, 3, 0, 1), [2, 2, 3, 3, 3], [1, 1, 2, 2, 2]),
+        ((0, 4, 0, 0, 2), [0, 4, 4, 4, 4], [0, 2, 2, 2, 2]),
+    ],
+)
+def test_gram_and_column_sums_are_exact_when_blocks_cut_deeper_than_they_need(
+    depths, gram_cut, sums_cut, small_blocks, cut_depths
+):
+    rng = np.random.default_rng(sum(depths))
+    x = blocks_at_depths(rng, depths)
+    linalg.gram(x)
+    linalg.column_sums(x)  # 47-bit slices: a depth of 2 or less takes one
+    assert cut_depths == [gram_cut, sums_cut]
+    assert_exact(x)
+    assert_row_permutation_invariant(x, rng)
+
+
+def test_gram_rules_out_a_column_whose_entry_underflows_after_a_deeper_block(
+    small_blocks, cut_depths, fsum_calls
+):
+    # Column 0's largest |x| is 2^60, and its two cancel; block 2 holds
+    # 3 * 2^-1040, which scaling by 2^(23 - 61) rounds to zero.  Block 1
+    # takes five slices, so block 2 starts with five untested ones.  For
+    # column_sums' 47-bit slices the entry scales to an exact subnormal,
+    # which eight slices do not reach, so the cap rules the column out.
+    rng = np.random.default_rng(25)
+    x = short_significands(rng, 40, 4, 1.0)
+    x[0] = 1.0
+    x[8:16, 1] = (2 * rng.integers(0, 2**9, size=8) + 1) * 2.0**-100
+    x[:, 0] = 0.0
+    x[[3, 4, 20], 0] = [2.0**60, -(2.0**60), 3 * 2.0**-1040]
+    x[[3, 4, 20], 1] = 1.0
+    assert linalg.gram(x)[0, 1] == linalg.column_sums(x)[0] == 3 * 2.0**-1040
+    assert cut_depths[0] == [1, 5, 5, 5, 5]
+    assert fsum_pairs(x, fsum_calls) == {(0, 0), (0, 1), (0, 2), (0, 3)}
+    assert fsum_columns(x, fsum_calls) == {0}
+    assert_exact(x)
+    assert_row_permutation_invariant(x, rng)
+
+
+def test_gram_rules_out_a_column_past_eight_slices_after_a_shallower_block(
+    small_blocks, cut_depths, fsum_calls
+):
+    # Block 0 takes two slices; block 1 takes those untested, then tests
+    # its rest before each further slice.  Column 1 ends at 2^(1 - 8 * 23),
+    # the eighth slice's last bit, and stays sliced; column 2 one bit lower,
+    # so the cap rules it out.
+    rng = np.random.default_rng(26)
+    x = short_significands(rng, 40, 4, 1.0)
+    x[0] = 1.0
+    x[1:8, 3] = (2 * rng.integers(0, 2**9, size=7) + 1) * 2.0**-45
+    x[9, 1], x[10, 2] = 2.0**-183, 2.0**-184
+    linalg.gram(x)
+    assert cut_depths[0] == [2, 8, 8, 8, 8]
+    assert fsum_pairs(x, fsum_calls) == {(0, 2), (1, 2), (2, 2), (2, 3)}
+    assert_exact(x)
+    assert_row_permutation_invariant(x, rng)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (40, 1), (3000, 1)])
+def test_gram_and_column_sums_are_exact_on_one_row_or_one_column(shape):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-30.0, 30.0, size=shape[1])
+    assert_exact(x)
+    x[::3] = 0.0
+    assert_exact(x)
+
+
+def round_cases(rng, count):
+    """``count`` draws of ``(terms, top, width)`` for ``_round``: int64
+    terms below 2^60 in magnitude whose sums are multiples of 2^-1074 below
+    2^1023, each column one of five kinds."""
+    for _ in range(count):
+        c, width, cols = int(rng.integers(1, 9)), int(rng.integers(18, 54)), 4
+        terms = np.zeros((c, cols), dtype=np.int64)
+        lowest = -1074 + (c - 1) * width  # the last term's unit is 2^-1074 at least
+        top = rng.integers(lowest, 961, size=cols).astype(np.int32)
+        for j, kind in enumerate(rng.integers(0, 5, size=cols)):
+            signs = rng.choice([-1, 1], size=c)
+            if kind == 0:  # anything
+                terms[:, j] = rng.integers(-(2**60) + 1, 2**60, size=c)
+            elif kind == 1:  # next to the bound
+                terms[:, j] = signs * (2**60 - 1 - rng.integers(0, 2**8, size=c))
+            elif kind == 2:  # a small lead that later terms carry into, or cancel
+                terms[0, j] = rng.integers(-3, 4)
+                terms[1:, j] = signs[1:] * rng.integers(2**58, 2**60, size=c - 1)
+            elif kind == 3:  # an exact tie, tipped either way by a last term of 0 or +-1
+                terms[0, j] = signs[0] * (2 * int(rng.integers(2**52, 2**53)) + 1)
+                if c > 1:
+                    terms[-1, j] = rng.integers(-1, 2)
+                    if rng.integers(0, 2):  # the tie's last bit carried in from term 1
+                        terms[0, j] -= signs[0]
+                        terms[1, j] += signs[0] << width
+            else:  # below float64's normal range
+                top[j] = lowest
+                terms[-1, j] = rng.integers(-(2**52), 2**52)
+                if c > 1:
+                    terms[-2, j] = rng.integers(-1, 2)
+        yield terms, top, width
+
+
+def test_round_is_the_nearest_float_ties_to_even():
+    rng = np.random.default_rng(27)
+    for terms, top, width in round_cases(rng, 500):
+        exact = [
+            sum(Fraction(int(terms[g, j])) * Fraction(2) ** int(top[j] - g * width)
+                for g in range(len(terms)))
+            for j in range(terms.shape[1])
+        ]
+        got = linalg._round(terms.copy(), top, width)
+        assert same_bits(got, np.array([float(e) for e in exact])), (terms, top, width)
+
+
 def wide_provider_block():
     """A seeded block of the shape of one ``ss-wide`` provider: 2000 rows
     over three providers, 128 columns.  Every row block of it takes four

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import random
 import re
 import socket
@@ -25,7 +26,6 @@ from pppca.messages import (
     decode_sample_count,
     decode_seed_share,
     decode_share_matrix,
-    deserialize,
     encode_encrypted_matrix,
     encode_public_key,
     encode_real_matrix,
@@ -48,6 +48,20 @@ def _msg(msg_type, sender, receiver, phase, payload):
         step=make_step(phase, receiver),
         payload=payload,
     )
+
+
+def deserialize(data: bytes) -> ProtocolMessage:
+    """The one frame that ``data`` holds, read as the transports read
+    frames; trailing or missing bytes are an error."""
+    stream = io.BytesIO(data)
+    msg = messages.read_frame(stream.read)
+    if msg is None:
+        raise FrameFormatError(
+            f"stream ended mid-frame: 0 of a header's {messages.header_size()} bytes"
+        )
+    if stream.tell() < len(data):
+        raise FrameFormatError(f"trailing bytes after frame: {len(data) - stream.tell()}")
+    return msg
 
 
 def test_plain_mean_round_trip_stable_bytes():
