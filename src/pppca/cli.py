@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -231,10 +232,14 @@ def _load_dataset(args, config: dict) -> Dataset:
 
 def _check_out(path: str | None):
     """Fail before any work if ``path`` is given and cannot be written.  It
-    is opened to append, so a file already there keeps its contents."""
+    is opened to append, so a file already there keeps its contents; one
+    the check made is removed again, so a run that fails later leaves none."""
     if path:
+        made = not os.path.lexists(path)
         with writing(path, "a"):
             pass
+        if made:
+            os.remove(path)
 
 
 def _save_matrix(path: str | None, matrix: np.ndarray, prefix: str, what: str):

@@ -1,6 +1,7 @@
-"""CSV ingestion, horizontal partitioning, and a synthetic benchmark table.
+"""CSV ingestion and writing, horizontal partitioning, and one synthetic
+table, the benchmark's.
 
-The benchmark generator mirrors the shape of the UCI red-wine quality table
+That generator mirrors the shape of the UCI red-wine quality table
 (1599 rows, 11 physico-chemical features, an integer quality score) so the
 evaluation pipeline can run at the same scale in environments where the
 real file is not present.  Point the CLI at the genuine CSV whenever it is
@@ -232,25 +233,6 @@ def make_wine_like(rows: int = 1599, seed: int = 20240817) -> Dataset:
         columns=list(WINE_FEATURES),
         label_name="quality",
     )
-
-
-def make_blobs(
-    rows: int = 400,
-    cols: int = 6,
-    separation: float = 4.0,
-    seed: int = 7,
-) -> Dataset:
-    """Two linearly separable Gaussian clusters with binary labels."""
-    rng = np.random.default_rng(seed)
-    half = rows // 2
-    direction = rng.normal(size=cols)
-    direction /= np.linalg.norm(direction)
-    a = rng.normal(size=(half, cols)) + separation / 2 * direction
-    b = rng.normal(size=(rows - half, cols)) - separation / 2 * direction
-    features = np.vstack([a, b])
-    labels = np.concatenate([np.ones(half), np.zeros(rows - half)])
-    perm = rng.permutation(rows)
-    return Dataset(features=features[perm], labels=labels[perm])
 
 
 def standardize_features(ds: Dataset) -> Dataset:

@@ -164,8 +164,8 @@ def gram(x, shift=None) -> np.ndarray:
     - half that, the term g of ``_round``, is the sum over the at most eight
       ordered pairs with k + q = g, below 2^60 as ``_round`` needs.
 
-    - **Screen.** One pass over the rows takes each column's largest and
-      smallest entry, and so its largest centered |x| (``_screen``).
+    - **Screen.** One folded ``max`` and one ``min`` over the whole block
+      take each column's extremes, and so its largest centered |x| (``_screen``).
     - **Cut.** Each row block is centered into the cut's scratch, scaled
       so that its first slice is a plain ``trunc``, and cut as deep as the
       block before it, then on until nothing is left (``_slicing``): it
@@ -271,15 +271,14 @@ def _screen(a: np.ndarray, shift) -> np.ndarray:
     monotone, so a column's largest centered |x| is that of its largest or
     its smallest entry, centered.  A NaN entry, or one that is or centers
     to infinity, makes it non-finite, and raises ``MatrixValidationError``
-    naming the first such entry of a - shift."""
-    d = a.shape[1]
-    top, bottom = np.full(d, -np.inf), np.full(d, np.inf)
-    for block in _row_blocks(a):
-        # Rows folded side by side keep the reductions' inner loop long.
-        fold = math.gcd(len(block), -(-256 // d))
-        rows = block.reshape(-1, fold * d)
-        np.maximum(top, rows.max(axis=0).reshape(fold, -1).max(axis=0), out=top)
-        np.minimum(bottom, rows.min(axis=0).reshape(fold, -1).min(axis=0), out=bottom)
+    naming the first such entry of a - shift.  One ``max`` and one ``min``
+    over the whole C-contiguous ``a``, its rows side by side ``fold`` at a
+    time to keep their inner loop long, make no temporary of a's size."""
+    n, d = a.shape
+    fold = math.gcd(n, -(-256 // d))
+    rows = a.reshape(-1, fold * d)
+    top = rows.max(axis=0).reshape(fold, d).max(axis=0)
+    bottom = rows.min(axis=0).reshape(fold, d).min(axis=0)
     with np.errstate(over="ignore"):
         top = np.maximum(np.abs(top - shift), np.abs(bottom - shift))
         if not np.isfinite(top).all():

@@ -416,9 +416,8 @@ SECURE_SUMS: dict[str, type[SecureSum]] = {METHOD_HE: PaillierSum, METHOD_SS: Sh
 
 @dataclass
 class SessionResult:
-    """Combined view of all role outputs after a simulated session."""
+    """All role outputs of one ``run_session``, whose ``SessionConfig`` holds its settings."""
 
-    method: str
     reduced: np.ndarray
     transfer: np.ndarray
     covariance: np.ndarray
@@ -887,7 +886,6 @@ def run_session(
 
     timings = {"total": total, **{f"server.{k}": v for k, v in server.timings.items()}}
     return SessionResult(
-        method=cfg.method,
         reduced=consumer.reduced,
         transfer=server.transfer,
         covariance=server.covariance,

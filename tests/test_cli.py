@@ -10,6 +10,7 @@ import pytest
 from pppca import cli
 from pppca.cli import EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main
 from pppca.datasets import Dataset, load_csv, make_wine_like, save_csv
+from pppca.errors import DataError
 from pppca.messages import MsgType, ProtocolMessage, encode_real_matrix, make_step, serialize
 
 
@@ -469,6 +470,39 @@ def test_an_out_path_that_cannot_be_written_is_a_data_error(
     ):
         assert main([*argv, "--out", out]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: cannot write {out}: ")
+
+
+def test_a_run_that_fails_past_the_out_check_leaves_no_new_file(
+    wine_csv, tmp_path, capsys, monkeypatch
+):
+    new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier,run\n1,2\n")
+
+    def run(argv, code, err):
+        for out in (new, kept):
+            assert main([*argv, "--out", str(out)]) == code
+            assert err in capsys.readouterr().err
+            assert not new.exists()
+            assert kept.read_bytes() == b"earlier,run\n1,2\n"
+
+    # The wine table has 11 features, so k = 11 fails in the session itself.
+    run(["simulate", "--input", wine_csv, "--label", "quality", "--delimiter", ";",
+         "--k", "11", "--parties", "2"], EXIT_USAGE, "k=11 must satisfy 1 <= k < d=11")
+
+    def fail(*args, **kwargs):
+        raise DataError("failed past the --out check")
+
+    for name in ("run_session", "compare", "TcpEndpoint"):
+        monkeypatch.setattr(cli, name, fail)
+    config = _config(tmp_path, wine_csv, methods="centralized", folds=3)
+    role_config = _role_config(tmp_path, f"127.0.0.1:{_free_port()}")
+    for argv in (
+        ["simulate", "--config", config],
+        ["compare", "--config", config],
+        ["role", "--role", "server", "--config", role_config],
+        ["role", "--role", "consumer", "--config", role_config],
+    ):
+        run(argv, EXIT_DATA, "data error: failed past the --out check")
 
 
 def test_compare_rejects_a_negative_seed_whatever_the_methods(wine_csv, capsys):

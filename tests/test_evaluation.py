@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from pppca.datasets import (
     Dataset,
     assign_providers,
     load_csv,
-    make_blobs,
     make_wine_like,
     partition_horizontal,
     save_csv,
@@ -199,10 +200,17 @@ def test_linreg_needs_enough_rows():
         train_linreg(np.ones((3, 3)), np.ones(3))
 
 
-def test_logreg_separable_blob_perfect_training_auc():
-    ds = make_blobs(rows=120, cols=2, separation=6.0, seed=5)
-    model = train_logreg(ds.features, ds.labels)
-    assert auc(model.predict_proba(ds.features), ds.labels) == 1.0
+def _wine_split_at_median(rows: int) -> Dataset:
+    """The wine surrogate, its quality labels split at their median."""
+    ds = make_wine_like(rows=rows)
+    return replace(ds, labels=(ds.labels > np.median(ds.labels)).astype(float))
+
+
+def test_logreg_separable_table_perfect_training_auc():
+    x = np.array([[-2.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [2.0, -1.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    model = train_logreg(x, y)
+    assert auc(model.predict_proba(x), y) == 1.0
 
 
 def test_logreg_rejects_non_binary():
@@ -211,7 +219,7 @@ def test_logreg_rejects_non_binary():
 
 
 def test_logreg_deterministic():
-    ds = make_blobs(rows=60, cols=3, seed=6)
+    ds = _wine_split_at_median(60)
     a = train_logreg(ds.features, ds.labels).weights
     b = train_logreg(ds.features, ds.labels).weights
     assert np.array_equal(a, b)
@@ -279,7 +287,7 @@ def test_compare_centralized_only_single_report():
 
 
 def test_compare_classification_ss_close_to_centralized():
-    ds = make_blobs(rows=160, cols=6, separation=3.0, seed=8)
+    ds = _wine_split_at_median(160)
     reports = compare(
         ds, parties=2, k=3, methods=["centralized", "pppca-ss"], seed=4
     )

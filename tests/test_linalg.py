@@ -615,6 +615,31 @@ def test_column_sums_working_memory_is_the_slicing_and_a_few_blocks():
     assert traced_peak(linalg.column_sums, x) <= slicing + 3 * 8 * linalg._BLOCK_ENTRIES
 
 
+@pytest.mark.parametrize(
+    "rows, cols",
+    # One row, one column, a prime row count (no fold but 1), d > 256 (fold
+    # 1 whatever the rows), and one he-wine and one ss-tall provider's block
+    # (folds 8 and 8).
+    [(1, 5), (7, 1), (1009, 3), (40, 300), (800, 11), (25000, 16)],
+)
+def test_screen_exponents_are_those_of_the_largest_centered_entry(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    x = rng.normal(size=(rows, cols)) * 2.0 ** rng.integers(-30, 30, size=cols)
+    if cols > 1:
+        x[:, -1] = 0.0  # an all-zero column, left so by every shift below
+    zero = ~x.any(axis=0)
+    for shift in (0.0, np.zeros(cols), x.mean(axis=0), np.where(zero, 0.0, x[-1])):
+        got = linalg._screen(x, shift)
+        assert np.array_equal(got, np.frexp(np.max(np.abs(x - shift), axis=0))[1])
+        assert np.all(got[zero] == 0)
+
+
+def test_screen_holds_no_copy_of_a_tall_block():
+    # A screen of np.abs(x - mean) would allocate 3.2 MB here.
+    x = tall_provider_block()
+    assert traced_peak(linalg._screen, x, linalg.column_means(x)) < 64 * 1024
+
+
 def test_gram_slice_budget_edges(small_blocks, fsum_calls):
     # 40 rows give slices of 23 bits, so in a column whose largest entry is
     # 2^60 eight slices reach down to 2^(61 - 184).  Column 0 ends exactly
