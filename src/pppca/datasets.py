@@ -109,6 +109,14 @@ def load_csv(
                     f"column {columns[c]!r}"
                 ) from None
 
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = divmod(int(np.argmin(finite)), width)  # the first non-finite cell
+        line, row = body[r]
+        raise DataError(
+            f"{path}: non-finite cell {row[c]!r} at line {line}, column {columns[c]!r}"
+        )
+
     if label_column is None:
         return Dataset(features=values, columns=columns)
     if label_column not in columns:

@@ -80,7 +80,6 @@ that times out ends the role.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import math
@@ -252,23 +251,16 @@ class SecureSum:
 
     Steps: :meth:`mask` turns a provider's values into one piece per
     combiner, :meth:`combine` adds the pieces a combiner holds, and
-    :meth:`open` turns the combined pieces into the plaintext sum, all on
-    the ring ``fp``; :meth:`on` gives the back end on a round's ring.
-    ``encode`` carries a piece as the payload of a message of the given
-    type, and ``decoder`` gives that type's payload decoder for pieces of
-    the given shape (None: any).
+    :meth:`open` turns the combined pieces into the plaintext sum, on the
+    round's fixed-point ring ``fp``.  ``encode`` carries a piece as the
+    payload of a message of the given type, and ``decoder`` gives that
+    type's payload decoder for pieces of the given shape (None: any) on the
+    ring ``fp``.  One back end serves a role's whole session, so each round
+    draws its randomness on from the last.
     """
 
     setup: tuple[tuple[MsgType, int], ...] = ()
     rounds: tuple[tuple[MsgType, MsgType], ...]
-    fp: FixedPointConfig
-
-    def on(self, fp: FixedPointConfig) -> SecureSum:
-        """This back end on the ring ``fp``, sharing its keys and its
-        random stream, so that each round draws on from the last."""
-        other = copy.copy(self)
-        other.fp = fp
-        return other
 
     @staticmethod
     def combiners(cfg: SessionConfig) -> list[int]:
@@ -286,7 +278,8 @@ class SecureSum:
 
 
 class PaillierSum(SecureSum):
-    """Paillier encryption under the server's key; provider p folds."""
+    """Paillier encryption under the server's key; provider p folds.  On
+    the ring ``fp``, entries offset by 2^(l-1) fill ``slot_bits(fp)``-bit slots."""
 
     setup = ((MsgType.PUBLIC_KEY, PHASE_PUBLIC_KEY),)
     rounds = (
@@ -294,24 +287,17 @@ class PaillierSum(SecureSum):
         (MsgType.ENCRYPTED_COV, MsgType.ENCRYPTED_COV_AGGREGATE),
     )
 
-    def __init__(
-        self, fixed_point: FixedPointConfig, parties: int, pk=None, sk=None, rng=None
-    ):
-        self.fp, self.parties, self.pk, self.sk, self.rng = fixed_point, parties, pk, sk, rng
+    def __init__(self, parties: int, pk=None, sk=None, rng=None):
+        self.parties, self.pk, self.sk, self.rng = parties, pk, sk, rng
 
-    @property
-    def offset(self) -> int:
-        return 1 << (self.fp.l - 1)
-
-    @property
-    def slot_bits(self) -> int:
+    def slot_bits(self, fp: FixedPointConfig) -> int:
         # A slot carries the sum of M offset entries, each in [0, 2^l), so it
         # stays below M * 2^l <= 2^(l + ceil(log2 M)); one more bit to spare.
-        return self.fp.l + (self.parties - 1).bit_length() + 1
+        return fp.l + (self.parties - 1).bit_length() + 1
 
     @classmethod
     def for_party(cls, cfg: SessionConfig, party: int) -> PaillierSum:
-        return cls(cfg.fixed_point, cfg.parties, rng=_rng_for(cfg, f"encrypt/{party}"))
+        return cls(cfg.parties, rng=_rng_for(cfg, f"encrypt/{party}"))
 
     @staticmethod
     def combiners(cfg: SessionConfig) -> list[int]:
@@ -343,27 +329,28 @@ class PaillierSum(SecureSum):
                 f"server sent a {bits}-bit modulus, configured for {role.cfg.key_bits}-bit keys",
             )
 
-    def mask(self, values, secret_id: str) -> list:
+    def mask(self, values, secret_id: str, fp: FixedPointConfig) -> list:
         # The signed integers z offset by 2^(l-1), not the ring elements: a
         # slot summing two's-complement values would carry one 2^l per
         # negative term, and so count them.  For a ring element of z, that
         # offset is a flip of its top bit, l - 1.
-        shifted = matrix_encode_fixed(values, self.fp) ^ ring.from_ints(self.offset)
-        return [paillier.enc_matrix(self.pk, ring.to_ints(shifted), self.slot_bits, self.rng)]
+        shifted = matrix_encode_fixed(values, fp) ^ ring.from_ints(1 << (fp.l - 1))
+        return [paillier.enc_matrix(self.pk, ring.to_ints(shifted), self.slot_bits(fp), self.rng)]
 
     def combine(self, pieces: list):
         return functools.reduce(functools.partial(paillier.add_enc_matrix, self.pk), pieces)
 
-    def open(self, pieces: list) -> np.ndarray:
+    def open(self, pieces: list, fp: FixedPointConfig) -> np.ndarray:
         slots = paillier.dec_matrix(self.sk, pieces[0])
-        sums = (slots - self.parties * self.offset) % self.fp.modulus
-        return matrix_decode_fixed(ring.from_ints(sums), self.fp)
+        sums = (slots - (self.parties << (fp.l - 1))) % fp.modulus
+        return matrix_decode_fixed(ring.from_ints(sums), fp)
 
     def encode(self, piece, msg_type: MsgType) -> bytes:
         return encode_encrypted_matrix(piece)
 
-    def decoder(self, msg_type: MsgType, shape):
-        return lambda payload: decode_encrypted_matrix(payload, self.pk, self.slot_bits, shape)
+    def decoder(self, msg_type: MsgType, shape, fp: FixedPointConfig):
+        slot_bits = self.slot_bits(fp)
+        return lambda payload: decode_encrypted_matrix(payload, self.pk, slot_bits, shape)
 
 
 class SharedSum(SecureSum):
@@ -375,38 +362,37 @@ class SharedSum(SecureSum):
 
     rounds = ((MsgType.SHARE_BUNDLE, MsgType.LOCAL_SHARE_SUM),) * 2
 
-    def __init__(self, fixed_point: FixedPointConfig, parties: int, prg: CounterPRG,
-                 balance: int | None = None):
-        self.fp, self.parties, self.prg, self.balance = fixed_point, parties, prg, balance
+    def __init__(self, parties: int, prg: CounterPRG, balance: int | None = None):
+        self.parties, self.prg, self.balance = parties, prg, balance
 
     @classmethod
     def for_party(cls, cfg: SessionConfig, party: int) -> SharedSum:
         # Share i goes to provider i + 1; the server never masks.
         balance = party - 1 if party in cfg.providers else None
-        return cls(cfg.fixed_point, cfg.parties, _prg_for(cfg, f"shares/{party}"), balance)
+        return cls(cfg.parties, _prg_for(cfg, f"shares/{party}"), balance)
 
     @staticmethod
     def combiners(cfg: SessionConfig) -> list[int]:
         return cfg.providers
 
-    def mask(self, values, secret_id: str) -> list:
-        encoded = matrix_encode_fixed(values, self.fp)
+    def mask(self, values, secret_id: str, fp: FixedPointConfig) -> list:
+        encoded = matrix_encode_fixed(values, fp)
         return share_matrix(
-            encoded, self.parties, self.fp.l, self.prg, secret_id=secret_id, balance=self.balance
+            encoded, self.parties, fp.l, self.prg, secret_id=secret_id, balance=self.balance
         )
 
     def combine(self, pieces: list):
         return add_local_matrix(pieces)
 
-    def open(self, pieces: list) -> np.ndarray:
-        return matrix_decode_fixed(reconstruct_matrix(pieces, party_count=self.parties), self.fp)
+    def open(self, pieces: list, fp: FixedPointConfig) -> np.ndarray:
+        return matrix_decode_fixed(reconstruct_matrix(pieces, party_count=self.parties), fp)
 
     def encode(self, piece, msg_type: MsgType) -> bytes:
         if msg_type == MsgType.SHARE_BUNDLE:
             return encode_seed_share(piece)
         return encode_share_matrix(piece)
 
-    def decoder(self, msg_type: MsgType, shape):
+    def decoder(self, msg_type: MsgType, shape, fp: FixedPointConfig):
         decode = decode_seed_share if msg_type == MsgType.SHARE_BUNDLE else decode_share_matrix
         return lambda payload: decode(payload, shape)
 
@@ -507,12 +493,10 @@ class ProviderRole(_Role):
         super().__init__(index, cfg)
         self.data = linalg.check_matrix(data, name=f"provider {index} data")
         self.sum = cfg.secure_sum.for_party(cfg, index)
-        self.ring = cfg.fixed_point  # the ring of the round in progress
 
-    def _check_range(self, values: np.ndarray, what: str):
+    def _check_range(self, values: np.ndarray, what: str, fp: FixedPointConfig):
         """Eager overflow guard: the global sum of M local terms, each below
-        2^(l-f-1)/M, still fits the round's fixed-point ring."""
-        fp = self.ring
+        2^(l-f-1)/M, still fits the round's fixed-point ring ``fp``."""
         bound = fp.max_magnitude / self.cfg.parties
         worst = float(np.max(np.abs(values)))
         if worst >= bound:
@@ -540,22 +524,20 @@ class ProviderRole(_Role):
         ``local()`` in the round's first phase, mask them, send one piece to
         each other combiner, and, as a combiner, add the pieces held and
         send the result to the server."""
-        cfg = self.cfg
-        self.ring = cfg.rings[r]
-        backend = self.sum.on(self.ring)
+        cfg, backend, fp = self.cfg, self.sum, self.cfg.rings[r]
         hop1, hop2 = backend.rounds[r]
         first, second = ROUND_PHASES[r]
         self.phase = first
         values = local().reshape(1, -1)
-        self._check_range(values, what)
+        self._check_range(values, what, fp)
         combiners = backend.combiners(cfg)
-        pieces = dict(zip(combiners, backend.mask(values, f"{tag}/{self.party}")))
+        pieces = dict(zip(combiners, backend.mask(values, f"{tag}/{self.party}", fp)))
         for c in combiners:
             if c != self.party:
                 self._send(ep, c, hop1, first, backend.encode(pieces[c], hop1))
         if self.party not in pieces:
             return
-        decode = backend.decoder(hop1, values.shape)  # the others mask values of this shape too
+        decode = backend.decoder(hop1, values.shape, fp)  # the others' values have this shape
         held = [
             pieces[j] if j == self.party else self._recv(ep, j, hop1, first, decode)
             for j in cfg.providers
@@ -625,13 +607,13 @@ class ServerRole(_Role):
     def _open(self, ep, r: int, shape) -> np.ndarray:
         """Collect round ``r``'s combined pieces, each of ``shape`` (None:
         any), and open their sum."""
-        backend = self.sum.on(self.cfg.rings[r])
+        backend, fp = self.sum, self.cfg.rings[r]
         phase = ROUND_PHASES[r][1]
         msg_type = backend.rounds[r][1]
-        decode = backend.decoder(msg_type, shape)
-        return backend.open([
-            self._recv(ep, c, msg_type, phase, decode) for c in backend.combiners(self.cfg)
-        ])
+        decode = backend.decoder(msg_type, shape, fp)
+        return backend.open(
+            [self._recv(ep, c, msg_type, phase, decode) for c in backend.combiners(self.cfg)], fp
+        )
 
     def run(self, ep):
         cfg = self.cfg
@@ -789,8 +771,6 @@ def _provider_roles(cfg: SessionConfig, data) -> list[ProviderRole]:
     d = widths.pop()
     if not 1 <= cfg.k < d:
         raise ConfigError(f"k={cfg.k} must satisfy 1 <= k < d={d}")
-    if sum(m.shape[0] for m in matrices) < 2:
-        raise ConfigError("need at least 2 rows overall")
     return providers
 
 
@@ -909,11 +889,12 @@ def _terms(matrices) -> list[np.ndarray]:
     return arrays
 
 
-def _sum_without_transport(backend: SecureSum, arrays: list[np.ndarray]) -> np.ndarray:
+def _sum_without_transport(backend: SecureSum, arrays: list, fp: FixedPointConfig) -> np.ndarray:
     """Mask every term, let each combiner add the pieces meant for it, and
-    open the combined pieces: a session's round with the hops as calls."""
-    masked = [backend.mask(a, f"term/{i}") for i, a in enumerate(arrays)]
-    return backend.open([backend.combine(list(held)) for held in zip(*masked)])
+    open the combined pieces on the ring ``fp``: a session's round with the
+    hops as calls."""
+    masked = [backend.mask(a, f"term/{i}", fp) for i, a in enumerate(arrays)]
+    return backend.open([backend.combine(list(held)) for held in zip(*masked)], fp)
 
 
 def secure_sum_he(
@@ -928,7 +909,7 @@ def secure_sum_he(
     against a budget and opens the ring sum mod 2^l: a true sum beyond the
     ring's range wraps, as in ``secure_sum_ss``."""
     arrays = _terms(matrices)
-    return _sum_without_transport(PaillierSum(fixed_point, len(arrays), pk, sk, rng), arrays)
+    return _sum_without_transport(PaillierSum(len(arrays), pk, sk, rng), arrays, fixed_point)
 
 
 def secure_sum_ss(
@@ -946,4 +927,4 @@ def secure_sum_ss(
     if len(arrays) == 1:
         # Degenerate single holder: nothing to share, just the encoding trip.
         return matrix_decode_fixed(matrix_encode_fixed(arrays[0], fixed_point), fixed_point)
-    return _sum_without_transport(SharedSum(fixed_point, len(arrays), generator), arrays)
+    return _sum_without_transport(SharedSum(len(arrays), generator), arrays, fixed_point)

@@ -1,17 +1,31 @@
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pppca import cli
 from pppca.cli import EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main
-from pppca.datasets import Dataset, load_csv, make_wine_like, save_csv
+from pppca.datasets import (
+    Dataset,
+    load_csv,
+    make_wine_like,
+    partition_horizontal,
+    save_csv,
+    standardize_features,
+)
 from pppca.errors import DataError
 from pppca.messages import MsgType, ProtocolMessage, encode_real_matrix, make_step, serialize
+from pppca.protocol import SessionConfig, run_session
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +76,38 @@ def test_simulate_he_prints_server_times(wine_csv, capsys):
     stdout = capsys.readouterr().out
     assert re.search(r"^server time : keygen \d+\.\d\ds, eigendecomposition \d+\.\d\ds$", stdout, re.M)
     assert "privacy     : ok" in stdout
+
+
+def test_simulate_standardize_runs_the_session_on_standardized_features(
+    wine_csv, tmp_path, capsys
+):
+    out = tmp_path / "reduced.csv"
+    argv = ["simulate", "--input", wine_csv, "--label", "quality", "--delimiter", ";",
+            "--k", "3", "--seed", "2", "--standardize", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "privacy     : ok" in capsys.readouterr().out
+    ds = standardize_features(load_csv(wine_csv, label_column="quality", delimiter=";"))
+    parts = partition_horizontal(ds, 2, 2)
+    expected = run_session(SessionConfig(method="ss", parties=2, k=3, seed=2),
+                           [p.features for p in parts])
+    assert np.array_equal(load_csv(out).features, expected.reduced)
+
+
+def test_the_module_entry_point_runs_the_cli(wine_csv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "pppca", *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("simulate", "--input", wine_csv, "--label", "quality", "--delimiter", ";",
+               "--k", "2", "--seed", "1")
+    assert done.returncode == EXIT_OK, done.stderr[-2000:]
+    assert "privacy     : ok" in done.stdout
+    bare = run()
+    assert bare.returncode == EXIT_USAGE
+    assert "the following arguments are required: command" in bare.stderr
 
 
 def test_simulate_transcript_listing(wine_csv, capsys):
@@ -355,6 +401,51 @@ def test_role_mode_requires_config():
     assert main(["role", "--role", "server"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        (None, ["simulate"], "cannot read config"),
+        ("{", ["simulate"], "is not valid JSON"),
+        ("[1, 2]", ["simulate"], "must hold a JSON object"),
+        (json.dumps({"method": "ss", "parties": 2, "k": 2, "endpoints": {
+            "server": "127.0.0.1:1", "provider-1": "127.0.0.1:1", "provider-2": "127.0.0.1:1"}}),
+         ["role", "--role", "server"], "config endpoints missing parties [3]"),
+    ],
+    ids=["unreadable", "not-json", "json-array", "no-consumer"],
+)
+def test_a_config_the_cli_cannot_read_is_a_data_error(text, command, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main([*command, "--config", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--k", "2"], "an --input CSV is required"),
+        (["role", "--role", "provider", "--config", "{role}"],
+         "--party-index is required for providers"),
+        (["role", "--role", "provider", "--party-index", "3", "--config", "{role}"],
+         "--party-index must lie in [1, 2]"),
+        (["role", "--role", "provider", "--party-index", "0", "--config", "{role}"],
+         "--party-index must lie in [1, 2]"),
+        (["compare", "--input", "{wine}", "--delimiter", ";", "--k", "2"],
+         "compare needs --label naming the target column"),
+        (["bench", "--input", "{wine}", "--delimiter", ";", "--label", "quality", "--k", "2",
+          "--parties", "2,x"], "--parties must be a list of ints, got '2,x'"),
+    ],
+    ids=["simulate-no-input", "provider-no-index", "provider-3-of-2", "provider-0",
+         "compare-no-label", "bench-parties"],
+)
+def test_a_missing_or_unusable_argument_is_a_usage_error(argv, message, wine_csv, tmp_path, capsys):
+    role = _role_config(tmp_path, "127.0.0.1:1")
+    assert main([arg.format(role=role, wine=wine_csv) for arg in argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"{message}\nrun 'pppca --help' for usage\n"
+
+
 def test_setting_zero_values_override_config():
     import argparse
 
@@ -448,7 +539,19 @@ def test_a_non_finite_label_is_a_data_error(tmp_path, capsys):
         argv = ["compare", "--input", str(path), "--label", "y", "--k", "2",
                 "--methods", "centralized,separate", "--folds", "3"]
         assert main(argv) == EXIT_DATA
-        assert capsys.readouterr().err == f"data error: label of row 5 is {value}, not finite\n"
+        # Row 5 is line 7, after the header.
+        expected = f"data error: {path}: non-finite cell {value!r} at line 7, column 'y'\n"
+        assert capsys.readouterr().err == expected
+
+
+def test_a_non_finite_feature_is_a_data_error_naming_its_line_and_column(tmp_path, capsys):
+    # The first in file order: line 3's feature b, not line 5's c.
+    path = tmp_path / "t.csv"
+    path.write_text("quality,a,b,c\n5,1.0,2.0,3.0\n6,1.5,nan,2.0\n\n7,2.0,1.0,inf\n")
+    argv = ["simulate", "--input", str(path), "--label", "quality", "--k", "1", "--parties", "2"]
+    assert main(argv) == EXIT_DATA
+    expected = f"data error: {path}: non-finite cell 'nan' at line 3, column 'b'\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_an_out_path_that_cannot_be_written_is_a_data_error(
@@ -629,6 +732,8 @@ def test_an_endpoint_name_of_non_ascii_digits_is_a_data_error(tmp_path, capsys):
         (["simulate"], {"input": 5}, "input"),  # not a file descriptor
         (["simulate"], {"no_header": "false"}, "no_header"),
         (["simulate"], {"fixed_point": {"l": 64, "f": 24.5}}, "f must be an int"),
+        (["role", "--role", "server"], {"endpoints": {"provider-3": "127.0.0.1:1"}},
+         "endpoint 'provider-3' out of range for 2 parties"),
     ],
 )
 def test_a_config_value_the_cli_cannot_use_is_a_data_error_naming_the_key(

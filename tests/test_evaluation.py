@@ -66,6 +66,35 @@ def test_load_csv_non_numeric_cell_location(tmp_path):
             load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_csv_non_finite_cell_location(tmp_path, cell):
+    # Named as a non-numeric cell is, by the file's line and the column,
+    # whether or not the column is the label.
+    path = tmp_path / "bad.csv"
+    for text, line in (
+        ("x,y\n1,2\n3,{}\n", 3),
+        ("x,y\n1,2\n\n3,{}\n", 4),
+        ("\n\nx,y\n1,2\n3,{}\n", 5),
+        ('x,y\n"1\n",2\n3,{}\n', 4),
+    ):
+        path.write_text(text.format(cell))
+        for label in (None, "x", "y"):
+            with pytest.raises(DataError) as err:
+                load_csv(path, label_column=label)
+            assert str(err.value) == f"{path}: non-finite cell {cell!r} at line {line}, column 'y'"
+
+
+@pytest.mark.parametrize(
+    "text, message", [("", "file is empty"), ("\n\n", "file is empty"), ("x,y\n", "no data rows")]
+)
+def test_load_csv_without_data_rows(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_load_csv_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     for text, line in (

@@ -195,10 +195,10 @@ def test_he_plaintexts_do_not_reveal_sign_patterns(test_keypair):
     )
     decrypted = []
     for terms in patterns:
-        backend = PaillierSum(fp, parties, pk, sk, random.Random(3))
-        folded = backend.combine([backend.mask(t, f"t/{i}")[0] for i, t in enumerate(terms)])
+        backend = PaillierSum(parties, pk, sk, random.Random(3))
+        folded = backend.combine([backend.mask(t, f"t/{i}", fp)[0] for i, t in enumerate(terms)])
         decrypted.append([paillier.decrypt(sk, c) for c in folded.ciphers])
-        assert backend.open([folded]).tolist() == [[1.0, 1.0, -4.0]]
+        assert backend.open([folded], fp).tolist() == [[1.0, 1.0, -4.0]]
     totals = [fp.scale, fp.scale, -4 * fp.scale]
     offset = parties << (fp.l - 1)
     packed = sum((total + offset) << (i * w) for i, total in enumerate(totals))

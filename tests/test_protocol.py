@@ -621,6 +621,22 @@ def test_abort_on_bad_k():
         ss_cfg(k=0)
 
 
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        (lambda: run_session(ss_cfg(), split(HAND_DATA, 3)),
+         "config names 2 providers but 3 matrices given"),
+        (lambda: run_session(ss_cfg(), split(HAND_DATA, 2), transport="udp"),
+         "unknown transport 'udp'"),
+        (lambda: SessionConfig(method="xx", parties=2, k=1), "method must be 'he' or 'ss'"),
+    ],
+    ids=["matrix-count", "transport", "method"],
+)
+def test_a_session_that_cannot_start_as_configured_is_a_config_error(start, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        start()
+
+
 @pytest.mark.parametrize("make_cfg", [ss_cfg, he_cfg], ids=["ss", "he"])
 def test_abort_on_fixed_point_overflow_names_step(make_cfg):
     # Entries above 2^63 / M: the column sums blow the fixed-point budget of
@@ -723,10 +739,10 @@ def test_live_session_outlasts_receive_timeout(monkeypatch, transport):
     expected = run_session(ss_cfg(), data, transport=transport)
     real_check = ProviderRole._check_range
 
-    def slow_check(self, values, what):
+    def slow_check(self, values, what, fp):
         if self.party == 2 and self.phase == PHASE_COV:
             time.sleep(1.0)  # five receive timeouts with nobody sending
-        real_check(self, values, what)
+        real_check(self, values, what, fp)
 
     monkeypatch.setattr(ProviderRole, "_check_range", slow_check)
     started = time.perf_counter()

@@ -138,10 +138,10 @@ def test_the_covariance_rounds_budget_check_never_trips_in_the_drawn_space(monke
     worst = []
     check = ProviderRole._check_range
 
-    def recording(self, values, what):
+    def recording(self, values, what, fp):
         if self.phase == PHASE_COV:
             worst.append(float(np.max(np.abs(values))))
-        check(self, values, what)
+        check(self, values, what, fp)
 
     monkeypatch.setattr(ProviderRole, "_check_range", recording)
     rng = np.random.default_rng(40)
