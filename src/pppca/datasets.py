@@ -88,6 +88,9 @@ def load_csv(
 
     if header:
         columns = [c.strip() for c in raw[0][1]]
+        for i, name in enumerate(columns):
+            if name in columns[:i]:
+                raise DataError(f"{path}: the header names column {name!r} twice")
         body = raw[1:]
     else:
         columns = [f"col{i}" for i in range(len(raw[0][1]))]

@@ -138,8 +138,8 @@ def compare(
                             f"{owner} has {local.shape[0]} training rows in fold "
                             f"{fold}; cannot fit a PCA"
                         )
-                    mean = linalg.column_means(local)
-                    transfer, train_proj[tr_mask] = linalg.centralized_pca(local, k)
+                    mean, transfer = linalg.pca_fit(local, k)
+                    train_proj[tr_mask] = linalg.project(local, transfer, mean)
                     if te_mask.any():
                         test_proj[te_mask] = linalg.project(
                             test.features[te_mask], transfer, mean

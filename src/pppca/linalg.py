@@ -88,10 +88,6 @@ class EigenPairs:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
 
 def column_sums(x) -> np.ndarray:
     """Exact per-column sums, correctly rounded (order independent).
@@ -445,8 +441,8 @@ def _carry(terms: np.ndarray, width: int) -> np.ndarray:
 
 def upper_triangle(a) -> np.ndarray:
     """The d(d+1)/2 entries on and above the diagonal of a square matrix,
-    row by row."""
-    m = np.asarray(a, dtype=float)
+    row by row, in its own dtype: integer input stays integer."""
+    m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m[np.triu_indices(m.shape[0])]
@@ -467,18 +463,13 @@ def symmetric_from_upper(values, d: int) -> np.ndarray:
     return out
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.sqrt(np.sum(a[mask] ** 2)))
-
-
 def jacobi_eigh(c, tol: float = DEFAULT_EIGH_TOL) -> EigenPairs:
     """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``, checked.
 
     For the orthogonal V from ``eigh``, the eigenvalues are the diagonal of
-    V^T C V, and the Frobenius norm of its off-diagonal part must be at most
-    ``tol * ||C||_F``, which bounds the per-pair residual ||Cv - lambda v|| by
-    the same amount.  ``eigh`` leaves about 1e-16 ||C||_F there.
+    V^T C V, and the Frobenius norm of the entries off that diagonal must
+    be at most ``tol * ||C||_F``, which bounds each residual ||Cv - lambda v||
+    by as much.  ``eigh`` leaves about 1e-16 ||C||_F there.
     Deterministic for a given machine: LAPACK and BLAS kernels may differ
     between CPU models.
 
@@ -504,7 +495,7 @@ def jacobi_eigh(c, tol: float = DEFAULT_EIGH_TOL) -> EigenPairs:
     a = a / 2.0 + a.T / 2.0
     v = np.linalg.eigh(a)[1]
     a = v.T @ a @ v
-    off = _off_diagonal_norm(a * scale)
+    off = float(np.sqrt(np.sum((a * scale)[~np.eye(d, dtype=bool)] ** 2)))
     threshold = tol * norm
     if not off <= threshold:  # True for NaN too
         raise ConvergenceError(
@@ -516,30 +507,19 @@ def jacobi_eigh(c, tol: float = DEFAULT_EIGH_TOL) -> EigenPairs:
     return EigenPairs(values=values[order], vectors=v[:, order])
 
 
-def canonicalize_sign(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive.
-
-    Ties in magnitude resolve to the lowest index (argmax convention).
-    """
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            out[:, j] = -col
-    return out
-
-
 def top_k_transfer(pairs: EigenPairs, k: int) -> np.ndarray:
     """The d x k matrix of eigenvectors for the k largest eigenvalues.
 
-    Column signs are canonical (largest-magnitude entry positive) so every
-    role and the plaintext reference produce comparable matrices.
+    Each column is negated where its largest-magnitude entry (ties to the
+    lowest index) is below zero, in one step for all k, so every role and
+    the plaintext reference produce comparable matrices.
     """
-    d = pairs.dim
+    d = pairs.values.size
     if not 1 <= k < d:
         raise DimensionError(f"k must satisfy 1 <= k < d={d}, got {k}")
-    return canonicalize_sign(pairs.vectors[:, :k])
+    top = pairs.vectors[:, :k]
+    pivot = top[np.abs(top).argmax(axis=0), np.arange(k)]
+    return np.where(pivot < 0, -top, top)
 
 
 def project(x, transfer, shift=None, out=None) -> np.ndarray:
@@ -585,25 +565,25 @@ def project(x, transfer, shift=None, out=None) -> np.ndarray:
     return out
 
 
-def centralized_pca(x, k: int):
-    """Reference PCA on pooled plaintext data.
-
-    Centers columns by their means, eigendecomposes X^T X / (n - 1), and
-    returns ``(transfer, reduced)`` where ``reduced`` is the centered data
-    projected on the top-k eigenvectors.  Deterministic for fixed input.
-    ``gram`` and ``project`` take the mean as a shift and center one row
-    block at a time, so no centered copy of the data is made.
-    """
+def pca_fit(x, k: int):
+    """``(mean, transfer)`` of the rows of ``x``: their column means and the
+    d x k matrix of ``top_k_transfer``, which checks k, for X^T X / (n - 1)
+    of the rows centered at those means (``gram`` takes them as a shift, so
+    no centered copy is made)."""
     a = check_matrix(x)
-    n, d = a.shape
+    n = a.shape[0]
     if n < 2:
         raise DimensionError(f"need at least 2 rows for covariance, got {n}")
-    if not 1 <= k < d:
-        raise DimensionError(f"k must satisfy 1 <= k < d={d}, got {k}")
     mean = column_means(a)
-    cov = gram(a, mean) / (n - 1)
-    transfer = top_k_transfer(jacobi_eigh(cov), k)
-    return transfer, project(a, transfer, mean)
+    return mean, top_k_transfer(jacobi_eigh(gram(a, mean) / (n - 1)), k)
+
+
+def centralized_pca(x, k: int):
+    """Reference PCA on pooled plaintext data: ``(transfer, reduced)``, the
+    transfer of ``pca_fit`` and the rows projected on it at the mean of
+    ``pca_fit`` by ``project``.  Deterministic for fixed input."""
+    mean, transfer = pca_fit(x, k)
+    return transfer, project(x, transfer, mean)
 
 
 def principal_angles(a, b) -> np.ndarray:

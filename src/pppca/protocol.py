@@ -747,11 +747,10 @@ class ConsumerRole(_Role):
 
 
 def _pair_exponents(exponents: np.ndarray) -> np.ndarray:
-    """e_s + e_t for each upper-triangle entry (s, t), in the order of
-    ``linalg.upper_triangle``.  The exponents are int32, which keeps
-    ``np.ldexp`` on its vector loop; int64 ones take a libm call per entry."""
-    rows, cols = np.triu_indices(len(exponents))
-    return exponents[rows] + exponents[cols]
+    """e_s + e_t for each entry (s, t) of ``linalg.upper_triangle``, which
+    keeps the int32 exponents int32: that keeps ``np.ldexp`` on its vector
+    loop, where int64 ones take a libm call per entry."""
+    return linalg.upper_triangle(np.add.outer(exponents, exponents))
 
 
 def _provider_roles(cfg: SessionConfig, data) -> list[ProviderRole]:

@@ -262,12 +262,7 @@ class Share(ShareMatrix):
 
     @property
     def value(self) -> int:
-        return _element(self.values)
-
-
-def _element(values: np.ndarray) -> int:
-    hi, lo = values[0, 0].tolist()
-    return hi << 64 | lo
+        return ring.to_ints(self.values)[0, 0]
 
 
 def share(
@@ -288,7 +283,7 @@ def share(
 
 def reconstruct(shares: list[Share], party_count: int | None = None) -> int:
     """Sum all shares mod 2^l; see :func:`reconstruct_matrix`."""
-    return _element(reconstruct_matrix(shares, party_count))
+    return ring.to_ints(reconstruct_matrix(shares, party_count))[0, 0]
 
 
 def add_local(shares: list[Share]) -> Share:

@@ -554,6 +554,16 @@ def test_a_non_finite_feature_is_a_data_error_naming_its_line_and_column(tmp_pat
     assert capsys.readouterr().err == expected
 
 
+def test_a_column_named_twice_is_a_data_error(tmp_path, capsys):
+    # The second "quality" would otherwise stay a feature beside the label.
+    path = tmp_path / "t.csv"
+    path.write_text("a,quality,b,quality\n1,5,2,5\n2,6,1,6\n3,5,4,5\n4,7,3,7\n")
+    argv = ["simulate", "--input", str(path), "--label", "quality", "--k", "1", "--parties", "2"]
+    assert main(argv) == EXIT_DATA
+    expected = f"data error: {path}: the header names column 'quality' twice\n"
+    assert capsys.readouterr().err == expected
+
+
 def test_an_out_path_that_cannot_be_written_is_a_data_error(
     wine_csv, tmp_path, capsys, monkeypatch
 ):

@@ -114,6 +114,16 @@ def test_load_csv_missing_label(tmp_path):
         load_csv(path, label_column="z")
 
 
+def test_load_csv_rejects_a_column_named_twice(tmp_path):
+    # A second "quality" would stay a feature: the label leaking into the fit.
+    path = tmp_path / "t.csv"
+    path.write_text("a,quality,b,quality\n" + "1,5,2,5\n" * 4)
+    for label in ("quality", None):
+        with pytest.raises(DataError) as err:
+            load_csv(path, label_column=label)
+        assert str(err.value) == f"{path}: the header names column 'quality' twice"
+
+
 def test_load_csv_no_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("1,2\n3,4\n")
@@ -349,6 +359,20 @@ def test_compare_fold_hygiene_protocol_sees_training_rows_only():
     counts = reports[0].protocol_sample_counts
     assert counts == [len(train) for train, _ in folds]
     assert all(c < ds.rows for c in counts)
+
+
+@pytest.mark.parametrize("method, parties", [("centralized", 2), ("separate", 3)])
+def test_compare_fits_each_group_once(monkeypatch, method, parties):
+    # One exact column sum per group and fold: the fit's mean, which the
+    # training and the test rows are both projected at.
+    calls = []
+    sums = linalg.column_sums
+    monkeypatch.setattr(linalg, "column_sums", lambda x: calls.append(1) or sums(x))
+    ds = make_wine_like(rows=60)
+    reports = compare(ds, parties=parties, k=2, methods=[method], seed=7, folds=4)
+    groups = 1 if method == "centralized" else parties
+    assert len(calls) == groups * 4
+    assert len(reports[0].fold_metrics) == 4
 
 
 def test_compare_report_determinism():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pppca import linalg
+from pppca import linalg, protocol
 from pppca.errors import ConvergenceError, DimensionError, MatrixValidationError
 from pppca.messages import encode_real_matrix, real_matrix_payload
 
@@ -775,6 +775,17 @@ def test_upper_triangle_round_trip():
         linalg.upper_triangle(np.ones((2, 3)))
 
 
+def test_upper_triangle_keeps_integer_input_integer():
+    e = np.array([3, -7, 12, 0], dtype=np.int32)
+    triangle = linalg.upper_triangle(np.add.outer(e, e))
+    assert triangle.dtype == np.int32
+    rows, cols = np.triu_indices(4)
+    assert np.array_equal(triangle, e[rows] + e[cols])
+    pairs = protocol._pair_exponents(e)
+    assert pairs.dtype == np.int32
+    assert np.array_equal(pairs, triangle)
+
+
 # --- jacobi eigensolver -------------------------------------------------------
 
 
@@ -923,6 +934,44 @@ def test_top_k_sign_flip_invariance():
     assert np.array_equal(
         linalg.top_k_transfer(pairs, 3), linalg.top_k_transfer(flipped, 3)
     )
+
+
+def reference_signs(vectors):
+    """Each column flipped in a loop where its first largest-|entry| is
+    negative: the per-column rule that ``top_k_transfer`` applies at once."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            out[:, j] = -col
+    return out
+
+
+def test_top_k_signs_match_the_per_column_rule():
+    vectors = np.array(
+        [  # ties led by + and by -, zeros, -0.0s, a negative pivot; the last is unused
+            [0.5, -0.5, 0.0, -0.0, 0.1, -0.6, 1.0],
+            [-0.5, 0.5, 0.0, -0.0, -0.9, 0.6, 0.0],
+            [0.1, 0.2, 0.0, -0.0, 0.3, 0.0, 0.0],
+        ]
+    )
+    pairs = linalg.EigenPairs(values=np.zeros(7), vectors=vectors)
+    t = linalg.top_k_transfer(pairs, 6)
+    expected = reference_signs(vectors[:, :6])
+    assert t.tobytes() == expected.tobytes()  # the signs of zeros too
+    assert list(t[:, 0]) == [0.5, -0.5, 0.1]  # tied: the first entry leads
+    assert list(t[:, 1]) == [0.5, -0.5, -0.2]
+    assert np.signbit(t[:, 3]).all()  # a -0.0 pivot is not below zero
+    assert list(t[:, 4]) == [-0.1, 0.9, -0.3]  # a negative pivot flips
+    rng = np.random.default_rng(48)
+    for _ in range(200):
+        d = int(rng.integers(2, 9))
+        k = int(rng.integers(1, d))
+        # Entries from a small set make ties and zero columns common.
+        v = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(d, d))
+        v[:, rng.random(d) < 0.2] = 0.0
+        got = linalg.top_k_transfer(linalg.EigenPairs(np.zeros(d), v), k)
+        assert got.tobytes() == reference_signs(v[:, :k]).tobytes()
 
 
 def test_top_k_rejects_bad_k():
